@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DataError,
     InvalidConfig,
+    InvalidInputs,
     InvalidOutcomeRange,
 )
 from .localfit import (
@@ -26,6 +27,14 @@ from .localfit import (
 )
 
 
+def _require_finite(column: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidInputs(
+            f"column {column!r} has a non-finite value ({values[bad[0]]}) at index {bad[0]}"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Observations plus the design constants.
@@ -33,7 +42,8 @@ class Dataset:
     ``xs`` is the running variable, ``ys`` the outcome, ``d`` an optional
     binary treatment column and ``covariates`` a name -> column mapping.
     ``y_low``/``y_high`` declare the logical outcome range used by the
-    bounds; both may be None when only tests are run.
+    bounds; both may be None when only tests are run. Every value must be
+    finite; a nan or inf raises InvalidInputs naming the column and index.
     """
 
     xs: np.ndarray
@@ -51,6 +61,8 @@ class Dataset:
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise InvalidConfig("xs and ys must be 1-d arrays of equal length")
+        _require_finite("x", xs)
+        _require_finite("y", ys)
         if not np.isfinite(self.cutoff):
             raise InvalidConfig("cutoff must be finite")
         if self.d is not None:
@@ -58,6 +70,7 @@ class Dataset:
             object.__setattr__(self, "d", d)
             if d.shape != xs.shape:
                 raise InvalidConfig("treatment column length mismatch")
+            _require_finite("d", d)
             if not np.all((d == 0) | (d == 1)):
                 raise InvalidConfig("treatment column must be binary 0/1")
         covs = {}
@@ -65,6 +78,7 @@ class Dataset:
             col = np.asarray(col, dtype=float)
             if col.shape != xs.shape:
                 raise InvalidConfig(f"covariate {name!r} length mismatch")
+            _require_finite(name, col)
             covs[name] = col
         object.__setattr__(self, "covariates", covs)
         if self.y_low is not None and self.y_high is not None:
@@ -91,15 +105,25 @@ class Bandwidths:
     dens_right: float | None = None
 
     def resolved(self, xs: np.ndarray, cutoff: float) -> "Bandwidths":
-        """Fill missing entries with rot_bandwidth on the matching side."""
-        def rot(side):
-            return rot_bandwidth(xs, side, cutoff)
+        """Fill missing entries with rot_bandwidth on the matching side.
+
+        Means and densities share one rule-of-thumb value per side, so each
+        side's is computed at most once.
+        """
+        rot: dict[Side, float] = {}
+
+        def pick(value, side):
+            if value is not None:
+                return value
+            if side not in rot:
+                rot[side] = rot_bandwidth(xs, side, cutoff)
+            return rot[side]
 
         return Bandwidths(
-            mean_left=self.mean_left if self.mean_left is not None else rot(Side.LEFT),
-            mean_right=self.mean_right if self.mean_right is not None else rot(Side.RIGHT),
-            dens_left=self.dens_left if self.dens_left is not None else rot(Side.LEFT),
-            dens_right=self.dens_right if self.dens_right is not None else rot(Side.RIGHT),
+            mean_left=pick(self.mean_left, Side.LEFT),
+            mean_right=pick(self.mean_right, Side.RIGHT),
+            dens_left=pick(self.dens_left, Side.LEFT),
+            dens_right=pick(self.dens_right, Side.RIGHT),
         )
 
 
@@ -155,9 +179,8 @@ def _boundary_from_arrays(
     cutoff: float,
     config: FitConfig,
     bw: Bandwidths,
-    check_support: bool = True,
 ) -> tuple[float, float, float, float, SideCounts, tuple[str, ...]]:
-    """Core estimation shared by the public entry point and the bootstrap."""
+    """Per-row boundary fits of one sample; the core of ``estimate_boundary``."""
     notes: list[str] = []
 
     def mean_fit(side, h):
@@ -170,7 +193,7 @@ def _boundary_from_arrays(
     def dens_fit(side, h):
         spec = FitSpec(order=config.density_order, bandwidth=h, kernel=config.kernel, side=side)
         try:
-            dens, clipped = _boundary_density_detail(xs, cutoff, spec, check_support)
+            dens, clipped = _boundary_density_detail(xs, cutoff, spec)
         except DataError as err:
             raise _labeled(side.value, "density fit", err)
         if clipped:

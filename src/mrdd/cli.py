@@ -125,8 +125,9 @@ def ingest(
 ) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
-    Rows whose running variable or outcome fail to parse raise ParseError
-    with the 1-based line number. Requested optional columns must exist.
+    Rows whose values fail to parse or are not finite (nan, inf) raise
+    ParseError with the 1-based line number. Requested optional columns
+    must exist.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -162,14 +163,25 @@ def ingest(
                     )
     if not xs:
         raise EmptyInput(f"{path} contains no data rows")
+    columns = {col_x: np.array(xs), col_y: np.array(ys)}
+    if col_d:
+        columns[col_d] = np.array(ds)
+    columns.update((name, np.array(vals)) for name, vals in covs.items())
+    for name, values in columns.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            line = int(bad[0]) + 2
+            raise ParseError(
+                f"non-finite value {values[bad[0]]} in column {name!r} at line {line}", line=line
+            )
     return Dataset(
-        xs=np.array(xs),
-        ys=np.array(ys),
+        xs=columns[col_x],
+        ys=columns[col_y],
         cutoff=cutoff,
         y_low=y_low,
         y_high=y_high,
-        d=np.array(ds) if col_d else None,
-        covariates={name: np.array(vals) for name, vals in covs.items()},
+        d=columns[col_d] if col_d else None,
+        covariates={name: columns[name] for name in covariates},
     )
 
 
@@ -666,3 +678,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -22,6 +22,8 @@ from scipy import stats
 from ._bootstrap import (
     BALANCE_TEST_STREAM,
     DENSITY_TEST_STREAM,
+    DensityFit,
+    MeanFit,
     check_bootstrap_config,
     drop_failed,
     run_replicates,
@@ -78,10 +80,14 @@ def _two_sided_p(t: float) -> float:
     return float(2.0 * stats.norm.sf(abs(t)))
 
 
-def _bootstrap_jump_test(n_rows, point, jump_fn, b, seed, stream, workers):
-    """Shared test core: full-sample jump / bootstrap SE, normal reference."""
-    reps, n_failed = run_replicates(n_rows, b, seed, stream, lambda idx: (jump_fn(idx),), 1, workers)
-    reps = drop_failed(reps, n_failed, "jump-test")[:, 0]
+def _bootstrap_jump_test(data, point, fits, b, seed, stream, workers):
+    """Shared test core: full-sample jump / bootstrap SE, normal reference.
+
+    ``fits`` is the (right, left) pair whose difference is the jump.
+    """
+    values, n_failed = run_replicates(data.xs, data.cutoff, fits, b, seed, stream, workers)
+    values = drop_failed(values, n_failed, "jump-test")
+    reps = values[:, 0] - values[:, 1]
     se = float(np.std(reps, ddof=1))
     warnings: tuple[str, ...] = ()
     if n_failed:
@@ -114,18 +120,13 @@ def density_discontinuity_test(
     bw = config.bandwidths.resolved(data.xs, c)
     spec_l = FitSpec(config.density_order, bw.dens_left, config.kernel, Side.LEFT)
     spec_r = FitSpec(config.density_order, bw.dens_right, config.kernel, Side.RIGHT)
-    xs = data.xs
-
-    def jump(sample, check_support):
-        f_minus, _ = _boundary_density_detail(sample, c, spec_l, check_support)
-        f_plus, _ = _boundary_density_detail(sample, c, spec_r, check_support)
-        return f_plus - f_minus
-
     # the discreteness heuristic applies to the raw sample only; bootstrap
     # resamples duplicate values by construction
-    point = jump(xs, True)
+    f_minus, _ = _boundary_density_detail(data.xs, c, spec_l)
+    f_plus, _ = _boundary_density_detail(data.xs, c, spec_r)
     return _bootstrap_jump_test(
-        xs.size, point, lambda idx: jump(xs[idx], False), b, seed, (DENSITY_TEST_STREAM,), workers
+        data, f_plus - f_minus, (DensityFit(spec_r), DensityFit(spec_l)), b, seed,
+        (DENSITY_TEST_STREAM,), workers,
     )
 
 
@@ -147,18 +148,12 @@ def balance_test(
     bw = config.bandwidths.resolved(data.xs, c)
     spec_l = FitSpec(config.mean_order, bw.mean_left, config.kernel, Side.LEFT)
     spec_r = FitSpec(config.mean_order, bw.mean_right, config.kernel, Side.RIGHT)
-    xs = data.xs
     ws = data.covariates[covariate]
     cov_index = sorted(data.covariates).index(covariate)
-
-    def jump(sx, sw):
-        w_minus = _local_fit_arrays(sx, sw, c, spec_l).coefficients[0]
-        w_plus = _local_fit_arrays(sx, sw, c, spec_r).coefficients[0]
-        return w_plus - w_minus
-
-    point = jump(xs, ws)
+    w_minus = _local_fit_arrays(data.xs, ws, c, spec_l).coefficients[0]
+    w_plus = _local_fit_arrays(data.xs, ws, c, spec_r).coefficients[0]
     return _bootstrap_jump_test(
-        xs.size, point, lambda idx: jump(xs[idx], ws[idx]), b, seed,
+        data, w_plus - w_minus, (MeanFit(spec_r, ws), MeanFit(spec_l, ws)), b, seed,
         (BALANCE_TEST_STREAM, cov_index), workers,
     )
 

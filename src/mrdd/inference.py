@@ -18,11 +18,13 @@ from scipy import stats
 
 from ._bootstrap import (
     BOUNDS_STREAM,
+    DensityFit,
+    MeanFit,
     check_bootstrap_config,
     drop_failed,
     run_replicates,
 )
-from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary, _boundary_from_arrays
+from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
 from .bounds import (
     BoundsResult,
     TypeAssumption,
@@ -32,6 +34,7 @@ from .bounds import (
     type4_bounds,
 )
 from .errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange
+from .localfit import FitSpec, Side
 
 _BOUND_OPS = {
     TypeAssumption.TYPE2: type2_bounds,
@@ -94,16 +97,15 @@ def bootstrap_boundary_replicates(
     """
     point = estimate_boundary(data, fit)
     bw = point.bandwidths
-    xs, ys, c = data.xs, data.ys, data.cutoff
 
-    def stat(idx):
-        mu_p, mu_m, f_p, f_m, _, _ = _boundary_from_arrays(
-            xs[idx], ys[idx], c, fit, bw, check_support=False
-        )
-        return mu_p, mu_m, f_p, f_m
-
+    fits = (
+        MeanFit(FitSpec(fit.mean_order, bw.mean_right, fit.kernel, Side.RIGHT), data.ys),
+        MeanFit(FitSpec(fit.mean_order, bw.mean_left, fit.kernel, Side.LEFT), data.ys),
+        DensityFit(FitSpec(fit.density_order, bw.dens_right, fit.kernel, Side.RIGHT)),
+        DensityFit(FitSpec(fit.density_order, bw.dens_left, fit.kernel, Side.LEFT)),
+    )
     values, n_failed = run_replicates(
-        data.n, cfg.b, cfg.seed, (BOUNDS_STREAM,), stat, 4, cfg.workers
+        data.xs, data.cutoff, fits, cfg.b, cfg.seed, (BOUNDS_STREAM,), cfg.workers
     )
     draws = drop_failed(values, n_failed, "boundary")
     return BoundaryDraws(point=point, draws=draws, n_failed=n_failed)

@@ -9,6 +9,11 @@ Three estimators live here:
   order.
 * ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth.
 
+``local_weights``, ``density_window``, ``weighted_powers`` and
+``fit_from_moments`` are the array-level pieces behind them: which rows a fit
+uses, with what weight, and the coefficients from weighted moment sums. The
+bootstrap engine builds its batched fits from the same pieces.
+
 Everything is a pure function of its arguments and safe to call from
 multiple threads.
 """
@@ -152,11 +157,21 @@ def local_poly_fit(points, eval_point: float, spec: FitSpec) -> LocalFitResult:
     return _local_fit_arrays(x, y, eval_point, spec)
 
 
-def _local_fit_arrays(x: np.ndarray, y: np.ndarray, eval_point: float, spec: FitSpec) -> LocalFitResult:
-    """Array fast path used by the boundary and bootstrap code."""
+def local_weights(x: np.ndarray, eval_point: float, spec: FitSpec):
+    """Scaled distances, kernel weights and the rows a local fit uses.
+
+    Returns ``(u, w, keep)`` with ``u = (x - eval_point) / h`` and ``keep``
+    marking the rows on ``spec.side`` with positive kernel weight.
+    """
     u = (x - eval_point) / spec.bandwidth
     w = kernel_weight(u, spec.kernel)
     keep = (np.asarray(w) > 0) & _side_mask(x, eval_point, spec.side)
+    return u, w, keep
+
+
+def _local_fit_arrays(x: np.ndarray, y: np.ndarray, eval_point: float, spec: FitSpec) -> LocalFitResult:
+    """Array fast path used by the boundary and diagnostics code."""
+    u, w, keep = local_weights(x, eval_point, spec)
     m = int(np.count_nonzero(keep))
     if m < spec.order + 1:
         raise InsufficientData(
@@ -173,33 +188,52 @@ def _local_fit_arrays(x: np.ndarray, y: np.ndarray, eval_point: float, spec: Fit
     return LocalFitResult(coefficients=coef, effective_n=m, residual_scale=scale)
 
 
-def _boundary_density_detail(xs: np.ndarray, eval_point: float, spec: FitSpec,
-                             check_support: bool = True):
+def weighted_powers(u: np.ndarray, w: np.ndarray, degree: int, out: np.ndarray) -> None:
+    """Write ``w * u**k`` for k = 0..degree into the columns of ``out``."""
+    col = np.array(w, dtype=float)
+    for k in range(degree + 1):
+        out[:, k] = col
+        if k < degree:
+            col *= u
+
+
+def fit_from_moments(weight_sums: np.ndarray, value_sums: np.ndarray) -> np.ndarray:
+    """Weighted least-squares coefficients from moment sums, batched.
+
+    ``weight_sums[..., k]`` holds sum(w * u**k) for k = 0..2d and
+    ``value_sums[..., j]`` holds sum(w * u**j * v) for j = 0..d. Returns the
+    solution of the normal equations, coefficients in u powers, shape
+    ``(..., d + 1)``. The caller rules out singular systems beforehand.
+    """
+    d = value_sums.shape[-1] - 1
+    gram = weight_sums[..., np.add.outer(np.arange(d + 1), np.arange(d + 1))]
+    return np.linalg.solve(gram, value_sums[..., None])[..., 0]
+
+
+def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarray:
+    """Rows entering the CDF fit: [p - h, p) left, [p, p + h] right, both interior."""
+    h = spec.bandwidth
+    above_lo = xs >= (eval_point if spec.side is Side.RIGHT else eval_point - h)
+    below_hi = xs < eval_point if spec.side is Side.LEFT else xs <= eval_point + h
+    return above_lo & below_hi
+
+
+def _boundary_density_detail(xs: np.ndarray, eval_point: float, spec: FitSpec):
     """Density estimate plus a flag for whether the positivity floor bound.
 
     Fits the full-sample empirical CDF locally at ``eval_point`` with a
-    polynomial of degree ``spec.order + 1`` and returns the slope.
-    ``check_support=False`` skips the discreteness heuristic; bootstrap
-    resamples duplicate values by construction and must not trip it.
+    polynomial of degree ``spec.order + 1`` and returns the slope. Raises
+    DegenerateSupport when too many in-window values are exact duplicates.
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.size
     h = spec.bandwidth
-    if spec.side is Side.RIGHT:
-        lo_edge = eval_point
-    else:
-        lo_edge = eval_point - h
-    if spec.side is Side.LEFT:
-        in_win = (xs >= lo_edge) & (xs < eval_point)
-    elif spec.side is Side.RIGHT:
-        in_win = (xs >= eval_point) & (xs <= eval_point + h)
-    else:
-        in_win = (xs >= lo_edge) & (xs <= eval_point + h)
-    win = np.sort(xs[in_win])
+    lo_edge = eval_point if spec.side is Side.RIGHT else eval_point - h
+    win = np.sort(xs[density_window(xs, eval_point, spec)])
     m = win.size
     if m > 0:
         n_distinct = 1 + int(np.count_nonzero(np.diff(win) > 0))
-        if check_support and (m - n_distinct) > DUPLICATE_FRACTION_LIMIT * m:
+        if (m - n_distinct) > DUPLICATE_FRACTION_LIMIT * m:
             raise DegenerateSupport(
                 f"{m - n_distinct} of {m} in-window values are exact duplicates; "
                 "the running variable looks discrete",

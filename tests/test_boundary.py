@@ -10,7 +10,7 @@ from mrdd import (
     estimate_boundary,
     gen_appendix_d,
 )
-from mrdd.errors import InsufficientData, InvalidConfig, InvalidOutcomeRange
+from mrdd.errors import InsufficientData, InvalidConfig, InvalidInputs, InvalidOutcomeRange
 
 
 def population_r(p, lam):
@@ -28,6 +28,14 @@ class TestDataset:
     def test_binary_treatment_enforced(self):
         with pytest.raises(InvalidConfig):
             Dataset(xs=[0.0, 1.0], ys=[0.0, 1.0], cutoff=0.0, d=[0.0, 0.5])
+
+    @pytest.mark.parametrize("column", ["x", "y", "d", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, column, bad):
+        cols = {name: np.array([0.0, 1.0, 0.0]) for name in ("x", "y", "d", "w")}
+        cols[column][1] = bad
+        with pytest.raises(InvalidInputs, match=f"'{column}'"):
+            Dataset(xs=cols["x"], ys=cols["y"], cutoff=0.0, d=cols["d"], covariates={"w": cols["w"]})
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidConfig):

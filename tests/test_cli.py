@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mrdd
 
 from mrdd import (
     AppendixDSpec,
@@ -47,6 +53,14 @@ class TestIngest:
         with pytest.raises(ParseError) as excinfo:
             ingest(str(path), cutoff=0.0)
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_carries_line(self, tmp_path, bad):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y\n0.5,1.0\n-0.5,0.0\n{bad},1.0\n")
+        with pytest.raises(ParseError, match="'x'") as excinfo:
+            ingest(str(path), cutoff=0.0)
+        assert excinfo.value.line == 4
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -142,6 +156,47 @@ class TestAnalyze:
     def test_missing_file_exits_3(self):
         assert run_cli("analyze", "/nonexistent.csv", "--cutoff", "0",
                        "--y-min", "0", "--y-max", "1") == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_row_exits_3(self, typed_file, tmp_path, capsys, bad):
+        path, _ = typed_file
+        lines = Path(path).read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index("x")] = bad
+        lines[5] = ",".join(row)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", str(broken), "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--boot", "64", "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        assert "line 6" in capsys.readouterr().err
+
+    def test_too_many_failed_replicates_exits_3(self, tmp_path, capsys):
+        # five points left of the cutoff: over 10% of resamples draw fewer
+        # than the three distinct ones the left density fit needs
+        rng = np.random.default_rng(2)
+        xs = np.concatenate([rng.uniform(-1.0, 0.0, 5), rng.uniform(0.0, 1.0, 2000)])
+        ys = rng.uniform(size=xs.size)
+        sample = tmp_path / "sparse.csv"
+        sample.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+        code = run_cli("analyze", str(sample), "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--boot", "100", "--bw-mean-left", "2", "--bw-dens-left", "2",
+                       "--bw-mean-right", "0.5", "--bw-dens-right", "0.5",
+                       "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        assert "bootstrap replicates failed" in capsys.readouterr().err
+
+    def test_module_entry_point(self, typed_file):
+        path, _ = typed_file
+        src = str(Path(mrdd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mrdd.cli", "analyze", path, "--y-min", "0", "--y-max", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "--cutoff is required" in proc.stderr
 
     def test_internal_error_exits_4(self, typed_file, monkeypatch):
         path, _ = typed_file
