@@ -21,8 +21,8 @@ from .localfit import (
     FitSpec,
     KernelKind,
     Side,
-    _boundary_density_detail,
-    _local_fit_arrays,
+    boundary_density,
+    local_poly_fit,
     rot_bandwidth,
 )
 
@@ -35,6 +35,13 @@ def _require_finite(column: str, values: np.ndarray) -> None:
         )
 
 
+def _require_same_length(column: str, values: np.ndarray, xs: np.ndarray) -> None:
+    if values.shape != xs.shape:
+        raise InvalidInputs(
+            f"column {column!r} has shape {values.shape}, column 'x' has {xs.shape}"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Observations plus the design constants.
@@ -43,7 +50,8 @@ class Dataset:
     binary treatment column and ``covariates`` a name -> column mapping.
     ``y_low``/``y_high`` declare the logical outcome range used by the
     bounds; both may be None when only tests are run. Every value must be
-    finite; a nan or inf raises InvalidInputs naming the column and index.
+    finite, every column as long as ``xs`` and ``d`` binary; a violation
+    raises InvalidInputs naming the column.
     """
 
     xs: np.ndarray
@@ -59,8 +67,9 @@ class Dataset:
         ys = np.asarray(self.ys, dtype=float)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        if xs.ndim != 1 or xs.shape != ys.shape:
-            raise InvalidConfig("xs and ys must be 1-d arrays of equal length")
+        if xs.ndim != 1:
+            raise InvalidInputs(f"column 'x' must be 1-d, got shape {xs.shape}")
+        _require_same_length("y", ys, xs)
         _require_finite("x", xs)
         _require_finite("y", ys)
         if not np.isfinite(self.cutoff):
@@ -68,16 +77,14 @@ class Dataset:
         if self.d is not None:
             d = np.asarray(self.d, dtype=float)
             object.__setattr__(self, "d", d)
-            if d.shape != xs.shape:
-                raise InvalidConfig("treatment column length mismatch")
+            _require_same_length("d", d, xs)
             _require_finite("d", d)
             if not np.all((d == 0) | (d == 1)):
-                raise InvalidConfig("treatment column must be binary 0/1")
+                raise InvalidInputs("treatment column 'd' must be binary 0/1")
         covs = {}
         for name, col in self.covariates.items():
             col = np.asarray(col, dtype=float)
-            if col.shape != xs.shape:
-                raise InvalidConfig(f"covariate {name!r} length mismatch")
+            _require_same_length(name, col, xs)
             _require_finite(name, col)
             covs[name] = col
         object.__setattr__(self, "covariates", covs)
@@ -144,8 +151,9 @@ class FitConfig:
     kernel: KernelKind = KernelKind.TRIANGULAR
     bandwidths: Bandwidths = Bandwidths()
 
-    def with_order(self, order: int) -> "FitConfig":
-        return replace(self, mean_order=order, density_order=order)
+    def resolved(self, xs: np.ndarray, cutoff: float) -> "FitConfig":
+        """The same configuration with every bandwidth filled in."""
+        return replace(self, bandwidths=self.bandwidths.resolved(xs, cutoff))
 
 
 @dataclass(frozen=True)
@@ -186,14 +194,14 @@ def _boundary_from_arrays(
     def mean_fit(side, h):
         spec = FitSpec(order=config.mean_order, bandwidth=h, kernel=config.kernel, side=side)
         try:
-            return _local_fit_arrays(xs, ys, cutoff, spec)
+            return local_poly_fit(xs, ys, cutoff, spec)
         except DataError as err:
             raise _labeled(side.value, "mean fit", err)
 
     def dens_fit(side, h):
         spec = FitSpec(order=config.density_order, bandwidth=h, kernel=config.kernel, side=side)
         try:
-            dens, clipped = _boundary_density_detail(xs, cutoff, spec)
+            dens, clipped = boundary_density(xs, cutoff, spec)
         except DataError as err:
             raise _labeled(side.value, "density fit", err)
         if clipped:

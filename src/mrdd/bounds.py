@@ -7,8 +7,11 @@ right-boundary outcome distribution and scans the counterfactual density
 value z over [f_minus, f_plus]. Fuzzy designs and covariate intersection
 refinements reuse the same interval algebra.
 
-All operations are pure; the z-grid scan is vectorised and its result does
-not depend on evaluation order.
+The formulas return the interval they define, even where it leaves the
+logical range [y_low - y_high, y_high - y_low] of an effect; clipping a
+reported interval to that range is the caller's job, through
+``clamp_interval``. All operations are pure; the z-grid scan is vectorised
+and its result does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class BoundsResult:
     target: str
     assumption: TypeAssumption
     status: BoundsStatus
-    clamped: bool = False
     note: str | None = None
 
 
@@ -131,9 +133,12 @@ def _crude_branches(mu_p, mu_m, r, y_low, y_high):
     return l1, l2, u1, u2
 
 
-def _clamp_interval(lower, upper, y_low, y_high, clamp):
-    if not clamp:
-        return lower, upper, False
+def clamp_interval(lower: float, upper: float, y_low: float, y_high: float):
+    """Clip an effect interval to the logical range [y_low - y_high, y_high - y_low].
+
+    Returns ``(lower, upper, clamped)``, where ``clamped`` says whether
+    either end moved.
+    """
     lo_cap, hi_cap = y_low - y_high, y_high - y_low
     new_lower = min(max(lower, lo_cap), hi_cap)
     new_upper = max(min(upper, hi_cap), lo_cap)
@@ -149,25 +154,23 @@ def _snap_degenerate(lower, upper, y_low, y_high):
     return lower, upper
 
 
-def _crude_result(be, y_low, y_high, assumption, pick, clamp):
+def _crude_result(be, y_low, y_high, assumption, pick):
     _check_range(y_low, y_high)
     r, refuted, note = _effective_r(be.r)
     l1, l2, u1, u2 = _crude_branches(be.mu_plus, be.mu_minus, r, y_low, y_high)
     lower, upper = pick(l1, l2, u1, u2)
     lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
-    lower, upper, clamped = _clamp_interval(lower, upper, y_low, y_high, clamp)
     return BoundsResult(
         lower=float(lower),
         upper=float(upper),
         target=TARGET_LABELS[assumption],
         assumption=assumption,
         status=BoundsStatus.REFUTED if refuted else BoundsStatus.INFORMATIVE,
-        clamped=clamped,
         note=note,
     )
 
 
-def type2_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool = False) -> BoundsResult:
+def type2_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
     """Two-branch interval for the cutoff effect under one-sided precise
     manipulation with one-sided unit sorting.
 
@@ -177,11 +180,10 @@ def type2_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool
     return _crude_result(
         be, y_low, y_high, TypeAssumption.TYPE2,
         lambda l1, l2, u1, u2: (min(l1, l2), max(u1, u2)),
-        clamp,
     )
 
 
-def type3_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool = False) -> BoundsResult:
+def type3_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
     """Single-branch interval for the union population of assigned-near and
     manipulated-near units (imprecise one-sided sorting model).
 
@@ -190,11 +192,10 @@ def type3_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool
     return _crude_result(
         be, y_low, y_high, TypeAssumption.TYPE3,
         lambda l1, l2, u1, u2: (l1, u1),
-        clamp,
     )
 
 
-def type4_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool = False) -> BoundsResult:
+def type4_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
     """Single-branch interval for non-manipulators at the cutoff (sorting-free
     precise manipulation model).
 
@@ -203,21 +204,18 @@ def type4_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool
     return _crude_result(
         be, y_low, y_high, TypeAssumption.TYPE4,
         lambda l1, l2, u1, u2: (l2, u2),
-        clamp,
     )
 
 
-def mixed_bounds(be: BoundaryEstimates, y_low: float, y_high: float, clamp: bool = False) -> BoundsResult:
+def mixed_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
     """Interval for the type-share weighted effect when behaviour types mix.
 
     Numerically identical to ``type2_bounds``; only the target label differs.
     """
-    res = _crude_result(
+    return _crude_result(
         be, y_low, y_high, TypeAssumption.MIXED,
         lambda l1, l2, u1, u2: (min(l1, l2), max(u1, u2)),
-        clamp,
     )
-    return res
 
 
 def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:
@@ -298,7 +296,6 @@ def sharp_type2_bounds(
     y_low: float,
     y_high: float,
     grid_size: int = DEFAULT_GRID_SIZE,
-    clamp: bool = False,
 ) -> tuple[BoundsResult, TrimmingCurve]:
     """Sharp interval for the one-sided precise manipulation model.
 
@@ -336,14 +333,12 @@ def sharp_type2_bounds(
     lower = float(theta_low.min())
     upper = float(theta_high.max())
     lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
-    lower, upper, clamped = _clamp_interval(lower, upper, y_low, y_high, clamp)
     result = BoundsResult(
         lower=lower,
         upper=upper,
         target=TARGET_LABELS[TypeAssumption.TYPE2],
         assumption=TypeAssumption.TYPE2,
         status=BoundsStatus.REFUTED if refuted else BoundsStatus.INFORMATIVE,
-        clamped=clamped,
         note=note,
     )
     curve = TrimmingCurve(
@@ -378,7 +373,6 @@ def fuzzy_bounds(fi: FuzzyInputs, y_low: float, y_high: float) -> BoundsResult:
             target=FUZZY_TARGET_LABEL,
             assumption=TypeAssumption.TYPE2,
             status=BoundsStatus.DEGENERATE,
-            clamped=False,
             note="worst-case treatment jump is not positive; no informative bounds",
         )
     lower = min(r_y_low / r_d_low, r_y_low / r_d_high)
@@ -397,7 +391,6 @@ def fuzzy_bounds(fi: FuzzyInputs, y_low: float, y_high: float) -> BoundsResult:
         target=FUZZY_TARGET_LABEL,
         assumption=TypeAssumption.TYPE2,
         status=status,
-        clamped=False,
         note=note,
     )
 
@@ -428,6 +421,5 @@ def covariate_bounds(per_stratum) -> BoundsResult:
         target=first.target,
         assumption=first.assumption,
         status=BoundsStatus.REFUTED if refuted else BoundsStatus.INFORMATIVE,
-        clamped=any(res.clamped for res in results),
         note="stratum intervals do not intersect; exclusion restriction suspect" if refuted else None,
     )

@@ -28,6 +28,7 @@ from .bounds import (
     BoundsStatus,
     FuzzyInputs,
     TypeAssumption,
+    clamp_interval,
     fuzzy_bounds,
     sharp_type2_bounds,
 )
@@ -50,12 +51,13 @@ from .inference import (
     imbens_manski_ci,
 )
 from .localfit import (
+    DENSITY_FLOOR,
     FitSpec,
     KernelKind,
     Side,
-    _local_fit_arrays,
     boundary_density,
-    kernel_weight,
+    local_poly_fit,
+    local_weights,
     rot_bandwidth,
 )
 
@@ -80,7 +82,6 @@ class RunConfig:
     alpha: float = 0.05
     b: int = 500
     seed: int = 0
-    r_mode: RMode = RMode.FIXED
     sharp: bool = False
     fuzzy: bool = False
     covariates: tuple[str, ...] = ()
@@ -88,9 +89,7 @@ class RunConfig:
     col_y: str = "y"
     col_d: str | None = None
     bandwidths: Bandwidths = Bandwidths()
-    bin_width: float = 0.005
     workers: int = 1
-    clamp: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.cutoff):
@@ -99,8 +98,6 @@ class RunConfig:
             raise InvalidConfig(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if self.order not in (0, 1, 2):
             raise InvalidConfig(f"order must be 0, 1 or 2, got {self.order}")
-        if self.bin_width <= 0:
-            raise InvalidConfig("bin_width must be positive")
         if self.workers < 1:
             raise InvalidConfig("workers must be at least 1")
 
@@ -192,13 +189,6 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _clamp_ci(lo, hi, y_low, y_high, clamp):
-    if not clamp or y_low is None or y_high is None:
-        return lo, hi
-    cap_lo, cap_hi = y_low - y_high, y_high - y_low
-    return min(max(lo, cap_lo), cap_hi), max(min(hi, cap_hi), cap_lo)
-
-
 def _test_dict(res) -> dict:
     return {
         "statistic": res.statistic,
@@ -210,8 +200,12 @@ def _test_dict(res) -> dict:
 
 
 def build_report(cfg: RunConfig, data: Dataset) -> dict:
-    """Run the full pipeline and assemble the JSON-ready report."""
-    fit = cfg.fit_config()
+    """Run the full pipeline and assemble the JSON-ready report.
+
+    Bandwidths are resolved once here and shared by every stage. Every
+    reported interval is clipped to the logical range of an effect.
+    """
+    fit = cfg.fit_config().resolved(data.xs, data.cutoff)
     protocol = run_sequential_protocol(
         data,
         ProtocolConfig(
@@ -223,9 +217,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             workers=cfg.workers,
         ),
     )
-    boot_cfg = BootstrapConfig(
-        b=cfg.b, seed=cfg.seed, r_mode=cfg.r_mode, alpha=cfg.alpha, workers=cfg.workers
-    )
+    boot_cfg = BootstrapConfig(b=cfg.b, seed=cfg.seed, alpha=cfg.alpha, workers=cfg.workers)
     draws = bootstrap_boundary_replicates(data, boot_cfg, fit)
     be = draws.point
 
@@ -265,14 +257,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     fixed = bounds_from_draws(draws, cfg.assumption, RMode.FIXED, y_low, y_high)
     random_ = bounds_from_draws(draws, cfg.assumption, RMode.RANDOM, y_low, y_high)
     point = fixed.point
-    set_lo, set_hi = point.lower, point.upper
-    clamped = False
-    if cfg.clamp:
-        cap_lo, cap_hi = y_low - y_high, y_high - y_low
-        new_lo = min(max(set_lo, cap_lo), cap_hi)
-        new_hi = max(min(set_hi, cap_hi), cap_lo)
-        clamped = (new_lo != set_lo) or (new_hi != set_hi)
-        set_lo, set_hi = new_lo, new_hi
+    set_lo, set_hi, clamped = clamp_interval(point.lower, point.upper, y_low, y_high)
     block["identified_set"] = [set_lo, set_hi]
     block["identified_set_status"] = point.status.value
     block["identified_set_clamped"] = clamped
@@ -282,19 +267,20 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
 
     for label, bb in (("fixed_r", fixed), ("random_r", random_)):
         ci = imbens_manski_ci(set_lo, set_hi, bb.se_lower, bb.se_upper, cfg.alpha)
-        lo, hi = _clamp_ci(ci.lo, ci.hi, y_low, y_high, cfg.clamp)
+        lo, hi, _ = clamp_interval(ci.lo, ci.hi, y_low, y_high)
         block[f"ci_{label}"] = [lo, hi]
         block[f"se_lower_{label}"] = bb.se_lower
         block[f"se_upper_{label}"] = bb.se_upper
         block[f"c_bar_{label}"] = ci.c_bar
 
     if cfg.sharp:
-        h = be.bandwidths.mean_right
-        mask = (data.xs >= data.cutoff) & (data.xs <= data.cutoff + h)
-        w = kernel_weight((data.xs[mask] - data.cutoff) / h, cfg.kernel)
-        window = np.column_stack([w, data.ys[mask]])
-        sharp_res, _ = sharp_type2_bounds(window, be, y_low, y_high, clamp=cfg.clamp)
-        block["sharp_set"] = [sharp_res.lower, sharp_res.upper]
+        # the right-side mean fit's window and kernel weights
+        spec_r = FitSpec(cfg.order, be.bandwidths.mean_right, cfg.kernel, Side.RIGHT)
+        _, w, keep = local_weights(data.xs, data.cutoff, spec_r)
+        window = np.column_stack([w[keep], data.ys[keep]])
+        sharp_res, _ = sharp_type2_bounds(window, be, y_low, y_high)
+        sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
+        block["sharp_set"] = [sharp_lo, sharp_hi]
         block["sharp_status"] = sharp_res.status.value
     else:
         block["sharp_set"] = None
@@ -305,8 +291,8 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             raise MissingColumn("--fuzzy needs a treatment column (--col-d)")
         spec_l = FitSpec(cfg.order, be.bandwidths.mean_left, cfg.kernel, Side.LEFT)
         spec_r = FitSpec(cfg.order, be.bandwidths.mean_right, cfg.kernel, Side.RIGHT)
-        d_minus = float(_local_fit_arrays(data.xs, data.d, data.cutoff, spec_l).coefficients[0])
-        d_plus = float(_local_fit_arrays(data.xs, data.d, data.cutoff, spec_r).coefficients[0])
+        d_minus = float(local_poly_fit(data.xs, data.d, data.cutoff, spec_l).coefficients[0])
+        d_plus = float(local_poly_fit(data.xs, data.d, data.cutoff, spec_r).coefficients[0])
         fz = fuzzy_bounds(
             FuzzyInputs(be=be, d_plus=min(max(d_plus, 0.0), 1.0), d_minus=min(max(d_minus, 0.0), 1.0)),
             y_low,
@@ -332,8 +318,6 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             "alpha": cfg.alpha,
             "bootstrap": cfg.b,
             "seed": cfg.seed,
-            "r_mode": cfg.r_mode.value,
-            "clamp": cfg.clamp,
         },
         "verdict": protocol.verdict.value,
         "protocol": {
@@ -387,13 +371,11 @@ _CONFIG_KEYS = {
     "alpha": float,
     "boot": int,
     "seed": int,
-    "r_mode": str,
     "sharp": bool,
     "fuzzy": bool,
     "col_x": str,
     "col_y": str,
     "col_d": str,
-    "bin_width": float,
     "workers": int,
     "bw_mean_left": float,
     "bw_mean_right": float,
@@ -448,10 +430,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         kernel = KernelKind(pick(args.kernel, "kernel", "triangular"))
     except ValueError:
         raise InvalidConfig(f"unknown kernel {args.kernel!r}")
-    try:
-        r_mode = RMode(pick(args.r_mode, "r_mode", "fixed"))
-    except ValueError:
-        raise InvalidConfig(f"unknown r mode {args.r_mode!r}")
     covariates = tuple(args.covariate) if args.covariate else file_values.get("covariates", ())
     bandwidths = Bandwidths(
         mean_left=pick(args.bw_mean_left, "bw_mean_left", None),
@@ -471,7 +449,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         alpha=float(pick(args.alpha, "alpha", 0.05)),
         b=int(pick(args.boot, "boot", 500)),
         seed=int(pick(args.seed, "seed", 0)),
-        r_mode=r_mode,
         sharp=bool(sharp),
         fuzzy=bool(fuzzy),
         covariates=covariates,
@@ -479,7 +456,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         col_y=pick(args.col_y, "col_y", "y"),
         col_d=pick(args.col_d, "col_d", None),
         bandwidths=bandwidths,
-        bin_width=float(pick(getattr(args, "bin_width", None), "bin_width", 0.005)),
         workers=int(pick(args.workers, "workers", 1)),
     )
 
@@ -569,6 +545,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     h_left = rot_bandwidth(xs, Side.LEFT, c)
     h_right = rot_bandwidth(xs, Side.RIGHT, c)
     rows = []
+    n_clipped = 0
     for i, count in enumerate(counts):
         left_edge, right_edge = edges[i], edges[i + 1]
         center = 0.5 * (left_edge + right_edge)
@@ -579,14 +556,21 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         else:
             fit_side = Side.INTERIOR if center - h >= c else Side.RIGHT
         try:
-            dens = boundary_density(xs, center, FitSpec(1, h, KernelKind.TRIANGULAR, fit_side))
+            dens, clipped = boundary_density(xs, center, FitSpec(1, h, KernelKind.TRIANGULAR, fit_side))
         except DataError:
-            dens = float("nan")
+            dens, clipped = float("nan"), False
+        n_clipped += clipped
         rows.append((float(left_edge), float(right_edge), int(count), side, float(dens)))
     lines = ["bin_left,bin_right,count,side,fitted_density"]
     for left_edge, right_edge, count, side, dens in rows:
         lines.append(f"{left_edge!r},{right_edge!r},{count},{side},{dens!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
+    if n_clipped:
+        print(
+            f"warning: {n_clipped} of {len(rows)} bins clipped to {DENSITY_FLOOR}: "
+            "their fitted density was not positive",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -611,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--alpha", type=float, default=None)
     pa.add_argument("--boot", type=int, default=None)
     pa.add_argument("--seed", type=int, default=None)
-    pa.add_argument("--r-mode", dest="r_mode", choices=[m.value for m in RMode], default=None)
     pa.add_argument("--sharp", action="store_true", default=False)
     pa.add_argument("--fuzzy", action="store_true", default=False)
     pa.add_argument("--covariate", action="append", default=None, metavar="NAME")

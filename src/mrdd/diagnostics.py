@@ -30,7 +30,7 @@ from ._bootstrap import (
 )
 from .boundary import Dataset, FitConfig
 from .errors import InvalidConfig, UnknownCovariate
-from .localfit import FitSpec, Side, _boundary_density_detail, _local_fit_arrays
+from .localfit import FitSpec, Side, boundary_density, local_poly_fit
 
 DEFAULT_B = 500
 DEFAULT_ALPHA = 0.05
@@ -122,8 +122,8 @@ def density_discontinuity_test(
     spec_r = FitSpec(config.density_order, bw.dens_right, config.kernel, Side.RIGHT)
     # the discreteness heuristic applies to the raw sample only; bootstrap
     # resamples duplicate values by construction
-    f_minus, _ = _boundary_density_detail(data.xs, c, spec_l)
-    f_plus, _ = _boundary_density_detail(data.xs, c, spec_r)
+    f_minus, _ = boundary_density(data.xs, c, spec_l)
+    f_plus, _ = boundary_density(data.xs, c, spec_r)
     return _bootstrap_jump_test(
         data, f_plus - f_minus, (DensityFit(spec_r), DensityFit(spec_l)), b, seed,
         (DENSITY_TEST_STREAM,), workers,
@@ -150,8 +150,8 @@ def balance_test(
     spec_r = FitSpec(config.mean_order, bw.mean_right, config.kernel, Side.RIGHT)
     ws = data.covariates[covariate]
     cov_index = sorted(data.covariates).index(covariate)
-    w_minus = _local_fit_arrays(data.xs, ws, c, spec_l).coefficients[0]
-    w_plus = _local_fit_arrays(data.xs, ws, c, spec_r).coefficients[0]
+    w_minus = local_poly_fit(data.xs, ws, c, spec_l).coefficients[0]
+    w_plus = local_poly_fit(data.xs, ws, c, spec_r).coefficients[0]
     return _bootstrap_jump_test(
         data, w_plus - w_minus, (MeanFit(spec_r, ws), MeanFit(spec_l, ws)), b, seed,
         (BALANCE_TEST_STREAM, cov_index), workers,
@@ -164,16 +164,16 @@ def run_sequential_protocol(data: Dataset, config: ProtocolConfig = ProtocolConf
     Verdicts: density rejected -> UseBounds (balance skipped entirely);
     density accepted and all balance tests accepted -> PointIdentified;
     density accepted but some covariate imbalanced -> DesignSuspect.
+    Rule-of-thumb bandwidths are computed once and shared by every test.
     """
     check_bootstrap_config(config.b, config.seed)
-    density = density_discontinuity_test(
-        data, config.fit, config.b, config.seed, config.workers
-    )
+    fit = config.fit.resolved(data.xs, data.cutoff)
+    density = density_discontinuity_test(data, fit, config.b, config.seed, config.workers)
     if density.p_value < config.alpha:
         return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
     names = config.covariates if config.covariates is not None else tuple(sorted(data.covariates))
     balance = tuple(
-        (name, balance_test(data, name, config.fit, config.b, config.seed, config.workers))
+        (name, balance_test(data, name, fit, config.b, config.seed, config.workers))
         for name in names
     )
     all_balanced = all(res.p_value >= config.alpha for _, res in balance)

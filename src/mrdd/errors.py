@@ -110,7 +110,3 @@ class ParseError(DataError):
     def __init__(self, message: str, line: int):
         super().__init__(message)
         self.line = line
-
-
-class InternalError(MrddError):
-    """An internal invariant was violated; indicates a bug."""

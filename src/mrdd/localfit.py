@@ -6,8 +6,12 @@ Three estimators live here:
   variable and reads the level off the intercept, one-sided or interior.
 * ``boundary_density`` estimates the density at a point as the slope of a
   local polynomial fit to the empirical CDF, one degree above the requested
-  order.
+  order. A non-positive slope is floored at ``DENSITY_FLOOR`` and flagged;
+  reporting or counting the flag is the caller's job.
 * ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth.
+
+Both fits take plain arrays: the running variable, and for the mean fit the
+outcome.
 
 ``local_weights``, ``density_window``, ``weighted_powers`` and
 ``fit_from_moments`` are the array-level pieces behind them: which rows a fit
@@ -21,7 +25,6 @@ multiple threads.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +135,12 @@ def _weighted_polyfit(u, w, v, degree, side_label):
     return beta
 
 
-def local_poly_fit(points, eval_point: float, spec: FitSpec) -> LocalFitResult:
+def local_poly_fit(x, y, eval_point: float, spec: FitSpec) -> LocalFitResult:
     """Kernel-weighted polynomial regression of y on (x - eval_point).
 
     Parameters
     ----------
-    points : array-like of shape (n, 2) or sequence of (x, y) pairs
+    x, y : 1-d arrays of equal length (running variable and outcome)
     eval_point : where the level is evaluated (approached from ``spec.side``)
     spec : FitSpec
 
@@ -147,30 +150,14 @@ def local_poly_fit(points, eval_point: float, spec: FitSpec) -> LocalFitResult:
 
     Raises
     ------
+    InvalidConfig : x and y are not 1-d arrays of equal length
     InsufficientData : fewer than order+1 points carry nonzero weight
     SingularDesign : the weighted design is rank deficient
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidConfig("points must be an (n, 2) array of (x, y) pairs")
-    x, y = pts[:, 0], pts[:, 1]
-    return _local_fit_arrays(x, y, eval_point, spec)
-
-
-def local_weights(x: np.ndarray, eval_point: float, spec: FitSpec):
-    """Scaled distances, kernel weights and the rows a local fit uses.
-
-    Returns ``(u, w, keep)`` with ``u = (x - eval_point) / h`` and ``keep``
-    marking the rows on ``spec.side`` with positive kernel weight.
-    """
-    u = (x - eval_point) / spec.bandwidth
-    w = kernel_weight(u, spec.kernel)
-    keep = (np.asarray(w) > 0) & _side_mask(x, eval_point, spec.side)
-    return u, w, keep
-
-
-def _local_fit_arrays(x: np.ndarray, y: np.ndarray, eval_point: float, spec: FitSpec) -> LocalFitResult:
-    """Array fast path used by the boundary and diagnostics code."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InvalidConfig("x and y must be 1-d arrays of equal length")
     u, w, keep = local_weights(x, eval_point, spec)
     m = int(np.count_nonzero(keep))
     if m < spec.order + 1:
@@ -186,6 +173,18 @@ def _local_fit_arrays(x: np.ndarray, y: np.ndarray, eval_point: float, spec: Fit
     # beta is in u-powers; convert back to (x - eval_point) powers
     coef = beta / spec.bandwidth ** np.arange(spec.order + 1)
     return LocalFitResult(coefficients=coef, effective_n=m, residual_scale=scale)
+
+
+def local_weights(x: np.ndarray, eval_point: float, spec: FitSpec):
+    """Scaled distances, kernel weights and the rows a local fit uses.
+
+    Returns ``(u, w, keep)`` with ``u = (x - eval_point) / h`` and ``keep``
+    marking the rows on ``spec.side`` with positive kernel weight.
+    """
+    u = (x - eval_point) / spec.bandwidth
+    w = kernel_weight(u, spec.kernel)
+    keep = (np.asarray(w) > 0) & _side_mask(x, eval_point, spec.side)
+    return u, w, keep
 
 
 def weighted_powers(u: np.ndarray, w: np.ndarray, degree: int, out: np.ndarray) -> None:
@@ -218,12 +217,15 @@ def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarr
     return above_lo & below_hi
 
 
-def _boundary_density_detail(xs: np.ndarray, eval_point: float, spec: FitSpec):
-    """Density estimate plus a flag for whether the positivity floor bound.
+def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:
+    """One-sided (or interior) density estimate at ``eval_point``.
 
     Fits the full-sample empirical CDF locally at ``eval_point`` with a
-    polynomial of degree ``spec.order + 1`` and returns the slope. Raises
-    DegenerateSupport when too many in-window values are exact duplicates.
+    polynomial of degree ``spec.order + 1`` and takes its slope. Returns
+    ``(density, clipped)``: a non-positive slope is replaced by
+    ``DENSITY_FLOOR``, because ratios built downstream need f > 0, and
+    ``clipped`` says so. Raises DegenerateSupport when too many in-window
+    values are exact duplicates.
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.size
@@ -258,23 +260,6 @@ def _boundary_density_detail(xs: np.ndarray, eval_point: float, spec: FitSpec):
     if dens < DENSITY_FLOOR:
         return DENSITY_FLOOR, True
     return dens, False
-
-
-def boundary_density(xs, eval_point: float, spec: FitSpec) -> float:
-    """One-sided (or interior) density estimate at ``eval_point``.
-
-    Negative fitted slopes are clipped to a small positive floor and a
-    RuntimeWarning is emitted; ratios built downstream require positivity.
-    """
-    dens, clipped = _boundary_density_detail(np.asarray(xs, dtype=float), eval_point, spec)
-    if clipped:
-        warnings.warn(
-            f"density estimate at {eval_point} ({spec.side.value}) was non-positive; "
-            f"clipped to {DENSITY_FLOOR}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return dens
 
 
 def rot_bandwidth(xs, side: Side, cutoff: float) -> float:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .boundary import Dataset
-from .bounds import binary_sharp_gfuncs
+from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
+from .bounds import sharp_type2_bounds, type2_bounds
 from .errors import (
     InsufficientData,
     InvalidConfig,
@@ -153,12 +153,14 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
 
     The one-sided mean above the cutoff mixes the non-manipulated value
     mu_1(0) (weight phi(0)) with the manipulators' average outcome, a
-    normal tail integral (weight 0.5 * lam * p). Crude bounds use the
-    two-branch formulas; sharp bounds scan the binary closed forms over the
-    counterfactual density interval.
+    normal tail integral (weight 0.5 * lam * p). The bounds come from the
+    estimators' own interval algebra applied to these population values:
+    ``type2_bounds`` for the crude interval and ``sharp_type2_bounds`` on
+    the binary outcome distribution at the right boundary for the sharp one.
+    p = 1 is excluded: nobody stays below the cutoff, so f(c-) = 0.
     """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParams(f"p must lie in [0, 1], got {p}")
+    if not (0.0 <= p < 1.0):
+        raise InvalidParams(f"p must lie in [0, 1), got {p}")
     if not (lam > 0):
         raise InvalidParams(f"lam must be positive, got {lam}")
     phi0 = float(stats.norm.pdf(0.0))
@@ -168,18 +170,19 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
     mu_plus = (phi0 * float(_mu_d(0.0, 1)) + 0.5 * lam * p * _tail_integral(1)) / f_plus
     mu_minus = float(_mu_d(0.0, 0))
     theta_true = float(_mu_d(0.0, 1) - _mu_d(0.0, 0))
-    y_low, y_high = 0.0, 1.0
-    l1 = (mu_plus - y_high) - r * (mu_minus - y_high)
-    l2 = (mu_plus - y_high) / r - (mu_minus - y_high)
-    u1 = (mu_plus - y_low) - r * (mu_minus - y_low)
-    u2 = (mu_plus - y_low) / r - (mu_minus - y_low)
-    z = np.linspace(f_minus, f_plus, grid_size)
-    tau = 1.0 - z / f_plus
-    tau[-1] = 0.0
-    g = np.array([binary_sharp_gfuncs(mu_plus, float(t)) for t in tau])
-    g_low, g_high = g[:, 0], g[:, 1]
-    theta_low = (f_plus / z) * (mu_plus - g_high) - (f_minus / z) * (mu_minus - y_high) + (g_high - y_high)
-    theta_high = (f_plus / z) * (mu_plus - g_low) - (f_minus / z) * (mu_minus - y_low) + (g_low - y_low)
+    be = BoundaryEstimates(
+        mu_plus=mu_plus,
+        mu_minus=mu_minus,
+        f_plus=f_plus,
+        f_minus=f_minus,
+        r=r,
+        bandwidths=Bandwidths(),
+        n_effective=SideCounts(0, 0, 0, 0),
+    )
+    crude = type2_bounds(be, 0.0, 1.0)
+    # binary outcome at c+: weight 1 - mu_plus on y = 0, mu_plus on y = 1
+    window = [[1.0 - mu_plus, 0.0], [mu_plus, 1.0]]
+    sharp, _ = sharp_type2_bounds(window, be, 0.0, 1.0, grid_size=grid_size)
     return OracleRow(
         p=p,
         lam=lam,
@@ -187,10 +190,10 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
         mu_minus=mu_minus,
         r=r,
         theta_true=theta_true,
-        crude_lower=float(min(l1, l2)),
-        crude_upper=float(max(u1, u2)),
-        sharp_lower=float(theta_low.min()),
-        sharp_upper=float(theta_high.max()),
+        crude_lower=crude.lower,
+        crude_upper=crude.upper,
+        sharp_lower=sharp.lower,
+        sharp_upper=sharp.upper,
     )
 
 

@@ -1,8 +1,8 @@
 """The count-based bootstrap engine against per-row fits on every resample.
 
 The reference loop draws the same keyed indices and applies the per-row
-fits (``_boundary_from_arrays``, ``_local_fit_arrays``,
-``_boundary_density_detail``) to ``xs[idx]``, with the discreteness
+fits (``_boundary_from_arrays``, ``local_poly_fit``,
+``boundary_density``) to ``xs[idx]``, with the discreteness
 heuristic off as resamples duplicate values by construction.
 """
 
@@ -31,7 +31,7 @@ from mrdd._bootstrap import (
 )
 from mrdd.boundary import _boundary_from_arrays
 from mrdd.errors import DataError, TooManyFailedReplicates
-from mrdd.localfit import FitSpec, Side, _boundary_density_detail, _local_fit_arrays
+from mrdd.localfit import FitSpec, Side, boundary_density, local_poly_fit
 
 B = 64
 SEED = 17
@@ -98,10 +98,10 @@ def test_engine_matches_per_row_fits(order, kernel):
     dens_r = FitSpec(order, bw.dens_right, kernel, Side.RIGHT)
     values, _ = run_replicates(xs, c, (DensityFit(dens_r), DensityFit(dens_l)), B, SEED, (DENSITY_TEST_STREAM,))
     ref = reference(n, (DENSITY_TEST_STREAM,), lambda idx: (
-        _boundary_density_detail(xs[idx], c, dens_r)[0], _boundary_density_detail(xs[idx], c, dens_l)[0]), 2)
+        boundary_density(xs[idx], c, dens_r)[0], boundary_density(xs[idx], c, dens_l)[0]), 2)
     assert_same(values, ref)
     jumps = ref[:, 0] - ref[:, 1]
-    point = _boundary_density_detail(xs, c, dens_r)[0] - _boundary_density_detail(xs, c, dens_l)[0]
+    point = boundary_density(xs, c, dens_r)[0] - boundary_density(xs, c, dens_l)[0]
     res = density_discontinuity_test(data, fit, b=B, seed=SEED)
     assert res.statistic == pytest.approx(point / np.std(jumps, ddof=1), rel=1e-9)
 
@@ -110,12 +110,12 @@ def test_engine_matches_per_row_fits(order, kernel):
     stream = (BALANCE_TEST_STREAM, 0)
     values, _ = run_replicates(xs, c, (MeanFit(mean_r, ws), MeanFit(mean_l, ws)), B, SEED, stream)
     ref = reference(n, stream, lambda idx: (
-        _local_fit_arrays(xs[idx], ws[idx], c, mean_r).coefficients[0],
-        _local_fit_arrays(xs[idx], ws[idx], c, mean_l).coefficients[0]), 2)
+        local_poly_fit(xs[idx], ws[idx], c, mean_r).coefficients[0],
+        local_poly_fit(xs[idx], ws[idx], c, mean_l).coefficients[0]), 2)
     assert_same(values, ref)
     jumps = ref[:, 0] - ref[:, 1]
-    point = (_local_fit_arrays(xs, ws, c, mean_r).coefficients[0]
-             - _local_fit_arrays(xs, ws, c, mean_l).coefficients[0])
+    point = (local_poly_fit(xs, ws, c, mean_r).coefficients[0]
+             - local_poly_fit(xs, ws, c, mean_l).coefficients[0])
     res = balance_test(data, "w", fit, b=B, seed=SEED)
     assert res.statistic == pytest.approx(point / np.std(jumps, ddof=1), rel=1e-9)
 

@@ -10,7 +10,7 @@ from mrdd import (
     estimate_boundary,
     gen_appendix_d,
 )
-from mrdd.errors import InsufficientData, InvalidConfig, InvalidInputs, InvalidOutcomeRange
+from mrdd.errors import InsufficientData, InvalidInputs, InvalidOutcomeRange
 
 
 def population_r(p, lam):
@@ -26,7 +26,7 @@ class TestDataset:
             Dataset(xs=[0.0], ys=[0.5], cutoff=0.0, y_low=1.0, y_high=0.0)
 
     def test_binary_treatment_enforced(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInputs, match="'d'"):
             Dataset(xs=[0.0, 1.0], ys=[0.0, 1.0], cutoff=0.0, d=[0.0, 0.5])
 
     @pytest.mark.parametrize("column", ["x", "y", "d", "w"])
@@ -38,8 +38,12 @@ class TestDataset:
             Dataset(xs=cols["x"], ys=cols["y"], cutoff=0.0, d=cols["d"], covariates={"w": cols["w"]})
 
     def test_length_mismatch(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInputs, match="'y'"):
             Dataset(xs=[0.0, 1.0], ys=[0.0], cutoff=0.0)
+        with pytest.raises(InvalidInputs, match="'d'"):
+            Dataset(xs=[0.0, 1.0], ys=[0.0, 1.0], cutoff=0.0, d=[0.0])
+        with pytest.raises(InvalidInputs, match="'w'"):
+            Dataset(xs=[0.0, 1.0], ys=[0.0, 1.0], cutoff=0.0, covariates={"w": [0.0]})
 
 
 class TestEstimateBoundary:

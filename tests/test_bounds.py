@@ -11,6 +11,7 @@ from mrdd import (
     SideCounts,
     TypeAssumption,
     binary_sharp_gfuncs,
+    clamp_interval,
     covariate_bounds,
     fuzzy_bounds,
     mixed_bounds,
@@ -146,9 +147,12 @@ class TestCrudeBounds:
 
     def test_clamp_flag(self):
         # r = 0.1 blows the type-4 interval beyond the logical range
-        res = type4_bounds(make_be(0.9, 0.1, 0.1), 0.0, 1.0, clamp=True)
-        assert res.clamped
-        assert -1.0 <= res.lower <= res.upper <= 1.0
+        res = type4_bounds(make_be(0.9, 0.1, 0.1), 0.0, 1.0)
+        assert res.upper > 1.0
+        lower, upper, clamped = clamp_interval(res.lower, res.upper, 0.0, 1.0)
+        assert clamped
+        assert -1.0 <= lower <= upper <= 1.0
+        assert clamp_interval(lower, upper, 0.0, 1.0) == (lower, upper, False)
 
 
 class TestStructuralIdentities:

@@ -18,7 +18,7 @@ from mrdd import (
     write_typed_csv,
 )
 from mrdd.cli import ingest, main
-from mrdd.errors import EmptyInput, MissingColumn, ParseError
+from mrdd.errors import EmptyInput, MissingColumn, MrddError, ParseError
 
 
 @pytest.fixture()
@@ -172,6 +172,20 @@ class TestAnalyze:
         assert code == 3
         assert "line 6" in capsys.readouterr().err
 
+    def test_non_binary_treatment_exits_3(self, typed_file, tmp_path, capsys):
+        path, _ = typed_file
+        lines = Path(path).read_text().splitlines()
+        row = lines[5].split(",")
+        row[lines[0].split(",").index("d")] = "0.5"
+        lines[5] = ",".join(row)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", str(broken), "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--col-d", "d", "--fuzzy", "--boot", "64", "--out", str(tmp_path / "r.json"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "'d'" in err
+
     def test_too_many_failed_replicates_exits_3(self, tmp_path, capsys):
         # five points left of the cutoff: over 10% of resamples draw fewer
         # than the three distinct ones the left density fit needs
@@ -199,12 +213,15 @@ class TestAnalyze:
         assert "--cutoff is required" in proc.stderr
 
     def test_internal_error_exits_4(self, typed_file, monkeypatch):
+        # any package error outside the config and data families
         path, _ = typed_file
         from mrdd import cli as cli_mod
-        from mrdd.errors import InternalError
+
+        class Boom(MrddError):
+            pass
 
         def boom(cfg, data):
-            raise InternalError("invariant violated")
+            raise Boom("invariant violated")
 
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1") == 4
@@ -242,6 +259,14 @@ class TestAnalyze:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("cutof = 0\n")
         assert run_cli("analyze", path, "--config", str(cfgfile)) == 2
+
+    @pytest.mark.parametrize("line", ["r_mode = random", "bin_width = 0.01"])
+    def test_removed_config_keys_exit_2(self, typed_file, tmp_path, capsys, line):
+        path, _ = typed_file
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"cutoff = 0\ny_min = 0\ny_max = 1\n{line}\n")
+        assert run_cli("analyze", path, "--config", str(cfgfile)) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_end_to_end_against_oracle(self, tmp_path):
@@ -315,9 +340,14 @@ class TestOracle:
             assert payload[key][0] == pytest.approx(0.150, abs=0.001)
             assert payload[key][1] == pytest.approx(0.150, abs=0.001)
 
+    def test_everyone_manipulating_exits_2(self, capsys):
+        # p = 1 leaves no density below the cutoff
+        assert run_cli("oracle", "--p", "1", "--lambda", "0.2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "p must" in err
+
 
 class TestPlotdata:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cutoff_is_bin_edge(self, typed_file, tmp_path):
         path, _ = typed_file
         out = tmp_path / "bins.csv"
@@ -340,6 +370,16 @@ class TestPlotdata:
         total = sum(int(r.split(",")[2]) for r in rows)
         assert total == ts.data.n
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clipping_reported_in_one_line(self, typed_file, tmp_path, capfd):
+        path, _ = typed_file
+        code = run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05",
+                       "--out", str(tmp_path / "bins.csv"))
+        assert code == 0
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert " bins clipped to " in err[0]
+
     def test_empty_input_exits_3(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("x,y\n")
@@ -347,7 +387,6 @@ class TestPlotdata:
                        "--out", str(tmp_path / "o.csv")) == 3
 
     @pytest.mark.slow
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_smooth_density_bins_near_cutoff(self, tmp_path):
         ts = gen_counterexample_e(1_000_000, seed=2)
         sample = tmp_path / "e.csv"

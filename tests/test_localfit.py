@@ -35,14 +35,14 @@ class TestLocalPolyFit:
     def test_exact_quadratic_recovery(self, rng):
         xs = rng.uniform(-1, 1, 200)
         ys = 1.0 + 2.0 * xs + 3.0 * xs**2
-        res = local_poly_fit(np.column_stack([xs, ys]), 0.0, FitSpec(order=2, bandwidth=2.0))
+        res = local_poly_fit(xs, ys, 0.0, FitSpec(order=2, bandwidth=2.0))
         assert np.max(np.abs(res.coefficients - [1.0, 2.0, 3.0])) < 1e-9
         assert res.residual_scale < 1e-9
 
     def test_exact_recovery_away_from_origin(self, rng):
         xs = rng.uniform(4, 6, 300)
         ys = -2.0 + 0.5 * xs
-        res = local_poly_fit(np.column_stack([xs, ys]), 5.0, FitSpec(order=1, bandwidth=1.5))
+        res = local_poly_fit(xs, ys, 5.0, FitSpec(order=1, bandwidth=1.5))
         # coefficients are in (x - eval) powers: level at 5 is 0.5, slope 0.5
         assert abs(res.coefficients[0] - 0.5) < 1e-9
         assert abs(res.coefficients[1] - 0.5) < 1e-9
@@ -51,32 +51,29 @@ class TestLocalPolyFit:
         xs = rng.uniform(-3, 3, 500)
         ys = rng.normal(size=500)
         h = 1.0
-        res = local_poly_fit(
-            np.column_stack([xs, ys]), 0.0, FitSpec(order=0, bandwidth=h, kernel=KernelKind.UNIFORM)
-        )
+        res = local_poly_fit(xs, ys, 0.0, FitSpec(order=0, bandwidth=h, kernel=KernelKind.UNIFORM))
         mask = np.abs(xs) <= h
         assert abs(res.coefficients[0] - ys[mask].mean()) < 1e-12
         assert res.effective_n == mask.sum()
 
     def test_too_few_points(self):
-        pts = [(0.1, 1.0), (0.2, 2.0)]
         with pytest.raises(InsufficientData):
-            local_poly_fit(pts, 0.0, FitSpec(order=2, bandwidth=1.0))
+            local_poly_fit([0.1, 0.2], [1.0, 2.0], 0.0, FitSpec(order=2, bandwidth=1.0))
 
     def test_duplicate_x_singular(self):
-        pts = [(0.3, 1.0), (0.3, 2.0), (0.3, 3.0), (0.3, 0.5)]
         with pytest.raises(SingularDesign):
-            local_poly_fit(pts, 0.0, FitSpec(order=1, bandwidth=1.0))
+            local_poly_fit([0.3] * 4, [1.0, 2.0, 3.0, 0.5], 0.0, FitSpec(order=1, bandwidth=1.0))
+
+    @pytest.mark.parametrize("x,y", [([0.1, 0.2, 0.3], [1.0, 2.0]), ([[0.1, 0.2]], [[1.0, 2.0]])])
+    def test_arrays_must_be_1d_and_equal_length(self, x, y):
+        with pytest.raises(InvalidConfig):
+            local_poly_fit(x, y, 0.0, FitSpec(order=0, bandwidth=1.0))
 
     def test_side_restriction(self, rng):
         xs = rng.uniform(-1, 1, 400)
         ys = np.where(xs >= 0, 5.0, -5.0)
-        right = local_poly_fit(
-            np.column_stack([xs, ys]), 0.0, FitSpec(order=0, bandwidth=1.0, side=Side.RIGHT)
-        )
-        left = local_poly_fit(
-            np.column_stack([xs, ys]), 0.0, FitSpec(order=0, bandwidth=1.0, side=Side.LEFT)
-        )
+        right = local_poly_fit(xs, ys, 0.0, FitSpec(order=0, bandwidth=1.0, side=Side.RIGHT))
+        left = local_poly_fit(xs, ys, 0.0, FitSpec(order=0, bandwidth=1.0, side=Side.LEFT))
         assert abs(right.coefficients[0] - 5.0) < 1e-12
         assert abs(left.coefficients[0] + 5.0) < 1e-12
 
@@ -84,7 +81,7 @@ class TestLocalPolyFit:
         xs = rng.uniform(-2, 2, 300)
         ys = 0.5 - 1.5 * xs
         intercepts = [
-            local_poly_fit(np.column_stack([xs, ys]), 0.0, FitSpec(order=1, bandwidth=h)).coefficients[0]
+            local_poly_fit(xs, ys, 0.0, FitSpec(order=1, bandwidth=h)).coefficients[0]
             for h in (0.5, 1.0, 2.0, 4.0)
         ]
         assert np.ptp(intercepts) < 1e-10
@@ -101,14 +98,15 @@ class TestBoundaryDensity:
         rng = np.random.default_rng(42)
         xs = rng.uniform(0, 1, 100_000)
         h = rot_bandwidth(xs, Side.INTERIOR, 0.5)
-        d = boundary_density(xs, 0.5, FitSpec(order=1, bandwidth=h, side=Side.INTERIOR))
+        d, clipped = boundary_density(xs, 0.5, FitSpec(order=1, bandwidth=h, side=Side.INTERIOR))
         assert abs(d - 1.0) < 0.05
+        assert clipped is False
 
     def test_exponential_right_boundary(self):
         rng = np.random.default_rng(7)
         xs = rng.exponential(scale=0.5, size=100_000)
         h = rot_bandwidth(xs, Side.RIGHT, 0.0)
-        d = boundary_density(xs, 0.0, FitSpec(order=1, bandwidth=h, side=Side.RIGHT))
+        d, _ = boundary_density(xs, 0.0, FitSpec(order=1, bandwidth=h, side=Side.RIGHT))
         assert abs(d - 2.0) < 0.1
 
     def test_point_mass_degenerate(self):
@@ -126,16 +124,14 @@ class TestBoundaryDensity:
         with pytest.raises(InsufficientData):
             boundary_density(xs, 0.0, FitSpec(order=1, bandwidth=1.0, side=Side.RIGHT))
 
-    def test_clipping_floor_and_warning(self):
+    def test_clipping_floor_and_flag(self):
         # a sparse left tail before a steep cluster makes the fitted CDF
-        # slope at the boundary negative
+        # slope at the boundary negative; the flag replaces a warning
         xs = np.concatenate([[0.1, 0.6], np.linspace(0.88, 0.92, 98)])
         spec = FitSpec(order=1, bandwidth=1.0, side=Side.RIGHT)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            d = boundary_density(xs, 0.0, spec)
-        assert d == DENSITY_FLOOR
-        assert any("clipped" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert boundary_density(xs, 0.0, spec) == (DENSITY_FLOOR, True)
 
     def test_integrates_to_side_mass(self):
         rng = np.random.default_rng(3)
@@ -146,7 +142,7 @@ class TestBoundaryDensity:
         dens = []
         for t in grid:
             side = Side.RIGHT if t - h < 0 else Side.INTERIOR
-            dens.append(boundary_density(xs, t, FitSpec(order=1, bandwidth=h, side=side)))
+            dens.append(boundary_density(xs, t, FitSpec(order=1, bandwidth=h, side=side))[0])
         integral = np.trapezoid(dens, grid)
         freq = np.mean((xs >= lo) & (xs <= hi))
         assert abs(integral - freq) < 0.05
