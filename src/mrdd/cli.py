@@ -55,7 +55,7 @@ from .localfit import (
     FitSpec,
     KernelKind,
     Side,
-    boundary_density,
+    density_curve,
     local_poly_fit,
     local_weights,
     rot_bandwidth,
@@ -67,6 +67,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
+
+#: Most histogram bins ``plotdata`` will lay over the x range.
+MAX_PLOT_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,26 @@ def _atomic_write(path: str, text: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _nulls_for_non_finite(value):
+    """``value`` with every nan or inf float, however nested, replaced by None."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _nulls_for_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulls_for_non_finite(item) for item in value]
+    return value
+
+
+def _write_json(payload: dict, out: str | None) -> None:
+    """Write strict JSON (a non-finite number becomes null) to ``out`` or stdout."""
+    text = json.dumps(_nulls_for_non_finite(payload), indent=2, allow_nan=False) + "\n"
+    if out:
+        _atomic_write(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _test_dict(res) -> dict:
@@ -473,11 +496,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         covariates=cfg.covariates,
     )
     report = build_report(cfg, data)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, args.out)
     return EXIT_OK
 
 
@@ -524,50 +543,51 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "crude": [row.crude_lower, row.crude_upper],
         "sharp": [row.sharp_lower, row.sharp_upper],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_json(payload, args.out)
     return EXIT_OK
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
-    data = ingest(args.input, cutoff=args.cutoff, col_x=args.col_x, col_y=args.col_y)
-    xs = data.xs
     c, w = args.cutoff, args.bin_width
-    k_lo = int(np.floor((xs.min() - c) / w))
-    k_hi = int(np.ceil((xs.max() - c) / w))
+    if not (np.isfinite(w) and w > 0):
+        raise InvalidConfig(f"--bin-width must be positive and finite, got {w}")
+    data = ingest(args.input, cutoff=c, col_x=args.col_x, col_y=args.col_y)
+    xs = data.xs
+    k_lo = np.floor((xs.min() - c) / w)
+    k_hi = np.ceil((xs.max() - c) / w)
+    # also false when the bin indices overflow to inf
+    if not k_hi - k_lo <= MAX_PLOT_BINS:
+        raise InvalidConfig(
+            f"--bin-width {w} gives more than {MAX_PLOT_BINS} bins over the x range"
+        )
+    k_lo, k_hi = int(k_lo), int(k_hi)
     if k_hi == k_lo:
         k_hi += 1
     edges = c + w * np.arange(k_lo, k_hi + 1)
     counts, _ = np.histogram(xs, bins=edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    is_left = edges[1:] <= c
     h_left = rot_bandwidth(xs, Side.LEFT, c)
     h_right = rot_bandwidth(xs, Side.RIGHT, c)
-    rows = []
-    n_clipped = 0
-    for i, count in enumerate(counts):
-        left_edge, right_edge = edges[i], edges[i + 1]
-        center = 0.5 * (left_edge + right_edge)
-        side = "left" if right_edge <= c else "right"
-        h = h_left if side == "left" else h_right
-        if side == "left":
+    specs = []
+    for center, left in zip(centers, is_left):
+        h = h_left if left else h_right
+        if left:
             fit_side = Side.INTERIOR if center + h <= c else Side.LEFT
         else:
             fit_side = Side.INTERIOR if center - h >= c else Side.RIGHT
-        try:
-            dens, clipped = boundary_density(xs, center, FitSpec(1, h, KernelKind.TRIANGULAR, fit_side))
-        except DataError:
-            dens, clipped = float("nan"), False
-        n_clipped += clipped
-        rows.append((float(left_edge), float(right_edge), int(count), side, float(dens)))
+        specs.append(FitSpec(1, h, KernelKind.TRIANGULAR, fit_side))
+    densities, clipped = density_curve(xs, centers, specs)
     lines = ["bin_left,bin_right,count,side,fitted_density"]
-    for left_edge, right_edge, count, side, dens in rows:
-        lines.append(f"{left_edge!r},{right_edge!r},{count},{side},{dens!r}")
+    rows = zip(edges[:-1], edges[1:], counts, is_left, densities)
+    for left_edge, right_edge, count, left, dens in rows:
+        side = "left" if left else "right"
+        lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{int(count)},{side},{float(dens)!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
+    n_clipped = int(np.count_nonzero(clipped))
     if n_clipped:
         print(
-            f"warning: {n_clipped} of {len(rows)} bins clipped to {DENSITY_FLOOR}: "
+            f"warning: {n_clipped} of {counts.size} bins clipped to {DENSITY_FLOOR}: "
             "their fitted density was not positive",
             file=sys.stderr,
         )

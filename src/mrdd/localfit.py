@@ -1,6 +1,6 @@
 """Kernel-weighted local polynomial regression and boundary density estimation.
 
-Three estimators live here:
+The estimators here:
 
 * ``local_poly_fit`` fits a weighted polynomial in the centred running
   variable and reads the level off the intercept, one-sided or interior.
@@ -8,6 +8,8 @@ Three estimators live here:
   local polynomial fit to the empirical CDF, one degree above the requested
   order. A non-positive slope is floored at ``DENSITY_FLOOR`` and flagged;
   reporting or counting the flag is the caller's job.
+* ``density_curve`` gives the same densities at many points over one
+  sample: it sorts x once and fits each point on its own window's rows.
 * ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth.
 
 Both fits take plain arrays: the running variable, and for the mean fit the
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateSupport,
     InsufficientData,
     InvalidConfig,
@@ -209,29 +212,27 @@ def fit_from_moments(weight_sums: np.ndarray, value_sums: np.ndarray) -> np.ndar
     return np.linalg.solve(gram, value_sums[..., None])[..., 0]
 
 
+def _density_edges(eval_point: float, spec: FitSpec) -> tuple[float, float]:
+    """Edges of the CDF fit's window; the upper one is exclusive on the LEFT side only."""
+    h = spec.bandwidth
+    lo = eval_point if spec.side is Side.RIGHT else eval_point - h
+    hi = eval_point if spec.side is Side.LEFT else eval_point + h
+    return lo, hi
+
+
 def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarray:
     """Rows entering the CDF fit: [p - h, p) left, [p, p + h] right, both interior."""
-    h = spec.bandwidth
-    above_lo = xs >= (eval_point if spec.side is Side.RIGHT else eval_point - h)
-    below_hi = xs < eval_point if spec.side is Side.LEFT else xs <= eval_point + h
-    return above_lo & below_hi
+    lo, hi = _density_edges(eval_point, spec)
+    below_hi = xs < hi if spec.side is Side.LEFT else xs <= hi
+    return (xs >= lo) & below_hi
 
 
-def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:
-    """One-sided (or interior) density estimate at ``eval_point``.
+def _density_fit(win: np.ndarray, ranks: np.ndarray, n: int, eval_point: float, spec: FitSpec):
+    """Density from the window's sorted x values and their full-sample CDF ranks.
 
-    Fits the full-sample empirical CDF locally at ``eval_point`` with a
-    polynomial of degree ``spec.order + 1`` and takes its slope. Returns
-    ``(density, clipped)``: a non-positive slope is replaced by
-    ``DENSITY_FLOOR``, because ratios built downstream need f > 0, and
-    ``clipped`` says so. Raises DegenerateSupport when too many in-window
-    values are exact duplicates.
+    ``ranks[i]`` counts the sample values <= ``win[i]`` and ``n`` is the
+    sample size. Returns ``(density, clipped)`` as ``boundary_density``.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = xs.size
-    h = spec.bandwidth
-    lo_edge = eval_point if spec.side is Side.RIGHT else eval_point - h
-    win = np.sort(xs[density_window(xs, eval_point, spec)])
     m = win.size
     if m > 0:
         n_distinct = 1 + int(np.count_nonzero(np.diff(win) > 0))
@@ -249,17 +250,66 @@ def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]
             f"need at least {spec.order + 2} for a degree-{spec.order + 1} CDF fit",
             side=spec.side.value,
         )
-    # Empirical CDF over the full sample, evaluated at the window points.
-    n_below = int(np.count_nonzero(xs < lo_edge))
-    ranks = n_below + np.searchsorted(win, win, side="right")
-    cdf = ranks / n
+    h = spec.bandwidth
     u = (win - eval_point) / h
     w = kernel_weight(u, spec.kernel)
-    beta = _weighted_polyfit(u, w, cdf, spec.order + 1, spec.side.value)
+    beta = _weighted_polyfit(u, w, ranks / n, spec.order + 1, spec.side.value)
     dens = float(beta[1] / h)
     if dens < DENSITY_FLOOR:
         return DENSITY_FLOOR, True
     return dens, False
+
+
+def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:
+    """One-sided (or interior) density estimate at ``eval_point``.
+
+    Fits the full-sample empirical CDF locally at ``eval_point`` with a
+    polynomial of degree ``spec.order + 1`` and takes its slope. Returns
+    ``(density, clipped)``: a non-positive slope is replaced by
+    ``DENSITY_FLOOR``, because ratios built downstream need f > 0, and
+    ``clipped`` says so. Raises DegenerateSupport when too many in-window
+    values are exact duplicates.
+
+    One call costs O(n): it masks the sample and sorts only the window. For
+    many points over one sample, ``density_curve`` sorts once instead.
+    """
+    xs = np.asarray(xs, dtype=float)
+    lo, _ = _density_edges(eval_point, spec)
+    win = np.sort(xs[density_window(xs, eval_point, spec)])
+    # rows below the window plus each value's rank inside it
+    ranks = int(np.count_nonzero(xs < lo)) + np.searchsorted(win, win, side="right")
+    return _density_fit(win, ranks, xs.size, eval_point, spec)
+
+
+def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
+    """``boundary_density`` at every point of ``eval_points`` over one sample.
+
+    ``specs[i]`` is the fit at ``eval_points[i]``. Returns ``(densities,
+    clipped)`` as float and bool arrays, equal bit for bit to calling
+    ``boundary_density`` point by point; where that call would raise a
+    DataError the density is NaN and the flag False. x is sorted once, and
+    each point fits only the slice of sorted rows inside its own window, so
+    the cost per point follows the window rows, not the sample size.
+    """
+    points = np.asarray(eval_points, dtype=float)
+    if points.ndim != 1 or points.size != len(specs):
+        raise InvalidConfig("eval_points must be 1-d with one FitSpec per point")
+    xs_sorted = np.sort(np.asarray(xs, dtype=float))
+    # sample values <= each sorted value: the same integers as the per-point ranks
+    ranks = np.searchsorted(xs_sorted, xs_sorted, side="right")
+    densities = np.full(points.size, np.nan)
+    clipped = np.zeros(points.size, dtype=bool)
+    for i, (point, spec) in enumerate(zip(points, specs)):
+        lo, hi = _density_edges(point, spec)
+        start = np.searchsorted(xs_sorted, lo, side="left")
+        stop = np.searchsorted(xs_sorted, hi, side="left" if spec.side is Side.LEFT else "right")
+        try:
+            densities[i], clipped[i] = _density_fit(
+                xs_sorted[start:stop], ranks[start:stop], xs_sorted.size, point, spec
+            )
+        except DataError:
+            pass
+    return densities, clipped
 
 
 def rot_bandwidth(xs, side: Side, cutoff: float) -> float:

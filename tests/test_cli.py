@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,19 @@ import mrdd
 
 from mrdd import (
     AppendixDSpec,
+    FitSpec,
+    KernelKind,
+    Side,
+    boundary_density,
     gen_appendix_d,
     gen_counterexample_e,
     gen_typed,
     oracle_appendix_d,
+    rot_bandwidth,
     write_typed_csv,
 )
-from mrdd.cli import ingest, main
-from mrdd.errors import EmptyInput, MissingColumn, MrddError, ParseError
+from mrdd.cli import MAX_PLOT_BINS, ingest, main
+from mrdd.errors import DataError, EmptyInput, MissingColumn, MrddError, ParseError
 
 
 @pytest.fixture()
@@ -226,6 +232,28 @@ class TestAnalyze:
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1") == 4
 
+    def test_non_finite_statistic_written_as_null(self, typed_file, tmp_path, monkeypatch):
+        path, _ = typed_file
+        from mrdd import cli as cli_mod
+
+        real_protocol = cli_mod.run_sequential_protocol
+
+        def nan_density_statistic(data, config):
+            outcome = real_protocol(data, config)
+            return replace(outcome, density=replace(outcome.density, statistic=float("nan")))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(cli_mod, "run_sequential_protocol", nan_density_statistic)
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--boot", "64", "--out", str(out)) == 0
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["protocol"]["density"]["statistic"] is None
+        assert report["blocks"][0]["discontinuity_t"] is None
+        assert isinstance(report["blocks"][0]["discontinuity_p"], float)
+
     def test_duplicate_fraction_reported(self, typed_file, tmp_path):
         path, _ = typed_file
         out = tmp_path / "r.json"
@@ -379,6 +407,46 @@ class TestPlotdata:
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1
         assert " bins clipped to " in err[0]
+
+    def test_csv_matches_per_bin_reference(self, typed_file, tmp_path):
+        path, _ = typed_file
+        out = tmp_path / "bins.csv"
+        assert run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05",
+                       "--out", str(out)) == 0
+        xs = ingest(path, cutoff=0.0).xs
+        c, w = 0.0, 0.05
+        edges = c + w * np.arange(int(np.floor((xs.min() - c) / w)), int(np.ceil((xs.max() - c) / w)) + 1)
+        counts, _ = np.histogram(xs, bins=edges)
+        h = {side: rot_bandwidth(xs, side, c) for side in (Side.LEFT, Side.RIGHT)}
+        lines = ["bin_left,bin_right,count,side,fitted_density"]
+        for left_edge, right_edge, count in zip(edges[:-1], edges[1:], counts):
+            center = 0.5 * (left_edge + right_edge)
+            side = Side.LEFT if right_edge <= c else Side.RIGHT
+            one_sided = center + h[side] > c if side is Side.LEFT else center - h[side] < c
+            spec = FitSpec(1, h[side], KernelKind.TRIANGULAR, side if one_sided else Side.INTERIOR)
+            try:
+                dens = boundary_density(xs, center, spec)[0]
+            except DataError:
+                dens = float("nan")
+            lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{count},{side.value},{dens!r}")
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("width", ["0", "nan", "-0.1", "inf", "1e-9", "over-cap"])
+    def test_bad_bin_width_exits_2_before_edges(self, typed_file, tmp_path, capsys, monkeypatch, width):
+        path, _ = typed_file
+        if width == "over-cap":
+            xs = ingest(path, cutoff=0.0).xs
+            width = repr(float(xs.max() - xs.min()) / MAX_PLOT_BINS * (1 - 1e-6))
+
+        def no_edges(*args, **kwargs):
+            raise AssertionError("bin edges allocated")
+
+        monkeypatch.setattr(np, "arange", no_edges)
+        out = tmp_path / "bins.csv"
+        assert run_cli("plotdata", path, "--cutoff", "0", "--bin-width", width,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not out.exists()
 
     def test_empty_input_exits_3(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -3,8 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from mrdd import FitSpec, KernelKind, Side, boundary_density, kernel_weight, local_poly_fit, rot_bandwidth
-from mrdd.errors import DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
+from mrdd import (
+    FitSpec,
+    KernelKind,
+    Side,
+    boundary_density,
+    density_curve,
+    kernel_weight,
+    local_poly_fit,
+    rot_bandwidth,
+)
+from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
 from mrdd.localfit import DENSITY_FLOOR
 
 
@@ -146,6 +155,57 @@ class TestBoundaryDensity:
         integral = np.trapezoid(dens, grid)
         freq = np.mean((xs >= lo) & (xs <= hi))
         assert abs(integral - freq) < 0.05
+
+
+def curve_sample():
+    """Continuous x plus ties on a dyadic grid, a discrete patch, a cluster and a sparse tail.
+
+    Grid values are multiples of 1/64, so with the dyadic bandwidths and
+    evaluation points below, window edges p - h and p + h land exactly on
+    sample values.
+    """
+    rng = np.random.default_rng(5)
+    return np.concatenate([
+        rng.normal(0.0, 1.0, 3000),
+        rng.integers(-96, 97, 300) / 64,
+        np.full(150, 2.0),
+        # a steep cluster past a sparse gap: the fit at 4.0 clips
+        [4.025, 4.15],
+        np.linspace(4.22, 4.23, 98),
+        [6.0, 6.5, 7.25],
+    ])
+
+
+class TestDensityCurve:
+    POINTS = np.concatenate([np.arange(-16, 17) / 8, [2.125, 6.25, 7.0, 10.0, 4.0]])
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_matches_point_by_point(self, order, kernel):
+        xs = curve_sample()
+        points, specs = [], []
+        for i, point in enumerate(self.POINTS):
+            for side in Side:
+                points.append(point)
+                specs.append(FitSpec(order, 0.25 if i % 2 else 0.5, kernel, side))
+        ref_dens, ref_clipped, raised = [], [], set()
+        for point, spec in zip(points, specs):
+            try:
+                dens, clipped = boundary_density(xs, point, spec)
+            except DataError as err:
+                dens, clipped = np.nan, False
+                raised.add(type(err))
+            ref_dens.append(dens)
+            ref_clipped.append(clipped)
+        dens, clipped = density_curve(xs, points, specs)
+        assert raised == {DegenerateSupport, InsufficientData}
+        assert np.array_equal(dens, ref_dens, equal_nan=True)
+        assert np.array_equal(clipped, ref_clipped)
+        assert dens.dtype == float and clipped.dtype == bool
+
+    def test_one_spec_per_point(self):
+        with pytest.raises(InvalidConfig):
+            density_curve(curve_sample(), [0.0, 1.0], [FitSpec(order=1, bandwidth=0.5)])
 
 
 class TestRotBandwidth:
