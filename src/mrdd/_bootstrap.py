@@ -45,6 +45,7 @@ from .localfit import (
 )
 
 MIN_REPLICATES = 50
+DEFAULT_B = 500
 MAX_FAILURE_FRACTION = 0.10
 #: Bytes of window counts per chunk of replicates; sets the chunk length.
 CHUNK_BYTES = 1 << 21
@@ -60,11 +61,24 @@ def replicate_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-def check_bootstrap_config(b: int, seed: int) -> None:
-    if b < MIN_REPLICATES:
-        raise InvalidConfig(f"bootstrap replication count must be >= {MIN_REPLICATES}, got {b}")
-    if seed < 0:
-        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed}")
+@dataclass(frozen=True)
+class BootstrapConfig:
+    """Replicates, seed, test level and worker threads shared by every bootstrap of an analysis."""
+
+    b: int = DEFAULT_B
+    seed: int = 0
+    alpha: float = 0.05
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.b < MIN_REPLICATES:
+            raise InvalidConfig(f"bootstrap replication count must be >= {MIN_REPLICATES}, got {self.b}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed}")
+        if not (0.0 < self.alpha < 1.0):
+            raise InvalidConfig(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if self.workers < 1:
+            raise InvalidConfig("workers must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .localfit import (
     KernelKind,
     Side,
     boundary_density,
+    check_order,
+    density_window,
     local_poly_fit,
     rot_bandwidth,
 )
@@ -144,16 +146,37 @@ class SideCounts:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit specification pair (means and densities) plus bandwidth overrides."""
+    """Order, kernel and bandwidths shared by the four one-sided boundary fits.
 
-    mean_order: int = 1
-    density_order: int = 1
+    The means and the densities use the same polynomial order; each
+    density's CDF fit is one degree above it.
+    """
+
+    order: int = 1
     kernel: KernelKind = KernelKind.TRIANGULAR
     bandwidths: Bandwidths = Bandwidths()
+
+    def __post_init__(self):
+        check_order(self.order)
 
     def resolved(self, xs: np.ndarray, cutoff: float) -> "FitConfig":
         """The same configuration with every bandwidth filled in."""
         return replace(self, bandwidths=self.bandwidths.resolved(xs, cutoff))
+
+    def mean_spec(self, side: Side) -> FitSpec:
+        """The one-sided mean fit on ``side``; needs resolved bandwidths."""
+        bw = self.bandwidths
+        return self._spec(bw.mean_left if side is Side.LEFT else bw.mean_right, side)
+
+    def density_spec(self, side: Side) -> FitSpec:
+        """The one-sided density fit on ``side``; needs resolved bandwidths."""
+        bw = self.bandwidths
+        return self._spec(bw.dens_left if side is Side.LEFT else bw.dens_right, side)
+
+    def _spec(self, bandwidth: float | None, side: Side) -> FitSpec:
+        if bandwidth is None:
+            raise InvalidConfig("resolve the bandwidths before building a fit")
+        return FitSpec(self.order, bandwidth, self.kernel, side)
 
 
 @dataclass(frozen=True)
@@ -181,56 +204,6 @@ def _labeled(side: str, stage: str, err: DataError) -> DataError:
     return err
 
 
-def _boundary_from_arrays(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cutoff: float,
-    config: FitConfig,
-    bw: Bandwidths,
-) -> tuple[float, float, float, float, SideCounts, tuple[str, ...]]:
-    """Per-row boundary fits of one sample; the core of ``estimate_boundary``."""
-    notes: list[str] = []
-
-    def mean_fit(side, h):
-        spec = FitSpec(order=config.mean_order, bandwidth=h, kernel=config.kernel, side=side)
-        try:
-            return local_poly_fit(xs, ys, cutoff, spec)
-        except DataError as err:
-            raise _labeled(side.value, "mean fit", err)
-
-    def dens_fit(side, h):
-        spec = FitSpec(order=config.density_order, bandwidth=h, kernel=config.kernel, side=side)
-        try:
-            dens, clipped = boundary_density(xs, cutoff, spec)
-        except DataError as err:
-            raise _labeled(side.value, "density fit", err)
-        if clipped:
-            notes.append(f"density_clipped_{side.value}")
-        return dens
-
-    fit_minus = mean_fit(Side.LEFT, bw.mean_left)
-    fit_plus = mean_fit(Side.RIGHT, bw.mean_right)
-    f_minus = dens_fit(Side.LEFT, bw.dens_left)
-    f_plus = dens_fit(Side.RIGHT, bw.dens_right)
-    r = f_minus / f_plus
-    if r > 1.0:
-        notes.append("density_ratio_above_one")
-    counts = SideCounts(
-        mean_left=fit_minus.effective_n,
-        mean_right=fit_plus.effective_n,
-        dens_left=int(np.count_nonzero((xs >= cutoff - bw.dens_left) & (xs < cutoff))),
-        dens_right=int(np.count_nonzero((xs >= cutoff) & (xs <= cutoff + bw.dens_right))),
-    )
-    return (
-        float(fit_plus.coefficients[0]),
-        float(fit_minus.coefficients[0]),
-        f_plus,
-        f_minus,
-        counts,
-        tuple(notes),
-    )
-
-
 def estimate_boundary(data: Dataset, config: FitConfig = FitConfig()) -> BoundaryEstimates:
     """Estimate (mu_plus, mu_minus, f_plus, f_minus, r) at the cutoff.
 
@@ -243,17 +216,45 @@ def estimate_boundary(data: Dataset, config: FitConfig = FitConfig()) -> Boundar
     Raises per-side labeled InsufficientData / SingularDesign /
     DegenerateSupport when a side cannot be estimated.
     """
-    bw = config.bandwidths.resolved(data.xs, data.cutoff)
-    mu_plus, mu_minus, f_plus, f_minus, counts, notes = _boundary_from_arrays(
-        data.xs, data.ys, data.cutoff, config, bw
-    )
+    xs, c = data.xs, data.cutoff
+    fit = config.resolved(xs, c)
+    notes: list[str] = []
+
+    def mean_fit(side):
+        try:
+            return local_poly_fit(xs, data.ys, c, fit.mean_spec(side))
+        except DataError as err:
+            raise _labeled(side.value, "mean fit", err)
+
+    def dens_fit(side):
+        spec = fit.density_spec(side)
+        try:
+            dens, clipped = boundary_density(xs, c, spec)
+        except DataError as err:
+            raise _labeled(side.value, "density fit", err)
+        if clipped:
+            notes.append(f"density_clipped_{side.value}")
+        return dens, int(np.count_nonzero(density_window(xs, c, spec)))
+
+    fit_minus = mean_fit(Side.LEFT)
+    fit_plus = mean_fit(Side.RIGHT)
+    f_minus, n_dens_left = dens_fit(Side.LEFT)
+    f_plus, n_dens_right = dens_fit(Side.RIGHT)
+    r = f_minus / f_plus
+    if r > 1.0:
+        notes.append("density_ratio_above_one")
     return BoundaryEstimates(
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
+        mu_plus=float(fit_plus.coefficients[0]),
+        mu_minus=float(fit_minus.coefficients[0]),
         f_plus=f_plus,
         f_minus=f_minus,
-        r=f_minus / f_plus,
-        bandwidths=bw,
-        n_effective=counts,
-        warnings=notes,
+        r=r,
+        bandwidths=fit.bandwidths,
+        n_effective=SideCounts(
+            mean_left=fit_minus.effective_n,
+            mean_right=fit_plus.effective_n,
+            dens_left=n_dens_left,
+            dens_right=n_dens_right,
+        ),
+        warnings=tuple(notes),
     )

@@ -1,9 +1,10 @@
 """Command-line interface: ingest, analyze, simulate, oracle, plotdata.
 
 ``analyze`` runs the sequential diagnostic protocol and emits a JSON report
-whose blocks mirror the usual presentation (one block per polynomial
-order): discontinuity test, density ratio, bandwidths, point estimate with
-bootstrap SE, identified set, and fixed-r / random-r confidence intervals.
+whose one block, at the requested polynomial order, mirrors the usual
+presentation: discontinuity test, density ratio, bandwidths, point estimate
+with bootstrap SE, identified set, and fixed-r / random-r confidence
+intervals.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation. Identical invocations (flags, files, seed) produce
@@ -32,7 +33,7 @@ from .bounds import (
     fuzzy_bounds,
     sharp_type2_bounds,
 )
-from .diagnostics import ProtocolConfig, run_sequential_protocol
+from .diagnostics import run_sequential_protocol
 from .errors import (
     ConfigError,
     DataError,
@@ -52,6 +53,7 @@ from .inference import (
 )
 from .localfit import (
     DENSITY_FLOOR,
+    MAX_ORDER,
     FitSpec,
     KernelKind,
     Side,
@@ -74,43 +76,32 @@ MAX_PLOT_BINS = 1_000_000
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved analyze configuration (flags over config file over defaults)."""
+    """Resolved analyze configuration (flags over config file over defaults).
+
+    Building it, with its fit and bootstrap configs, checks every flag and
+    flag combination, so a bad one exits 2 before the input is read.
+    """
 
     cutoff: float
     y_low: float | None = None
     y_high: float | None = None
     assumption: TypeAssumption = TypeAssumption.TYPE2
-    order: int = 1
-    kernel: KernelKind = KernelKind.TRIANGULAR
-    alpha: float = 0.05
-    b: int = 500
-    seed: int = 0
+    fit: FitConfig = FitConfig()
+    boot: BootstrapConfig = BootstrapConfig()
     sharp: bool = False
     fuzzy: bool = False
     covariates: tuple[str, ...] = ()
     col_x: str = "x"
     col_y: str = "y"
     col_d: str | None = None
-    bandwidths: Bandwidths = Bandwidths()
-    workers: int = 1
 
     def __post_init__(self):
         if not np.isfinite(self.cutoff):
             raise InvalidConfig("cutoff must be finite")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.order not in (0, 1, 2):
-            raise InvalidConfig(f"order must be 0, 1 or 2, got {self.order}")
-        if self.workers < 1:
-            raise InvalidConfig("workers must be at least 1")
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            mean_order=self.order,
-            density_order=self.order,
-            kernel=self.kernel,
-            bandwidths=self.bandwidths,
-        )
+        if self.y_low is None or self.y_high is None:
+            raise InvalidConfig("analyze needs --y-min and --y-max to compute bounds")
+        if self.fuzzy and self.col_d is None:
+            raise InvalidConfig("--fuzzy needs a treatment column (--col-d)")
 
 
 def ingest(
@@ -228,24 +219,13 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     Bandwidths are resolved once here and shared by every stage. Every
     reported interval is clipped to the logical range of an effect.
     """
-    fit = cfg.fit_config().resolved(data.xs, data.cutoff)
-    protocol = run_sequential_protocol(
-        data,
-        ProtocolConfig(
-            alpha=cfg.alpha,
-            b=cfg.b,
-            seed=cfg.seed,
-            fit=fit,
-            covariates=cfg.covariates or None,
-            workers=cfg.workers,
-        ),
-    )
-    boot_cfg = BootstrapConfig(b=cfg.b, seed=cfg.seed, alpha=cfg.alpha, workers=cfg.workers)
-    draws = bootstrap_boundary_replicates(data, boot_cfg, fit)
+    fit = cfg.fit.resolved(data.xs, data.cutoff)
+    protocol = run_sequential_protocol(data, cfg.boot, fit, cfg.covariates or None)
+    draws = bootstrap_boundary_replicates(data, cfg.boot, fit)
     be = draws.point
 
     block: dict = {
-        "order": cfg.order,
+        "order": fit.order,
         "discontinuity_t": protocol.density.statistic,
         "discontinuity_p": protocol.density.p_value,
         "r": be.r,
@@ -273,9 +253,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     block["point_se"] = float(np.std(jumps, ddof=1))
 
     warnings = list(be.warnings)
-    if data.y_low is None or data.y_high is None:
-        raise InvalidConfig("analyze needs --y-min and --y-max to compute bounds")
-    y_low, y_high = data.y_low, data.y_high
+    y_low, y_high = cfg.y_low, cfg.y_high
 
     fixed = bounds_from_draws(draws, cfg.assumption, RMode.FIXED, y_low, y_high)
     random_ = bounds_from_draws(draws, cfg.assumption, RMode.RANDOM, y_low, y_high)
@@ -289,7 +267,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         warnings.append(point.note)
 
     for label, bb in (("fixed_r", fixed), ("random_r", random_)):
-        ci = imbens_manski_ci(set_lo, set_hi, bb.se_lower, bb.se_upper, cfg.alpha)
+        ci = imbens_manski_ci(set_lo, set_hi, bb.se_lower, bb.se_upper, cfg.boot.alpha)
         lo, hi, _ = clamp_interval(ci.lo, ci.hi, y_low, y_high)
         block[f"ci_{label}"] = [lo, hi]
         block[f"se_lower_{label}"] = bb.se_lower
@@ -298,8 +276,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
 
     if cfg.sharp:
         # the right-side mean fit's window and kernel weights
-        spec_r = FitSpec(cfg.order, be.bandwidths.mean_right, cfg.kernel, Side.RIGHT)
-        _, w, keep = local_weights(data.xs, data.cutoff, spec_r)
+        _, w, keep = local_weights(data.xs, data.cutoff, fit.mean_spec(Side.RIGHT))
         window = np.column_stack([w[keep], data.ys[keep]])
         sharp_res, _ = sharp_type2_bounds(window, be, y_low, y_high)
         sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
@@ -310,12 +287,10 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         block["sharp_status"] = None
 
     if cfg.fuzzy:
-        if data.d is None:
-            raise MissingColumn("--fuzzy needs a treatment column (--col-d)")
-        spec_l = FitSpec(cfg.order, be.bandwidths.mean_left, cfg.kernel, Side.LEFT)
-        spec_r = FitSpec(cfg.order, be.bandwidths.mean_right, cfg.kernel, Side.RIGHT)
-        d_minus = float(local_poly_fit(data.xs, data.d, data.cutoff, spec_l).coefficients[0])
-        d_plus = float(local_poly_fit(data.xs, data.d, data.cutoff, spec_r).coefficients[0])
+        d_minus, d_plus = (
+            float(local_poly_fit(data.xs, data.d, data.cutoff, fit.mean_spec(side)).coefficients[0])
+            for side in (Side.LEFT, Side.RIGHT)
+        )
         fz = fuzzy_bounds(
             FuzzyInputs(be=be, d_plus=min(max(d_plus, 0.0), 1.0), d_minus=min(max(d_minus, 0.0), 1.0)),
             y_low,
@@ -336,11 +311,11 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             "y_low": y_low,
             "y_high": y_high,
             "assumption": cfg.assumption.value,
-            "order": cfg.order,
-            "kernel": cfg.kernel.value,
-            "alpha": cfg.alpha,
-            "bootstrap": cfg.b,
-            "seed": cfg.seed,
+            "order": fit.order,
+            "kernel": fit.kernel.value,
+            "alpha": cfg.boot.alpha,
+            "bootstrap": cfg.boot.b,
+            "seed": cfg.boot.seed,
         },
         "verdict": protocol.verdict.value,
         "protocol": {
@@ -422,7 +397,7 @@ def _coerce(key: str, value, kind):
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over the config classes' defaults."""
     file_values: dict = {}
     if args.config:
         raw = _read_config_file(args.config)
@@ -442,8 +417,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             return file_values[key]
         return default
 
-    cutoff = pick(args.cutoff, "cutoff", None)
-    if cutoff is None:
+    def given(**fields: str) -> dict:
+        """Field name -> value for each key a flag or the config file sets."""
+        values = {name: pick(getattr(args, key), key, None) for name, key in fields.items()}
+        return {name: value for name, value in values.items() if value is not None}
+
+    if pick(args.cutoff, "cutoff", None) is None:
         raise InvalidConfig("--cutoff is required (no inference from data)")
     try:
         assumption = TypeAssumption(pick(args.type, "type", "type2"))
@@ -453,33 +432,22 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         kernel = KernelKind(pick(args.kernel, "kernel", "triangular"))
     except ValueError:
         raise InvalidConfig(f"unknown kernel {args.kernel!r}")
-    covariates = tuple(args.covariate) if args.covariate else file_values.get("covariates", ())
     bandwidths = Bandwidths(
-        mean_left=pick(args.bw_mean_left, "bw_mean_left", None),
-        mean_right=pick(args.bw_mean_right, "bw_mean_right", None),
-        dens_left=pick(args.bw_dens_left, "bw_dens_left", None),
-        dens_right=pick(args.bw_dens_right, "bw_dens_right", None),
+        **given(
+            mean_left="bw_mean_left",
+            mean_right="bw_mean_right",
+            dens_left="bw_dens_left",
+            dens_right="bw_dens_right",
+        )
     )
-    sharp = args.sharp or file_values.get("sharp", False)
-    fuzzy = args.fuzzy or file_values.get("fuzzy", False)
     return RunConfig(
-        cutoff=float(cutoff),
-        y_low=pick(args.y_min, "y_min", None),
-        y_high=pick(args.y_max, "y_max", None),
         assumption=assumption,
-        order=int(pick(args.order, "order", 1)),
-        kernel=kernel,
-        alpha=float(pick(args.alpha, "alpha", 0.05)),
-        b=int(pick(args.boot, "boot", 500)),
-        seed=int(pick(args.seed, "seed", 0)),
-        sharp=bool(sharp),
-        fuzzy=bool(fuzzy),
-        covariates=covariates,
-        col_x=pick(args.col_x, "col_x", "x"),
-        col_y=pick(args.col_y, "col_y", "y"),
-        col_d=pick(args.col_d, "col_d", None),
-        bandwidths=bandwidths,
-        workers=int(pick(args.workers, "workers", 1)),
+        fit=FitConfig(kernel=kernel, bandwidths=bandwidths, **given(order="order")),
+        boot=BootstrapConfig(**given(b="boot", seed="seed", alpha="alpha", workers="workers")),
+        sharp=bool(args.sharp or file_values.get("sharp", False)),
+        fuzzy=bool(args.fuzzy or file_values.get("fuzzy", False)),
+        covariates=tuple(args.covariate) if args.covariate else file_values.get("covariates", ()),
+        **given(cutoff="cutoff", y_low="y_min", y_high="y_max", col_x="col_x", col_y="col_y", col_d="col_d"),
     )
 
 
@@ -610,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--y-min", dest="y_min", type=float, default=None)
     pa.add_argument("--y-max", dest="y_max", type=float, default=None)
     pa.add_argument("--type", choices=[t.value for t in TypeAssumption], default=None)
-    pa.add_argument("--order", type=int, choices=[0, 1, 2], default=None)
+    pa.add_argument("--order", type=int, choices=range(MAX_ORDER + 1), default=None)
     pa.add_argument("--kernel", choices=[k.value for k in KernelKind], default=None)
     pa.add_argument("--alpha", type=float, default=None)
     pa.add_argument("--boot", type=int, default=None)

@@ -21,19 +21,17 @@ from scipy import stats
 
 from ._bootstrap import (
     BALANCE_TEST_STREAM,
+    DEFAULT_B,
     DENSITY_TEST_STREAM,
+    BootstrapConfig,
     DensityFit,
     MeanFit,
-    check_bootstrap_config,
     drop_failed,
     run_replicates,
 )
 from .boundary import Dataset, FitConfig
 from .errors import InvalidConfig, UnknownCovariate
-from .localfit import FitSpec, Side, boundary_density, local_poly_fit
-
-DEFAULT_B = 500
-DEFAULT_ALPHA = 0.05
+from .localfit import Side, boundary_density, local_poly_fit
 
 
 class Verdict(enum.Enum):
@@ -56,20 +54,6 @@ class TestResult:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    alpha: float = DEFAULT_ALPHA
-    b: int = DEFAULT_B
-    seed: int = 0
-    fit: FitConfig = FitConfig()
-    covariates: tuple[str, ...] | None = None  # None -> every covariate in the data
-    workers: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class ProtocolOutcome:
     density: TestResult
     balance: tuple[tuple[str, TestResult], ...] | None
@@ -80,12 +64,12 @@ def _two_sided_p(t: float) -> float:
     return float(2.0 * stats.norm.sf(abs(t)))
 
 
-def _bootstrap_jump_test(data, point, fits, b, seed, stream, workers):
+def _bootstrap_jump_test(data, point, fits, boot: BootstrapConfig, stream):
     """Shared test core: full-sample jump / bootstrap SE, normal reference.
 
     ``fits`` is the (right, left) pair whose difference is the jump.
     """
-    values, n_failed = run_replicates(data.xs, data.cutoff, fits, b, seed, stream, workers)
+    values, n_failed = run_replicates(data.xs, data.cutoff, fits, boot.b, boot.seed, stream, boot.workers)
     values = drop_failed(values, n_failed, "jump-test")
     reps = values[:, 0] - values[:, 1]
     se = float(np.std(reps, ddof=1))
@@ -115,18 +99,16 @@ def density_discontinuity_test(
     deviation of the estimated jump over ``b`` row resamples; the p-value
     uses the standard normal reference.
     """
-    check_bootstrap_config(b, seed)
+    boot = BootstrapConfig(b=b, seed=seed, workers=workers)
     c = data.cutoff
-    bw = config.bandwidths.resolved(data.xs, c)
-    spec_l = FitSpec(config.density_order, bw.dens_left, config.kernel, Side.LEFT)
-    spec_r = FitSpec(config.density_order, bw.dens_right, config.kernel, Side.RIGHT)
+    fit = config.resolved(data.xs, c)
+    spec_l, spec_r = fit.density_spec(Side.LEFT), fit.density_spec(Side.RIGHT)
     # the discreteness heuristic applies to the raw sample only; bootstrap
     # resamples duplicate values by construction
     f_minus, _ = boundary_density(data.xs, c, spec_l)
     f_plus, _ = boundary_density(data.xs, c, spec_r)
     return _bootstrap_jump_test(
-        data, f_plus - f_minus, (DensityFit(spec_r), DensityFit(spec_l)), b, seed,
-        (DENSITY_TEST_STREAM,), workers,
+        data, f_plus - f_minus, (DensityFit(spec_r), DensityFit(spec_l)), boot, (DENSITY_TEST_STREAM,)
     )
 
 
@@ -139,43 +121,46 @@ def balance_test(
     workers: int = 1,
 ) -> TestResult:
     """Two-sided test of a jump in a pre-determined covariate's boundary mean."""
-    check_bootstrap_config(b, seed)
+    boot = BootstrapConfig(b=b, seed=seed, workers=workers)
     if covariate not in data.covariates:
         raise UnknownCovariate(
             f"covariate {covariate!r} not present; have {sorted(data.covariates)}"
         )
     c = data.cutoff
-    bw = config.bandwidths.resolved(data.xs, c)
-    spec_l = FitSpec(config.mean_order, bw.mean_left, config.kernel, Side.LEFT)
-    spec_r = FitSpec(config.mean_order, bw.mean_right, config.kernel, Side.RIGHT)
+    fit = config.resolved(data.xs, c)
+    spec_l, spec_r = fit.mean_spec(Side.LEFT), fit.mean_spec(Side.RIGHT)
     ws = data.covariates[covariate]
     cov_index = sorted(data.covariates).index(covariate)
     w_minus = local_poly_fit(data.xs, ws, c, spec_l).coefficients[0]
     w_plus = local_poly_fit(data.xs, ws, c, spec_r).coefficients[0]
     return _bootstrap_jump_test(
-        data, w_plus - w_minus, (MeanFit(spec_r, ws), MeanFit(spec_l, ws)), b, seed,
-        (BALANCE_TEST_STREAM, cov_index), workers,
+        data, w_plus - w_minus, (MeanFit(spec_r, ws), MeanFit(spec_l, ws)), boot,
+        (BALANCE_TEST_STREAM, cov_index),
     )
 
 
-def run_sequential_protocol(data: Dataset, config: ProtocolConfig = ProtocolConfig()) -> ProtocolOutcome:
+def run_sequential_protocol(
+    data: Dataset,
+    boot: BootstrapConfig = BootstrapConfig(),
+    fit: FitConfig = FitConfig(),
+    covariates: tuple[str, ...] | None = None,
+) -> ProtocolOutcome:
     """Density test first; balance tests only if the density test accepts.
 
     Verdicts: density rejected -> UseBounds (balance skipped entirely);
     density accepted and all balance tests accepted -> PointIdentified;
     density accepted but some covariate imbalanced -> DesignSuspect.
-    Rule-of-thumb bandwidths are computed once and shared by every test.
+    ``covariates`` names the balance tests, every covariate in the data when
+    None. Rule-of-thumb bandwidths are computed once and shared by every test.
     """
-    check_bootstrap_config(config.b, config.seed)
-    fit = config.fit.resolved(data.xs, data.cutoff)
-    density = density_discontinuity_test(data, fit, config.b, config.seed, config.workers)
-    if density.p_value < config.alpha:
+    fit = fit.resolved(data.xs, data.cutoff)
+    density = density_discontinuity_test(data, fit, boot.b, boot.seed, boot.workers)
+    if density.p_value < boot.alpha:
         return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
-    names = config.covariates if config.covariates is not None else tuple(sorted(data.covariates))
+    names = covariates if covariates is not None else tuple(sorted(data.covariates))
     balance = tuple(
-        (name, balance_test(data, name, fit, config.b, config.seed, config.workers))
-        for name in names
+        (name, balance_test(data, name, fit, boot.b, boot.seed, boot.workers)) for name in names
     )
-    all_balanced = all(res.p_value >= config.alpha for _, res in balance)
+    all_balanced = all(res.p_value >= boot.alpha for _, res in balance)
     verdict = Verdict.POINT_IDENTIFIED if all_balanced else Verdict.DESIGN_SUSPECT
     return ProtocolOutcome(density=density, balance=balance, verdict=verdict)

@@ -18,9 +18,9 @@ from scipy import stats
 
 from ._bootstrap import (
     BOUNDS_STREAM,
+    BootstrapConfig,
     DensityFit,
     MeanFit,
-    check_bootstrap_config,
     drop_failed,
     run_replicates,
 )
@@ -33,8 +33,8 @@ from .bounds import (
     type3_bounds,
     type4_bounds,
 )
-from .errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange
-from .localfit import FitSpec, Side
+from .errors import InvalidInputs, InvalidOutcomeRange
+from .localfit import Side
 
 _BOUND_OPS = {
     TypeAssumption.TYPE2: type2_bounds,
@@ -47,20 +47,6 @@ _BOUND_OPS = {
 class RMode(enum.Enum):
     FIXED = "fixed"
     RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    b: int = 500
-    seed: int = 0
-    r_mode: RMode = RMode.FIXED
-    alpha: float = 0.05
-    workers: int = 1
-
-    def __post_init__(self):
-        check_bootstrap_config(self.b, self.seed)
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig(f"alpha must lie strictly in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -95,14 +81,13 @@ def bootstrap_boundary_replicates(
     Bandwidths are selected once on the full sample and frozen across
     replicates, so replicate variation reflects sampling noise only.
     """
+    fit = fit.resolved(data.xs, data.cutoff)
     point = estimate_boundary(data, fit)
-    bw = point.bandwidths
-
     fits = (
-        MeanFit(FitSpec(fit.mean_order, bw.mean_right, fit.kernel, Side.RIGHT), data.ys),
-        MeanFit(FitSpec(fit.mean_order, bw.mean_left, fit.kernel, Side.LEFT), data.ys),
-        DensityFit(FitSpec(fit.density_order, bw.dens_right, fit.kernel, Side.RIGHT)),
-        DensityFit(FitSpec(fit.density_order, bw.dens_left, fit.kernel, Side.LEFT)),
+        MeanFit(fit.mean_spec(Side.RIGHT), data.ys),
+        MeanFit(fit.mean_spec(Side.LEFT), data.ys),
+        DensityFit(fit.density_spec(Side.RIGHT)),
+        DensityFit(fit.density_spec(Side.LEFT)),
     )
     values, n_failed = run_replicates(
         data.xs, data.cutoff, fits, cfg.b, cfg.seed, (BOUNDS_STREAM,), cfg.workers
@@ -151,17 +136,19 @@ def bootstrap_bounds(
     assumption: TypeAssumption,
     cfg: BootstrapConfig,
     fit: FitConfig = FitConfig(),
+    r_mode: RMode = RMode.FIXED,
 ) -> BootstrapBounds:
     """Point interval plus bootstrap replicate intervals and endpoint SEs.
 
     Deterministic in (data, cfg, fit): replicate randomness is keyed by
     (seed, replicate index), and dropped replicates are counted (more than
-    10% failures raises TooManyFailedReplicates).
+    10% failures raises TooManyFailedReplicates). ``r_mode`` says whether
+    the replicates keep the full-sample density ratio or their own.
     """
     if data.y_low is None or data.y_high is None:
         raise InvalidOutcomeRange("bounds need a declared outcome range (y_low, y_high)")
     draws = bootstrap_boundary_replicates(data, cfg, fit)
-    return bounds_from_draws(draws, assumption, cfg.r_mode, data.y_low, data.y_high)
+    return bounds_from_draws(draws, assumption, r_mode, data.y_low, data.y_high)
 
 
 @dataclass(frozen=True)

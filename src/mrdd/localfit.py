@@ -39,7 +39,9 @@ from .errors import (
     SingularDesign,
 )
 
-MAX_ORDER = 4
+#: Highest polynomial order of any fit; Gelman & Imbens (2019) argue against
+#: higher orders in regression discontinuity designs.
+MAX_ORDER = 2
 #: Floor applied to non-positive density estimates; downstream ratios need f > 0.
 DENSITY_FLOOR = 1e-6
 #: Lower bound for rule-of-thumb bandwidths (guards zero-variance sides).
@@ -66,6 +68,12 @@ class Side(enum.Enum):
     INTERIOR = "interior"
 
 
+def check_order(order: int) -> None:
+    """Raise InvalidConfig unless ``order`` lies in [0, MAX_ORDER]."""
+    if not (0 <= order <= MAX_ORDER):
+        raise InvalidConfig(f"polynomial order must be in [0, {MAX_ORDER}], got {order}")
+
+
 @dataclass(frozen=True)
 class FitSpec:
     """Degree, bandwidth, kernel and side of one local fit."""
@@ -76,8 +84,7 @@ class FitSpec:
     side: Side = Side.INTERIOR
 
     def __post_init__(self):
-        if not (0 <= self.order <= MAX_ORDER):
-            raise InvalidConfig(f"polynomial order must be in [0, {MAX_ORDER}], got {self.order}")
+        check_order(self.order)
         if not (self.bandwidth > 0 and np.isfinite(self.bandwidth)):
             raise InvalidConfig(f"bandwidth must be positive and finite, got {self.bandwidth}")
 

@@ -484,21 +484,22 @@ def write_typed_csv(ts: TypedSample, path: str) -> None:
     ts._require_latents()
     data = ts.data
     d = data.d if data.d is not None else (data.xs >= data.cutoff).astype(float)
+
+    # whole columns as Python numbers; csv writes a float as its repr
+    def floats(values):
+        return np.asarray(values, dtype=float).tolist()
+
+    def ints(values):
+        return np.asarray(values).astype(int).tolist()
+
+    columns = (
+        floats(data.xs), floats(data.ys), ints(d), floats(ts.x_star), ints(ts.manipulated), ints(ts.t_type)
+    )
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TYPED_CSV_COLUMNS)
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    repr(float(data.xs[i])),
-                    repr(float(data.ys[i])),
-                    int(d[i]),
-                    repr(float(ts.x_star[i])),
-                    int(ts.manipulated[i]),
-                    int(ts.t_type[i]),
-                ]
-            )
+        writer.writerows(zip(*columns))
     os.replace(tmp, path)
 
 

@@ -1,7 +1,7 @@
 """The count-based bootstrap engine against per-row fits on every resample.
 
 The reference loop draws the same keyed indices and applies the per-row
-fits (``_boundary_from_arrays``, ``local_poly_fit``,
+fits (``estimate_boundary``, ``local_poly_fit``,
 ``boundary_density``) to ``xs[idx]``, with the discreteness
 heuristic off as resamples duplicate values by construction.
 """
@@ -18,6 +18,7 @@ from mrdd import (
     balance_test,
     bootstrap_boundary_replicates,
     density_discontinuity_test,
+    estimate_boundary,
 )
 from mrdd import _bootstrap, localfit
 from mrdd._bootstrap import (
@@ -29,7 +30,6 @@ from mrdd._bootstrap import (
     replicate_rng,
     run_replicates,
 )
-from mrdd.boundary import _boundary_from_arrays
 from mrdd.errors import DataError, TooManyFailedReplicates
 from mrdd.localfit import FitSpec, Side, boundary_density, local_poly_fit
 
@@ -66,6 +66,11 @@ def reference(n, stream, stat, width, b=B):
     return rows
 
 
+def boundary_stats(data, fit):
+    be = estimate_boundary(data, fit)
+    return be.mu_plus, be.mu_minus, be.f_plus, be.f_minus
+
+
 def ok_rows(values):
     return values[~np.isnan(values).any(axis=1)]
 
@@ -78,7 +83,7 @@ def assert_same(values, ref):
 
 def config(order, kernel):
     bw = Bandwidths(mean_left=H, mean_right=2 * H, dens_left=H, dens_right=H)
-    return FitConfig(mean_order=order, density_order=order, kernel=kernel, bandwidths=bw)
+    return FitConfig(order=order, kernel=kernel, bandwidths=bw)
 
 
 @pytest.mark.parametrize("kernel", list(KernelKind))
@@ -90,7 +95,7 @@ def test_engine_matches_per_row_fits(order, kernel):
     bw = fit.bandwidths
 
     draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=B, seed=SEED), fit)
-    ref = reference(n, (BOUNDS_STREAM,), lambda idx: _boundary_from_arrays(xs[idx], ys[idx], c, fit, bw)[:4], 4)
+    ref = reference(n, (BOUNDS_STREAM,), lambda idx: boundary_stats(Dataset(xs[idx], ys[idx], c), fit), 4)
     assert draws.n_failed == B - ok_rows(ref).shape[0]
     assert_same(draws.draws, ok_rows(ref))
 
@@ -150,9 +155,8 @@ SPARSE_FIT = FitConfig(bandwidths=Bandwidths(mean_left=2.0, mean_right=0.5, dens
 
 def sparse_reference(data, b):
     xs, ys = data.xs, data.ys
-    bw = SPARSE_FIT.bandwidths
     return reference(
-        data.n, (BOUNDS_STREAM,), lambda idx: _boundary_from_arrays(xs[idx], ys[idx], 0.0, SPARSE_FIT, bw)[:4], 4, b
+        data.n, (BOUNDS_STREAM,), lambda idx: boundary_stats(Dataset(xs[idx], ys[idx], 0.0), SPARSE_FIT), 4, b
     )
 
 

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,13 @@ import mrdd
 
 from mrdd import (
     AppendixDSpec,
+    FitConfig,
     FitSpec,
     KernelKind,
     Side,
     boundary_density,
+    density_discontinuity_test,
+    estimate_boundary,
     gen_appendix_d,
     gen_counterexample_e,
     gen_typed,
@@ -159,6 +162,50 @@ class TestAnalyze:
         path, _ = typed_file
         assert run_cli("analyze", path, "--y-min", "0", "--y-max", "1") == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--y-max", "1"),
+        ("--y-min", "0"),
+        ("--y-min", "0", "--y-max", "1", "--fuzzy"),
+        ("--y-min", "0", "--y-max", "1", "--boot", "10"),
+        ("--y-min", "0", "--y-max", "1", "--workers", "0"),
+    ])
+    def test_bad_flags_exit_2_before_ingest(self, tmp_path, capsys, flags):
+        # the input does not exist, so reading it would exit 3
+        missing = tmp_path / "missing.csv"
+        assert run_cli("analyze", str(missing), "--cutoff", "0", *flags) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+
+    def test_order_above_cap_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("cutoff = 0\ny_min = 0\ny_max = 1\norder = 3\n")
+        assert run_cli("analyze", str(missing), "--config", str(cfgfile)) == 2
+        assert "polynomial order" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("analyze", str(missing), "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--order", "3")
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("order,kernel", [(2, "epanechnikov"), (0, "uniform")])
+    def test_order_and_kernel_reach_every_fit(self, typed_file, tmp_path, order, kernel):
+        path, _ = typed_file
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--order", str(order), "--kernel", kernel, "--boot", "64", "--seed", "4",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        block = report["blocks"][0]
+        data = ingest(path, cutoff=0.0, y_low=0.0, y_high=1.0)
+        fit = FitConfig(order=order, kernel=KernelKind(kernel))
+        be = estimate_boundary(data, fit)
+        assert be.mu_plus != estimate_boundary(data).mu_plus  # not the default fit
+        assert (report["config"]["order"], report["config"]["kernel"], block["order"]) == (order, kernel, order)
+        assert block["bandwidths"] == asdict(be.bandwidths)
+        assert block["n_effective"] == asdict(be.n_effective)
+        assert [block[k] for k in ("mu_plus", "mu_minus", "f_plus", "f_minus")] == [
+            be.mu_plus, be.mu_minus, be.f_plus, be.f_minus,
+        ]
+        assert block["discontinuity_t"] == density_discontinuity_test(data, fit, b=64, seed=4).statistic
+
     def test_missing_file_exits_3(self):
         assert run_cli("analyze", "/nonexistent.csv", "--cutoff", "0",
                        "--y-min", "0", "--y-max", "1") == 3
@@ -238,8 +285,8 @@ class TestAnalyze:
 
         real_protocol = cli_mod.run_sequential_protocol
 
-        def nan_density_statistic(data, config):
-            outcome = real_protocol(data, config)
+        def nan_density_statistic(data, boot, fit, covariates=None):
+            outcome = real_protocol(data, boot, fit, covariates)
             return replace(outcome, density=replace(outcome.density, statistic=float("nan")))
 
         def reject(constant):

@@ -3,8 +3,8 @@ import pytest
 
 from mrdd import (
     AppendixDSpec,
+    BootstrapConfig,
     Dataset,
-    ProtocolConfig,
     Verdict,
     balance_test,
     density_discontinuity_test,
@@ -109,14 +109,14 @@ class TestSequentialProtocol:
     def test_manipulated_sample_uses_bounds(self):
         ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=1))
         data = with_covariates(ts, seed=2)
-        outcome = run_sequential_protocol(data, ProtocolConfig(b=64, seed=1))
+        outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=1))
         assert outcome.verdict is Verdict.USE_BOUNDS
         assert outcome.balance is None  # structurally skipped on rejection
 
     def test_clean_sample_point_identified(self):
         ts = gen_typed({0: 1.0}, n=50_000, seed=1)
         data = with_covariates(ts, seed=9)
-        outcome = run_sequential_protocol(data, ProtocolConfig(b=64, seed=1))
+        outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=1))
         assert outcome.verdict is Verdict.POINT_IDENTIFIED
         assert outcome.balance is not None
         assert all(res.p_value >= 0.05 for _, res in outcome.balance)
@@ -127,7 +127,7 @@ class TestSequentialProtocol:
         for s in range(100):
             ts = gen_typed({1: 1.0}, n=20_000, seed=s)
             data = with_covariates(ts, seed=7000 + s)
-            outcome = run_sequential_protocol(data, ProtocolConfig(b=64, seed=s))
+            outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=s))
             hits += outcome.verdict is Verdict.POINT_IDENTIFIED
         assert hits >= 80
 
@@ -136,14 +136,14 @@ class TestSequentialProtocol:
         # clean density, but wire in a covariate that jumps at the cutoff
         broken = ts.data.xs >= 0
         data = with_covariates(ts, seed=3, extra={"broken": broken.astype(float)})
-        outcome = run_sequential_protocol(data, ProtocolConfig(b=64, seed=8, covariates=("broken",)))
+        outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=8), covariates=("broken",))
         assert outcome.verdict is Verdict.DESIGN_SUSPECT
 
     def test_alpha_validation(self, appendix_d_small):
         for alpha in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(InvalidConfig):
                 run_sequential_protocol(
-                    appendix_d_small.data, ProtocolConfig(alpha=alpha, b=64, seed=0)
+                    appendix_d_small.data, BootstrapConfig(alpha=alpha, b=64, seed=0)
                 )
 
     def test_balance_presence_matches_density_outcome(self):
@@ -151,7 +151,7 @@ class TestSequentialProtocol:
         # structural invariant holds
         ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.3, n=20_000, seed=3))
         data = with_covariates(ts, seed=4)
-        cfg = ProtocolConfig(b=64, seed=3)
+        cfg = BootstrapConfig(b=64, seed=3)
         outcome = run_sequential_protocol(data, cfg)
         if outcome.density.p_value < cfg.alpha:
             assert outcome.balance is None

@@ -46,7 +46,8 @@ class TestBootstrapBounds:
         res = bootstrap_bounds(
             appendix_d_small.data,
             TypeAssumption.TYPE4,
-            BootstrapConfig(b=64, seed=2, r_mode=RMode.RANDOM),
+            BootstrapConfig(b=64, seed=2),
+            r_mode=RMode.RANDOM,
         )
         widths = res.replicates[:, 1] - res.replicates[:, 0]
         assert np.std(widths) > 0
@@ -119,7 +120,8 @@ class TestBootstrapBounds:
             bb = bootstrap_bounds(
                 ts.data,
                 TypeAssumption.TYPE2,
-                BootstrapConfig(b=200, seed=seed, r_mode=RMode.RANDOM),
+                BootstrapConfig(b=200, seed=seed),
+                r_mode=RMode.RANDOM,
             )
             ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
             covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrdd import (
+    FitConfig,
     FitSpec,
     KernelKind,
     Side,
@@ -100,6 +101,14 @@ class TestLocalPolyFit:
             FitSpec(order=5, bandwidth=1.0)
         with pytest.raises(InvalidConfig):
             FitSpec(order=1, bandwidth=0.0)
+
+    def test_order_cap_is_two(self):
+        FitSpec(order=2, bandwidth=1.0)
+        FitConfig(order=2)
+        with pytest.raises(InvalidConfig, match=r"\[0, 2\]"):
+            FitSpec(order=3, bandwidth=1.0)
+        with pytest.raises(InvalidConfig, match=r"\[0, 2\]"):
+            FitConfig(order=3)
 
 
 class TestBoundaryDensity:

@@ -4,6 +4,7 @@ from scipy import stats
 
 from mrdd import (
     AppendixDSpec,
+    Dataset,
     TypedParams,
     binary_sharp_gfuncs,
     brute_force_trimming,
@@ -287,6 +288,34 @@ class TestTypedCsvRoundTrip:
         assert np.array_equal(back.x_star, ts.x_star)
         assert np.array_equal(back.manipulated, ts.manipulated)
         assert np.array_equal(back.t_type, ts.t_type)
+
+    @pytest.mark.parametrize("with_d", [True, False])
+    def test_exact_text(self, tmp_path, with_d):
+        # floats keep their shortest round-trip repr, ints and bools become
+        # 0/1 digits, and without a treatment column d is x >= cutoff
+        data = Dataset(
+            xs=np.array([0.1 + 0.2, 5e-324, -0.0, 1e300, -1e300]),
+            ys=np.array([-0.0, 1e300, 0.1 + 0.2, 5e-324, 2.0]),
+            cutoff=0.0,
+            d=np.array([0.0, 0.0, 1.0, 0.0, 1.0]) if with_d else None,
+        )
+        ts = TypedSample(
+            data=data,
+            x_star=np.array([1e300, -0.0, 5e-324, 0.1 + 0.2, -7.5]),
+            manipulated=np.array([True, False, False, True, False]),
+            t_type=np.array([0, 1, 2, 3, 4], dtype=np.int8),
+        )
+        path = tmp_path / "awkward.csv"
+        write_typed_csv(ts, str(path))
+        d = ("0", "0", "1", "0", "1") if with_d else ("1", "1", "1", "1", "0")
+        assert path.read_bytes().decode() == (
+            "x,y,d,x_star,manipulated,t_type\r\n"
+            f"0.30000000000000004,-0.0,{d[0]},1e+300,1,0\r\n"
+            f"5e-324,1e+300,{d[1]},-0.0,0,1\r\n"
+            f"-0.0,0.30000000000000004,{d[2]},5e-324,0,2\r\n"
+            f"1e+300,5e-324,{d[3]},0.30000000000000004,1,3\r\n"
+            f"-1e+300,2.0,{d[4]},-7.5,0,4\r\n"
+        )
 
     def test_missing_latent_columns(self, tmp_path):
         path = tmp_path / "plain.csv"
