@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,57 +115,35 @@ def ingest(
     col_d: str | None = None,
     covariates: tuple[str, ...] = (),
 ) -> Dataset:
-    """Read a delimited text file with a header row into a Dataset.
+    """Read a comma-separated file with a header row into a Dataset.
 
-    Rows whose values fail to parse or are not finite (nan, inf) raise
-    ParseError with the 1-based line number. Requested optional columns
-    must exist.
+    The requested columns are parsed in one ``np.loadtxt`` call. If that
+    call fails or gives a value that is not finite, the file is read again
+    one record at a time, which either returns the same columns or raises
+    ParseError with the 1-based line number of the bad row. Requested
+    columns must exist in the header.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    xs: list[float] = []
-    ys: list[float] = []
-    ds: list[float] = []
-    covs: dict[str, list[float]] = {name: [] for name in covariates}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or ()
-        for col in (col_x, col_y, *( (col_d,) if col_d else () ), *covariates):
-            if col not in header:
-                raise MissingColumn(f"column {col!r} not found in {path} (header: {list(header)})")
-        for lineno, record in enumerate(reader, start=2):
-            try:
-                xs.append(float(record[col_x]))
-                ys.append(float(record[col_y]))
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"non-numeric running variable or outcome at line {lineno}", line=lineno
-                )
-            if col_d:
-                try:
-                    ds.append(float(record[col_d]))
-                except (TypeError, ValueError):
-                    raise ParseError(f"non-numeric treatment at line {lineno}", line=lineno)
-            for name in covariates:
-                try:
-                    covs[name].append(float(record[name]))
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"non-numeric covariate {name!r} at line {lineno}", line=lineno
-                    )
-    if not xs:
-        raise EmptyInput(f"{path} contains no data rows")
-    columns = {col_x: np.array(xs), col_y: np.array(ys)}
+    # each requested column once, with the words its ParseError uses
+    wanted: dict[str, str] = {}
+    for name in (col_x, col_y):
+        wanted.setdefault(name, "running variable or outcome")
     if col_d:
-        columns[col_d] = np.array(ds)
-    columns.update((name, np.array(vals)) for name, vals in covs.items())
-    for name, values in columns.items():
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            line = int(bad[0]) + 2
-            raise ParseError(
-                f"non-finite value {values[bad[0]]} in column {name!r} at line {line}", line=line
-            )
+        wanted.setdefault(col_d, "treatment")
+    for name in covariates:
+        wanted.setdefault(name, f"covariate {name!r}")
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        for col in wanted:
+            if col not in header:
+                raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
+        columns = _parse_columns(fh, header, list(wanted))
+        if columns is None:
+            fh.seek(0)
+            columns = _read_rows(fh, wanted)
+    if not columns[col_x].size:
+        raise EmptyInput(f"{path} contains no data rows")
     return Dataset(
         xs=columns[col_x],
         ys=columns[col_y],
@@ -174,6 +153,53 @@ def ingest(
         d=columns[col_d] if col_d else None,
         covariates={name: columns[name] for name in covariates},
     )
+
+
+def _parse_columns(fh, header: list[str], names: list[str]) -> dict[str, np.ndarray] | None:
+    """``names`` parsed from the rows left in ``fh``, or None if ``np.loadtxt``
+    fails on them or a value is not finite."""
+    # csv.DictReader maps a repeated header name to its last column
+    usecols = [len(header) - 1 - header[::-1].index(name) for name in names]
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported as EmptyInput instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    return dict(zip(names, np.ascontiguousarray(table.T)))
+
+
+def _read_rows(fh, wanted: dict[str, str]) -> dict[str, np.ndarray]:
+    """The ``wanted`` columns of the csv text ``fh``, parsed one record at a time.
+
+    ``wanted`` maps each column to the words its error message uses. A value
+    ``float`` rejects raises ParseError at once; a value that is not finite
+    raises it after every row has parsed. Either names the physical line
+    where the bad record ends, counting blank lines and quoted line breaks.
+    """
+    values: dict[str, list[float]] = {name: [] for name in wanted}
+    lines: list[int] = []
+    records = csv.DictReader(fh)
+    for record in records:
+        line = records.line_num
+        for name, what in wanted.items():
+            try:
+                values[name].append(float(record[name]))
+            except (TypeError, ValueError):
+                raise ParseError(f"non-numeric {what} at line {line}", line=line)
+        lines.append(line)
+    columns = {name: np.array(vals) for name, vals in values.items()}
+    for name, column in columns.items():
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            line = lines[bad[0]]
+            raise ParseError(
+                f"non-finite value {column[bad[0]]} in column {name!r} at line {line}", line=line
+            )
+    return columns
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -424,14 +450,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
     if pick(args.cutoff, "cutoff", None) is None:
         raise InvalidConfig("--cutoff is required (no inference from data)")
+    type_name = pick(args.type, "type", "type2")
     try:
-        assumption = TypeAssumption(pick(args.type, "type", "type2"))
+        assumption = TypeAssumption(type_name)
     except ValueError:
-        raise InvalidConfig(f"unknown assumption type {args.type!r}")
+        raise InvalidConfig(f"unknown assumption type {type_name!r}")
+    kernel_name = pick(args.kernel, "kernel", "triangular")
     try:
-        kernel = KernelKind(pick(args.kernel, "kernel", "triangular"))
+        kernel = KernelKind(kernel_name)
     except ValueError:
-        raise InvalidConfig(f"unknown kernel {args.kernel!r}")
+        raise InvalidConfig(f"unknown kernel {kernel_name!r}")
     bandwidths = Bandwidths(
         **given(
             mean_left="bw_mean_left",

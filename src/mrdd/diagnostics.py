@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._bootstrap import (
     BALANCE_TEST_STREAM,
@@ -61,7 +61,7 @@ class ProtocolOutcome:
 
 
 def _two_sided_p(t: float) -> float:
-    return float(2.0 * stats.norm.sf(abs(t)))
+    return float(2.0 * special.ndtr(-abs(t)))
 
 
 def _bootstrap_jump_test(data, point, fits, boot: BootstrapConfig, stream):

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._bootstrap import (
     BOUNDS_STREAM,
@@ -183,8 +183,8 @@ def imbens_manski_ci(
         raise InvalidInputs("standard errors must be finite and nonnegative")
     if not (lower_hat <= upper_hat):
         raise InvalidInputs(f"need lower_hat <= upper_hat, got [{lower_hat}, {upper_hat}]")
-    z_one = float(stats.norm.ppf(1.0 - alpha))
-    z_two = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z_one = float(special.ndtri(1.0 - alpha))
+    z_two = float(special.ndtri(1.0 - alpha / 2.0))
     se_max = max(se_lower, se_upper)
     if se_max == 0.0:
         c_bar = z_one if upper_hat > lower_hat else z_two
@@ -192,7 +192,7 @@ def imbens_manski_ci(
     width_ratio = (upper_hat - lower_hat) / se_max
 
     def gap(c):
-        return stats.norm.cdf(c + width_ratio) - stats.norm.cdf(-c) - (1.0 - alpha)
+        return special.ndtr(c + width_ratio) - special.ndtr(-c) - (1.0 - alpha)
 
     lo_c, hi_c = z_one, z_two
     if gap(lo_c) >= 0.0:

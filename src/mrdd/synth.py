@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
 
 from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
 from .bounds import sharp_type2_bounds, type2_bounds
@@ -47,7 +47,13 @@ TYPED_CSV_COLUMNS = ("x", "y", "d", "x_star", "manipulated", "t_type")
 
 def _mu_d(x, d):
     """Success probability of the binary outcome given the latent score."""
-    return stats.norm.cdf(np.asarray(x) - (0.5 if d == 1 else 1.0))
+    return special.ndtr(np.asarray(x) - (0.5 if d == 1 else 1.0))
+
+
+def _norm_pdf(x):
+    """Standard normal density, the closed form ``scipy.stats.norm.pdf`` evaluates."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -142,9 +148,10 @@ def gen_appendix_d(spec: AppendixDSpec) -> TypedSample:
 
 def _tail_integral(d: int) -> float:
     """2 * integral of mu_d(x) phi(x) over (-inf, 0), by adaptive quadrature."""
-    val, _ = integrate.quad(
-        lambda x: _mu_d(x, d) * stats.norm.pdf(x), -8.0, 0.0, epsabs=1e-8
-    )
+    # imported here so that only the oracle pays for scipy.integrate
+    from scipy import integrate
+
+    val, _ = integrate.quad(lambda x: _mu_d(x, d) * _norm_pdf(x), -8.0, 0.0, epsabs=1e-8)
     return 2.0 * val
 
 
@@ -163,7 +170,7 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
         raise InvalidParams(f"p must lie in [0, 1), got {p}")
     if not (lam > 0):
         raise InvalidParams(f"lam must be positive, got {lam}")
-    phi0 = float(stats.norm.pdf(0.0))
+    phi0 = float(_norm_pdf(0.0))
     f_minus = (1.0 - p) * phi0
     f_plus = phi0 + 0.5 * lam * p
     r = f_minus / f_plus

@@ -2,13 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import mrdd
+from mrdd import cli
 
 from mrdd import (
     AppendixDSpec,
@@ -40,6 +46,42 @@ def typed_file(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# awkward CSV fields: what float() and np.loadtxt read alike, and what only one reads
+AWKWARD_TOKENS = [
+    "0", "1", "-0.0", "0.5", "-2.25", "1e5", "5e-324", "1e308", "+1", ".5", "5.", "1e",
+    "1_5", " 2.5 ", '" 2.5 "', '"3"', '"1,5"', '"1"2', '"4\n"', '"a\nb"', '""', '"',
+    "inf", "-inf", "nan", "NaN", "Infinity", "0x10", "", "  ", "foo", "\u0661", " \"1\"",
+]
+HEADERS = ["x,y", "x,y,d,c", "y,x,c,d", "x,x,y,c,d", "c,d,y,x,x", "x", "x,c", "y,d,x,c,extra"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text over AWKWARD_TOKENS: ragged rows, blank lines, CRLF, maybe no rows."""
+    field = st.one_of(
+        st.sampled_from(AWKWARD_TOKENS),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    row = st.lists(field, min_size=0, max_size=6).map(",".join)
+    rows = draw(st.lists(row, max_size=8))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([draw(st.sampled_from(HEADERS)), *rows])
+    return text + eol if draw(st.booleans()) else text
+
+
+def ingest_outcome(path, kwargs):
+    try:
+        return ingest(path, cutoff=0.0, **kwargs)
+    except Exception as err:  # the reference's exception is the expected outcome
+        return err
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestIngest:
@@ -77,6 +119,14 @@ class TestIngest:
         with pytest.raises(EmptyInput):
             ingest(str(path), cutoff=0.0)
 
+    def test_header_only_file_warns_nothing(self, tmp_path, capfd):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("plotdata", str(path), "--cutoff", "0", "--out", str(tmp_path / "o.csv")) == 3
+        assert capfd.readouterr().err == f"data error: {path} contains no data rows\n"
+
     def test_round_trip_preserves_columns(self, typed_file):
         path, ts = typed_file
         data = ingest(path, cutoff=0.0, col_d="d")
@@ -88,6 +138,55 @@ class TestIngest:
         path, ts = typed_file
         data = ingest(path, cutoff=0.0, covariates=("x_star",))
         assert np.array_equal(data.covariates["x_star"], ts.x_star)
+
+    @pytest.mark.parametrize("text,line", [
+        ("x,y\n1,0\n\nfoo,1\n", 4),
+        ("x,y\n1,0\n\n2,nan\n", 4),
+        ('x,y,note\n1,0,"a\nb"\n\n2,1,c\nfoo,1,d\n', 6),
+        ('x,y,note\n1,0,"a\nb"\n\n2,1,c\ninf,1,d\n', 6),
+    ])
+    def test_parse_error_line_counts_blank_and_quoted_lines(self, tmp_path, text, line):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            ingest(str(path), cutoff=0.0)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).endswith(f"at line {line}")
+
+    def test_column_reader_needs_no_row_reader(self, tmp_path):
+        # CRLF endings, blank lines, quoted and padded fields, a ragged
+        # unrequested column and a repeated header name (last one wins)
+        path = tmp_path / "d.csv"
+        path.write_text('y,x,c,x,note\r\n1,9,0.5,"-0.25",a\r\n\r\n0, 9 ,-0.0, 5e-324 \r\n1,9,2,3\r\n',
+                        newline="")
+        with mock.patch.object(cli, "_read_rows", side_effect=AssertionError("row reader ran")):
+            data = ingest(str(path), cutoff=0.0, covariates=("c",))
+        assert data.xs.tolist() == [-0.25, 5e-324, 3.0]
+        assert data.ys.tolist() == [1.0, 0.0, 1.0]
+        assert data.covariates["c"].tobytes() == np.array([0.5, -0.0, 2.0]).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), d=st.booleans(), cov=st.booleans())
+    def test_column_reader_matches_row_reader(self, text, d, cov):
+        kwargs = {"col_d": "d" if d else None, "covariates": ("c",) if cov else ()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            with mock.patch.object(cli, "_parse_columns", return_value=None):
+                expected = ingest_outcome(path, kwargs)
+            got = ingest_outcome(path, kwargs)
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected)
+            assert getattr(got, "line", None) == getattr(expected, "line", None)
+            assert str(got) == str(expected)
+        else:
+            assert isinstance(got, mrdd.Dataset)
+            for name in ("xs", "ys", "d"):
+                assert same_bits(getattr(got, name), getattr(expected, name)), name
+            assert got.covariates.keys() == expected.covariates.keys()
+            for name, column in expected.covariates.items():
+                assert same_bits(got.covariates[name], column), name
 
 
 class TestAnalyze:
@@ -335,6 +434,15 @@ class TestAnalyze:
         cfgfile.write_text("cutof = 0\n")
         assert run_cli("analyze", path, "--config", str(cfgfile)) == 2
 
+    @pytest.mark.parametrize("line,named", [("kernel = gaussian", "'gaussian'"), ("type = type9", "'type9'")])
+    def test_bad_config_value_named_in_error(self, tmp_path, capsys, line, named):
+        missing = tmp_path / "missing.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"cutoff = 0\ny_min = 0\ny_max = 1\n{line}\n")
+        assert run_cli("analyze", str(missing), "--config", str(cfgfile)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
+
     @pytest.mark.parametrize("line", ["r_mode = random", "bin_width = 0.01"])
     def test_removed_config_keys_exit_2(self, typed_file, tmp_path, capsys, line):
         path, _ = typed_file
@@ -516,3 +624,99 @@ class TestPlotdata:
         n_below, n_above = int(below[2]), int(above[2])
         se = np.sqrt(n_below + n_above)
         assert abs(n_above - n_below) < 3 * se
+
+
+def usually(value, others):
+    """A strategy that draws ``value`` about half the time and one of ``others`` otherwise,
+    so that some runs get as far as a result."""
+    return st.just(value) | st.sampled_from(others)
+
+
+@st.composite
+def adversarial_samples(draw):
+    """CSV text of a small sample with ties, heavy tails, extreme scales,
+    one-sided support or a bad cell, and its number of data rows."""
+    n = draw(usually(300, [0, 1, 4, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(usually("normal", ["ties", "right-only", "cauchy", "tiny", "huge"]))
+    xs = {
+        "normal": lambda: rng.normal(size=n),
+        "ties": lambda: np.round(rng.normal(size=n), 1),
+        "right-only": lambda: np.abs(rng.normal(size=n)),
+        "cauchy": lambda: rng.standard_cauchy(size=n),
+        "tiny": lambda: 1e-9 * rng.normal(size=n),
+        "huge": lambda: 1e200 * rng.normal(size=n),
+    }[shape]()
+    ys = {
+        "binary": lambda: (rng.uniform(size=n) < 0.5).astype(float),
+        "uniform": lambda: rng.uniform(size=n),
+        "constant": lambda: np.ones(n),
+    }[draw(st.sampled_from(["binary", "uniform", "constant"]))]()
+    d = (xs >= 0).astype(float)
+    c = rng.normal(size=n)
+    rows = [[repr(v) for v in row] for row in zip(xs.tolist(), ys.tolist(), d.tolist(), c.tolist())]
+    if rows and draw(st.integers(0, 3)) == 0:
+        cell = draw(st.sampled_from(["nan", "inf", "", "1_5", "0.5", "foo", '"2"']))
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 3))] = cell
+    return "x,y,d,c\n" + "".join(",".join(row) + "\n" for row in rows), n
+
+
+CUTOFFS = ["0.5", "-1", "1e-12", "1e300", "-1e300", "nan", "inf"]
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestContract:
+    """Adversarial inputs and flags through ``main``: exit 0, 2 or 3, and a
+    success always comes with a valid output."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        sample=adversarial_samples(),
+        cutoff=usually("0", CUTOFFS),
+        y_range=usually(("0", "1"), [("-1e308", "1e308"), ("0.25", "0.75"), ("1", "0")]),
+        extra=st.just([]) | st.lists(st.sampled_from([
+            ("--order", "0"), ("--order", "2"), ("--kernel", "uniform"), ("--kernel", "epanechnikov"),
+            ("--type", "type4"), ("--alpha", "0.999"), ("--alpha", "1e-12"), ("--alpha", "nan"),
+            ("--bw-mean-left", "1e-12"), ("--bw-mean-right", "1e300"), ("--bw-dens-left=-1",),
+            ("--bw-dens-right", "nan"), ("--bw-mean-left", "inf"), ("--seed=-1",), ("--boot", "49"),
+            ("--sharp",), ("--fuzzy", "--col-d", "d"), ("--col-d", "d"), ("--covariate", "c"),
+            ("--covariate", "nope"),
+        ]), max_size=2),
+    )
+    def test_analyze_exits_0_2_or_3(self, sample, cutoff, y_range, extra):
+        text, _ = sample
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "s.csv"), os.path.join(tmp, "r.json")
+            Path(path).write_text(text)
+            flags = [flag for pair in extra for flag in pair]
+            code = main(["analyze", path, f"--cutoff={cutoff}", f"--y-min={y_range[0]}", f"--y-max={y_range[1]}",
+                         "--boot", "50", *flags, "--out", out])
+            event(f"exit {code}")
+            assert code in (0, 2, 3)
+            if code == 0:
+                report = strict_json(Path(out).read_text())
+                assert report["blocks"][0]["order"] in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        sample=adversarial_samples(),
+        cutoff=usually("0", CUTOFFS),
+        width=usually("0.05", ["0.5", "1e-300", "1e300", "-1", "nan", "inf"]),
+    )
+    def test_plotdata_exits_0_2_or_3(self, sample, cutoff, width):
+        text, n = sample
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "s.csv"), os.path.join(tmp, "bins.csv")
+            Path(path).write_text(text)
+            code = main(["plotdata", path, f"--cutoff={cutoff}", f"--bin-width={width}", "--out", out])
+            event(f"exit {code}")
+            assert code in (0, 2, 3)
+            if code == 0:
+                rows = Path(out).read_text().splitlines()[1:]
+                assert sum(int(row.split(",")[2]) for row in rows) == n
