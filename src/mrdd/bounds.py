@@ -1,7 +1,9 @@
 """Partial-identification bounds for the cutoff treatment effect.
 
 The crude interval operations (``type2_bounds`` through ``mixed_bounds``)
-need only the five boundary statistics and the outcome range. The sharp
+need only the five boundary statistics and the outcome range; they all
+evaluate ``crude_interval``, which also takes arrays, so a bootstrap's
+replicates go through the same formulas in one call. The sharp
 variant for the one-sided precise manipulation model additionally trims the
 right-boundary outcome distribution and scans the counterfactual density
 value z over [f_minus, f_plus]. Fuzzy designs and covariate intersection
@@ -110,27 +112,18 @@ def _check_range(y_low: float, y_high: float) -> None:
         raise InvalidOutcomeRange(f"y_low {y_low} > y_high {y_high}")
 
 
-def _effective_r(r: float):
-    """Clamp r into (0, 1] for formula evaluation; flag refutation beyond tolerance."""
+def _refutation(r: float) -> tuple[BoundsStatus, str | None]:
+    """Refuted, with a note, when the density ratio r exceeds one beyond
+    tolerance; Informative otherwise."""
     if r <= 0:
         raise InvalidConfig(f"density ratio must be positive, got {r}")
-    refuted = r > 1.0 + R_REFUTATION_TOLERANCE
-    note = None
-    if refuted:
-        note = (
+    if r > 1.0 + R_REFUTATION_TOLERANCE:
+        return BoundsStatus.REFUTED, (
             f"estimated density ratio r={r:.4f} exceeds 1 beyond tolerance "
             f"{R_REFUTATION_TOLERANCE}; the one-sided sorting restriction "
             "f(c-) <= f(c+) looks violated"
         )
-    return min(r, 1.0), refuted, note
-
-
-def _crude_branches(mu_p, mu_m, r, y_low, y_high):
-    l1 = (mu_p - y_high) - r * (mu_m - y_high)
-    l2 = (mu_p - y_high) / r - (mu_m - y_high)
-    u1 = (mu_p - y_low) - r * (mu_m - y_low)
-    u2 = (mu_p - y_low) / r - (mu_m - y_low)
-    return l1, l2, u1, u2
+    return BoundsStatus.INFORMATIVE, None
 
 
 def clamp_interval(lower: float, upper: float, y_low: float, y_high: float):
@@ -146,26 +139,58 @@ def clamp_interval(lower: float, upper: float, y_low: float, y_high: float):
 
 
 def _snap_degenerate(lower, upper, y_low, y_high):
-    """Collapse floating-point-level crossings (exact at r = 1 algebraically)."""
+    """Collapse floating-point-level crossings (exact at r = 1 algebraically), elementwise."""
     scale = max(1.0, abs(y_low), abs(y_high))
-    if upper < lower <= upper + 1e-9 * scale:
+    crossed = (upper < lower) & (lower <= upper + 1e-9 * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
         mid = 0.5 * (lower + upper)
-        return mid, mid
-    return lower, upper
+    return np.where(crossed, mid, lower), np.where(crossed, mid, upper)
 
 
-def _crude_result(be, y_low, y_high, assumption, pick):
+def crude_interval(mu_plus, mu_minus, r, y_low: float, y_high: float, assumption: TypeAssumption):
+    """The crude interval's (lower, upper) under ``assumption``, elementwise.
+
+    ``mu_plus``, ``mu_minus`` and the density ratio ``r`` may be scalars or
+    arrays of one shape; r above one is evaluated at one. Branch 1 scales
+    the left mean by r, branch 2 the right one by 1/r:
+
+        l1 = (mu+ - yU) - r (mu- - yU)      l2 = (mu+ - yU)/r - (mu- - yU)
+
+    and u1, u2 likewise with yL. Type 3 takes branch 1, type 4 branch 2,
+    and type 2 and the mixture the hull [min(l1, l2), max(u1, u2)], with
+    Python's ``min``/``max`` tie rules.
+    """
     _check_range(y_low, y_high)
-    r, refuted, note = _effective_r(be.r)
-    l1, l2, u1, u2 = _crude_branches(be.mu_plus, be.mu_minus, r, y_low, y_high)
-    lower, upper = pick(l1, l2, u1, u2)
-    lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
+    if np.any(r <= 0):
+        raise InvalidConfig(f"density ratio must be positive, got {np.min(r)}")
+    r = np.where(1.0 < r, 1.0, r)
+    # overflow to inf and inf - inf = nan pass silently, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        l1 = (mu_plus - y_high) - r * (mu_minus - y_high)
+        l2 = (mu_plus - y_high) / r - (mu_minus - y_high)
+        u1 = (mu_plus - y_low) - r * (mu_minus - y_low)
+        u2 = (mu_plus - y_low) / r - (mu_minus - y_low)
+    if assumption is TypeAssumption.TYPE3:
+        lower, upper = l1, u1
+    elif assumption is TypeAssumption.TYPE4:
+        lower, upper = l2, u2
+    else:
+        lower, upper = np.where(l2 < l1, l2, l1), np.where(u2 > u1, u2, u1)
+    return _snap_degenerate(lower, upper, y_low, y_high)
+
+
+def crude_bounds(
+    be: BoundaryEstimates, y_low: float, y_high: float, assumption: TypeAssumption
+) -> BoundsResult:
+    """``crude_interval`` at the boundary estimates, with target and status."""
+    lower, upper = crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, assumption)
+    status, note = _refutation(be.r)
     return BoundsResult(
         lower=float(lower),
         upper=float(upper),
         target=TARGET_LABELS[assumption],
         assumption=assumption,
-        status=BoundsStatus.REFUTED if refuted else BoundsStatus.INFORMATIVE,
+        status=status,
         note=note,
     )
 
@@ -177,10 +202,7 @@ def type2_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsRe
     lower = min{(mu+ - yU) - r (mu- - yU), (mu+ - yU)/r - (mu- - yU)} and the
     symmetric max for the upper end with yL in place of yU.
     """
-    return _crude_result(
-        be, y_low, y_high, TypeAssumption.TYPE2,
-        lambda l1, l2, u1, u2: (min(l1, l2), max(u1, u2)),
-    )
+    return crude_bounds(be, y_low, y_high, TypeAssumption.TYPE2)
 
 
 def type3_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
@@ -189,10 +211,7 @@ def type3_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsRe
 
     Width identity: (1 - r) * (y_high - y_low).
     """
-    return _crude_result(
-        be, y_low, y_high, TypeAssumption.TYPE3,
-        lambda l1, l2, u1, u2: (l1, u1),
-    )
+    return crude_bounds(be, y_low, y_high, TypeAssumption.TYPE3)
 
 
 def type4_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
@@ -201,10 +220,7 @@ def type4_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsRe
 
     Width identity: (1/r - 1) * (y_high - y_low).
     """
-    return _crude_result(
-        be, y_low, y_high, TypeAssumption.TYPE4,
-        lambda l1, l2, u1, u2: (l2, u2),
-    )
+    return crude_bounds(be, y_low, y_high, TypeAssumption.TYPE4)
 
 
 def mixed_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
@@ -212,10 +228,7 @@ def mixed_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsRe
 
     Numerically identical to ``type2_bounds``; only the target label differs.
     """
-    return _crude_result(
-        be, y_low, y_high, TypeAssumption.MIXED,
-        lambda l1, l2, u1, u2: (min(l1, l2), max(u1, u2)),
-    )
+    return crude_bounds(be, y_low, y_high, TypeAssumption.MIXED)
 
 
 def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:
@@ -321,7 +334,7 @@ def sharp_type2_bounds(
     if not np.any(weights > 0):
         raise EmptyWindow("window carries no positive weight")
 
-    _, refuted, note = _effective_r(be.r)
+    status, note = _refutation(be.r)
     f_plus = be.f_plus
     f_minus = min(be.f_minus, f_plus)  # r clamped into [0, 1] for the scan
     z = np.linspace(f_minus, f_plus, grid_size)
@@ -330,15 +343,13 @@ def sharp_type2_bounds(
     g_low, g_high = weighted_trimmed_means(ys, weights, tau, y_low, y_high)
     theta_low = (f_plus / z) * (be.mu_plus - g_high) - (f_minus / z) * (be.mu_minus - y_high) + (g_high - y_high)
     theta_high = (f_plus / z) * (be.mu_plus - g_low) - (f_minus / z) * (be.mu_minus - y_low) + (g_low - y_low)
-    lower = float(theta_low.min())
-    upper = float(theta_high.max())
-    lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
+    lower, upper = _snap_degenerate(theta_low.min(), theta_high.max(), y_low, y_high)
     result = BoundsResult(
-        lower=lower,
-        upper=upper,
+        lower=float(lower),
+        upper=float(upper),
         target=TARGET_LABELS[TypeAssumption.TYPE2],
         assumption=TypeAssumption.TYPE2,
-        status=BoundsStatus.REFUTED if refuted else BoundsStatus.INFORMATIVE,
+        status=status,
         note=note,
     )
     curve = TrimmingCurve(
@@ -377,14 +388,7 @@ def fuzzy_bounds(fi: FuzzyInputs, y_low: float, y_high: float) -> BoundsResult:
         )
     lower = min(r_y_low / r_d_low, r_y_low / r_d_high)
     upper = max(r_y_high / r_d_low, r_y_high / r_d_high)
-    status = BoundsStatus.INFORMATIVE
-    note = None
-    if be.r > 1.0 + R_REFUTATION_TOLERANCE:
-        status = BoundsStatus.REFUTED
-        note = (
-            f"estimated density ratio r={be.r:.4f} exceeds 1 beyond tolerance "
-            f"{R_REFUTATION_TOLERANCE}"
-        )
+    status, note = _refutation(be.r)
     return BoundsResult(
         lower=float(lower),
         upper=float(upper),

@@ -101,6 +101,10 @@ class RunConfig:
             raise InvalidConfig("cutoff must be finite")
         if self.y_low is None or self.y_high is None:
             raise InvalidConfig("analyze needs --y-min and --y-max to compute bounds")
+        if not (np.isfinite(self.y_low) and np.isfinite(self.y_high)):
+            raise InvalidConfig("--y-min and --y-max must be finite")
+        if self.y_low > self.y_high:
+            raise InvalidConfig(f"--y-min {self.y_low} is above --y-max {self.y_high}")
         if self.fuzzy and self.col_d is None:
             raise InvalidConfig("--fuzzy needs a treatment column (--col-d)")
 
@@ -121,7 +125,8 @@ def ingest(
     call fails or gives a value that is not finite, the file is read again
     one record at a time, which either returns the same columns or raises
     ParseError with the 1-based line number of the bad row. Requested
-    columns must exist in the header.
+    columns must exist in the header. A byte the file's encoding cannot
+    decode raises DataError naming the file.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -134,14 +139,18 @@ def ingest(
     for name in covariates:
         wanted.setdefault(name, f"covariate {name!r}")
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-        for col in wanted:
-            if col not in header:
-                raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
-        columns = _parse_columns(fh, header, list(wanted))
-        if columns is None:
-            fh.seek(0)
-            columns = _read_rows(fh, wanted)
+        try:
+            header = next(csv.reader(fh), [])
+            for col in wanted:
+                if col not in header:
+                    raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
+            columns = _parse_columns(fh, header, list(wanted))
+            if columns is None:
+                fh.seek(0)
+                columns = _read_rows(fh, wanted)
+        except UnicodeDecodeError as err:
+            bad = err.object[err.start : err.end]
+            raise DataError(f"{path} is not {fh.encoding} text: cannot decode byte {bad!r}") from None
     if not columns[col_x].size:
         raise EmptyInput(f"{path} contains no data rows")
     return Dataset(
@@ -364,7 +373,10 @@ def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise InvalidConfig(f"config file {path} not found")
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise InvalidConfig(f"config file {path} is not {fh.encoding} text") from None
     if path.endswith(".json"):
         try:
             loaded = json.loads(text)
@@ -513,8 +525,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 shares[int(label)] = float(weight)
             except ValueError:
                 raise InvalidConfig(f"cannot parse --share {chunk!r}; expected T=WEIGHT")
-        params = synth.TypedParams(attempt_prob=args.attempt_prob)
-        ts = synth.gen_typed(shares, params, n=args.n, seed=args.seed)
+        ts = synth.gen_typed(shares, n=args.n, seed=args.seed, attempt_prob=args.attempt_prob)
     else:
         raise UnknownDgp(f"unknown DGP {name!r}; choose appendix-d, counterexample-e or typed")
     synth.write_typed_csv(ts, args.out)

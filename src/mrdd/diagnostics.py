@@ -21,7 +21,6 @@ from scipy import special
 
 from ._bootstrap import (
     BALANCE_TEST_STREAM,
-    DEFAULT_B,
     DENSITY_TEST_STREAM,
     BootstrapConfig,
     DensityFit,
@@ -88,20 +87,17 @@ def _bootstrap_jump_test(data, point, fits, boot: BootstrapConfig, stream):
 
 def density_discontinuity_test(
     data: Dataset,
-    config: FitConfig = FitConfig(),
-    b: int = DEFAULT_B,
-    seed: int = 0,
-    workers: int = 1,
+    fit: FitConfig = FitConfig(),
+    boot: BootstrapConfig = BootstrapConfig(),
 ) -> TestResult:
     """Two-sided test of a density jump at the cutoff.
 
     The statistic is (f_plus - f_minus) / SE with SE the bootstrap standard
-    deviation of the estimated jump over ``b`` row resamples; the p-value
-    uses the standard normal reference.
+    deviation of the estimated jump over ``boot.b`` row resamples; the
+    p-value uses the standard normal reference.
     """
-    boot = BootstrapConfig(b=b, seed=seed, workers=workers)
     c = data.cutoff
-    fit = config.resolved(data.xs, c)
+    fit = fit.resolved(data.xs, c)
     spec_l, spec_r = fit.density_spec(Side.LEFT), fit.density_spec(Side.RIGHT)
     # the discreteness heuristic applies to the raw sample only; bootstrap
     # resamples duplicate values by construction
@@ -115,19 +111,16 @@ def density_discontinuity_test(
 def balance_test(
     data: Dataset,
     covariate: str,
-    config: FitConfig = FitConfig(),
-    b: int = DEFAULT_B,
-    seed: int = 0,
-    workers: int = 1,
+    fit: FitConfig = FitConfig(),
+    boot: BootstrapConfig = BootstrapConfig(),
 ) -> TestResult:
     """Two-sided test of a jump in a pre-determined covariate's boundary mean."""
-    boot = BootstrapConfig(b=b, seed=seed, workers=workers)
     if covariate not in data.covariates:
         raise UnknownCovariate(
             f"covariate {covariate!r} not present; have {sorted(data.covariates)}"
         )
     c = data.cutoff
-    fit = config.resolved(data.xs, c)
+    fit = fit.resolved(data.xs, c)
     spec_l, spec_r = fit.mean_spec(Side.LEFT), fit.mean_spec(Side.RIGHT)
     ws = data.covariates[covariate]
     cov_index = sorted(data.covariates).index(covariate)
@@ -154,13 +147,11 @@ def run_sequential_protocol(
     None. Rule-of-thumb bandwidths are computed once and shared by every test.
     """
     fit = fit.resolved(data.xs, data.cutoff)
-    density = density_discontinuity_test(data, fit, boot.b, boot.seed, boot.workers)
+    density = density_discontinuity_test(data, fit, boot)
     if density.p_value < boot.alpha:
         return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
     names = covariates if covariates is not None else tuple(sorted(data.covariates))
-    balance = tuple(
-        (name, balance_test(data, name, fit, boot.b, boot.seed, boot.workers)) for name in names
-    )
+    balance = tuple((name, balance_test(data, name, fit, boot)) for name in names)
     all_balanced = all(res.p_value >= boot.alpha for _, res in balance)
     verdict = Verdict.POINT_IDENTIFIED if all_balanced else Verdict.DESIGN_SUSPECT
     return ProtocolOutcome(density=density, balance=balance, verdict=verdict)

@@ -11,7 +11,7 @@ interpolates between the one-sided and two-sided normal quantiles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -25,23 +25,9 @@ from ._bootstrap import (
     run_replicates,
 )
 from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
-from .bounds import (
-    BoundsResult,
-    TypeAssumption,
-    mixed_bounds,
-    type2_bounds,
-    type3_bounds,
-    type4_bounds,
-)
+from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, InvalidOutcomeRange
 from .localfit import Side
-
-_BOUND_OPS = {
-    TypeAssumption.TYPE2: type2_bounds,
-    TypeAssumption.TYPE3: type3_bounds,
-    TypeAssumption.TYPE4: type4_bounds,
-    TypeAssumption.MIXED: mixed_bounds,
-}
 
 
 class RMode(enum.Enum):
@@ -103,23 +89,16 @@ def bounds_from_draws(
     y_low: float,
     y_high: float,
 ) -> BootstrapBounds:
-    """Evaluate the requested interval on the point estimate and every draw."""
-    op = _BOUND_OPS[assumption]
-    point = op(draws.point, y_low, y_high)
-    reps = np.empty((draws.draws.shape[0], 2))
-    for i, (mu_p, mu_m, f_p, f_m) in enumerate(draws.draws):
-        if r_mode is RMode.FIXED:
-            f_p, f_m = draws.point.f_plus, draws.point.f_minus
-        be = replace(
-            draws.point,
-            mu_plus=float(mu_p),
-            mu_minus=float(mu_m),
-            f_plus=float(f_p),
-            f_minus=float(f_m),
-            r=float(f_m / f_p),
-        )
-        res = op(be, y_low, y_high)
-        reps[i] = (res.lower, res.upper)
+    """Evaluate the requested interval on the point estimate and every draw.
+
+    The draws go through ``crude_interval`` as columns, in one call; in
+    fixed mode every row keeps the point's density ratio.
+    """
+    point = crude_bounds(draws.point, y_low, y_high, assumption)
+    mu_plus, mu_minus, f_plus, f_minus = draws.draws.T
+    if r_mode is RMode.FIXED:
+        f_plus, f_minus = draws.point.f_plus, draws.point.f_minus
+    reps = np.column_stack(crude_interval(mu_plus, mu_minus, f_minus / f_plus, y_low, y_high, assumption))
     se_lower = float(np.std(reps[:, 0], ddof=1))
     se_upper = float(np.std(reps[:, 1], ddof=1))
     return BootstrapBounds(

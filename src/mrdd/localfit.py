@@ -333,5 +333,10 @@ def rot_bandwidth(xs, side: Side, cutoff: float) -> float:
             f"need at least 2 observations on side {side.value!r}, got {sub.size}",
             side=side.value,
         )
-    bw = 1.06 * float(np.std(sub, ddof=1)) * sub.size ** (-0.2)
+    # the sd of x / 2**floor(log2(max|x|)), scaled back: a power-of-two
+    # scale is exact, so the bits are those of np.std(x), but the squares
+    # cannot overflow on |x| near the float limit
+    scale = np.ldexp(1.0, np.frexp(np.abs(sub).max())[1] - 1)
+    sd = float(np.std(sub / scale, ddof=1)) * scale
+    bw = 1.06 * sd * sub.size ** (-0.2)
     return max(bw, MIN_BANDWIDTH)

@@ -41,6 +41,10 @@ from .errors import (
 CUTOFF = 0.0
 #: Enforced minimum manipulation distance |x - x_star| for typed generators.
 MIN_JUMP = 0.1
+#: Landing rate of the typed generator's precise types (2 and 4).
+EXP_RATE = 1.0
+#: Gamma(2, scale) spread of the typed generator's imprecise types (1 and 3).
+NOISE_SCALE = 0.25
 
 TYPED_CSV_COLUMNS = ("x", "y", "d", "x_star", "manipulated", "t_type")
 
@@ -237,40 +241,17 @@ def gen_counterexample_e(n: int, seed: int, noise_sd: float = 0.0) -> TypedSampl
     return TypedSample(data=data, x_star=x_star, manipulated=manipulated, t_type=t_type)
 
 
-@dataclass(frozen=True)
-class TypedParams:
-    """Preset knobs for the typed generator.
-
-    ``attempt_prob`` is the manipulation attempt probability for types 1-4;
-    ``exp_rate`` the landing rate of the precise types (2 and 4);
-    ``noise_scale`` the gamma(2, scale) spread of the imprecise types (1
-    and 3). All manipulations keep |x - x_star| above ``min_jump``.
-    """
-
-    attempt_prob: float = 0.5
-    exp_rate: float = 1.0
-    noise_scale: float = 0.25
-    min_jump: float = MIN_JUMP
-
-    def __post_init__(self):
-        if not (0.0 <= self.attempt_prob <= 1.0):
-            raise InvalidParams("attempt_prob must lie in [0, 1]")
-        if self.exp_rate <= 0 or self.noise_scale <= 0 or self.min_jump <= 0:
-            raise InvalidParams("exp_rate, noise_scale and min_jump must be positive")
-
-
-def _rejection_exponential(rng, x_star, rate, min_jump):
-    """Exponential landings redrawn until they clear min_jump from x_star."""
-    x = rng.exponential(scale=1.0 / rate, size=x_star.size)
-    bad = np.abs(x - x_star) <= min_jump
+def _rejection_exponential(rng, x_star):
+    """Exponential landings redrawn until they clear MIN_JUMP from x_star."""
+    x = rng.exponential(scale=1.0 / EXP_RATE, size=x_star.size)
+    bad = np.abs(x - x_star) <= MIN_JUMP
     while np.any(bad):
-        x[bad] = rng.exponential(scale=1.0 / rate, size=int(bad.sum()))
-        bad = np.abs(x - x_star) <= min_jump
+        x[bad] = rng.exponential(scale=1.0 / EXP_RATE, size=int(bad.sum()))
+        bad = np.abs(x - x_star) <= MIN_JUMP
     return x
 
 
-def gen_typed(type_shares: dict[int, float], params: TypedParams = TypedParams(),
-              n: int = 10_000, seed: int = 0) -> TypedSample:
+def gen_typed(type_shares: dict[int, float], n: int, seed: int, attempt_prob: float = 0.5) -> TypedSample:
     """Draw a sample mixing the five behavioural types.
 
     Type 0 never manipulates. Type 1 jumps a symmetric two-sided distance,
@@ -278,8 +259,10 @@ def gen_typed(type_shares: dict[int, float], params: TypedParams = TypedParams()
     from below the cutoff and lands precisely above it. Type 3 attempts only
     from below but its landing is a continuous upward shift that may fail to
     cross. Type 4 lands precisely above the cutoff with an attempt
-    probability that ignores the latent score. Outcomes follow the shared
-    binary model, so the cutoff effect is Phi(-0.5) - Phi(-1).
+    probability that ignores the latent score. Types 1-4 attempt with
+    probability ``attempt_prob``, and every manipulation moves x more than
+    MIN_JUMP. Outcomes follow the shared binary model, so the cutoff effect
+    is Phi(-0.5) - Phi(-1).
     """
     if not type_shares:
         raise InvalidWeights("type_shares must not be empty")
@@ -293,6 +276,8 @@ def gen_typed(type_shares: dict[int, float], params: TypedParams = TypedParams()
         raise InvalidWeights(f"type shares must sum to 1, got {weights.sum()}")
     if n < 1:
         raise InvalidParams(f"n must be at least 1, got {n}")
+    if not (0.0 <= attempt_prob <= 1.0):
+        raise InvalidParams("attempt_prob must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(n)
     eps = rng.uniform(size=n)
@@ -300,26 +285,26 @@ def gen_typed(type_shares: dict[int, float], params: TypedParams = TypedParams()
     t_type = np.asarray(rng.choice(keys, size=n, p=weights), dtype=np.int8)
 
     x = x_star.copy()
-    attempts = attempt_u < params.attempt_prob
+    attempts = attempt_u < attempt_prob
     below = x_star < CUTOFF
 
     m1 = (t_type == 1) & attempts
     if np.any(m1):
         sign = np.where(rng.uniform(size=int(m1.sum())) < 0.5, -1.0, 1.0)
-        jump = params.min_jump + rng.gamma(2.0, params.noise_scale, size=int(m1.sum()))
+        jump = MIN_JUMP + rng.gamma(2.0, NOISE_SCALE, size=int(m1.sum()))
         x[m1] = x_star[m1] + sign * jump
 
     m2 = (t_type == 2) & attempts & below
     if np.any(m2):
-        x[m2] = _rejection_exponential(rng, x_star[m2], params.exp_rate, params.min_jump)
+        x[m2] = _rejection_exponential(rng, x_star[m2])
 
     m3 = (t_type == 3) & attempts & below
     if np.any(m3):
-        x[m3] = x_star[m3] + params.min_jump + rng.gamma(2.0, params.noise_scale, size=int(m3.sum()))
+        x[m3] = x_star[m3] + MIN_JUMP + rng.gamma(2.0, NOISE_SCALE, size=int(m3.sum()))
 
     m4 = (t_type == 4) & attempts
     if np.any(m4):
-        x[m4] = _rejection_exponential(rng, x_star[m4], params.exp_rate, params.min_jump)
+        x[m4] = _rejection_exponential(rng, x_star[m4])
 
     d = (x >= CUTOFF).astype(float)
     y1 = (_mu_d(x_star, 1) >= eps).astype(float)

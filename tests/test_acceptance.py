@@ -15,6 +15,7 @@ from scipy import stats
 
 from mrdd import (
     AppendixDSpec,
+    BootstrapConfig,
     BoundaryEstimates,
     Bandwidths,
     SideCounts,
@@ -228,7 +229,7 @@ def test_c08_smooth_density_counterexample(capsys):
     jumps, left_limits, right_limits = [], [], []
     for seed in range(runs):
         ts = gen_counterexample_e(1_000_000, seed=seed)
-        res = density_discontinuity_test(ts.data, b=64, seed=seed)
+        res = density_discontinuity_test(ts.data, boot=BootstrapConfig(b=64, seed=seed))
         accept += abs(res.statistic) < 1.96
         be = estimate_boundary(ts.data)
         jumps.append(be.mu_plus - be.mu_minus)

@@ -107,7 +107,7 @@ def test_engine_matches_per_row_fits(order, kernel):
     assert_same(values, ref)
     jumps = ref[:, 0] - ref[:, 1]
     point = boundary_density(xs, c, dens_r)[0] - boundary_density(xs, c, dens_l)[0]
-    res = density_discontinuity_test(data, fit, b=B, seed=SEED)
+    res = density_discontinuity_test(data, fit, boot=BootstrapConfig(b=B, seed=SEED))
     assert res.statistic == pytest.approx(point / np.std(jumps, ddof=1), rel=1e-9)
 
     mean_l = FitSpec(order, bw.mean_left, kernel, Side.LEFT)
@@ -121,7 +121,7 @@ def test_engine_matches_per_row_fits(order, kernel):
     jumps = ref[:, 0] - ref[:, 1]
     point = (local_poly_fit(xs, ws, c, mean_r).coefficients[0]
              - local_poly_fit(xs, ws, c, mean_l).coefficients[0])
-    res = balance_test(data, "w", fit, b=B, seed=SEED)
+    res = balance_test(data, "w", fit, boot=BootstrapConfig(b=B, seed=SEED))
     assert res.statistic == pytest.approx(point / np.std(jumps, ddof=1), rel=1e-9)
 
 

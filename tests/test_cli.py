@@ -1,4 +1,5 @@
 import json
+import locale
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from mrdd import cli
 
 from mrdd import (
     AppendixDSpec,
+    BootstrapConfig,
     FitConfig,
     FitSpec,
     KernelKind,
@@ -46,6 +48,15 @@ def typed_file(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def undecodable(data: bytes) -> bool:
+    """Whether ``open()``'s default encoding rejects ``data``."""
+    try:
+        data.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return True
+    return False
 
 
 # awkward CSV fields: what float() and np.loadtxt read alike, and what only one reads
@@ -267,6 +278,9 @@ class TestAnalyze:
         ("--y-min", "0", "--y-max", "1", "--fuzzy"),
         ("--y-min", "0", "--y-max", "1", "--boot", "10"),
         ("--y-min", "0", "--y-max", "1", "--workers", "0"),
+        ("--y-min", "1", "--y-max", "0"),
+        ("--y-min", "nan", "--y-max", "1"),
+        ("--y-min", "0", "--y-max", "inf"),
     ])
     def test_bad_flags_exit_2_before_ingest(self, tmp_path, capsys, flags):
         # the input does not exist, so reading it would exit 3
@@ -303,11 +317,39 @@ class TestAnalyze:
         assert [block[k] for k in ("mu_plus", "mu_minus", "f_plus", "f_minus")] == [
             be.mu_plus, be.mu_minus, be.f_plus, be.f_minus,
         ]
-        assert block["discontinuity_t"] == density_discontinuity_test(data, fit, b=64, seed=4).statistic
+        density = density_discontinuity_test(data, fit, BootstrapConfig(b=64, seed=4))
+        assert block["discontinuity_t"] == density.statistic
 
     def test_missing_file_exits_3(self):
         assert run_cli("analyze", "/nonexistent.csv", "--cutoff", "0",
                        "--y-min", "0", "--y-max", "1") == 3
+
+    @pytest.mark.skipif(not undecodable(b"\xff"), reason="the locale encoding decodes every byte")
+    @pytest.mark.parametrize("text", [b"x,y\n0.5,1\n\xff0.2,0\n", b"x,y\xff\n0.5,1\n0.2,0\n"],
+                             ids=["data-row", "header"])
+    @pytest.mark.parametrize("command", ["analyze", "plotdata"])
+    def test_undecodable_byte_exits_3(self, tmp_path, capsys, text, command):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(text)
+        flags = ("--y-min", "0", "--y-max", "1") if command == "analyze" else ()
+        out = tmp_path / "out"
+        assert run_cli(command, str(path), "--cutoff", "0", *flags, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(path) in err and "\\xff" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_running_variable_near_float_limit_exits_3(self, tmp_path, capsys):
+        # no bandwidth flag: the rule of thumb must not overflow into a flag error
+        xs = [sign * k * 1e200 for sign in (-1, 1) for k in range(1, 6)]
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{i % 2}\n" for i, x in enumerate(xs)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("analyze", str(path), "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                           "--boot", "50")
+        assert code == 3
+        assert "distinct in-window points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_row_exits_3(self, typed_file, tmp_path, capsys, bad):
@@ -442,6 +484,15 @@ class TestAnalyze:
         assert run_cli("analyze", str(missing), "--config", str(cfgfile)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and named in err
+
+    @pytest.mark.skipif(not undecodable(b"\xe9"), reason="the locale encoding decodes every byte")
+    def test_undecodable_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"cutoff = 0\ny_min = 0\ny_max = 1\n# caf\xe9\n")
+        assert run_cli("analyze", str(missing), "--config", str(cfgfile)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(cfgfile) in err
 
     @pytest.mark.parametrize("line", ["r_mode = random", "bin_width = 0.01"])
     def test_removed_config_keys_exit_2(self, typed_file, tmp_path, capsys, line):

@@ -35,7 +35,10 @@ class TestDensityTest:
     def test_size_on_harmless_manipulation(self):
         # two-sided outcome-independent manipulation keeps the density smooth
         rejections = sum(
-            density_discontinuity_test(gen_typed({1: 1.0}, n=50_000, seed=s).data, b=64, seed=s).p_value < 0.05
+            density_discontinuity_test(
+                gen_typed({1: 1.0}, n=50_000, seed=s).data, boot=BootstrapConfig(b=64, seed=s)
+            ).p_value
+            < 0.05
             for s in range(200)
         )
         assert rejections <= 20
@@ -45,7 +48,8 @@ class TestDensityTest:
         # population jump 0.5*lam*p + p*phi(0) > 0 at (0.3, 0.3)
         rejections = sum(
             density_discontinuity_test(
-                gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=s)).data, b=64, seed=s
+                gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=s)).data,
+                boot=BootstrapConfig(b=64, seed=s),
             ).p_value
             < 0.05
             for s in range(200)
@@ -54,22 +58,22 @@ class TestDensityTest:
 
     def test_statistic_sign_flips_under_mirroring(self, appendix_d_small):
         data = appendix_d_small.data
-        res = density_discontinuity_test(data, b=64, seed=3)
+        res = density_discontinuity_test(data, boot=BootstrapConfig(b=64, seed=3))
         mirrored = Dataset(xs=-data.xs, ys=data.ys, cutoff=0.0)
-        res_m = density_discontinuity_test(mirrored, b=64, seed=3)
+        res_m = density_discontinuity_test(mirrored, boot=BootstrapConfig(b=64, seed=3))
         # the jump estimate flips exactly; the bootstrap SE differs at the
         # per-mille level because resample ties break the rank symmetry
         assert np.sign(res_m.statistic) == -np.sign(res.statistic)
         assert res_m.statistic == pytest.approx(-res.statistic, rel=0.01)
 
     def test_deterministic(self, appendix_d_small):
-        a = density_discontinuity_test(appendix_d_small.data, b=64, seed=11)
-        b = density_discontinuity_test(appendix_d_small.data, b=64, seed=11)
+        a = density_discontinuity_test(appendix_d_small.data, boot=BootstrapConfig(b=64, seed=11))
+        b = density_discontinuity_test(appendix_d_small.data, boot=BootstrapConfig(b=64, seed=11))
         assert a == b
 
     def test_small_b_rejected(self, appendix_d_small):
         with pytest.raises(InvalidConfig):
-            density_discontinuity_test(appendix_d_small.data, b=49, seed=0)
+            density_discontinuity_test(appendix_d_small.data, boot=BootstrapConfig(b=49, seed=0))
 
 
 class TestBalanceTest:
@@ -79,7 +83,7 @@ class TestBalanceTest:
         for s in range(200):
             ts = gen_appendix_d(AppendixDSpec(p=0.2, lam=0.2, n=20_000, seed=s))
             data = with_covariates(ts, seed=5000 + s)
-            rejections += balance_test(data, "noise", b=64, seed=s).p_value < 0.05
+            rejections += balance_test(data, "noise", boot=BootstrapConfig(b=64, seed=s)).p_value < 0.05
         assert rejections <= 20
 
     @pytest.mark.slow
@@ -89,20 +93,20 @@ class TestBalanceTest:
         for s in range(100):
             ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=s))
             data = with_covariates(ts, seed=s, extra={"wstar": ts.x_star})
-            rejections += balance_test(data, "wstar", b=64, seed=s).p_value < 0.05
+            rejections += balance_test(data, "wstar", boot=BootstrapConfig(b=64, seed=s)).p_value < 0.05
         assert rejections >= 80
 
     def test_constant_covariate_convention(self, appendix_d_small):
         data = with_covariates(
             appendix_d_small, seed=1, extra={"const": np.ones(appendix_d_small.data.n)}
         )
-        res = balance_test(data, "const", b=64, seed=0)
+        res = balance_test(data, "const", boot=BootstrapConfig(b=64, seed=0))
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
     def test_unknown_covariate(self, appendix_d_small):
         with pytest.raises(UnknownCovariate):
-            balance_test(appendix_d_small.data, "missing", b=64, seed=0)
+            balance_test(appendix_d_small.data, "missing", boot=BootstrapConfig(b=64, seed=0))
 
 
 class TestSequentialProtocol:

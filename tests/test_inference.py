@@ -1,17 +1,30 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from mrdd import (
     AppendixDSpec,
+    Bandwidths,
     BootstrapConfig,
+    BoundaryDraws,
+    BoundaryEstimates,
     RMode,
+    SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
     bootstrap_bounds,
+    bounds_from_draws,
+    crude_interval,
     gen_appendix_d,
     imbens_manski_ci,
+    mixed_bounds,
     oracle_appendix_d,
+    type2_bounds,
+    type3_bounds,
+    type4_bounds,
 )
 from mrdd.errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange
 
@@ -126,6 +139,117 @@ class TestBootstrapBounds:
             ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
             covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
         assert covered >= 0.9 * n_reps
+
+
+SCALAR_BOUNDS = {
+    TypeAssumption.TYPE2: type2_bounds,
+    TypeAssumption.TYPE3: type3_bounds,
+    TypeAssumption.TYPE4: type4_bounds,
+    TypeAssumption.MIXED: mixed_bounds,
+}
+Y_LOW, Y_HIGH = -3.7, 11.3
+
+
+def per_replicate_loop(draws, assumption, r_mode):
+    """Each replicate as its own BoundaryEstimates through the scalar bound function."""
+    op = SCALAR_BOUNDS[assumption]
+    reps = np.empty((draws.draws.shape[0], 2))
+    for i, (mu_p, mu_m, f_p, f_m) in enumerate(draws.draws):
+        if r_mode is RMode.FIXED:
+            f_p, f_m = draws.point.f_plus, draws.point.f_minus
+        be = replace(
+            draws.point,
+            mu_plus=float(mu_p),
+            mu_minus=float(mu_m),
+            f_plus=float(f_p),
+            f_minus=float(f_m),
+            r=float(f_m / f_p),
+        )
+        res = op(be, Y_LOW, Y_HIGH)
+        reps[i] = (res.lower, res.upper)
+    return reps
+
+
+def python_crude(mu_p, mu_m, r, assumption, y_low=Y_LOW, y_high=Y_HIGH):
+    """The crude interval in Python floats with the builtin min and max,
+    and whether its ends crossed by a rounding error and were snapped."""
+    r = min(r, 1.0)
+    l1 = (mu_p - y_high) - r * (mu_m - y_high)
+    l2 = (mu_p - y_high) / r - (mu_m - y_high)
+    u1 = (mu_p - y_low) - r * (mu_m - y_low)
+    u2 = (mu_p - y_low) / r - (mu_m - y_low)
+    lower, upper = {
+        TypeAssumption.TYPE3: (l1, u1),
+        TypeAssumption.TYPE4: (l2, u2),
+    }.get(assumption, (min(l1, l2), max(u1, u2)))
+    if upper < lower <= upper + 1e-9 * max(1.0, abs(y_low), abs(y_high)):
+        return 0.5 * (lower + upper), 0.5 * (lower + upper), True
+    return lower, upper, False
+
+
+def same_bits(got, expected):
+    """Equal bit for bit, except that a NaN's sign and payload are not compared."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def synthetic_draws(point_r):
+    """Draw rows with r below one, above one (within and beyond the
+    refutation tolerance) and exactly one, where rounding crosses the ends."""
+    rng = np.random.default_rng(7)
+    n = 600
+    mu = rng.uniform(Y_LOW, Y_HIGH, size=(n, 2))
+    f_plus = rng.uniform(0.2, 3.0, size=n)
+    r = np.concatenate([rng.uniform(0.1, 1.3, n // 3), np.full(n // 3, 1.01), np.ones(n - 2 * (n // 3))])
+    f_minus = np.where(r == 1.0, f_plus, r * f_plus)
+    point = BoundaryEstimates(
+        mu_plus=2.5, mu_minus=1.75, f_plus=0.8, f_minus=0.8 * point_r, r=point_r,
+        bandwidths=Bandwidths(1.0, 1.0, 1.0, 1.0), n_effective=SideCounts(0, 0, 0, 0),
+    )
+    if point_r == 1.0:
+        point = replace(point, f_minus=point.f_plus)
+    return BoundaryDraws(point=point, draws=np.column_stack([mu, f_plus, f_minus]), n_failed=0)
+
+
+class TestBoundsFromDraws:
+    @pytest.mark.parametrize("point_r", [0.83, 1.0, 1.1])
+    @pytest.mark.parametrize("r_mode", list(RMode))
+    @pytest.mark.parametrize("assumption", list(TypeAssumption))
+    def test_replicates_equal_per_replicate_loop(self, assumption, r_mode, point_r):
+        draws = synthetic_draws(point_r)
+        got = bounds_from_draws(draws, assumption, r_mode, Y_LOW, Y_HIGH)
+        reference = per_replicate_loop(draws, assumption, r_mode)
+        assert got.replicates.tobytes() == reference.tobytes()
+        assert got.point == SCALAR_BOUNDS[assumption](draws.point, Y_LOW, Y_HIGH)
+        assert got.se_lower == float(np.std(reference[:, 0], ddof=1))
+        assert got.se_upper == float(np.std(reference[:, 1], ddof=1))
+
+    @pytest.mark.parametrize("assumption", list(TypeAssumption))
+    def test_rows_with_r_one_are_snapped_like_python_floats(self, assumption):
+        # the tie rules and the snap as plain Python float code gives them,
+        # on rows where rounding makes the raw ends cross
+        draws = synthetic_draws(1.0)
+        got = bounds_from_draws(draws, assumption, RMode.RANDOM, Y_LOW, Y_HIGH).replicates
+        snapped = 0
+        for (mu_p, mu_m, f_p, f_m), ends in zip(draws.draws.tolist(), got.tolist()):
+            lower, upper, crossed = python_crude(mu_p, mu_m, f_m / f_p, assumption)
+            snapped += crossed
+            assert np.array(ends).tobytes() == np.array([lower, upper]).tobytes()
+        assert snapped > 0
+
+    @pytest.mark.parametrize("assumption", list(TypeAssumption))
+    def test_overflow_passes_silently_as_in_python_floats(self, assumption):
+        mu_p = np.array([1e308, -1e308, 0.5, 1e308])
+        mu_m = np.array([-1e308, 1e308, 0.25, 1e308])
+        r = np.array([1e-300, 1e-300, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = crude_interval(mu_p, mu_m, r, -1e308, 1e308, assumption)
+        rows = zip(mu_p.tolist(), mu_m.tolist(), r.tolist())
+        expected = [python_crude(*row, assumption, -1e308, 1e308)[:2] for row in rows]
+        assert not np.isfinite(got).all()
+        assert same_bits(np.column_stack(got), expected)
 
 
 class TestImbensManski:

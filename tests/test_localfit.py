@@ -235,3 +235,22 @@ class TestRotBandwidth:
         side = xs[xs >= 0]
         expected = 1.06 * np.std(side, ddof=1) * side.size ** (-0.2)
         assert rot_bandwidth(xs, Side.RIGHT, 0.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_same_bits_as_direct_formula_at_every_scale(self):
+        rng = np.random.default_rng(5)
+        for exponent in range(-100, 101, 10):
+            xs = rng.standard_normal(500) * 10.0**exponent + rng.uniform(-2, 2) * 10.0**exponent
+            side = xs[xs >= 0]
+            expected = max(1.06 * float(np.std(side, ddof=1)) * side.size ** (-0.2), 1e-8)
+            assert rot_bandwidth(xs, Side.RIGHT, 0.0) == expected
+
+    def test_no_overflow_near_the_float_limit(self):
+        xs = np.array([-5.0, -4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) * 1e200
+        rng = np.random.default_rng(6)
+        wide = rng.standard_normal(1000) * 2.0**1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = rot_bandwidth(xs, Side.RIGHT, 0.0)
+            assert np.isfinite(h) and h > 1e200
+            # a power-of-two scale moves the bandwidth by exactly that factor
+            assert rot_bandwidth(wide, Side.LEFT, 0.0) == rot_bandwidth(wide * 2.0**-1000, Side.LEFT, 0.0) * 2.0**1000

@@ -5,7 +5,6 @@ from scipy import stats
 from mrdd import (
     AppendixDSpec,
     Dataset,
-    TypedParams,
     binary_sharp_gfuncs,
     brute_force_trimming,
     estimate_boundary,
@@ -18,7 +17,7 @@ from mrdd import (
     weighted_trimmed_means,
     write_typed_csv,
 )
-from mrdd.synth import TypedSample
+from mrdd.synth import MIN_JUMP, TypedSample
 from mrdd.errors import (
     InvalidDistribution,
     InvalidParams,
@@ -166,11 +165,10 @@ class TestGenTyped:
         assert 0.0 < crossed.mean() < 1.0
 
     def test_min_jump_enforced(self):
-        params = TypedParams()
         for shares in ({1: 1.0}, {2: 1.0}, {3: 1.0}, {4: 1.0}):
-            ts = gen_typed(shares, params, n=50_000, seed=2)
+            ts = gen_typed(shares, n=50_000, seed=2)
             gaps = np.abs(ts.data.xs[ts.manipulated] - ts.x_star[ts.manipulated])
-            assert np.all(gaps > params.min_jump)
+            assert np.all(gaps > MIN_JUMP)
 
     def test_one_sided_types_land_above(self):
         for shares in ({2: 1.0}, {4: 1.0}):
@@ -194,6 +192,14 @@ class TestGenTyped:
             gen_typed({7: 1.0}, n=100, seed=0)
         with pytest.raises(InvalidWeights):
             gen_typed({}, n=100, seed=0)
+
+    def test_attempt_prob(self):
+        for bad in (-0.1, 1.5):
+            with pytest.raises(InvalidParams):
+                gen_typed({2: 1.0}, n=100, seed=0, attempt_prob=bad)
+        assert not gen_typed({1: 0.5, 4: 0.5}, n=1_000, seed=0, attempt_prob=0.0).manipulated.any()
+        always = gen_typed({4: 1.0}, n=1_000, seed=0, attempt_prob=1.0)
+        assert always.manipulated.all()
 
 
 class TestVerifyLemmaMoments:
