@@ -1,13 +1,14 @@
 """Partial-identification bounds for the cutoff treatment effect.
 
-The crude interval operations (``type2_bounds`` through ``mixed_bounds``)
-need only the five boundary statistics and the outcome range; they all
-evaluate ``crude_interval``, which also takes arrays, so a bootstrap's
-replicates go through the same formulas in one call. The sharp
-variant for the one-sided precise manipulation model additionally trims the
-right-boundary outcome distribution and scans the counterfactual density
-value z over [f_minus, f_plus]. Fuzzy designs and covariate intersection
-refinements reuse the same interval algebra.
+Each kind of bound has one entry point. ``crude_bounds`` needs only the
+five boundary statistics, the outcome range and a ``TypeAssumption``; it
+evaluates ``crude_interval``, which also takes arrays, so a bootstrap's
+replicates go through the same formulas in one call. ``sharp_type2_bounds``,
+for the one-sided precise manipulation model, additionally trims the
+right-boundary outcome distribution, given as weights and outcomes, and
+scans the counterfactual density value z over [f_minus, f_plus].
+``fuzzy_bounds`` bounds the ratio estimand of a fuzzy design, and
+``covariate_bounds`` intersects per-stratum intervals.
 
 The formulas return the interval they define, even where it leaves the
 logical range [y_low - y_high, y_high - y_low] of an effect; clipping a
@@ -40,7 +41,17 @@ DEFAULT_GRID_SIZE = 201
 
 
 class TypeAssumption(enum.Enum):
-    """Which manipulation-behaviour model the interval is computed under."""
+    """Which manipulation-behaviour model the interval is computed under.
+
+    TYPE2: one-sided precise manipulation with one-sided unit sorting; the
+    two-branch hull of types 3 and 4.
+    TYPE3: the union population of assigned-near and manipulated-near units
+    (imprecise one-sided sorting); width (1 - r)(y_high - y_low).
+    TYPE4: non-manipulators at the cutoff (sorting-free precise
+    manipulation); width (1/r - 1)(y_high - y_low).
+    MIXED: the type-share weighted effect when behaviour types mix; the same
+    interval as TYPE2 under another target label.
+    """
 
     TYPE2 = "type2"
     TYPE3 = "type3"
@@ -91,21 +102,9 @@ class TrimmingCurve:
     theta_high: np.ndarray
 
 
-@dataclass(frozen=True)
-class FuzzyInputs:
-    """Boundary estimates for Y plus one-sided treatment-probability limits."""
-
-    be: BoundaryEstimates
-    d_plus: float
-    d_minus: float
-
-    def __post_init__(self):
-        for name, v in (("d_plus", self.d_plus), ("d_minus", self.d_minus)):
-            if not (0.0 <= v <= 1.0):
-                raise InvalidConfig(f"{name} must lie in [0, 1], got {v}")
-
-
-def _check_range(y_low: float, y_high: float) -> None:
+def _check_range(y_low: float | None, y_high: float | None) -> None:
+    if y_low is None or y_high is None:
+        raise InvalidOutcomeRange("bounds need a declared outcome range (y_low, y_high)")
     if not (np.isfinite(y_low) and np.isfinite(y_high)):
         raise InvalidOutcomeRange("outcome range must be finite")
     if y_low > y_high:
@@ -195,42 +194,6 @@ def crude_bounds(
     )
 
 
-def type2_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
-    """Two-branch interval for the cutoff effect under one-sided precise
-    manipulation with one-sided unit sorting.
-
-    lower = min{(mu+ - yU) - r (mu- - yU), (mu+ - yU)/r - (mu- - yU)} and the
-    symmetric max for the upper end with yL in place of yU.
-    """
-    return crude_bounds(be, y_low, y_high, TypeAssumption.TYPE2)
-
-
-def type3_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
-    """Single-branch interval for the union population of assigned-near and
-    manipulated-near units (imprecise one-sided sorting model).
-
-    Width identity: (1 - r) * (y_high - y_low).
-    """
-    return crude_bounds(be, y_low, y_high, TypeAssumption.TYPE3)
-
-
-def type4_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
-    """Single-branch interval for non-manipulators at the cutoff (sorting-free
-    precise manipulation model).
-
-    Width identity: (1/r - 1) * (y_high - y_low).
-    """
-    return crude_bounds(be, y_low, y_high, TypeAssumption.TYPE4)
-
-
-def mixed_bounds(be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
-    """Interval for the type-share weighted effect when behaviour types mix.
-
-    Numerically identical to ``type2_bounds``; only the target label differs.
-    """
-    return crude_bounds(be, y_low, y_high, TypeAssumption.MIXED)
-
-
 def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:
     """Closed-form extreme trimmed means for a binary outcome.
 
@@ -304,7 +267,8 @@ def weighted_trimmed_means(ys, weights, tau, y_low: float, y_high: float):
 
 
 def sharp_type2_bounds(
-    window,
+    weights,
+    ys,
     be: BoundaryEstimates,
     y_low: float,
     y_high: float,
@@ -314,8 +278,8 @@ def sharp_type2_bounds(
 
     Parameters
     ----------
-    window : sequence of (weight, y) pairs for right-of-cutoff in-bandwidth
-        observations; weights are kernel weights.
+    weights, ys : kernel weights and outcomes of the right-of-cutoff
+        in-bandwidth observations, 1-d and of one length.
     be : boundary estimates supplying mu_plus, mu_minus, f_plus, f_minus.
     grid_size : number of z values scanned over [f_minus, f_plus],
         endpoints included.
@@ -327,10 +291,10 @@ def sharp_type2_bounds(
     _check_range(y_low, y_high)
     if grid_size < 2:
         raise InvalidGrid(f"grid_size must be at least 2, got {grid_size}")
-    win = np.asarray(window, dtype=float)
-    if win.ndim != 2 or win.shape[1] != 2 or win.shape[0] == 0:
-        raise EmptyWindow("window must be a nonempty (n, 2) array of (weight, y) pairs")
-    weights, ys = win[:, 0], win[:, 1]
+    weights = np.asarray(weights, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if weights.ndim != 1 or weights.shape != ys.shape or weights.size == 0:
+        raise EmptyWindow("weights and ys must be nonempty 1-d arrays of one length")
     if not np.any(weights > 0):
         raise EmptyWindow("window carries no positive weight")
 
@@ -363,20 +327,25 @@ def sharp_type2_bounds(
     return result, curve
 
 
-def fuzzy_bounds(fi: FuzzyInputs, y_low: float, y_high: float) -> BoundsResult:
+def fuzzy_bounds(
+    be: BoundaryEstimates, d_plus: float, d_minus: float, y_low: float, y_high: float
+) -> BoundsResult:
     """Interval for the ratio estimand of a fuzzy design.
 
-    Outcome and treatment jumps are bounded through the unknown
-    counterfactual density value; the interval is the extreme ratio of those
-    bounds. Requires a strictly positive worst-case treatment jump, else the
-    result is Degenerate.
+    ``d_plus``/``d_minus`` are the one-sided treatment-probability limits at
+    the cutoff and must lie in [0, 1]. Outcome and treatment jumps are
+    bounded through the unknown counterfactual density value; the interval
+    is the extreme ratio of those bounds. Requires a strictly positive
+    worst-case treatment jump, else the result is Degenerate.
     """
+    for name, v in (("d_plus", d_plus), ("d_minus", d_minus)):
+        if not (0.0 <= v <= 1.0):
+            raise InvalidConfig(f"{name} must lie in [0, 1], got {v}")
     _check_range(y_low, y_high)
-    be = fi.be
     r_y_low = be.f_plus * (be.mu_plus - y_high) - be.f_minus * (be.mu_minus - y_high)
     r_y_high = be.f_plus * (be.mu_plus - y_low) - be.f_minus * (be.mu_minus - y_low)
-    r_d_low = be.f_plus * (fi.d_plus - 1.0) - be.f_minus * (fi.d_minus - 1.0)
-    r_d_high = be.f_plus * fi.d_plus - be.f_minus * fi.d_minus
+    r_d_low = be.f_plus * (d_plus - 1.0) - be.f_minus * (d_minus - 1.0)
+    r_d_high = be.f_plus * d_plus - be.f_minus * d_minus
     if r_d_low <= 0:
         return BoundsResult(
             lower=float("-inf"),

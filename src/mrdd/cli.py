@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import synth
 from .boundary import Bandwidths, Dataset, FitConfig
 from .bounds import (
     BoundsStatus,
-    FuzzyInputs,
     TypeAssumption,
     clamp_interval,
     fuzzy_bounds,
@@ -62,6 +61,7 @@ from .localfit import (
     local_poly_fit,
     local_weights,
     rot_bandwidth,
+    sample_sd,
 )
 
 REPORT_SCHEMA_VERSION = 1
@@ -105,6 +105,10 @@ class RunConfig:
             raise InvalidConfig("--y-min and --y-max must be finite")
         if self.y_low > self.y_high:
             raise InvalidConfig(f"--y-min {self.y_low} is above --y-max {self.y_high}")
+        if not np.isfinite(self.y_high - self.y_low):
+            raise InvalidConfig(
+                f"the outcome range [{self.y_low}, {self.y_high}] is wider than the largest float"
+            )
         if self.fuzzy and self.col_d is None:
             raise InvalidConfig("--fuzzy needs a treatment column (--col-d)")
 
@@ -238,16 +242,6 @@ def _write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _test_dict(res) -> dict:
-    return {
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "method": res.method,
-        "replications": res.replications,
-        "warnings": list(res.warnings),
-    }
-
-
 def build_report(cfg: RunConfig, data: Dataset) -> dict:
     """Run the full pipeline and assemble the JSON-ready report.
 
@@ -264,18 +258,8 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         "discontinuity_t": protocol.density.statistic,
         "discontinuity_p": protocol.density.p_value,
         "r": be.r,
-        "bandwidths": {
-            "mean_left": be.bandwidths.mean_left,
-            "mean_right": be.bandwidths.mean_right,
-            "dens_left": be.bandwidths.dens_left,
-            "dens_right": be.bandwidths.dens_right,
-        },
-        "n_effective": {
-            "mean_left": be.n_effective.mean_left,
-            "mean_right": be.n_effective.mean_right,
-            "dens_left": be.n_effective.dens_left,
-            "dens_right": be.n_effective.dens_right,
-        },
+        "bandwidths": asdict(be.bandwidths),
+        "n_effective": asdict(be.n_effective),
         "mu_plus": be.mu_plus,
         "mu_minus": be.mu_minus,
         "f_plus": be.f_plus,
@@ -285,7 +269,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     # point estimate of the mean jump and its bootstrap SE
     jumps = draws.draws[:, 0] - draws.draws[:, 1]
     block["point_estimate"] = be.mu_plus - be.mu_minus
-    block["point_se"] = float(np.std(jumps, ddof=1))
+    block["point_se"] = sample_sd(jumps)
 
     warnings = list(be.warnings)
     y_low, y_high = cfg.y_low, cfg.y_high
@@ -312,8 +296,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     if cfg.sharp:
         # the right-side mean fit's window and kernel weights
         _, w, keep = local_weights(data.xs, data.cutoff, fit.mean_spec(Side.RIGHT))
-        window = np.column_stack([w[keep], data.ys[keep]])
-        sharp_res, _ = sharp_type2_bounds(window, be, y_low, y_high)
+        sharp_res, _ = sharp_type2_bounds(w[keep], data.ys[keep], be, y_low, y_high)
         sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
         block["sharp_set"] = [sharp_lo, sharp_hi]
         block["sharp_status"] = sharp_res.status.value
@@ -326,11 +309,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             float(local_poly_fit(data.xs, data.d, data.cutoff, fit.mean_spec(side)).coefficients[0])
             for side in (Side.LEFT, Side.RIGHT)
         )
-        fz = fuzzy_bounds(
-            FuzzyInputs(be=be, d_plus=min(max(d_plus, 0.0), 1.0), d_minus=min(max(d_minus, 0.0), 1.0)),
-            y_low,
-            y_high,
-        )
+        fz = fuzzy_bounds(be, min(max(d_plus, 0.0), 1.0), min(max(d_minus, 0.0), 1.0), y_low, y_high)
         block["fuzzy_set"] = None if fz.status is BoundsStatus.DEGENERATE else [fz.lower, fz.upper]
         block["fuzzy_status"] = fz.status.value
     else:
@@ -354,10 +333,10 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         },
         "verdict": protocol.verdict.value,
         "protocol": {
-            "density": _test_dict(protocol.density),
+            "density": asdict(protocol.density),
             "balance": None
             if protocol.balance is None
-            else [{"covariate": name, **_test_dict(res)} for name, res in protocol.balance],
+            else [{"covariate": name, **asdict(res)} for name, res in protocol.balance],
         },
         "n": data.n,
         "warnings": warnings,
@@ -558,12 +537,14 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     c, w = args.cutoff, args.bin_width
     if not (np.isfinite(w) and w > 0):
         raise InvalidConfig(f"--bin-width must be positive and finite, got {w}")
-    data = ingest(args.input, cutoff=c, col_x=args.col_x, col_y=args.col_y)
-    xs = data.xs
-    k_lo = np.floor((xs.min() - c) / w)
-    k_hi = np.ceil((xs.max() - c) / w)
-    # also false when the bin indices overflow to inf
-    if not k_hi - k_lo <= MAX_PLOT_BINS:
+    # the x column alone: plotdata reads no outcome
+    xs = ingest(args.input, cutoff=c, col_x=args.col_x, col_y=args.col_x).xs
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_lo = np.floor((xs.min() - c) / w)
+        k_hi = np.ceil((xs.max() - c) / w)
+        n_bins = k_hi - k_lo
+    # also false when the bin count overflows to inf or to inf - inf = nan
+    if not n_bins <= MAX_PLOT_BINS:
         raise InvalidConfig(
             f"--bin-width {w} gives more than {MAX_PLOT_BINS} bins over the x range"
         )
@@ -660,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--cutoff", type=float, required=True)
     pp.add_argument("--bin-width", dest="bin_width", type=float, default=0.005)
     pp.add_argument("--col-x", dest="col_x", default="x")
-    pp.add_argument("--col-y", dest="col_y", default="y")
     pp.add_argument("--out", required=True)
     pp.set_defaults(func=cmd_plotdata)
 

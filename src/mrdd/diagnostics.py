@@ -30,7 +30,7 @@ from ._bootstrap import (
 )
 from .boundary import Dataset, FitConfig
 from .errors import InvalidConfig, UnknownCovariate
-from .localfit import Side, boundary_density, local_poly_fit
+from .localfit import Side, boundary_density, local_poly_fit, sample_sd
 
 
 class Verdict(enum.Enum):
@@ -71,7 +71,7 @@ def _bootstrap_jump_test(data, point, fits, boot: BootstrapConfig, stream):
     values, n_failed = run_replicates(data.xs, data.cutoff, fits, boot.b, boot.seed, stream, boot.workers)
     values = drop_failed(values, n_failed, "jump-test")
     reps = values[:, 0] - values[:, 1]
-    se = float(np.std(reps, ddof=1))
+    se = sample_sd(reps)
     warnings: tuple[str, ...] = ()
     if n_failed:
         warnings += (f"{n_failed} bootstrap replicates failed and were dropped",)

@@ -26,8 +26,8 @@ from ._bootstrap import (
 )
 from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
-from .errors import InvalidInputs, InvalidOutcomeRange
-from .localfit import Side
+from .errors import InvalidInputs
+from .localfit import Side, sample_sd
 
 
 class RMode(enum.Enum):
@@ -54,7 +54,6 @@ class BootstrapBounds:
     replicates: np.ndarray  # (b_ok, 2) of (lower, upper)
     se_lower: float
     se_upper: float
-    n_failed: int
 
 
 def bootstrap_boundary_replicates(
@@ -66,6 +65,9 @@ def bootstrap_boundary_replicates(
 
     Bandwidths are selected once on the full sample and frozen across
     replicates, so replicate variation reflects sampling noise only.
+    Deterministic in (data, cfg, fit): replicate randomness is keyed by
+    (seed, replicate index), and dropped replicates are counted (more than
+    10% failures raises TooManyFailedReplicates).
     """
     fit = fit.resolved(data.xs, data.cutoff)
     point = estimate_boundary(data, fit)
@@ -92,52 +94,22 @@ def bounds_from_draws(
     """Evaluate the requested interval on the point estimate and every draw.
 
     The draws go through ``crude_interval`` as columns, in one call; in
-    fixed mode every row keeps the point's density ratio.
+    fixed mode every row keeps the point's density ratio, in random mode
+    each row has its own. The endpoint SEs are the replicates' sample
+    standard deviations. A missing outcome range raises InvalidOutcomeRange.
     """
     point = crude_bounds(draws.point, y_low, y_high, assumption)
     mu_plus, mu_minus, f_plus, f_minus = draws.draws.T
     if r_mode is RMode.FIXED:
         f_plus, f_minus = draws.point.f_plus, draws.point.f_minus
     reps = np.column_stack(crude_interval(mu_plus, mu_minus, f_minus / f_plus, y_low, y_high, assumption))
-    se_lower = float(np.std(reps[:, 0], ddof=1))
-    se_upper = float(np.std(reps[:, 1], ddof=1))
-    return BootstrapBounds(
-        point=point,
-        replicates=reps,
-        se_lower=se_lower,
-        se_upper=se_upper,
-        n_failed=draws.n_failed,
-    )
-
-
-def bootstrap_bounds(
-    data: Dataset,
-    assumption: TypeAssumption,
-    cfg: BootstrapConfig,
-    fit: FitConfig = FitConfig(),
-    r_mode: RMode = RMode.FIXED,
-) -> BootstrapBounds:
-    """Point interval plus bootstrap replicate intervals and endpoint SEs.
-
-    Deterministic in (data, cfg, fit): replicate randomness is keyed by
-    (seed, replicate index), and dropped replicates are counted (more than
-    10% failures raises TooManyFailedReplicates). ``r_mode`` says whether
-    the replicates keep the full-sample density ratio or their own.
-    """
-    if data.y_low is None or data.y_high is None:
-        raise InvalidOutcomeRange("bounds need a declared outcome range (y_low, y_high)")
-    draws = bootstrap_boundary_replicates(data, cfg, fit)
-    return bounds_from_draws(draws, assumption, r_mode, data.y_low, data.y_high)
+    return BootstrapBounds(point, reps, se_lower=sample_sd(reps[:, 0]), se_upper=sample_sd(reps[:, 1]))
 
 
 @dataclass(frozen=True)
 class IntervalCI:
     lo: float
     hi: float
-    alpha: float
-    method: str
-    se_lower: float
-    se_upper: float
     c_bar: float
 
 
@@ -167,7 +139,7 @@ def imbens_manski_ci(
     se_max = max(se_lower, se_upper)
     if se_max == 0.0:
         c_bar = z_one if upper_hat > lower_hat else z_two
-        return IntervalCI(lower_hat, upper_hat, alpha, "imbens-manski", se_lower, se_upper, c_bar)
+        return IntervalCI(lower_hat, upper_hat, c_bar)
     width_ratio = (upper_hat - lower_hat) / se_max
 
     def gap(c):
@@ -189,9 +161,5 @@ def imbens_manski_ci(
     return IntervalCI(
         lo=float(lower_hat - c_bar * se_lower),
         hi=float(upper_hat + c_bar * se_upper),
-        alpha=alpha,
-        method="imbens-manski",
-        se_lower=se_lower,
-        se_upper=se_upper,
         c_bar=float(c_bar),
     )

@@ -10,7 +10,9 @@ The estimators here:
   reporting or counting the flag is the caller's job.
 * ``density_curve`` gives the same densities at many points over one
   sample: it sorts x once and fits each point on its own window's rows.
-* ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth.
+* ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth from
+  ``sample_sd``, a standard deviation that cannot overflow; the bootstrap
+  SEs use it too.
 
 Both fits take plain arrays: the running variable, and for the mean fit the
 outcome.
@@ -319,6 +321,21 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     return densities, clipped
 
 
+def sample_sd(values) -> float:
+    """Sample standard deviation (ddof=1) of ``values``, with the bits of
+    ``np.std(values, ddof=1)`` but no overflow and no warning.
+
+    It is the sd of values / 2**floor(log2(max|v|)), scaled back. A
+    power-of-two scale is exact, so the bits are unchanged, but the squares
+    cannot overflow on values near the float limit. A non-finite value
+    gives nan or inf, silently.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.ldexp(1.0, np.frexp(np.abs(values).max())[1] - 1)
+        return float(np.std(values / scale, ddof=1) * scale)
+
+
 def rot_bandwidth(xs, side: Side, cutoff: float) -> float:
     """Rule-of-thumb bandwidth 1.06 * sd * n^(-1/5) on one side of the cutoff.
 
@@ -333,10 +350,5 @@ def rot_bandwidth(xs, side: Side, cutoff: float) -> float:
             f"need at least 2 observations on side {side.value!r}, got {sub.size}",
             side=side.value,
         )
-    # the sd of x / 2**floor(log2(max|x|)), scaled back: a power-of-two
-    # scale is exact, so the bits are those of np.std(x), but the squares
-    # cannot overflow on |x| near the float limit
-    scale = np.ldexp(1.0, np.frexp(np.abs(sub).max())[1] - 1)
-    sd = float(np.std(sub / scale, ddof=1)) * scale
-    bw = 1.06 * sd * sub.size ** (-0.2)
+    bw = 1.06 * sample_sd(sub) * sub.size ** (-0.2)
     return max(bw, MIN_BANDWIDTH)

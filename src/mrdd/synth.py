@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
-from .bounds import sharp_type2_bounds, type2_bounds
+from .bounds import TypeAssumption, crude_bounds, sharp_type2_bounds
 from .errors import (
     InsufficientData,
     InvalidConfig,
@@ -166,8 +166,9 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
     mu_1(0) (weight phi(0)) with the manipulators' average outcome, a
     normal tail integral (weight 0.5 * lam * p). The bounds come from the
     estimators' own interval algebra applied to these population values:
-    ``type2_bounds`` for the crude interval and ``sharp_type2_bounds`` on
-    the binary outcome distribution at the right boundary for the sharp one.
+    ``crude_bounds`` under type 2 for the crude interval and
+    ``sharp_type2_bounds`` on the binary outcome distribution at the right
+    boundary for the sharp one.
     p = 1 is excluded: nobody stays below the cutoff, so f(c-) = 0.
     """
     if not (0.0 <= p < 1.0):
@@ -190,10 +191,9 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
         bandwidths=Bandwidths(),
         n_effective=SideCounts(0, 0, 0, 0),
     )
-    crude = type2_bounds(be, 0.0, 1.0)
+    crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
     # binary outcome at c+: weight 1 - mu_plus on y = 0, mu_plus on y = 1
-    window = [[1.0 - mu_plus, 0.0], [mu_plus, 1.0]]
-    sharp, _ = sharp_type2_bounds(window, be, 0.0, 1.0, grid_size=grid_size)
+    sharp, _ = sharp_type2_bounds([1.0 - mu_plus, mu_plus], [0.0, 1.0], be, 0.0, 1.0, grid_size=grid_size)
     return OracleRow(
         p=p,
         lam=lam,

@@ -19,21 +19,19 @@ from mrdd import (
     BoundaryEstimates,
     Bandwidths,
     SideCounts,
+    TypeAssumption,
     binary_sharp_gfuncs,
     brute_force_trimming,
     density_discontinuity_test,
     estimate_boundary,
+    crude_bounds,
     fuzzy_bounds,
-    FuzzyInputs,
     gen_appendix_d,
     gen_counterexample_e,
     gen_typed,
     imbens_manski_ci,
     oracle_appendix_d,
     sharp_type2_bounds,
-    type2_bounds,
-    type3_bounds,
-    type4_bounds,
     verify_lemma_moments,
     weighted_trimmed_means,
     write_typed_csv,
@@ -57,7 +55,8 @@ def _be(mu_plus, mu_minus, r, f_plus=1.0):
 
 
 def _binary_window(mu_plus):
-    return np.array([[1.0 - mu_plus, 0.0], [mu_plus, 1.0]])
+    """(weights, ys) of a binary outcome with mean mu_plus."""
+    return np.array([1.0 - mu_plus, mu_plus]), np.array([0.0, 1.0])
 
 
 TABLE_ROWS = [
@@ -128,8 +127,8 @@ def test_c04_sharp_equals_crude_in_equality_region(capsys):
     for r in (0.5, 0.7, 0.9):
         for mu in np.linspace(1 - r, r, 9):
             be = _be(float(mu), 0.45, r)
-            sharp, _ = sharp_type2_bounds(_binary_window(float(mu)), be, 0.0, 1.0)
-            crude = type2_bounds(be, 0.0, 1.0)
+            sharp, _ = sharp_type2_bounds(*_binary_window(float(mu)), be, 0.0, 1.0)
+            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             worst = max(worst, abs(sharp.lower - crude.lower), abs(sharp.upper - crude.upper))
     _criterion(capsys, 4, worst <= 1e-9, f"max |sharp - crude| = {worst:.2e}")
 
@@ -146,9 +145,9 @@ def test_c05_structural_bound_identities(capsys):
         mu_m = rng.uniform(y_lo, y_hi)
         r = rng.uniform(0.05, 1.0)
         be = _be(mu_p, mu_m, r)
-        t2 = type2_bounds(be, y_lo, y_hi)
-        t3 = type3_bounds(be, y_lo, y_hi)
-        t4 = type4_bounds(be, y_lo, y_hi)
+        t2 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE2)
+        t3 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE3)
+        t4 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE4)
         span = y_hi - y_lo
         checks = [
             abs(t2.lower - min(t3.lower, t4.lower)) < 1e-9 * max(1, span),
@@ -157,8 +156,8 @@ def test_c05_structural_bound_identities(capsys):
             abs((t4.upper - t4.lower) - (1 / r - 1) * span) < 1e-8 * max(1, span) * (1 / r),
         ]
         be1 = _be(mu_p, mu_m, 1.0)
-        for op in (type2_bounds, type3_bounds, type4_bounds):
-            res = op(be1, y_lo, y_hi)
+        for t in (TypeAssumption.TYPE2, TypeAssumption.TYPE3, TypeAssumption.TYPE4):
+            res = crude_bounds(be1, y_lo, y_hi, t)
             checks.append(abs(res.upper - res.lower) < 1e-9 * max(1, span))
         if not all(checks):
             ok = False
@@ -172,8 +171,8 @@ def test_c05_structural_bound_identities(capsys):
             mu_m = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.05, 1.0)
             be = _be(mu_p, mu_m, r)
-            sharp, _ = sharp_type2_bounds(_binary_window(mu_p), be, 0.0, 1.0)
-            crude = type2_bounds(be, 0.0, 1.0)
+            sharp, _ = sharp_type2_bounds(*_binary_window(mu_p), be, 0.0, 1.0)
+            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             if not (sharp.lower >= crude.lower - 1e-9 and sharp.upper <= crude.upper + 1e-9
                     and sharp.lower <= sharp.upper + 1e-9):
                 ok = False
@@ -190,8 +189,8 @@ def test_c06_fuzzy_reduction(capsys):
         r = rng.uniform(0.05, 1.0)
         f_plus = rng.uniform(0.1, 4.0)
         be = _be(mu_p, mu_m, r, f_plus=f_plus)
-        fz = fuzzy_bounds(FuzzyInputs(be=be, d_plus=1.0, d_minus=0.0), 0.0, 1.0)
-        t2 = type2_bounds(be, 0.0, 1.0)
+        fz = fuzzy_bounds(be, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)
+        t2 = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
         worst = max(worst, abs(fz.lower - t2.lower), abs(fz.upper - t2.upper))
     _criterion(capsys, 6, worst <= 1e-12, f"max |fuzzy - type2| = {worst:.2e}")
 
@@ -266,7 +265,7 @@ def test_c09_lemma_identity_residuals(capsys):
 
 
 def test_c10_published_set_width_consistency(capsys):
-    res = type4_bounds(_be(0.5, 0.4, 0.792), 0.0, 1.0)
+    res = crude_bounds(_be(0.5, 0.4, 0.792), 0.0, 1.0, TypeAssumption.TYPE4)
     width = res.upper - res.lower
     ok = abs(width - 0.2626) <= 0.0005 and abs(width - (0.627 - 0.363)) <= 0.005
     _criterion(capsys, 10, ok, f"type-4 width at r=0.792 is {width:.4f} vs published 0.264")

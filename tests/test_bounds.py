@@ -7,19 +7,15 @@ from mrdd import (
     Bandwidths,
     BoundaryEstimates,
     BoundsStatus,
-    FuzzyInputs,
     SideCounts,
     TypeAssumption,
     binary_sharp_gfuncs,
     clamp_interval,
     covariate_bounds,
+    crude_bounds,
     fuzzy_bounds,
-    mixed_bounds,
     oracle_appendix_d,
     sharp_type2_bounds,
-    type2_bounds,
-    type3_bounds,
-    type4_bounds,
     weighted_trimmed_means,
 )
 from mrdd.errors import EmptyInput, EmptyWindow, InvalidConfig, InvalidGrid, InvalidOutcomeRange, MixedTargets
@@ -39,9 +35,10 @@ def make_be(mu_plus, mu_minus, r, f_plus=1.0):
 
 
 def binary_window(mu_plus, y_low=0.0, y_high=1.0):
-    """Two-atom window over {y_low, y_high} whose weighted mean is mu_plus."""
+    """Two-atom window over {y_low, y_high} whose weighted mean is mu_plus,
+    as (weights, ys)."""
     w_high = (mu_plus - y_low) / (y_high - y_low)
-    return np.array([[1.0 - w_high, y_low], [w_high, y_high]])
+    return np.array([1.0 - w_high, w_high]), np.array([y_low, y_high])
 
 
 # strategy for valid scalar bound inputs: y_low < y_high, means inside range
@@ -67,41 +64,41 @@ class TestCrudeBounds:
     def test_type2_oracle_row1(self):
         row = oracle_appendix_d(0.1, 0.05)
         be = make_be(row.mu_plus, row.mu_minus, row.r)
-        res = type2_bounds(be, 0.0, 1.0)
+        res = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower == pytest.approx(0.060, abs=0.002)
         assert res.upper == pytest.approx(0.185, abs=0.002)
         assert res.status is BoundsStatus.INFORMATIVE
 
     def test_type2_point_identified_at_r_one(self):
-        res = type2_bounds(make_be(0.5, 0.3, 1.0), 0.0, 1.0)
+        res = crude_bounds(make_be(0.5, 0.3, 1.0), 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower == pytest.approx(0.2, abs=1e-12)
         assert res.upper == pytest.approx(0.2, abs=1e-12)
 
     def test_type2_hand_computed(self):
         # both branches evaluated by hand at r=0.8, mu+=0.6, mu-=0.5:
         # lower branches (0, 0), upper branches (0.2, 0.25)
-        res = type2_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0)
+        res = crude_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(0.25, abs=1e-12)
 
     def test_type3_hand_computed_and_width(self):
-        res = type3_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0)
+        res = crude_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0, TypeAssumption.TYPE3)
         assert res.lower == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(0.2, abs=1e-12)
         assert res.upper - res.lower == pytest.approx((1 - 0.8) * 1.0, abs=1e-12)
 
     def test_type3_point_at_r_one(self):
-        res = type3_bounds(make_be(0.45, 0.4, 1.0), -1.0, 1.0)
+        res = crude_bounds(make_be(0.45, 0.4, 1.0), -1.0, 1.0, TypeAssumption.TYPE3)
         assert res.lower == pytest.approx(0.05, abs=1e-12)
         assert res.upper == pytest.approx(0.05, abs=1e-12)
 
     def test_type3_lower_is_first_type2_branch(self):
         be = make_be(0.7, 0.2, 0.6)
         l1 = (0.7 - 1.0) - 0.6 * (0.2 - 1.0)
-        assert type3_bounds(be, 0.0, 1.0).lower == pytest.approx(l1, abs=1e-12)
+        assert crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE3).lower == pytest.approx(l1, abs=1e-12)
 
     def test_type4_hand_computed_and_width(self):
-        res = type4_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0)
+        res = crude_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0, TypeAssumption.TYPE4)
         assert res.lower == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(0.25, abs=1e-12)
         assert res.upper - res.lower == pytest.approx((1 / 0.8 - 1) * 1.0, abs=1e-12)
@@ -109,7 +106,7 @@ class TestCrudeBounds:
     def test_type4_width_matches_published_set(self):
         # r = 0.792 on a unit range gives width 0.2626, matching the
         # published interval [0.363, 0.627] of width 0.264 within rounding
-        res = type4_bounds(make_be(0.5, 0.4, 0.792), 0.0, 1.0)
+        res = crude_bounds(make_be(0.5, 0.4, 0.792), 0.0, 1.0, TypeAssumption.TYPE4)
         width = res.upper - res.lower
         assert width == pytest.approx(1 / 0.792 - 1, abs=1e-12)
         assert width == pytest.approx(0.627 - 0.363, abs=0.005)
@@ -120,34 +117,40 @@ class TestCrudeBounds:
             mu_p, mu_m = rng.uniform(0, 1, 2)
             r = rng.uniform(0.1, 1.0)
             be = make_be(mu_p, mu_m, r)
-            a = type2_bounds(be, 0.0, 1.0)
-            b = mixed_bounds(be, 0.0, 1.0)
+            a = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            b = crude_bounds(be, 0.0, 1.0, TypeAssumption.MIXED)
             assert a.lower == b.lower and a.upper == b.upper
             assert b.assumption is TypeAssumption.MIXED
 
     def test_mixed_oracle_row2(self):
         row = oracle_appendix_d(0.1, 0.3)
-        res = mixed_bounds(make_be(row.mu_plus, row.mu_minus, row.r), 0.0, 1.0)
+        res = crude_bounds(make_be(row.mu_plus, row.mu_minus, row.r), 0.0, 1.0, TypeAssumption.MIXED)
         assert res.lower == pytest.approx(0.032, abs=0.002)
         assert res.upper == pytest.approx(0.190, abs=0.002)
 
     def test_refuted_beyond_tolerance(self):
-        res = type2_bounds(make_be(0.5, 0.5, 1.05), 0.0, 1.0)
+        res = crude_bounds(make_be(0.5, 0.5, 1.05), 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.status is BoundsStatus.REFUTED
         assert res.note is not None
 
     def test_r_within_tolerance_clamped_to_point(self):
-        res = type3_bounds(make_be(0.5, 0.4, 1.01), 0.0, 1.0)
+        res = crude_bounds(make_be(0.5, 0.4, 1.01), 0.0, 1.0, TypeAssumption.TYPE3)
         assert res.status is BoundsStatus.INFORMATIVE
         assert res.lower <= res.upper
 
     def test_invalid_range(self):
         with pytest.raises(InvalidOutcomeRange):
-            type2_bounds(make_be(0.5, 0.5, 0.9), 1.0, 0.0)
+            crude_bounds(make_be(0.5, 0.5, 0.9), 1.0, 0.0, TypeAssumption.TYPE2)
+
+    def test_missing_range(self):
+        # an undeclared range is a labelled error, not a TypeError
+        for y_low, y_high in ((None, None), (0.0, None), (None, 1.0)):
+            with pytest.raises(InvalidOutcomeRange):
+                crude_bounds(make_be(0.5, 0.5, 0.9), y_low, y_high, TypeAssumption.TYPE2)
 
     def test_clamp_flag(self):
         # r = 0.1 blows the type-4 interval beyond the logical range
-        res = type4_bounds(make_be(0.9, 0.1, 0.1), 0.0, 1.0)
+        res = crude_bounds(make_be(0.9, 0.1, 0.1), 0.0, 1.0, TypeAssumption.TYPE4)
         assert res.upper > 1.0
         lower, upper, clamped = clamp_interval(res.lower, res.upper, 0.0, 1.0)
         assert clamped
@@ -161,9 +164,9 @@ class TestStructuralIdentities:
     def test_type2_is_branchwise_envelope(self, tup):
         mu_p, mu_m, r, y_lo, y_hi = tup
         be = make_be(mu_p, mu_m, r)
-        t2 = type2_bounds(be, y_lo, y_hi)
-        t3 = type3_bounds(be, y_lo, y_hi)
-        t4 = type4_bounds(be, y_lo, y_hi)
+        t2 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE2)
+        t3 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE3)
+        t4 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE4)
         assert t2.lower == pytest.approx(min(t3.lower, t4.lower), abs=1e-10)
         assert t2.upper == pytest.approx(max(t3.upper, t4.upper), abs=1e-10)
 
@@ -172,8 +175,8 @@ class TestStructuralIdentities:
     def test_width_identities(self, tup):
         mu_p, mu_m, r, y_lo, y_hi = tup
         be = make_be(mu_p, mu_m, r)
-        t3 = type3_bounds(be, y_lo, y_hi)
-        t4 = type4_bounds(be, y_lo, y_hi)
+        t3 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE3)
+        t4 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE4)
         assert t3.upper - t3.lower == pytest.approx((1 - r) * (y_hi - y_lo), abs=1e-9)
         assert t4.upper - t4.lower == pytest.approx((1 / r - 1) * (y_hi - y_lo), abs=1e-9)
 
@@ -182,9 +185,9 @@ class TestStructuralIdentities:
     def test_monotone_in_r(self, tup):
         mu_p, mu_m, r, y_lo, y_hi = tup
         smaller = 0.5 * r
-        for op in (type2_bounds, type3_bounds, type4_bounds):
-            wide = op(make_be(mu_p, mu_m, smaller), y_lo, y_hi)
-            narrow = op(make_be(mu_p, mu_m, r), y_lo, y_hi)
+        for t in (TypeAssumption.TYPE2, TypeAssumption.TYPE3, TypeAssumption.TYPE4):
+            wide = crude_bounds(make_be(mu_p, mu_m, smaller), y_lo, y_hi, t)
+            narrow = crude_bounds(make_be(mu_p, mu_m, r), y_lo, y_hi, t)
             assert wide.upper - wide.lower >= narrow.upper - narrow.lower - 1e-10
 
     @settings(max_examples=200, deadline=None)
@@ -193,8 +196,8 @@ class TestStructuralIdentities:
         mu_p, mu_m, _, y_lo, y_hi = tup
         be = make_be(mu_p, mu_m, 1.0)
         point = mu_p - mu_m
-        for op in (type2_bounds, type3_bounds, type4_bounds, mixed_bounds):
-            res = op(be, y_lo, y_hi)
+        for t in TypeAssumption:
+            res = crude_bounds(be, y_lo, y_hi, t)
             assert res.lower - 1e-9 <= point <= res.upper + 1e-9
 
 
@@ -224,9 +227,9 @@ class TestBinarySharpGfuncs:
 class TestWeightedTrimmedMeans:
     def test_matches_binary_closed_form(self):
         for mu in np.linspace(0.1, 0.9, 9):
-            win = binary_window(mu)
+            ws, ys = binary_window(mu)
             for tau in np.linspace(0.1, 1.0, 10):
-                g_lo, g_hi = weighted_trimmed_means(win[:, 1], win[:, 0], float(tau), 0.0, 1.0)
+                g_lo, g_hi = weighted_trimmed_means(ys, ws, float(tau), 0.0, 1.0)
                 b_lo, b_hi = binary_sharp_gfuncs(float(mu), float(tau))
                 assert g_lo == pytest.approx(b_lo, abs=1e-12)
                 assert g_hi == pytest.approx(b_hi, abs=1e-12)
@@ -263,10 +266,10 @@ class TestSharpBounds:
     def test_oracle_row4(self):
         row = oracle_appendix_d(0.3, 0.3)
         be = make_be(row.mu_plus, row.mu_minus, row.r, f_plus=0.5)
-        res, curve = sharp_type2_bounds(binary_window(row.mu_plus), be, 0.0, 1.0)
+        res, curve = sharp_type2_bounds(*binary_window(row.mu_plus), be, 0.0, 1.0)
         assert res.lower == pytest.approx(-0.254, abs=0.003)
         assert res.upper == pytest.approx(0.303, abs=0.003)
-        crude = type2_bounds(be, 0.0, 1.0)
+        crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower >= crude.lower - 1e-9
         assert res.upper <= crude.upper + 1e-9
 
@@ -275,14 +278,14 @@ class TestSharpBounds:
         for r in (0.5, 0.7, 0.9):
             for mu in np.linspace(1 - r, r, 9):
                 be = make_be(float(mu), 0.4, r)
-                sharp, _ = sharp_type2_bounds(binary_window(float(mu)), be, 0.0, 1.0)
-                crude = type2_bounds(be, 0.0, 1.0)
+                sharp, _ = sharp_type2_bounds(*binary_window(float(mu)), be, 0.0, 1.0)
+                crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
                 assert sharp.lower == pytest.approx(crude.lower, abs=1e-9)
                 assert sharp.upper == pytest.approx(crude.upper, abs=1e-9)
 
     def test_trimming_curve_invariants(self):
         be = make_be(0.55, 0.4, 0.7, f_plus=2.0)
-        _, curve = sharp_type2_bounds(binary_window(0.55), be, 0.0, 1.0, grid_size=101)
+        _, curve = sharp_type2_bounds(*binary_window(0.55), be, 0.0, 1.0, grid_size=101)
         assert np.all(np.diff(curve.z_grid) > 0)
         assert curve.z_grid[0] == pytest.approx(be.f_minus)
         assert curve.z_grid[-1] == pytest.approx(be.f_plus)
@@ -298,8 +301,8 @@ class TestSharpBounds:
             mu_m = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.2, 1.0)
             be = make_be(mu_p, mu_m, r)
-            sharp, _ = sharp_type2_bounds(binary_window(mu_p), be, 0.0, 1.0)
-            crude = type2_bounds(be, 0.0, 1.0)
+            sharp, _ = sharp_type2_bounds(*binary_window(mu_p), be, 0.0, 1.0)
+            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             assert sharp.lower >= crude.lower - 1e-9
             assert sharp.upper <= crude.upper + 1e-9
             assert sharp.lower <= sharp.upper + 1e-9
@@ -309,20 +312,28 @@ class TestSharpBounds:
         ws = rng.uniform(0.2, 1.0, 500)
         mu_p = float(np.average(ys, weights=ws))
         be = make_be(mu_p, 0.35, 0.6)
-        sharp, _ = sharp_type2_bounds(np.column_stack([ws, ys]), be, 0.0, 1.0)
-        crude = type2_bounds(be, 0.0, 1.0)
+        sharp, _ = sharp_type2_bounds(ws, ys, be, 0.0, 1.0)
+        crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
         assert crude.lower - 1e-9 <= sharp.lower <= sharp.upper <= crude.upper + 1e-9
 
     def test_errors(self):
         be = make_be(0.5, 0.5, 0.9)
         with pytest.raises(InvalidGrid):
-            sharp_type2_bounds(binary_window(0.5), be, 0.0, 1.0, grid_size=1)
+            sharp_type2_bounds(*binary_window(0.5), be, 0.0, 1.0, grid_size=1)
         with pytest.raises(EmptyWindow):
-            sharp_type2_bounds(np.empty((0, 2)), be, 0.0, 1.0)
+            sharp_type2_bounds(np.empty(0), np.empty(0), be, 0.0, 1.0)
+        with pytest.raises(EmptyWindow):
+            sharp_type2_bounds([1.0, 1.0], [0.0], be, 0.0, 1.0)
+        with pytest.raises(EmptyWindow):
+            sharp_type2_bounds([[1.0, 0.0]], [[1.0, 0.0]], be, 0.0, 1.0)
+        with pytest.raises(EmptyWindow):
+            sharp_type2_bounds([0.0, 0.0], [0.0, 1.0], be, 0.0, 1.0)
+        with pytest.raises(InvalidOutcomeRange):
+            sharp_type2_bounds(*binary_window(0.5), be, None, None)
 
     def test_refuted_when_r_large(self):
         be = make_be(0.5, 0.5, 1.2, f_plus=1.0)
-        res, _ = sharp_type2_bounds(binary_window(0.5), be, 0.0, 1.0)
+        res, _ = sharp_type2_bounds(*binary_window(0.5), be, 0.0, 1.0)
         assert res.status is BoundsStatus.REFUTED
 
 
@@ -333,31 +344,33 @@ class TestFuzzyBounds:
             r = rng.uniform(0.1, 1.0)
             f_plus = rng.uniform(0.2, 3.0)
             be = make_be(mu_p, mu_m, r, f_plus=f_plus)
-            fz = fuzzy_bounds(FuzzyInputs(be=be, d_plus=1.0, d_minus=0.0), 0.0, 1.0)
-            t2 = type2_bounds(be, 0.0, 1.0)
+            fz = fuzzy_bounds(be, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)
+            t2 = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             assert fz.lower == pytest.approx(t2.lower, abs=1e-12)
             assert fz.upper == pytest.approx(t2.upper, abs=1e-12)
 
     def test_point_identified_ratio(self):
         be = make_be(0.55, 0.5, 1.0, f_plus=1.0)
-        fz = fuzzy_bounds(FuzzyInputs(be=be, d_plus=0.6, d_minus=0.4), 0.0, 1.0)
+        fz = fuzzy_bounds(be, d_plus=0.6, d_minus=0.4, y_low=0.0, y_high=1.0)
         assert fz.lower == pytest.approx(0.25, abs=1e-12)
         assert fz.upper == pytest.approx(0.25, abs=1e-12)
 
     def test_degenerate_without_first_stage(self):
         be = make_be(0.55, 0.5, 1.0, f_plus=1.0)
-        fz = fuzzy_bounds(FuzzyInputs(be=be, d_plus=0.5, d_minus=0.5), 0.0, 1.0)
+        fz = fuzzy_bounds(be, d_plus=0.5, d_minus=0.5, y_low=0.0, y_high=1.0)
         assert fz.status is BoundsStatus.DEGENERATE
 
     def test_d_domain_validated(self):
         be = make_be(0.55, 0.5, 1.0)
         with pytest.raises(InvalidConfig):
-            FuzzyInputs(be=be, d_plus=1.2, d_minus=0.0)
+            fuzzy_bounds(be, d_plus=1.2, d_minus=0.0, y_low=0.0, y_high=1.0)
+        with pytest.raises(InvalidConfig):
+            fuzzy_bounds(be, d_plus=1.0, d_minus=-0.1, y_low=0.0, y_high=1.0)
 
 
 class TestCovariateBounds:
     def _res(self, lo, hi):
-        return type2_bounds(make_be(0.5, 0.5, 1.0), 0.0, 1.0).__class__(
+        return crude_bounds(make_be(0.5, 0.5, 1.0), 0.0, 1.0, TypeAssumption.TYPE2).__class__(
             lower=lo,
             upper=hi,
             target="E[Y(1)-Y(0) | X*=c]",
@@ -384,6 +397,6 @@ class TestCovariateBounds:
 
     def test_mixed_targets_rejected(self):
         good = self._res(0.0, 0.5)
-        bad = type3_bounds(make_be(0.5, 0.5, 1.0), 0.0, 1.0)
+        bad = crude_bounds(make_be(0.5, 0.5, 1.0), 0.0, 1.0, TypeAssumption.TYPE3)
         with pytest.raises(MixedTargets):
             covariate_bounds([("a", good), ("b", bad)])

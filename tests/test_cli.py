@@ -281,6 +281,7 @@ class TestAnalyze:
         ("--y-min", "1", "--y-max", "0"),
         ("--y-min", "nan", "--y-max", "1"),
         ("--y-min", "0", "--y-max", "inf"),
+        ("--y-min=-1e308", "--y-max", "1e308"),
     ])
     def test_bad_flags_exit_2_before_ingest(self, tmp_path, capsys, flags):
         # the input does not exist, so reading it would exit 3
@@ -654,6 +655,36 @@ class TestPlotdata:
         assert capsys.readouterr().err.startswith("configuration error")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bin_count_overflow_exits_2_in_one_line(self, tmp_path, capfd):
+        # the bin indices overflow a float; no numpy warning precedes the error
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n-1e300\n-5e299\n5e299\n1e300\n")
+        out = tmp_path / "bins.csv"
+        assert run_cli("plotdata", str(path), "--cutoff", "0", "--bin-width", "1e-10",
+                       "--out", str(out)) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("configuration error") and f"more than {MAX_PLOT_BINS} bins" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_x_column_alone_is_enough(self, typed_file, tmp_path):
+        path, ts = typed_file
+        x_only = tmp_path / "x.csv"
+        x_only.write_text("x\n" + "".join(f"{x!r}\n" for x in ts.data.xs.tolist()))
+        outs = []
+        for name, source in (("full.csv", path), ("x_only.csv", str(x_only))):
+            outs.append(tmp_path / name)
+            assert run_cli("plotdata", source, "--cutoff", "0", "--bin-width", "0.1",
+                           "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_col_y_flag_is_gone(self, typed_file, tmp_path):
+        path, _ = typed_file
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("plotdata", path, "--cutoff", "0", "--col-y", "y", "--out", str(tmp_path / "o.csv"))
+        assert excinfo.value.code == 2
+
     def test_empty_input_exits_3(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("x,y\n")
@@ -726,6 +757,8 @@ class TestContract:
     """Adversarial inputs and flags through ``main``: exit 0, 2 or 3, and a
     success always comes with a valid output."""
 
+    # overflow is handled in the code, never left to a raw numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         sample=adversarial_samples(),
@@ -754,6 +787,7 @@ class TestContract:
                 report = strict_json(Path(out).read_text())
                 assert report["blocks"][0]["order"] in (0, 1, 2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         sample=adversarial_samples(),

@@ -15,52 +15,56 @@ from mrdd import (
     SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
-    bootstrap_bounds,
     bounds_from_draws,
+    crude_bounds,
     crude_interval,
     gen_appendix_d,
     imbens_manski_ci,
-    mixed_bounds,
     oracle_appendix_d,
-    type2_bounds,
-    type3_bounds,
-    type4_bounds,
 )
 from mrdd.errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange
 
 
 class TestBootstrapBounds:
     def test_deterministic(self, appendix_d_small):
+        data = appendix_d_small.data
         cfg = BootstrapConfig(b=64, seed=21)
-        a = bootstrap_bounds(appendix_d_small.data, TypeAssumption.TYPE2, cfg)
-        b = bootstrap_bounds(appendix_d_small.data, TypeAssumption.TYPE2, cfg)
+        a, b = (
+            bounds_from_draws(
+                bootstrap_boundary_replicates(data, cfg), TypeAssumption.TYPE2, RMode.FIXED,
+                data.y_low, data.y_high,
+            )
+            for _ in range(2)
+        )
         assert a.point == b.point
         assert np.array_equal(a.replicates, b.replicates)
         assert (a.se_lower, a.se_upper) == (b.se_lower, b.se_upper)
 
     def test_worker_count_invariance(self, appendix_d_small):
-        one = bootstrap_bounds(
-            appendix_d_small.data, TypeAssumption.TYPE2, BootstrapConfig(b=64, seed=5, workers=1)
+        data = appendix_d_small.data
+        one = bounds_from_draws(
+            bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=5, workers=1)),
+            TypeAssumption.TYPE2, RMode.FIXED, data.y_low, data.y_high,
         )
-        four = bootstrap_bounds(
-            appendix_d_small.data, TypeAssumption.TYPE2, BootstrapConfig(b=64, seed=5, workers=4)
+        four = bounds_from_draws(
+            bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=5, workers=4)),
+            TypeAssumption.TYPE2, RMode.FIXED, data.y_low, data.y_high,
         )
         assert np.array_equal(one.replicates, four.replicates)
 
     def test_fixed_r_type4_widths_constant(self, appendix_d_small):
         data = appendix_d_small.data
-        res = bootstrap_bounds(data, TypeAssumption.TYPE4, BootstrapConfig(b=64, seed=2))
-        widths = res.replicates[:, 1] - res.replicates[:, 0]
         draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=2))
+        res = bounds_from_draws(draws, TypeAssumption.TYPE4, RMode.FIXED, data.y_low, data.y_high)
+        widths = res.replicates[:, 1] - res.replicates[:, 0]
         expected = (1.0 / draws.point.r - 1.0) * (data.y_high - data.y_low)
         assert np.all(np.abs(widths - expected) < 1e-12)
 
     def test_random_r_widths_vary(self, appendix_d_small):
-        res = bootstrap_bounds(
-            appendix_d_small.data,
-            TypeAssumption.TYPE4,
-            BootstrapConfig(b=64, seed=2),
-            r_mode=RMode.RANDOM,
+        data = appendix_d_small.data
+        res = bounds_from_draws(
+            bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=2)),
+            TypeAssumption.TYPE4, RMode.RANDOM, data.y_low, data.y_high,
         )
         widths = res.replicates[:, 1] - res.replicates[:, 0]
         assert np.std(widths) > 0
@@ -70,8 +74,9 @@ class TestBootstrapBounds:
 
         data = appendix_d_small.data
         stripped = Dataset(xs=data.xs, ys=data.ys, cutoff=data.cutoff)
+        draws = bootstrap_boundary_replicates(stripped, BootstrapConfig(b=64, seed=0))
         with pytest.raises(InvalidOutcomeRange):
-            bootstrap_bounds(stripped, TypeAssumption.TYPE2, BootstrapConfig(b=64, seed=0))
+            bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, stripped.y_low, stripped.y_high)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
@@ -116,7 +121,8 @@ class TestBootstrapBounds:
         n_reps = 200
         for seed in range(n_reps):
             ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=20_000, seed=seed))
-            bb = bootstrap_bounds(ts.data, TypeAssumption.TYPE2, BootstrapConfig(b=200, seed=seed))
+            draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=200, seed=seed))
+            bb = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, ts.data.y_low, ts.data.y_high)
             ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
             covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
         assert covered >= 0.9 * n_reps
@@ -130,29 +136,18 @@ class TestBootstrapBounds:
         n_reps = 200
         for seed in range(n_reps):
             ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=20_000, seed=seed))
-            bb = bootstrap_bounds(
-                ts.data,
-                TypeAssumption.TYPE2,
-                BootstrapConfig(b=200, seed=seed),
-                r_mode=RMode.RANDOM,
-            )
+            draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=200, seed=seed))
+            bb = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.RANDOM, ts.data.y_low, ts.data.y_high)
             ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
             covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
         assert covered >= 0.9 * n_reps
 
 
-SCALAR_BOUNDS = {
-    TypeAssumption.TYPE2: type2_bounds,
-    TypeAssumption.TYPE3: type3_bounds,
-    TypeAssumption.TYPE4: type4_bounds,
-    TypeAssumption.MIXED: mixed_bounds,
-}
 Y_LOW, Y_HIGH = -3.7, 11.3
 
 
 def per_replicate_loop(draws, assumption, r_mode):
     """Each replicate as its own BoundaryEstimates through the scalar bound function."""
-    op = SCALAR_BOUNDS[assumption]
     reps = np.empty((draws.draws.shape[0], 2))
     for i, (mu_p, mu_m, f_p, f_m) in enumerate(draws.draws):
         if r_mode is RMode.FIXED:
@@ -165,7 +160,7 @@ def per_replicate_loop(draws, assumption, r_mode):
             f_minus=float(f_m),
             r=float(f_m / f_p),
         )
-        res = op(be, Y_LOW, Y_HIGH)
+        res = crude_bounds(be, Y_LOW, Y_HIGH, assumption)
         reps[i] = (res.lower, res.upper)
     return reps
 
@@ -221,7 +216,7 @@ class TestBoundsFromDraws:
         got = bounds_from_draws(draws, assumption, r_mode, Y_LOW, Y_HIGH)
         reference = per_replicate_loop(draws, assumption, r_mode)
         assert got.replicates.tobytes() == reference.tobytes()
-        assert got.point == SCALAR_BOUNDS[assumption](draws.point, Y_LOW, Y_HIGH)
+        assert got.point == crude_bounds(draws.point, Y_LOW, Y_HIGH, assumption)
         assert got.se_lower == float(np.std(reference[:, 0], ddof=1))
         assert got.se_upper == float(np.std(reference[:, 1], ddof=1))
 
@@ -250,6 +245,21 @@ class TestBoundsFromDraws:
         expected = [python_crude(*row, assumption, -1e308, 1e308)[:2] for row in rows]
         assert not np.isfinite(got).all()
         assert same_bits(np.column_stack(got), expected)
+
+    @pytest.mark.parametrize("r_mode", list(RMode))
+    def test_endpoint_ses_cannot_overflow(self, r_mode):
+        # replicate ends near 1e300 square past the float limit inside np.std
+        draws = synthetic_draws(0.83)
+        scale = 1e300 / Y_HIGH
+        point = replace(draws.point, mu_plus=draws.point.mu_plus * scale, mu_minus=draws.point.mu_minus * scale)
+        huge = replace(draws, point=point, draws=draws.draws * [scale, scale, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bounds_from_draws(huge, TypeAssumption.TYPE3, r_mode, Y_LOW * scale, Y_HIGH * scale)
+        assert np.isfinite(got.replicates).all()
+        for se, ends in ((got.se_lower, got.replicates[:, 0]), (got.se_upper, got.replicates[:, 1])):
+            assert np.isfinite(se) and se > 0
+            assert se == pytest.approx(float(np.std(ends / 1e300, ddof=1)) * 1e300, rel=1e-12)
 
 
 class TestImbensManski:

@@ -15,7 +15,7 @@ from mrdd import (
     rot_bandwidth,
 )
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
-from mrdd.localfit import DENSITY_FLOOR
+from mrdd.localfit import DENSITY_FLOOR, sample_sd
 
 
 class TestKernelWeight:
@@ -215,6 +215,32 @@ class TestDensityCurve:
     def test_one_spec_per_point(self):
         with pytest.raises(InvalidConfig):
             density_curve(curve_sample(), [0.0, 1.0], [FitSpec(order=1, bandwidth=0.5)])
+
+
+class TestSampleSd:
+    def test_same_bits_as_np_std_at_every_scale(self):
+        rng = np.random.default_rng(8)
+        for exponent in range(-100, 101, 5):
+            for values in (
+                rng.standard_normal(300) * 10.0**exponent,
+                rng.uniform(-2, 7, 50) * 10.0**exponent + rng.uniform(-5, 5) * 10.0**exponent,
+                np.abs(rng.standard_normal(1000)) * 10.0**exponent,
+            ):
+                assert np.float64(sample_sd(values)).tobytes() == np.std(values, ddof=1).tobytes()
+
+    def test_constant_and_zero(self):
+        assert sample_sd(np.zeros(5)) == 0.0
+        assert sample_sd(np.full(7, -3.25e250)) == 0.0
+
+    def test_no_overflow_or_warning_near_the_float_limit(self):
+        values = np.array([-1.5e308, -1e308, 0.0, 1e308, 1.5e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sd = sample_sd(values)
+            # a non-finite value gives a non-finite sd, silently
+            assert np.isnan(sample_sd(np.array([1.0, np.inf, 2.0])))
+        assert np.isfinite(sd)
+        assert sd == pytest.approx(float(np.std(values / 1e308, ddof=1)) * 1e308, rel=1e-15)
 
 
 class TestRotBandwidth:
