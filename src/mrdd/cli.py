@@ -42,7 +42,6 @@ from .errors import (
     MissingColumn,
     MrddError,
     ParseError,
-    UnknownDgp,
 )
 from .inference import (
     BootstrapConfig,
@@ -215,13 +214,6 @@ def _read_rows(fh, wanted: dict[str, str]) -> dict[str, np.ndarray]:
     return columns
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _nulls_for_non_finite(value):
     """``value`` with every nan or inf float, however nested, replaced by None."""
     if isinstance(value, float):
@@ -237,7 +229,8 @@ def _write_json(payload: dict, out: str | None) -> None:
     """Write strict JSON (a non-finite number becomes null) to ``out`` or stdout."""
     text = json.dumps(_nulls_for_non_finite(payload), indent=2, allow_nan=False) + "\n"
     if out:
-        _atomic_write(out, text)
+        with synth.atomic_open(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -359,7 +352,7 @@ def _read_config_file(path: str) -> dict:
     if path.endswith(".json"):
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an integer with too many digits
             raise InvalidConfig(f"bad JSON config: {err}")
         if not isinstance(loaded, dict):
             raise InvalidConfig("JSON config must be an object")
@@ -400,17 +393,20 @@ _CONFIG_KEYS = {
 
 
 def _coerce(key: str, value, kind):
+    """A config value as ``kind``: a string that parses as one, or a JSON value
+    of that type. An integer also serves as a float; a bool serves only as a bool."""
     if isinstance(value, str) and kind is bool:
         lowered = value.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise InvalidConfig(f"config key {key!r}: cannot parse boolean from {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}")
+    elif isinstance(value, str) or type(value) is kind or (kind is float and type(value) is int):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise InvalidConfig(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -420,8 +416,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raw = _read_config_file(args.config)
         for key, value in raw.items():
             if key == "covariates":
-                names = value if isinstance(value, list) else [s for s in str(value).split(",") if s]
-                file_values["covariates"] = tuple(names)
+                if isinstance(value, str):
+                    value = [s for s in value.split(",") if s]
+                if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                    raise InvalidConfig(f"config key 'covariates': expected column names, got {value!r}")
+                file_values["covariates"] = tuple(value)
                 continue
             if key not in _CONFIG_KEYS:
                 raise InvalidConfig(f"unknown config key {key!r}")
@@ -487,26 +486,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _typed_sample(args: argparse.Namespace) -> synth.TypedSample:
+    """The typed DGP's sample, with the type shares of the repeated ``--share T=WEIGHT``."""
+    shares: dict[int, float] = {}
+    for chunk in args.share:
+        try:
+            label, _, weight = chunk.partition("=")
+            shares[int(label)] = float(weight)
+        except ValueError:
+            raise InvalidConfig(f"cannot parse --share {chunk!r}; expected T=WEIGHT")
+    return synth.gen_typed(shares, args.n, args.seed, args.attempt_prob)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    name = args.dgp
-    if name == "appendix-d":
-        spec = synth.AppendixDSpec(p=args.p, lam=args.lam, n=args.n, seed=args.seed)
-        ts = synth.gen_appendix_d(spec)
-    elif name == "counterexample-e":
-        ts = synth.gen_counterexample_e(n=args.n, seed=args.seed, noise_sd=args.noise_sd)
-    elif name == "typed":
-        if not args.share:
-            raise InvalidConfig("typed DGP needs at least one --share T=WEIGHT")
-        shares: dict[int, float] = {}
-        for chunk in args.share:
-            try:
-                label, _, weight = chunk.partition("=")
-                shares[int(label)] = float(weight)
-            except ValueError:
-                raise InvalidConfig(f"cannot parse --share {chunk!r}; expected T=WEIGHT")
-        ts = synth.gen_typed(shares, n=args.n, seed=args.seed, attempt_prob=args.attempt_prob)
-    else:
-        raise UnknownDgp(f"unknown DGP {name!r}; choose appendix-d, counterexample-e or typed")
+    ts = args.generate(args)
     synth.write_typed_csv(ts, args.out)
     shares_txt = ", ".join(f"type {t}: {s:.4f}" for t, s in sorted(ts.type_shares().items()))
     sys.stdout.write(
@@ -571,7 +564,8 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     for left_edge, right_edge, count, left, dens in rows:
         side = "left" if left else "right"
         lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{int(count)},{side},{float(dens)!r}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    with synth.atomic_open(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     n_clipped = int(np.count_nonzero(clipped))
     if n_clipped:
         print(
@@ -618,17 +612,25 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze)
 
+    # --n, --seed and --out follow the DGP name; each DGP takes only its own flags
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--n", type=int, default=10_000)
+    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--out", required=True)
     ps = sub.add_parser("simulate", help="write a synthetic sample with latent columns")
-    ps.add_argument("dgp", help="appendix-d, counterexample-e, or typed")
-    ps.add_argument("--p", type=float, default=0.1)
-    ps.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    ps.add_argument("--n", type=int, default=10_000)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.0)
-    ps.add_argument("--share", action="append", default=None, metavar="T=WEIGHT")
-    ps.add_argument("--attempt-prob", dest="attempt_prob", type=float, default=0.5)
-    ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_simulate)
+    dgps = ps.add_subparsers(dest="dgp", required=True, metavar="DGP")
+    pd = dgps.add_parser("appendix-d", parents=[sample], help="the normal mixture with exponential landings")
+    pd.add_argument("--p", type=float, default=0.1)
+    pd.add_argument("--lambda", dest="lam", type=float, default=0.05)
+    pd.set_defaults(generate=lambda a: synth.gen_appendix_d(a.p, a.lam, a.n, a.seed))
+    pe = dgps.add_parser("counterexample-e", parents=[sample], help="smooth density, jumping mean")
+    pe.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.0)
+    pe.set_defaults(generate=lambda a: synth.gen_counterexample_e(a.n, a.seed, a.noise_sd))
+    pt = dgps.add_parser("typed", parents=[sample], help="a mix of the five manipulation types")
+    pt.add_argument("--share", action="append", required=True, metavar="T=WEIGHT")
+    pt.add_argument("--attempt-prob", dest="attempt_prob", type=float, default=0.5)
+    pt.set_defaults(generate=_typed_sample)
 
     po = sub.add_parser("oracle", help="population bounds for the mixture DGP")
     po.add_argument("--p", type=float, required=True)

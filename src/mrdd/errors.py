@@ -32,10 +32,6 @@ class InvalidParams(ConfigError):
     pass
 
 
-class UnknownDgp(ConfigError):
-    pass
-
-
 class InvalidWeights(ConfigError):
     pass
 
@@ -93,10 +89,6 @@ class InvalidInputs(DataError):
 
 
 class InvalidDistribution(DataError):
-    pass
-
-
-class MissingLatents(DataError):
     pass
 
 

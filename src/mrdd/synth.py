@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .errors import (
     InvalidDistribution,
     InvalidParams,
     InvalidWeights,
-    MissingLatents,
 )
 
 CUTOFF = 0.0
@@ -47,6 +47,10 @@ EXP_RATE = 1.0
 NOISE_SCALE = 0.25
 
 TYPED_CSV_COLUMNS = ("x", "y", "d", "x_star", "manipulated", "t_type")
+
+# numpy's standard normal and exponential draws are all below 64 in size, so a
+# draw times a scale s is finite whenever 64 * s is
+_DRAW_BOUND = 64.0
 
 
 def _mu_d(x, d):
@@ -60,25 +64,21 @@ def _norm_pdf(x):
     return np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class AppendixDSpec:
-    """Parameters of the mixture DGP: attempt probability p, landing density
-    at zero-plus lam, sample size and seed."""
+def _check_size(n: int, seed: int) -> None:
+    """The sample size and seed every generator takes."""
+    if n < 1:
+        raise InvalidParams(f"n must be at least 1, got {n}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be nonnegative, got {seed}")
 
-    p: float
-    lam: float
-    n: int
-    seed: int
 
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise InvalidParams(f"p must lie in [0, 1], got {self.p}")
-        if not (self.lam > 0):
-            raise InvalidParams(f"lam must be positive, got {self.lam}")
-        if self.n < 1:
-            raise InvalidParams(f"n must be at least 1, got {self.n}")
-        if self.seed < 0:
-            raise InvalidParams("seed must be nonnegative")
+def _check_mixture(p: float, lam: float) -> None:
+    """The mixture DGP's attempt probability and landing density at zero-plus;
+    a landing is a standard exponential draw times 1 / lam."""
+    if not (0.0 <= p <= 1.0):
+        raise InvalidParams(f"p must lie in [0, 1], got {p}")
+    if not (0.0 < lam < np.inf and np.isfinite(_DRAW_BOUND / lam)):
+        raise InvalidParams(f"lambda must be finite and at least 3.6e-307, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -86,25 +86,16 @@ class TypedSample:
     """Observable rows plus the latent truth used by oracle checks."""
 
     data: Dataset
-    x_star: np.ndarray | None = None
-    manipulated: np.ndarray | None = None
-    t_type: np.ndarray | None = None
-
-    def has_latents(self) -> bool:
-        return self.x_star is not None and self.manipulated is not None and self.t_type is not None
+    x_star: np.ndarray
+    manipulated: np.ndarray
+    t_type: np.ndarray
 
     def manipulation_fraction(self) -> float:
-        self._require_latents()
         return float(np.mean(self.manipulated))
 
     def type_shares(self) -> dict[int, float]:
-        self._require_latents()
         values, counts = np.unique(self.t_type, return_counts=True)
         return {int(v): float(c) / self.t_type.size for v, c in zip(values, counts)}
-
-    def _require_latents(self):
-        if not self.has_latents():
-            raise MissingLatents("this sample carries no latent columns")
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ class OracleRow:
     sharp_upper: float
 
 
-def gen_appendix_d(spec: AppendixDSpec) -> TypedSample:
+def gen_appendix_d(p: float, lam: float, n: int, seed: int) -> TypedSample:
     """Draw a sample from the mixture DGP.
 
     Latent score X* ~ N(0, 1); a unit manipulates iff X* < 0 and an
@@ -132,13 +123,14 @@ def gen_appendix_d(spec: AppendixDSpec) -> TypedSample:
     lam and every manipulator lands at or above the cutoff). Binary
     potential outcomes are 1{mu_d(X*) >= eps} with eps uniform.
     """
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n
+    _check_size(n, seed)
+    _check_mixture(p, lam)
+    rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(n)
     eps = rng.uniform(size=n)
     u = rng.uniform(size=n)
-    v = rng.exponential(scale=1.0 / spec.lam, size=n)
-    keep = (x_star >= CUTOFF) | (u >= spec.p)
+    v = rng.exponential(scale=1.0 / lam, size=n)
+    keep = (x_star >= CUTOFF) | (u >= p)
     x = np.where(keep, x_star, v)
     d = (x >= CUTOFF).astype(float)
     y1 = (_mu_d(x_star, 1) >= eps).astype(float)
@@ -171,10 +163,9 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
     boundary for the sharp one.
     p = 1 is excluded: nobody stays below the cutoff, so f(c-) = 0.
     """
-    if not (0.0 <= p < 1.0):
-        raise InvalidParams(f"p must lie in [0, 1), got {p}")
-    if not (lam > 0):
-        raise InvalidParams(f"lam must be positive, got {lam}")
+    _check_mixture(p, lam)
+    if p == 1.0:
+        raise InvalidParams("p must lie below 1 for the oracle: nobody stays below the cutoff")
     phi0 = float(_norm_pdf(0.0))
     f_minus = (1.0 - p) * phi0
     f_plus = phi0 + 0.5 * lam * p
@@ -220,10 +211,9 @@ def gen_counterexample_e(n: int, seed: int, noise_sd: float = 0.0) -> TypedSampl
     middle segment's below-cutoff landing violates the one-sided landing
     rule; that violation is the entire point of this generator.
     """
-    if n < 1:
-        raise InvalidParams(f"n must be at least 1, got {n}")
-    if noise_sd < 0:
-        raise InvalidParams("noise_sd must be nonnegative")
+    _check_size(n, seed)
+    if not (noise_sd >= 0.0 and np.isfinite(_DRAW_BOUND * noise_sd)):
+        raise InvalidParams(f"noise_sd must lie in [0, 2.8e306], got {noise_sd}")
     rng = np.random.default_rng(seed)
     x_star = rng.uniform(-1.0, 1.0, size=n)
     x = np.where(
@@ -264,20 +254,19 @@ def gen_typed(type_shares: dict[int, float], n: int, seed: int, attempt_prob: fl
     MIN_JUMP. Outcomes follow the shared binary model, so the cutoff effect
     is Phi(-0.5) - Phi(-1).
     """
+    _check_size(n, seed)
     if not type_shares:
         raise InvalidWeights("type_shares must not be empty")
     keys = sorted(type_shares)
     if any(k not in (0, 1, 2, 3, 4) for k in keys):
         raise InvalidWeights(f"type labels must be 0..4, got {keys}")
     weights = np.array([type_shares[k] for k in keys], dtype=float)
-    if np.any(weights < 0):
-        raise InvalidWeights("type shares must be nonnegative")
+    if not np.all(weights >= 0):
+        raise InvalidWeights(f"type shares must be nonnegative numbers, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise InvalidWeights(f"type shares must sum to 1, got {weights.sum()}")
-    if n < 1:
-        raise InvalidParams(f"n must be at least 1, got {n}")
     if not (0.0 <= attempt_prob <= 1.0):
-        raise InvalidParams("attempt_prob must lie in [0, 1]")
+        raise InvalidParams(f"attempt_prob must lie in [0, 1], got {attempt_prob}")
     rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(n)
     eps = rng.uniform(size=n)
@@ -347,8 +336,6 @@ def verify_lemma_moments(
     restrictions can fail this check while passing the density test; that
     failure mode is exactly what the smooth-density counterexample shows.
     """
-    if not ts.has_latents():
-        raise MissingLatents("lemma verification needs latent columns")
     if window <= 0:
         raise InvalidConfig(f"window must be positive, got {window}")
     data = ts.data
@@ -471,9 +458,8 @@ def write_typed_csv(ts: TypedSample, path: str) -> None:
     """Write a TypedSample in the CLI ingestion schema plus latent columns.
 
     Floats are written with repr so a round trip through ``ingest`` restores
-    them exactly; output is written atomically.
+    them exactly; output is written atomically (:func:`atomic_open`).
     """
-    ts._require_latents()
     data = ts.data
     d = data.d if data.d is not None else (data.xs >= data.cutoff).astype(float)
 
@@ -487,37 +473,29 @@ def write_typed_csv(ts: TypedSample, path: str) -> None:
     columns = (
         floats(data.xs), floats(data.ys), ints(d), floats(ts.x_star), ints(ts.manipulated), ints(ts.t_type)
     )
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TYPED_CSV_COLUMNS)
         writer.writerows(zip(*columns))
-    os.replace(tmp, path)
 
 
-def read_typed_csv(path: str, cutoff: float = CUTOFF,
-                   y_low: float | None = None, y_high: float | None = None) -> TypedSample:
-    """Read back a file produced by :func:`write_typed_csv`."""
-    rows = {name: [] for name in TYPED_CSV_COLUMNS}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in TYPED_CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise MissingLatents(f"typed CSV lacks columns {missing}")
-        for record in reader:
-            for name in TYPED_CSV_COLUMNS:
-                rows[name].append(float(record[name]))
-    data = Dataset(
-        xs=np.array(rows["x"]),
-        ys=np.array(rows["y"]),
-        cutoff=cutoff,
-        y_low=y_low,
-        y_high=y_high,
-        d=np.array(rows["d"]),
-    )
-    return TypedSample(
-        data=data,
-        x_star=np.array(rows["x_star"]),
-        manipulated=np.array(rows["manipulated"], dtype=bool),
-        t_type=np.array(rows["t_type"], dtype=np.int8),
-    )
+@contextmanager
+def atomic_open(path: str):
+    """A text file, with no newline translation, that replaces ``path`` when the block ends.
+
+    The text goes to ``path`` + ".tmp" first, and that file is removed if
+    the block or the replace fails. A path that cannot be written raises
+    InvalidConfig naming it and the operating system's reason.
+    """
+    tmp = f"{path}.tmp"
+    created = False
+    try:
+        with open(tmp, "w", newline="") as fh:
+            created = True
+            yield fh
+        os.replace(tmp, path)
+    except OSError as err:
+        raise InvalidConfig(f"cannot write {path}: {err.strerror or err}") from None
+    finally:
+        if created and os.path.exists(tmp):
+            os.remove(tmp)

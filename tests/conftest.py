@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from mrdd import AppendixDSpec, gen_appendix_d
+from mrdd import gen_appendix_d
 
 
 @pytest.fixture(scope="session")
 def appendix_d_small():
     """Shared (0.1, 0.05) sample, n=50k, for cheap estimation tests."""
-    return gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=50_000, seed=0))
+    return gen_appendix_d(0.1, 0.05, 50_000, 0)
 
 
 @pytest.fixture(scope="session")

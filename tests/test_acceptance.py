@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 
 from mrdd import (
-    AppendixDSpec,
     BootstrapConfig,
     BoundaryEstimates,
     Bandwidths,
@@ -98,7 +97,7 @@ def test_c02_theta_true_constant(capsys):
 
 def test_c03_end_to_end_estimation(tmp_path, capsys):
     start = time.monotonic()
-    ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=200_000, seed=0))
+    ts = gen_appendix_d(0.1, 0.05, 200_000, 0)
     sample_path = tmp_path / "appendix_d.csv"
     write_typed_csv(ts, str(sample_path))
     out = tmp_path / "report.json"
@@ -251,7 +250,7 @@ def test_c09_lemma_identity_residuals(capsys):
     theta = float(stats.norm.cdf(-0.5) - stats.norm.cdf(-1.0))
     presets = {
         "type0": gen_typed({0: 1.0}, n=1_000_000, seed=5),
-        "type2": gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=1_000_000, seed=11)),
+        "type2": gen_appendix_d(0.3, 0.3, 1_000_000, 11),
         "type4": gen_typed({0: 0.5, 4: 0.5}, n=1_000_000, seed=0),
     }
     worst = 0.0

@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from mrdd import (
-    AppendixDSpec,
     Bandwidths,
     Dataset,
     FitConfig,
@@ -49,7 +48,7 @@ class TestDataset:
 class TestEstimateBoundary:
     def test_appendix_d_r_statistic(self):
         # fixed seed; population r = 0.894 for (p, lam) = (0.1, 0.05)
-        ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=200_000, seed=0))
+        ts = gen_appendix_d(0.1, 0.05, 200_000, 0)
         be = estimate_boundary(ts.data)
         assert be.r == pytest.approx(population_r(0.1, 0.05), abs=0.03)
         assert be.r == be.f_minus / be.f_plus
@@ -110,7 +109,7 @@ class TestEstimateBoundary:
         for n in (10_000, 400_000):
             errs = []
             for seed in (0, 1, 2):
-                ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=n, seed=seed))
+                ts = gen_appendix_d(0.1, 0.05, n, seed)
                 errs.append(abs(estimate_boundary(ts.data).r - target))
             errors[n] = np.mean(errs)
         assert errors[400_000] < errors[10_000]

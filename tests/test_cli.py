@@ -18,7 +18,6 @@ import mrdd
 from mrdd import cli
 
 from mrdd import (
-    AppendixDSpec,
     BootstrapConfig,
     FitConfig,
     FitSpec,
@@ -471,6 +470,20 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert run_cli("analyze", path, "--config", str(cfgfile), "--out", str(out)) == 0
 
+    @pytest.mark.parametrize("entry,named", [
+        ('"boot": 64.9', "'boot'"), ('"order": 1.5', "'order'"), ('"seed": true', "'seed'"),
+        ('"sharp": 2', "'sharp'"), ('"col_x": null', "'col_x'"), ('"covariates": [1]', "'covariates'"),
+        ('"seed": ' + "1" * 5000, "bad JSON config"),
+    ], ids=lambda value: value[:16])
+    def test_json_config_value_of_another_type_exits_2(self, tmp_path, capsys, entry, named):
+        # an int key takes a JSON integer, a bool key a JSON bool, a string key a string
+        missing = tmp_path / "missing.csv"
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text('{"cutoff": 0, "y_min": 0, "y_max": 1, ' + entry + "}")
+        assert run_cli("analyze", str(missing), "--config", str(cfgfile)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
+
     def test_unknown_config_key_exits_2(self, typed_file, tmp_path):
         path, _ = typed_file
         cfgfile = tmp_path / "run.cfg"
@@ -507,7 +520,7 @@ class TestAnalyze:
     def test_end_to_end_against_oracle(self, tmp_path):
         # strongly manipulated sample: the protocol must reject the density
         # and the reported set must sit near the population bounds
-        ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=200_000, seed=4))
+        ts = gen_appendix_d(0.3, 0.3, 200_000, 4)
         sample = tmp_path / "d33.csv"
         write_typed_csv(ts, str(sample))
         out = tmp_path / "report.json"
@@ -541,11 +554,9 @@ class TestSimulate:
         code = run_cli("simulate", "counterexample-e", "--n", "1000", "--seed", "3",
                        "--out", str(out))
         assert code == 0
-        from mrdd import read_typed_csv
-
-        ts = read_typed_csv(str(out))
-        assert ts.data.n == 1000
-        assert np.all(ts.data.xs >= ts.x_star)
+        data = ingest(str(out), 0.0, col_d="d", covariates=("x_star", "manipulated", "t_type"))
+        assert data.n == 1000
+        assert np.all(data.xs >= data.covariates["x_star"])
 
     def test_typed_shares(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -556,7 +567,9 @@ class TestSimulate:
         assert "type shares" in printed and "manipulation fraction" in printed
 
     def test_unknown_dgp_exits_2(self, tmp_path):
-        assert run_cli("simulate", "nope", "--out", str(tmp_path / "x.csv")) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("simulate", "nope", "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
 
 
 class TestOracle:
@@ -708,6 +721,24 @@ class TestPlotdata:
         assert abs(n_above - n_below) < 3 * se
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "oracle", "plotdata"])
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_exits_2(typed_file, tmp_path, capsys, command, target):
+    path, _ = typed_file
+    (tmp_path / "taken").mkdir()
+    out = str(tmp_path / "taken") if target == "directory" else str(tmp_path / "nodir" / "out.txt")
+    argv = {
+        "analyze": ["analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--boot", "50"],
+        "simulate": ["simulate", "appendix-d", "--n", "100"],
+        "oracle": ["oracle", "--p", "0.1", "--lambda", "0.3"],
+        "plotdata": ["plotdata", path, "--cutoff", "0"],
+    }[command]
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def usually(value, others):
     """A strategy that draws ``value`` about half the time and one of ``others`` otherwise,
     so that some runs get as far as a result."""
@@ -744,6 +775,45 @@ def adversarial_samples(draw):
 
 
 CUTOFFS = ["0.5", "-1", "1e-12", "1e300", "-1e300", "nan", "inf"]
+
+
+EXTREMES = ["nan", "inf", "-inf", "0", "1e-320", "1e300"]
+
+
+def parameter(*ordinary):
+    """An ordinary value about half the time and an extreme one otherwise."""
+    return st.sampled_from(ordinary) | st.sampled_from(EXTREMES)
+
+
+@st.composite
+def simulate_argvs(draw):
+    """``simulate`` arguments for one DGP, now and then with another DGP's flag,
+    and the number of rows asked for."""
+    n = draw(st.integers(1, 300))
+    dgp = draw(st.sampled_from(["appendix-d", "counterexample-e", "typed"]))
+    if dgp == "appendix-d":
+        own = [f"--p={draw(parameter('0', '0.1', '1'))}", f"--lambda={draw(parameter('0.05', '3'))}"]
+    elif dgp == "counterexample-e":
+        own = [f"--noise-sd={draw(parameter('0.3'))}"]
+    else:
+        share = st.tuples(st.sampled_from(["0", "1", "2", "3", "4", "9"]), parameter("0.5", "1"))
+        shares = draw(st.just([("0", "0.5"), ("2", "0.5")]) | st.lists(share, min_size=1, max_size=3))
+        own = [f"--share={label}={weight}" for label, weight in shares]
+        own.append(f"--attempt-prob={draw(parameter('0.5', '1'))}")
+    foreign = {"appendix-d": ["--noise-sd=0.1", "--share=0=1"],
+               "counterexample-e": ["--p=0.1", "--lambda=0.05", "--attempt-prob=0.5"],
+               "typed": ["--p=0.1", "--noise-sd=0.1"]}[dgp]
+    extra = draw(st.just([]) | st.lists(st.sampled_from(foreign), max_size=1))
+    seed = draw(usually(0, [-1, -(2**40), 1, 2**32 + 7]))
+    return ["simulate", dgp, "--n", str(n), f"--seed={seed}", *own, *extra], n
+
+
+def exit_code(argv):
+    """``main``'s exit code, with an argparse usage error as its exit status."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
 
 
 def strict_json(text):
@@ -805,3 +875,32 @@ class TestContract:
             if code == 0:
                 rows = Path(out).read_text().splitlines()[1:]
                 assert sum(int(row.split(",")[2]) for row in rows) == n
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(case=simulate_argvs())
+    def test_simulate_exits_0_or_2(self, case):
+        argv, n = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "s.csv")
+            with mock.patch("sys.stdout"), mock.patch("sys.stderr"):
+                code = exit_code([*argv, "--out", out])
+            event(f"exit {code}")
+            assert code in (0, 2)
+            if code == 0:
+                data = ingest(out, 0.0, col_d="d", covariates=("x_star", "manipulated", "t_type"))
+                assert data.n == n
+            assert os.listdir(tmp) == (["s.csv"] if code == 0 else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=parameter("0", "0.1", "0.5", "0.99", "1"), lam=parameter("0.05", "0.3", "3"))
+    def test_oracle_exits_0_or_2(self, p, lam):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "o.json")
+            with mock.patch("sys.stderr"):
+                code = exit_code(["oracle", f"--p={p}", f"--lambda={lam}", "--out", out])
+            event(f"exit {code}")
+            assert code in (0, 2)
+            if code == 0:
+                payload = strict_json(Path(out).read_text())
+                assert payload["p"] == float(p) and payload["lambda"] == float(lam)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mrdd import (
-    AppendixDSpec,
     BootstrapConfig,
     Dataset,
     Verdict,
@@ -48,7 +47,7 @@ class TestDensityTest:
         # population jump 0.5*lam*p + p*phi(0) > 0 at (0.3, 0.3)
         rejections = sum(
             density_discontinuity_test(
-                gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=s)).data,
+                gen_appendix_d(0.3, 0.3, 50_000, s).data,
                 boot=BootstrapConfig(b=64, seed=s),
             ).p_value
             < 0.05
@@ -81,7 +80,7 @@ class TestBalanceTest:
     def test_size_on_independent_covariate(self):
         rejections = 0
         for s in range(200):
-            ts = gen_appendix_d(AppendixDSpec(p=0.2, lam=0.2, n=20_000, seed=s))
+            ts = gen_appendix_d(0.2, 0.2, 20_000, s)
             data = with_covariates(ts, seed=5000 + s)
             rejections += balance_test(data, "noise", boot=BootstrapConfig(b=64, seed=s)).p_value < 0.05
         assert rejections <= 20
@@ -91,7 +90,7 @@ class TestBalanceTest:
         # manipulators shift x upward but carry low latent scores
         rejections = 0
         for s in range(100):
-            ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=s))
+            ts = gen_appendix_d(0.3, 0.3, 50_000, s)
             data = with_covariates(ts, seed=s, extra={"wstar": ts.x_star})
             rejections += balance_test(data, "wstar", boot=BootstrapConfig(b=64, seed=s)).p_value < 0.05
         assert rejections >= 80
@@ -111,7 +110,7 @@ class TestBalanceTest:
 
 class TestSequentialProtocol:
     def test_manipulated_sample_uses_bounds(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=50_000, seed=1))
+        ts = gen_appendix_d(0.3, 0.3, 50_000, 1)
         data = with_covariates(ts, seed=2)
         outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=1))
         assert outcome.verdict is Verdict.USE_BOUNDS
@@ -136,7 +135,7 @@ class TestSequentialProtocol:
         assert hits >= 80
 
     def test_imbalanced_covariate_flags_design(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.0, lam=0.05, n=50_000, seed=8))
+        ts = gen_appendix_d(0.0, 0.05, 50_000, 8)
         # clean density, but wire in a covariate that jumps at the cutoff
         broken = ts.data.xs >= 0
         data = with_covariates(ts, seed=3, extra={"broken": broken.astype(float)})
@@ -153,7 +152,7 @@ class TestSequentialProtocol:
     def test_balance_presence_matches_density_outcome(self):
         # for a mid-strength DGP, whichever way the density test goes, the
         # structural invariant holds
-        ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.3, n=20_000, seed=3))
+        ts = gen_appendix_d(0.1, 0.3, 20_000, 3)
         data = with_covariates(ts, seed=4)
         cfg = BootstrapConfig(b=64, seed=3)
         outcome = run_sequential_protocol(data, cfg)

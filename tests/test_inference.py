@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from mrdd import (
-    AppendixDSpec,
     Bandwidths,
     BootstrapConfig,
     BoundaryDraws,
@@ -88,14 +87,13 @@ class TestBootstrapBounds:
     def test_bootstrap_se_calibrated_against_monte_carlo(self):
         # bootstrap SE of the upper boundary mean vs the spread of the
         # estimator across fresh samples
-        spec = AppendixDSpec(p=0.1, lam=0.05, n=50_000, seed=0)
         draws = bootstrap_boundary_replicates(
-            gen_appendix_d(spec).data, BootstrapConfig(b=200, seed=0)
+            gen_appendix_d(0.1, 0.05, 50_000, 0).data, BootstrapConfig(b=200, seed=0)
         )
         boot_se = np.std(draws.draws[:, 0], ddof=1)
         mc = []
         for seed in range(100):
-            ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=50_000, seed=1000 + seed))
+            ts = gen_appendix_d(0.1, 0.05, 50_000, 1000 + seed)
             from mrdd import estimate_boundary
 
             mc.append(estimate_boundary(ts.data).mu_plus)
@@ -120,7 +118,7 @@ class TestBootstrapBounds:
         covered = 0
         n_reps = 200
         for seed in range(n_reps):
-            ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=20_000, seed=seed))
+            ts = gen_appendix_d(0.1, 0.05, 20_000, seed)
             draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=200, seed=seed))
             bb = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, ts.data.y_low, ts.data.y_high)
             ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
@@ -135,7 +133,7 @@ class TestBootstrapBounds:
         covered = 0
         n_reps = 200
         for seed in range(n_reps):
-            ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=20_000, seed=seed))
+            ts = gen_appendix_d(0.1, 0.05, 20_000, seed)
             draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=200, seed=seed))
             bb = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.RANDOM, ts.data.y_low, ts.data.y_high)
             ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)

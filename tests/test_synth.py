@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from mrdd import (
-    AppendixDSpec,
     Dataset,
     binary_sharp_gfuncs,
     brute_force_trimming,
@@ -12,47 +11,50 @@ from mrdd import (
     gen_counterexample_e,
     gen_typed,
     oracle_appendix_d,
-    read_typed_csv,
     verify_lemma_moments,
     weighted_trimmed_means,
     write_typed_csv,
 )
+from mrdd.cli import ingest
 from mrdd.synth import MIN_JUMP, TypedSample
 from mrdd.errors import (
+    ConfigError,
     InvalidDistribution,
     InvalidParams,
     InvalidWeights,
-    MissingLatents,
+    MissingColumn,
 )
+
+LATENTS = ("x_star", "manipulated", "t_type")
 
 THETA_TRUE = float(stats.norm.cdf(-0.5) - stats.norm.cdf(-1.0))
 
 
 class TestGenAppendixD:
     def test_no_manipulation_at_p_zero(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.0, lam=0.05, n=5_000, seed=3))
+        ts = gen_appendix_d(0.0, 0.05, 5_000, 3)
         assert np.array_equal(ts.data.xs, ts.x_star)
         assert ts.manipulation_fraction() == 0.0
 
     def test_attempt_share_below_cutoff(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=1_000_000, seed=5))
+        ts = gen_appendix_d(0.1, 0.05, 1_000_000, 5)
         below = ts.x_star < 0
         share = np.mean(ts.manipulated[below])
         assert share == pytest.approx(0.1, abs=0.003)
 
     def test_manipulators_always_land_above(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.1, lam=0.05, n=1_000_000, seed=5))
+        ts = gen_appendix_d(0.1, 0.05, 1_000_000, 5)
         assert np.all(ts.data.xs[ts.manipulated] >= 0.0)
 
     def test_no_manipulation_from_above(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=500_000, seed=2))
+        ts = gen_appendix_d(0.3, 0.3, 500_000, 2)
         assert not np.any(ts.manipulated[ts.x_star >= 0.0])
 
     def test_param_validation(self):
         with pytest.raises(InvalidParams):
-            AppendixDSpec(p=1.5, lam=0.05, n=10, seed=0)
+            gen_appendix_d(1.5, 0.05, 10, 0)
         with pytest.raises(InvalidParams):
-            AppendixDSpec(p=0.5, lam=0.0, n=10, seed=0)
+            gen_appendix_d(0.5, 0.0, 10, 0)
 
 
 class TestOracleAppendixD:
@@ -202,9 +204,44 @@ class TestGenTyped:
         assert always.manipulated.all()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("generate,args", [
+    (gen_appendix_d, (0.1, 0.05, 0, 0)),
+    (gen_appendix_d, (0.1, 0.05, 10, -1)),
+    (gen_appendix_d, (NAN, 0.05, 10, 0)),
+    (gen_appendix_d, (0.5, 1e-320, 10, 0)),
+    (gen_appendix_d, (0.5, INF, 10, 0)),
+    (gen_counterexample_e, (10, -1)),
+    (gen_counterexample_e, (10, 0, INF)),
+    (gen_counterexample_e, (10, 0, NAN)),
+    (gen_typed, ({0: 1.0}, 10, -1)),
+    (gen_typed, ({0: NAN}, 10, 0)),
+    (gen_typed, ({2: 1.0}, 10, 0, NAN)),
+    (oracle_appendix_d, (0.5, INF)),
+    (oracle_appendix_d, (0.5, 1e-320)),
+    (oracle_appendix_d, (1.0, 0.2)),
+])
+def test_bad_parameter_raises_before_any_draw(generate, args, monkeypatch):
+    def no_draws(*_, **__):
+        raise AssertionError("a generator was made before the parameters were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigError):
+        generate(*args)
+
+
+def test_smallest_landing_density_and_largest_noise_stay_finite():
+    ts = gen_appendix_d(0.9, 3.6e-307, 2_000, 0)
+    assert ts.manipulated.any() and np.isfinite(ts.data.xs).all()
+    ts = gen_counterexample_e(2_000, 0, 2.8e306)
+    assert np.isfinite(ts.data.ys).all()
+
+
 class TestVerifyLemmaMoments:
     def test_appendix_d_identities(self):
-        ts = gen_appendix_d(AppendixDSpec(p=0.3, lam=0.3, n=1_000_000, seed=11))
+        ts = gen_appendix_d(0.3, 0.3, 1_000_000, 11)
         report = verify_lemma_moments(ts, window=0.02, point_effect=THETA_TRUE)
         assert report.residuals, "expected applicable identities"
         for name, value in report.residuals.items():
@@ -231,12 +268,6 @@ class TestVerifyLemmaMoments:
         mu_minus = y[(x >= -0.02) & (x < 0)].mean()
         keep = ~ts.manipulated & (ts.x_star >= -0.02) & (ts.x_star < 0)
         assert mu_minus == pytest.approx(y[keep].mean(), abs=0.02)
-
-    def test_missing_latents(self):
-        ts = gen_typed({0: 1.0}, n=1000, seed=0)
-        stripped = TypedSample(data=ts.data)
-        with pytest.raises(MissingLatents):
-            verify_lemma_moments(stripped, window=0.02)
 
 
 class TestBruteForceTrimming:
@@ -287,13 +318,13 @@ class TestTypedCsvRoundTrip:
         ts = gen_typed({0: 0.4, 2: 0.3, 4: 0.3}, n=500, seed=12)
         path = tmp_path / "sample.csv"
         write_typed_csv(ts, str(path))
-        back = read_typed_csv(str(path), y_low=0.0, y_high=1.0)
-        assert np.array_equal(back.data.xs, ts.data.xs)
-        assert np.array_equal(back.data.ys, ts.data.ys)
-        assert np.array_equal(back.data.d, ts.data.d)
-        assert np.array_equal(back.x_star, ts.x_star)
-        assert np.array_equal(back.manipulated, ts.manipulated)
-        assert np.array_equal(back.t_type, ts.t_type)
+        back = ingest(str(path), 0.0, col_d="d", covariates=LATENTS)
+        assert np.array_equal(back.xs, ts.data.xs)
+        assert np.array_equal(back.ys, ts.data.ys)
+        assert np.array_equal(back.d, ts.data.d)
+        assert np.array_equal(back.covariates["x_star"], ts.x_star)
+        assert np.array_equal(back.covariates["manipulated"], ts.manipulated)
+        assert np.array_equal(back.covariates["t_type"], ts.t_type)
 
     @pytest.mark.parametrize("with_d", [True, False])
     def test_exact_text(self, tmp_path, with_d):
@@ -326,5 +357,5 @@ class TestTypedCsvRoundTrip:
     def test_missing_latent_columns(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("x,y\n0.0,1.0\n")
-        with pytest.raises(MissingLatents):
-            read_typed_csv(str(path))
+        with pytest.raises(MissingColumn):
+            ingest(str(path), 0.0, col_d="d", covariates=LATENTS)
