@@ -6,15 +6,15 @@ evaluates ``crude_interval``, which also takes arrays, so a bootstrap's
 replicates go through the same formulas in one call. ``sharp_type2_bounds``,
 for the one-sided precise manipulation model, additionally trims the
 right-boundary outcome distribution, given as weights and outcomes, and
-scans the counterfactual density value z over [f_minus, f_plus].
+takes the exact extremes over the counterfactual density value z in
+[f_minus, f_plus] at the breakpoints of the trimming functions.
 ``fuzzy_bounds`` bounds the ratio estimand of a fuzzy design, and
 ``covariate_bounds`` intersects per-stratum intervals.
 
 The formulas return the interval they define, even where it leaves the
 logical range [y_low - y_high, y_high - y_low] of an effect; clipping a
 reported interval to that range is the caller's job, through
-``clamp_interval``. All operations are pure; the z-grid scan is vectorised
-and its result does not depend on evaluation order.
+``clamp_interval``. All operations are pure.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ from .errors import (
     EmptyInput,
     EmptyWindow,
     InvalidConfig,
-    InvalidGrid,
     InvalidOutcomeRange,
     MixedTargets,
 )
 
 #: Estimated r above 1 + this tolerance refutes the one-sided sorting model.
 R_REFUTATION_TOLERANCE = 0.02
-#: Default number of z-grid points for the sharp scan (endpoints included).
-DEFAULT_GRID_SIZE = 201
 
 
 class TypeAssumption(enum.Enum):
@@ -83,23 +80,6 @@ class BoundsResult:
     assumption: TypeAssumption
     status: BoundsStatus
     note: str | None = None
-
-
-@dataclass(frozen=True)
-class TrimmingCurve:
-    """The sharp-scan ingredients sampled on the z grid.
-
-    ``tau`` is the implied manipulated share 1 - z/f_plus; ``g_low``/``g_high``
-    are the extreme trimmed means of the right-boundary outcome distribution
-    at that share; ``theta_low``/``theta_high`` are the per-z interval ends.
-    """
-
-    z_grid: np.ndarray
-    tau: np.ndarray
-    g_low: np.ndarray
-    g_high: np.ndarray
-    theta_low: np.ndarray
-    theta_high: np.ndarray
 
 
 def _check_range(y_low: float | None, y_high: float | None) -> None:
@@ -211,6 +191,18 @@ def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:
     return g_low, g_high
 
 
+def _sorted_window(ys, weights):
+    """The window's positive-weight rows as (outcomes ascending, weights summing to one)."""
+    ys = np.asarray(ys, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    keep = weights > 0
+    ys, weights = ys[keep], weights[keep]
+    if ys.size == 0:
+        raise EmptyWindow("no positive-weight observations in the trimming window")
+    order = np.argsort(ys, kind="stable")
+    return ys[order], weights[order] / weights.sum()
+
+
 def _lower_partial_sums(cum, cum_y, y_sorted, masses):
     """Outcome mass carried by the lowest ``masses`` of the distribution.
 
@@ -236,15 +228,7 @@ def weighted_trimmed_means(ys, weights, tau, y_low: float, y_high: float):
     if np.any(taus < -1e-12) or np.any(taus > 1 + 1e-12):
         raise InvalidConfig("tau values must lie in [0, 1]")
     taus = np.clip(taus, 0.0, 1.0)
-    ys = np.asarray(ys, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    keep = weights > 0
-    ys, weights = ys[keep], weights[keep]
-    if ys.size == 0:
-        raise EmptyWindow("no positive-weight observations in the trimming window")
-    order = np.argsort(ys, kind="stable")
-    y_sorted = ys[order]
-    w_sorted = weights[order] / weights.sum()
+    y_sorted, w_sorted = _sorted_window(ys, weights)
     cum = np.cumsum(w_sorted)
     cum_y = np.cumsum(w_sorted * y_sorted)
     total_y = cum_y[-1]
@@ -266,31 +250,40 @@ def weighted_trimmed_means(ys, weights, tau, y_low: float, y_high: float):
     return g_low, g_high
 
 
-def sharp_type2_bounds(
-    weights,
-    ys,
-    be: BoundaryEstimates,
-    y_low: float,
-    y_high: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-) -> tuple[BoundsResult, TrimmingCurve]:
+def _min_trimmed_ratio(y_sorted, w_sorted, a: float, r: float) -> float:
+    """The minimum over q in [r, 1) of (a + L(q)) / q, for 0 < r < 1.
+
+    L(q) is the outcome sum of the lowest mass q of the sorted distribution.
+    L is linear between the cumulative weights, so on each piece the ratio
+    has the form c + b/q and is monotone; its minimum lies at q = r or at a
+    cumulative weight inside (r, 1).
+    """
+    cum = np.cumsum(w_sorted)
+    cum_y = np.cumsum(w_sorted * y_sorted)
+    inner = (r < cum[:-1]) & (cum[:-1] < 1.0)
+    q = np.append(cum[:-1][inner], r)
+    sums = np.append(cum_y[:-1][inner], _lower_partial_sums(cum, cum_y, y_sorted, r))
+    return float(np.min((a + sums) / q))
+
+
+def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
     """Sharp interval for the one-sided precise manipulation model.
 
-    Parameters
-    ----------
-    weights, ys : kernel weights and outcomes of the right-of-cutoff
-        in-bandwidth observations, 1-d and of one length.
-    be : boundary estimates supplying mu_plus, mu_minus, f_plus, f_minus.
-    grid_size : number of z values scanned over [f_minus, f_plus],
-        endpoints included.
+    ``weights`` and ``ys`` are the kernel weights and outcomes of the
+    right-of-cutoff in-bandwidth observations, 1-d and of one length; ``be``
+    supplies mu_plus, mu_minus and r. The interval is the infimum and the
+    supremum, over the counterfactual density share q = z/f_plus in [r, 1]
+    (r clamped to at most 1), of the per-q ends
 
-    Returns the interval (min over z of the per-z lower ends, max of the
-    upper ends) together with the sampled trimming curve. The result always
-    refines the crude two-branch interval.
+        theta_low(q)  = (mu+ - T + L(q) - r (mu- - yU)) / q - yU
+        theta_high(q) = (mu+ - T + U(q) - r (mu- - yL)) / q - yL
+
+    where T is the window's weighted mean and L(q), U(q) are the outcome
+    sums of its lowest and highest mass q (Lee 2009 trimming). Both extremes
+    are exact: they are taken at q = r, q = 1 and the window's cumulative
+    weights. The result always refines the crude two-branch interval.
     """
     _check_range(y_low, y_high)
-    if grid_size < 2:
-        raise InvalidGrid(f"grid_size must be at least 2, got {grid_size}")
     weights = np.asarray(weights, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if weights.ndim != 1 or weights.shape != ys.shape or weights.size == 0:
@@ -299,16 +292,21 @@ def sharp_type2_bounds(
         raise EmptyWindow("window carries no positive weight")
 
     status, note = _refutation(be.r)
-    f_plus = be.f_plus
-    f_minus = min(be.f_minus, f_plus)  # r clamped into [0, 1] for the scan
-    z = np.linspace(f_minus, f_plus, grid_size)
-    tau = 1.0 - z / f_plus
-    tau[-1] = 0.0
-    g_low, g_high = weighted_trimmed_means(ys, weights, tau, y_low, y_high)
-    theta_low = (f_plus / z) * (be.mu_plus - g_high) - (f_minus / z) * (be.mu_minus - y_high) + (g_high - y_high)
-    theta_high = (f_plus / z) * (be.mu_plus - g_low) - (f_minus / z) * (be.mu_minus - y_low) + (g_low - y_low)
-    lower, upper = _snap_degenerate(theta_low.min(), theta_high.max(), y_low, y_high)
-    result = BoundsResult(
+    r = min(be.r, 1.0)
+    # q = 1: no trimming, L(1) = U(1) = T
+    lower = (be.mu_plus - y_high) - r * (be.mu_minus - y_high)
+    upper = (be.mu_plus - y_low) - r * (be.mu_minus - y_low)
+    if r < 1.0:
+        y_sorted, w_sorted = _sorted_window(ys, weights)
+        shift = be.mu_plus - float(np.dot(w_sorted, y_sorted))
+        # U(q) of y is -L(q) of -y, whose ascending order is y's reversed
+        lower = min(lower, _min_trimmed_ratio(y_sorted, w_sorted, shift - r * (be.mu_minus - y_high), r) - y_high)
+        upper = max(
+            upper,
+            -_min_trimmed_ratio(-y_sorted[::-1], w_sorted[::-1], r * (be.mu_minus - y_low) - shift, r) - y_low,
+        )
+    lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
+    return BoundsResult(
         lower=float(lower),
         upper=float(upper),
         target=TARGET_LABELS[TypeAssumption.TYPE2],
@@ -316,15 +314,6 @@ def sharp_type2_bounds(
         status=status,
         note=note,
     )
-    curve = TrimmingCurve(
-        z_grid=z,
-        tau=tau,
-        g_low=np.asarray(g_low),
-        g_high=np.asarray(g_high),
-        theta_low=theta_low,
-        theta_high=theta_high,
-    )
-    return result, curve
 
 
 def fuzzy_bounds(

@@ -15,6 +15,7 @@ worker count does not change results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -225,14 +226,14 @@ def _nulls_for_non_finite(value):
     return value
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    """Write strict JSON (a non-finite number becomes null) to ``out`` or stdout."""
-    text = json.dumps(_nulls_for_non_finite(payload), indent=2, allow_nan=False) + "\n"
-    if out:
-        with synth.atomic_open(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """``out`` opened through ``synth.atomic_open``, or stdout when it is not given."""
+    return synth.atomic_open(out) if out else contextlib.nullcontext(sys.stdout)
+
+
+def _json_text(payload: dict) -> str:
+    """Strict JSON: a non-finite number becomes null."""
+    return json.dumps(_nulls_for_non_finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 def build_report(cfg: RunConfig, data: Dataset) -> dict:
@@ -289,7 +290,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     if cfg.sharp:
         # the right-side mean fit's window and kernel weights
         _, w, keep = local_weights(data.xs, data.cutoff, fit.mean_spec(Side.RIGHT))
-        sharp_res, _ = sharp_type2_bounds(w[keep], data.ys[keep], be, y_low, y_high)
+        sharp_res = sharp_type2_bounds(w[keep], data.ys[keep], be, y_low, y_high)
         sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
         block["sharp_set"] = [sharp_lo, sharp_hi]
         block["sharp_status"] = sharp_res.status.value
@@ -481,8 +482,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         col_d=cfg.col_d,
         covariates=cfg.covariates,
     )
-    report = build_report(cfg, data)
-    _write_json(report, args.out)
+    # opened first, so an unwritable --out fails before the pipeline runs
+    with _output(args.out) as fh:
+        fh.write(_json_text(build_report(cfg, data)))
     return EXIT_OK
 
 
@@ -522,7 +524,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "crude": [row.crude_lower, row.crude_upper],
         "sharp": [row.sharp_lower, row.sharp_upper],
     }
-    _write_json(payload, args.out)
+    with _output(args.out) as fh:
+        fh.write(_json_text(payload))
     return EXIT_OK
 
 

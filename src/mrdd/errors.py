@@ -24,10 +24,6 @@ class InvalidConfig(ConfigError):
     pass
 
 
-class InvalidGrid(ConfigError):
-    pass
-
-
 class InvalidParams(ConfigError):
     pass
 

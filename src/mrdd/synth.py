@@ -21,6 +21,7 @@ detectable-manipulation taxonomy relies on.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -151,7 +152,7 @@ def _tail_integral(d: int) -> float:
     return 2.0 * val
 
 
-def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
+def oracle_appendix_d(p: float, lam: float) -> OracleRow:
     """Exact boundary quantities and bounds for the mixture DGP.
 
     The one-sided mean above the cutoff mixes the non-manipulated value
@@ -184,7 +185,7 @@ def oracle_appendix_d(p: float, lam: float, grid_size: int = 801) -> OracleRow:
     )
     crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
     # binary outcome at c+: weight 1 - mu_plus on y = 0, mu_plus on y = 1
-    sharp, _ = sharp_type2_bounds([1.0 - mu_plus, mu_plus], [0.0, 1.0], be, 0.0, 1.0, grid_size=grid_size)
+    sharp = sharp_type2_bounds([1.0 - mu_plus, mu_plus], [0.0, 1.0], be, 0.0, 1.0)
     return OracleRow(
         p=p,
         lam=lam,
@@ -484,9 +485,12 @@ def atomic_open(path: str):
     """A text file, with no newline translation, that replaces ``path`` when the block ends.
 
     The text goes to ``path`` + ".tmp" first, and that file is removed if
-    the block or the replace fails. A path that cannot be written raises
-    InvalidConfig naming it and the operating system's reason.
+    the block or the replace fails. A path that cannot be written, a
+    directory included, raises InvalidConfig naming it and the operating
+    system's reason before the block runs.
     """
+    if os.path.isdir(path):
+        raise InvalidConfig(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     tmp = f"{path}.tmp"
     created = False
     try:

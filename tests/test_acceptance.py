@@ -126,7 +126,7 @@ def test_c04_sharp_equals_crude_in_equality_region(capsys):
     for r in (0.5, 0.7, 0.9):
         for mu in np.linspace(1 - r, r, 9):
             be = _be(float(mu), 0.45, r)
-            sharp, _ = sharp_type2_bounds(*_binary_window(float(mu)), be, 0.0, 1.0)
+            sharp = sharp_type2_bounds(*_binary_window(float(mu)), be, 0.0, 1.0)
             crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             worst = max(worst, abs(sharp.lower - crude.lower), abs(sharp.upper - crude.upper))
     _criterion(capsys, 4, worst <= 1e-9, f"max |sharp - crude| = {worst:.2e}")
@@ -170,7 +170,7 @@ def test_c05_structural_bound_identities(capsys):
             mu_m = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.05, 1.0)
             be = _be(mu_p, mu_m, r)
-            sharp, _ = sharp_type2_bounds(*_binary_window(mu_p), be, 0.0, 1.0)
+            sharp = sharp_type2_bounds(*_binary_window(mu_p), be, 0.0, 1.0)
             crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             if not (sharp.lower >= crude.lower - 1e-9 and sharp.upper <= crude.upper + 1e-9
                     and sharp.lower <= sharp.upper + 1e-9):

@@ -18,7 +18,7 @@ from mrdd import (
     sharp_type2_bounds,
     weighted_trimmed_means,
 )
-from mrdd.errors import EmptyInput, EmptyWindow, InvalidConfig, InvalidGrid, InvalidOutcomeRange, MixedTargets
+from mrdd.errors import EmptyInput, EmptyWindow, InvalidConfig, InvalidOutcomeRange, MixedTargets
 
 
 def make_be(mu_plus, mu_minus, r, f_plus=1.0):
@@ -266,7 +266,7 @@ class TestSharpBounds:
     def test_oracle_row4(self):
         row = oracle_appendix_d(0.3, 0.3)
         be = make_be(row.mu_plus, row.mu_minus, row.r, f_plus=0.5)
-        res, curve = sharp_type2_bounds(*binary_window(row.mu_plus), be, 0.0, 1.0)
+        res = sharp_type2_bounds(*binary_window(row.mu_plus), be, 0.0, 1.0)
         assert res.lower == pytest.approx(-0.254, abs=0.003)
         assert res.upper == pytest.approx(0.303, abs=0.003)
         crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
@@ -278,22 +278,38 @@ class TestSharpBounds:
         for r in (0.5, 0.7, 0.9):
             for mu in np.linspace(1 - r, r, 9):
                 be = make_be(float(mu), 0.4, r)
-                sharp, _ = sharp_type2_bounds(*binary_window(float(mu)), be, 0.0, 1.0)
+                sharp = sharp_type2_bounds(*binary_window(float(mu)), be, 0.0, 1.0)
                 crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
                 assert sharp.lower == pytest.approx(crude.lower, abs=1e-9)
                 assert sharp.upper == pytest.approx(crude.upper, abs=1e-9)
 
-    def test_trimming_curve_invariants(self):
-        be = make_be(0.55, 0.4, 0.7, f_plus=2.0)
-        _, curve = sharp_type2_bounds(*binary_window(0.55), be, 0.0, 1.0, grid_size=101)
-        assert np.all(np.diff(curve.z_grid) > 0)
-        assert curve.z_grid[0] == pytest.approx(be.f_minus)
-        assert curve.z_grid[-1] == pytest.approx(be.f_plus)
-        assert curve.tau[-1] == 0.0
-        assert np.all(curve.tau >= 0) and np.all(curve.tau <= 1 - be.r + 1e-12)
-        assert np.all(curve.g_low >= 0) and np.all(curve.g_high <= 1)
-        assert np.all(curve.g_low <= curve.g_high)
-        assert np.all(curve.theta_low <= curve.theta_high + 1e-12)
+    def test_exact_scan_against_fine_grid(self, rng):
+        # the exact extremes are never narrower than a dense scan of the
+        # per-z ends over z in [f_minus, f_plus], and stay inside the crude set
+        def grid_set(ws, ys, be, n):
+            f_plus, f_minus = be.f_plus, min(be.f_minus, be.f_plus)
+            z = np.linspace(f_minus, f_plus, n)
+            tau = 1.0 - z / f_plus
+            tau[-1] = 0.0
+            g_low, g_high = weighted_trimmed_means(ys, ws, tau, 0.0, 1.0)
+            theta_low = (f_plus / z) * (be.mu_plus - g_high) - (f_minus / z) * (be.mu_minus - 1.0) + (g_high - 1.0)
+            theta_high = (f_plus / z) * (be.mu_plus - g_low) - (f_minus / z) * be.mu_minus + g_low
+            return theta_low.min(), theta_high.max()
+
+        for _ in range(300):
+            m = int(rng.integers(2, 40))
+            ys = rng.beta(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), m)
+            ws = rng.uniform(0.05, 1.0, m)
+            # an order-1 intercept differs from the window mean
+            mu_p = float(np.clip(np.average(ys, weights=ws) + rng.uniform(-0.2, 0.2), 0.0, 1.0))
+            be = make_be(mu_p, rng.uniform(0.0, 1.0), rng.uniform(0.3, 1.0), f_plus=rng.uniform(0.2, 3.0))
+            sharp = sharp_type2_bounds(ws, ys, be, 0.0, 1.0)
+            for n in (200_001, 201):
+                grid_lo, grid_hi = grid_set(ws, ys, be, n)
+                assert sharp.lower <= grid_lo + 1e-12
+                assert sharp.upper >= grid_hi - 1e-12
+            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            assert crude.lower - 1e-12 <= sharp.lower <= sharp.upper <= crude.upper + 1e-12
 
     def test_sharp_within_crude_random(self, rng):
         for _ in range(300):
@@ -301,7 +317,7 @@ class TestSharpBounds:
             mu_m = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.2, 1.0)
             be = make_be(mu_p, mu_m, r)
-            sharp, _ = sharp_type2_bounds(*binary_window(mu_p), be, 0.0, 1.0)
+            sharp = sharp_type2_bounds(*binary_window(mu_p), be, 0.0, 1.0)
             crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             assert sharp.lower >= crude.lower - 1e-9
             assert sharp.upper <= crude.upper + 1e-9
@@ -312,14 +328,12 @@ class TestSharpBounds:
         ws = rng.uniform(0.2, 1.0, 500)
         mu_p = float(np.average(ys, weights=ws))
         be = make_be(mu_p, 0.35, 0.6)
-        sharp, _ = sharp_type2_bounds(ws, ys, be, 0.0, 1.0)
+        sharp = sharp_type2_bounds(ws, ys, be, 0.0, 1.0)
         crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
         assert crude.lower - 1e-9 <= sharp.lower <= sharp.upper <= crude.upper + 1e-9
 
     def test_errors(self):
         be = make_be(0.5, 0.5, 0.9)
-        with pytest.raises(InvalidGrid):
-            sharp_type2_bounds(*binary_window(0.5), be, 0.0, 1.0, grid_size=1)
         with pytest.raises(EmptyWindow):
             sharp_type2_bounds(np.empty(0), np.empty(0), be, 0.0, 1.0)
         with pytest.raises(EmptyWindow):
@@ -333,7 +347,7 @@ class TestSharpBounds:
 
     def test_refuted_when_r_large(self):
         be = make_be(0.5, 0.5, 1.2, f_plus=1.0)
-        res, _ = sharp_type2_bounds(*binary_window(0.5), be, 0.0, 1.0)
+        res = sharp_type2_bounds(*binary_window(0.5), be, 0.0, 1.0)
         assert res.status is BoundsStatus.REFUTED
 
 

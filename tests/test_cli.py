@@ -588,6 +588,18 @@ class TestOracle:
             assert payload[key][0] == pytest.approx(0.150, abs=0.001)
             assert payload[key][1] == pytest.approx(0.150, abs=0.001)
 
+    def test_subnormal_density_ratio_gives_finite_sharp_set(self, capsys):
+        # f(c-)/f(c+) is subnormal here; the crude lower end l1/r overflows
+        # a float and is reported as null, the sharp ends stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("oracle", "--p", "0.5", "--lambda", "1.7e308") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["crude"][0] is None
+        assert all(v is not None and np.isfinite(v) for v in payload["sharp"])
+
     def test_everyone_manipulating_exits_2(self, capsys):
         # p = 1 leaves no density below the cutoff
         assert run_cli("oracle", "--p", "1", "--lambda", "0.2") == 2
@@ -723,8 +735,10 @@ class TestPlotdata:
 
 @pytest.mark.parametrize("command", ["analyze", "simulate", "oracle", "plotdata"])
 @pytest.mark.parametrize("target", ["directory", "missing parent"])
-def test_unwritable_out_exits_2(typed_file, tmp_path, capsys, command, target):
+def test_unwritable_out_exits_2(typed_file, tmp_path, capsys, monkeypatch, command, target):
     path, _ = typed_file
+    # analyze opens --out before the pipeline, so build_report never runs
+    monkeypatch.setattr(cli, "build_report", mock.Mock(side_effect=AssertionError("build_report ran")))
     (tmp_path / "taken").mkdir()
     out = str(tmp_path / "taken") if target == "directory" else str(tmp_path / "nodir" / "out.txt")
     argv = {
