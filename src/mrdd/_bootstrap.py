@@ -1,7 +1,7 @@
 """Replicate-keyed nonparametric bootstrap of one-sided local fits at a cutoff.
 
 Every replicate draws its row resample from a generator seeded by
-(seed, stream_tag..., replicate_index), so results are identical regardless
+(seed, DRAW_KEY, replicate_index), so results are identical regardless
 of execution order or worker count.
 
 A resample is a vector of multinomial counts over the rows (Efron 1979), and
@@ -18,11 +18,12 @@ intercept and not the slope, so they need no count. One batched solve per
 fit yields the levels, and the CDF slopes over h the densities, floored at
 DENSITY_FLOOR.
 
-A replicate fails (NaN row) exactly where the per-row fits would raise
-InsufficientData or SingularDesign: when some fit window holds fewer
-distinct positive-weight values with positive count than the fit has
-coefficients. Chunks are fixed by replicate index and sized from the window
-under a fixed byte budget; workers only share out whole chunks.
+A fit fails on a replicate (NaN cell, the other fits keep their values)
+exactly where the per-row fit would raise InsufficientData or
+SingularDesign: when its window holds fewer distinct positive-weight values
+with positive count than the fit has coefficients. Chunks are fixed by
+replicate index and sized from the window under a fixed byte budget;
+workers only share out whole chunks.
 """
 
 from __future__ import annotations
@@ -50,15 +51,15 @@ MAX_FAILURE_FRACTION = 0.10
 #: Bytes of window counts per chunk of replicates; sets the chunk length.
 CHUNK_BYTES = 1 << 21
 
-# Stream tags keep the bootstrap draws of different operations disjoint.
-DENSITY_TEST_STREAM = 1
-BALANCE_TEST_STREAM = 2
-BOUNDS_STREAM = 3
+#: The middle term of every draw key (seed, DRAW_KEY, replicate). It is 3,
+#: the bounds bootstrap's key from when each test drew its own stream, so
+#: the bounds keep their draws.
+DRAW_KEY = 3
 
 
-def replicate_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator keyed by (seed, *key); stable across schedules and workers."""
-    return np.random.default_rng([int(seed)] + [int(k) for k in key])
+def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
+    """Generator keyed by (seed, DRAW_KEY, replicate); stable across schedules and workers."""
+    return np.random.default_rng([int(seed), DRAW_KEY, int(replicate)])
 
 
 @dataclass(frozen=True)
@@ -202,36 +203,29 @@ def _plan(xs: np.ndarray, cutoff: float, fits) -> _Plan:
     return _Plan(n, order[a:b].copy(), split, moments, group_starts, group_end, tuple(plans), chunk)
 
 
-def _run_chunk(plan: _Plan, reps: range, seed: int, stream) -> np.ndarray:
-    """Fitted values of one chunk of replicates, NaN rows where one failed."""
+def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
+    """Fitted values of one chunk of replicates, a NaN cell where a fit failed."""
     n, m, s = plan.n, plan.moments.shape[0], plan.split
-    with_density = any(fp.density_scale is not None for fp in plan.fits)
     counts = np.empty((len(reps), m))
-    running = np.empty((len(reps), m)) if with_density else None
     for j, rep in enumerate(reps):
-        indices = replicate_rng(seed, *stream, rep).integers(0, n, n)
-        window = np.bincount(indices, minlength=n)[plan.rows]
-        counts[j] = window
-        if with_density:
-            running[j] = np.cumsum(window)
+        indices = replicate_rng(seed, rep).integers(0, n, n)
+        counts[j] = np.bincount(indices, minlength=n)[plan.rows]
     # which distinct x values each resample holds, for the failure checks
     present = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
     present = present > 0
     moments = plan.moments
     sums = (counts[:, :s] @ moments[:s], counts[:, s:] @ moments[s:])
-    if with_density:
-        # resample rows in the window at or below each row's value: the CDF up
-        # to a constant and the factor n, both folded into the slope's scale
-        cdf = running if plan.group_end is None else running[:, plan.group_end]
-        cdf *= counts
-        cdf_sums = (cdf[:, :s] @ moments[:s], cdf[:, s:] @ moments[s:])
+    # resample rows in the window at or below each row's value: the CDF up
+    # to a constant and the factor n, both folded into the slope's scale
+    running = np.cumsum(counts, axis=1)
+    cdf = running if plan.group_end is None else running[:, plan.group_end]
+    cdf *= counts
+    cdf_sums = (cdf[:, :s] @ moments[:s], cdf[:, s:] @ moments[s:])
     out = np.full((len(reps), len(plan.fits)), np.nan)
-    ok_all = np.ones(len(reps), dtype=bool)
     for i, fp in enumerate(plan.fits):
         d, col = fp.degree, fp.col
         g_lo, g_hi = fp.groups
         ok = np.count_nonzero(present[:, g_lo:g_hi], axis=1) > d
-        ok_all &= ok
         if not ok.any():
             continue
         weight_sums = sums[fp.right][ok, col : col + 2 * d + 1]
@@ -241,23 +235,21 @@ def _run_chunk(plan: _Plan, reps: range, seed: int, stream) -> np.ndarray:
         else:
             beta = fit_from_moments(weight_sums, cdf_sums[fp.right][ok, col : col + d + 1])
             out[ok, i] = np.maximum(beta[:, 1] * fp.density_scale, DENSITY_FLOOR)
-    out[~ok_all] = np.nan
     return out
 
 
-def run_replicates(xs, cutoff, fits, b, seed, stream, workers=1):
+def run_replicates(xs, cutoff, fits, b, seed, workers=1):
     """Evaluate one-sided ``fits`` on ``b`` row resamples of the sample.
 
     Parameters
     ----------
     xs : running variable of the full sample (finite)
     fits : sequence of MeanFit / DensityFit, each on the LEFT or RIGHT side
-    stream : tuple of stream tags keying the draws
 
     Returns
     -------
-    (values, n_failed) where values is a (b, len(fits)) array, one column per
-    fit, with NaN rows for failed replicates.
+    A (b, len(fits)) array, one column per fit, with NaN where a fit failed
+    on a replicate.
     """
     xs = np.asarray(xs, dtype=float)
     plan = _plan(xs, cutoff, tuple(fits))
@@ -265,7 +257,7 @@ def run_replicates(xs, cutoff, fits, b, seed, stream, workers=1):
 
     def one(start):
         stop = min(start + plan.chunk, b)
-        out[start:stop] = _run_chunk(plan, range(start, stop), seed, stream)
+        out[start:stop] = _run_chunk(plan, range(start, stop), seed)
 
     starts = range(0, b, plan.chunk)
     if workers > 1:
@@ -274,17 +266,18 @@ def run_replicates(xs, cutoff, fits, b, seed, stream, workers=1):
     else:
         for start in starts:
             one(start)
-    n_failed = int(np.count_nonzero(np.isnan(out).any(axis=1)))
-    return out, n_failed
+    return out
 
 
-def drop_failed(values: np.ndarray, n_failed: int, what: str) -> np.ndarray:
+def drop_failed(values: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """The rows of ``values`` without a NaN cell, and how many had one; more
+    than MAX_FAILURE_FRACTION of them raise TooManyFailedReplicates."""
+    failed = np.isnan(values).any(axis=1)
+    n_failed = int(np.count_nonzero(failed))
     b = values.shape[0]
     if n_failed > MAX_FAILURE_FRACTION * b:
         raise TooManyFailedReplicates(
             f"{n_failed} of {b} {what} bootstrap replicates failed "
             f"(limit {MAX_FAILURE_FRACTION:.0%})"
         )
-    if n_failed == 0:
-        return values
-    return values[~np.isnan(values).any(axis=1)]
+    return values[~failed], n_failed

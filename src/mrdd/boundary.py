@@ -236,10 +236,11 @@ def estimate_boundary(data: Dataset, config: FitConfig = FitConfig()) -> Boundar
             notes.append(f"density_clipped_{side.value}")
         return dens, int(np.count_nonzero(density_window(xs, c, spec)))
 
-    fit_minus = mean_fit(Side.LEFT)
-    fit_plus = mean_fit(Side.RIGHT)
+    # the densities first, so a sample the density test cannot fit reports that first
     f_minus, n_dens_left = dens_fit(Side.LEFT)
     f_plus, n_dens_right = dens_fit(Side.RIGHT)
+    fit_minus = mean_fit(Side.LEFT)
+    fit_plus = mean_fit(Side.RIGHT)
     r = f_minus / f_plus
     if r > 1.0:
         notes.append("density_ratio_above_one")

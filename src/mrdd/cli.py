@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import synth
+from ._bootstrap import drop_failed
 from .boundary import Bandwidths, Dataset, FitConfig
 from .bounds import (
     BoundsStatus,
@@ -34,7 +35,7 @@ from .bounds import (
     fuzzy_bounds,
     sharp_type2_bounds,
 )
-from .diagnostics import run_sequential_protocol
+from .diagnostics import protocol_from_draws
 from .errors import (
     ConfigError,
     DataError,
@@ -239,12 +240,13 @@ def _json_text(payload: dict) -> str:
 def build_report(cfg: RunConfig, data: Dataset) -> dict:
     """Run the full pipeline and assemble the JSON-ready report.
 
-    Bandwidths are resolved once here and shared by every stage. Every
-    reported interval is clipped to the logical range of an effect.
+    Bandwidths are resolved once here, and one bootstrap pass serves the
+    density test, the balance tests and both r modes. Every reported
+    interval is clipped to the logical range of an effect.
     """
     fit = cfg.fit.resolved(data.xs, data.cutoff)
-    protocol = run_sequential_protocol(data, cfg.boot, fit, cfg.covariates or None)
-    draws = bootstrap_boundary_replicates(data, cfg.boot, fit)
+    draws = bootstrap_boundary_replicates(data, cfg.boot, fit, cfg.covariates)
+    protocol = protocol_from_draws(draws, cfg.boot.alpha)
     be = draws.point
 
     block: dict = {
@@ -260,10 +262,10 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         "f_minus": be.f_minus,
     }
 
-    # point estimate of the mean jump and its bootstrap SE
-    jumps = draws.draws[:, 0] - draws.draws[:, 1]
+    # point estimate of the mean jump and its bootstrap SE, on the bounds' replicates
+    boundary, _ = drop_failed(draws.draws[:, :4], "boundary")
     block["point_estimate"] = be.mu_plus - be.mu_minus
-    block["point_se"] = sample_sd(jumps)
+    block["point_se"] = sample_sd(boundary[:, 0] - boundary[:, 1])
 
     warnings = list(be.warnings)
     y_low, y_high = cfg.y_low, cfg.y_high

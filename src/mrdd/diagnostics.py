@@ -8,7 +8,9 @@ hence the sequential rather than simultaneous protocol.
 
 Standard errors come from a nonparametric row bootstrap with replicate-keyed
 randomness; bandwidths are frozen at their full-sample values across
-replicates.
+replicates. Every test reads its two columns of the analysis's one
+bootstrap pass (``bootstrap_boundary_replicates``), where a failed fit is
+a NaN cell: a test drops only the replicates its own two fits lost.
 """
 
 from __future__ import annotations
@@ -19,18 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._bootstrap import (
-    BALANCE_TEST_STREAM,
-    DENSITY_TEST_STREAM,
-    BootstrapConfig,
-    DensityFit,
-    MeanFit,
-    drop_failed,
-    run_replicates,
-)
+from ._bootstrap import BootstrapConfig, drop_failed
 from .boundary import Dataset, FitConfig
-from .errors import InvalidConfig, UnknownCovariate
-from .localfit import Side, boundary_density, local_poly_fit, sample_sd
+from .errors import InvalidConfig
+from .inference import BoundaryDraws, bootstrap_boundary_replicates
+from .localfit import sample_sd
 
 
 class Verdict(enum.Enum):
@@ -63,13 +58,13 @@ def _two_sided_p(t: float) -> float:
     return float(2.0 * special.ndtr(-abs(t)))
 
 
-def _bootstrap_jump_test(data, point, fits, boot: BootstrapConfig, stream):
-    """Shared test core: full-sample jump / bootstrap SE, normal reference.
+def _jump_test(point, columns: np.ndarray, what: str) -> TestResult:
+    """Full-sample jump over the bootstrap SD of the replicate jumps, normal reference.
 
-    ``fits`` is the (right, left) pair whose difference is the jump.
+    ``columns`` holds the (right, left) replicate columns whose difference is
+    the jump, NaN where a fit failed.
     """
-    values, n_failed = run_replicates(data.xs, data.cutoff, fits, boot.b, boot.seed, stream, boot.workers)
-    values = drop_failed(values, n_failed, "jump-test")
+    values, n_failed = drop_failed(columns, what)
     reps = values[:, 0] - values[:, 1]
     se = sample_sd(reps)
     warnings: tuple[str, ...] = ()
@@ -85,6 +80,16 @@ def _bootstrap_jump_test(data, point, fits, boot: BootstrapConfig, stream):
     return TestResult(statistic, _two_sided_p(statistic), "bootstrap", reps.size, warnings)
 
 
+def _density_test(draws: BoundaryDraws) -> TestResult:
+    be = draws.point
+    return _jump_test(be.f_plus - be.f_minus, draws.draws[:, 2:4], "density-test")
+
+
+def _balance_test(draws: BoundaryDraws, j: int) -> TestResult:
+    name, jump = draws.covariates[j]
+    return _jump_test(jump, draws.draws[:, 4 + 2 * j : 6 + 2 * j], f"{name!r} balance-test")
+
+
 def density_discontinuity_test(
     data: Dataset,
     fit: FitConfig = FitConfig(),
@@ -94,18 +99,10 @@ def density_discontinuity_test(
 
     The statistic is (f_plus - f_minus) / SE with SE the bootstrap standard
     deviation of the estimated jump over ``boot.b`` row resamples; the
-    p-value uses the standard normal reference.
+    p-value uses the standard normal reference. It is the density test of
+    ``analyze`` without covariates.
     """
-    c = data.cutoff
-    fit = fit.resolved(data.xs, c)
-    spec_l, spec_r = fit.density_spec(Side.LEFT), fit.density_spec(Side.RIGHT)
-    # the discreteness heuristic applies to the raw sample only; bootstrap
-    # resamples duplicate values by construction
-    f_minus, _ = boundary_density(data.xs, c, spec_l)
-    f_plus, _ = boundary_density(data.xs, c, spec_r)
-    return _bootstrap_jump_test(
-        data, f_plus - f_minus, (DensityFit(spec_r), DensityFit(spec_l)), boot, (DENSITY_TEST_STREAM,)
-    )
+    return _density_test(bootstrap_boundary_replicates(data, boot, fit))
 
 
 def balance_test(
@@ -114,22 +111,26 @@ def balance_test(
     fit: FitConfig = FitConfig(),
     boot: BootstrapConfig = BootstrapConfig(),
 ) -> TestResult:
-    """Two-sided test of a jump in a pre-determined covariate's boundary mean."""
-    if covariate not in data.covariates:
-        raise UnknownCovariate(
-            f"covariate {covariate!r} not present; have {sorted(data.covariates)}"
-        )
-    c = data.cutoff
-    fit = fit.resolved(data.xs, c)
-    spec_l, spec_r = fit.mean_spec(Side.LEFT), fit.mean_spec(Side.RIGHT)
-    ws = data.covariates[covariate]
-    cov_index = sorted(data.covariates).index(covariate)
-    w_minus = local_poly_fit(data.xs, ws, c, spec_l).coefficients[0]
-    w_plus = local_poly_fit(data.xs, ws, c, spec_r).coefficients[0]
-    return _bootstrap_jump_test(
-        data, w_plus - w_minus, (MeanFit(spec_r, ws), MeanFit(spec_l, ws)), boot,
-        (BALANCE_TEST_STREAM, cov_index),
-    )
+    """Two-sided test of a jump in a pre-determined covariate's boundary mean:
+    the balance test of ``analyze`` with this one covariate."""
+    return _balance_test(bootstrap_boundary_replicates(data, boot, fit, (covariate,)), 0)
+
+
+def protocol_from_draws(draws: BoundaryDraws, alpha: float) -> ProtocolOutcome:
+    """Density test first; balance tests only if the density test accepts.
+
+    Every test reads its columns of the one pass ``draws``, with a balance
+    test per covariate of the pass. Verdicts: density rejected -> UseBounds
+    (balance skipped entirely); density accepted and all balance tests
+    accepted -> PointIdentified; otherwise DesignSuspect.
+    """
+    density = _density_test(draws)
+    if density.p_value < alpha:
+        return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
+    balance = tuple((name, _balance_test(draws, j)) for j, (name, _) in enumerate(draws.covariates))
+    all_balanced = all(res.p_value >= alpha for _, res in balance)
+    verdict = Verdict.POINT_IDENTIFIED if all_balanced else Verdict.DESIGN_SUSPECT
+    return ProtocolOutcome(density=density, balance=balance, verdict=verdict)
 
 
 def run_sequential_protocol(
@@ -138,20 +139,7 @@ def run_sequential_protocol(
     fit: FitConfig = FitConfig(),
     covariates: tuple[str, ...] | None = None,
 ) -> ProtocolOutcome:
-    """Density test first; balance tests only if the density test accepts.
-
-    Verdicts: density rejected -> UseBounds (balance skipped entirely);
-    density accepted and all balance tests accepted -> PointIdentified;
-    density accepted but some covariate imbalanced -> DesignSuspect.
-    ``covariates`` names the balance tests, every covariate in the data when
-    None. Rule-of-thumb bandwidths are computed once and shared by every test.
-    """
-    fit = fit.resolved(data.xs, data.cutoff)
-    density = density_discontinuity_test(data, fit, boot)
-    if density.p_value < boot.alpha:
-        return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
+    """``protocol_from_draws`` on one bootstrap pass of ``data``, with a balance
+    test for each of ``covariates`` (every covariate in the data when None)."""
     names = covariates if covariates is not None else tuple(sorted(data.covariates))
-    balance = tuple((name, balance_test(data, name, fit, boot)) for name in names)
-    all_balanced = all(res.p_value >= boot.alpha for _, res in balance)
-    verdict = Verdict.POINT_IDENTIFIED if all_balanced else Verdict.DESIGN_SUSPECT
-    return ProtocolOutcome(density=density, balance=balance, verdict=verdict)
+    return protocol_from_draws(bootstrap_boundary_replicates(data, boot, fit, names), boot.alpha)

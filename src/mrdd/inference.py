@@ -1,10 +1,13 @@
 """Bootstrap distributions of boundary statistics and interval confidence sets.
 
-Two r modes are supported: ``fixed`` holds the density ratio at its
-full-sample estimate across replicates (isolating mean-estimation noise),
-``random`` re-estimates the densities per replicate with the full-sample
-bandwidths. Confidence intervals for the partially identified estimand
-expand the estimated interval by a data-dependent critical multiplier that
+One bootstrap pass per analysis draws every boundary fit, and each tested
+covariate's two mean fits, on the same replicates; the density and balance
+tests and both r modes of the bounds read their own columns of it. Two r
+modes are supported: ``fixed`` holds the density ratio at its full-sample
+estimate across replicates (isolating mean-estimation noise), ``random``
+re-estimates the densities per replicate with the full-sample bandwidths.
+Confidence intervals for the partially identified estimand expand the
+estimated interval by a data-dependent critical multiplier that
 interpolates between the one-sided and two-sided normal quantiles.
 """
 
@@ -17,7 +20,6 @@ import numpy as np
 from scipy import special
 
 from ._bootstrap import (
-    BOUNDS_STREAM,
     BootstrapConfig,
     DensityFit,
     MeanFit,
@@ -26,8 +28,8 @@ from ._bootstrap import (
 )
 from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
-from .errors import InvalidInputs
-from .localfit import Side, sample_sd
+from .errors import InvalidInputs, UnknownCovariate
+from .localfit import Side, local_poly_fit, sample_sd
 
 
 class RMode(enum.Enum):
@@ -37,15 +39,18 @@ class RMode(enum.Enum):
 
 @dataclass(frozen=True)
 class BoundaryDraws:
-    """Full-sample estimates plus the replicate matrix of boundary statistics.
+    """Full-sample estimates plus the replicate matrix of one bootstrap pass.
 
-    ``draws`` columns are (mu_plus, mu_minus, f_plus, f_minus); failed
-    replicates have already been dropped.
+    ``draws`` has a row per replicate and the columns (mu_plus, mu_minus,
+    f_plus, f_minus), then the right and left boundary means of each
+    covariate in ``covariates``, which pairs its name with its full-sample
+    jump. A fit that failed on a replicate leaves a NaN cell; each consumer
+    drops and counts the rows its own columns lost.
     """
 
     point: BoundaryEstimates
     draws: np.ndarray
-    n_failed: int
+    covariates: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -54,34 +59,41 @@ class BootstrapBounds:
     replicates: np.ndarray  # (b_ok, 2) of (lower, upper)
     se_lower: float
     se_upper: float
+    n_failed: int  # replicates on which one of the four boundary fits failed
 
 
 def bootstrap_boundary_replicates(
     data: Dataset,
     cfg: BootstrapConfig,
     fit: FitConfig = FitConfig(),
+    covariates: tuple[str, ...] = (),
 ) -> BoundaryDraws:
     """Row-resample the data ``cfg.b`` times and re-estimate the boundary.
 
-    Bandwidths are selected once on the full sample and frozen across
-    replicates, so replicate variation reflects sampling noise only.
-    Deterministic in (data, cfg, fit): replicate randomness is keyed by
-    (seed, replicate index), and dropped replicates are counted (more than
-    10% failures raises TooManyFailedReplicates).
+    One engine pass evaluates the four boundary fits and, for each name in
+    ``covariates`` (UnknownCovariate if absent), its two mean fits on the
+    outcome's windows. Bandwidths are selected once on the full sample and
+    frozen across replicates, and replicate randomness is keyed by (seed,
+    replicate index), so the draws are deterministic in the arguments.
     """
-    fit = fit.resolved(data.xs, data.cutoff)
+    for name in covariates:
+        if name not in data.covariates:
+            raise UnknownCovariate(f"covariate {name!r} not present; have {sorted(data.covariates)}")
+    c = data.cutoff
+    fit = fit.resolved(data.xs, c)
     point = estimate_boundary(data, fit)
-    fits = (
-        MeanFit(fit.mean_spec(Side.RIGHT), data.ys),
-        MeanFit(fit.mean_spec(Side.LEFT), data.ys),
-        DensityFit(fit.density_spec(Side.RIGHT)),
-        DensityFit(fit.density_spec(Side.LEFT)),
-    )
-    values, n_failed = run_replicates(
-        data.xs, data.cutoff, fits, cfg.b, cfg.seed, (BOUNDS_STREAM,), cfg.workers
-    )
-    draws = drop_failed(values, n_failed, "boundary")
-    return BoundaryDraws(point=point, draws=draws, n_failed=n_failed)
+    right, left = fit.mean_spec(Side.RIGHT), fit.mean_spec(Side.LEFT)
+    fits = [MeanFit(right, data.ys), MeanFit(left, data.ys)]
+    fits += [DensityFit(fit.density_spec(Side.RIGHT)), DensityFit(fit.density_spec(Side.LEFT))]
+    jumps = []
+    for name in covariates:
+        ws = data.covariates[name]
+        fits += [MeanFit(right, ws), MeanFit(left, ws)]
+        w_plus = local_poly_fit(data.xs, ws, c, right).coefficients[0]
+        w_minus = local_poly_fit(data.xs, ws, c, left).coefficients[0]
+        jumps.append((name, w_plus - w_minus))
+    values = run_replicates(data.xs, c, fits, cfg.b, cfg.seed, cfg.workers)
+    return BoundaryDraws(point=point, draws=values, covariates=tuple(jumps))
 
 
 def bounds_from_draws(
@@ -93,17 +105,20 @@ def bounds_from_draws(
 ) -> BootstrapBounds:
     """Evaluate the requested interval on the point estimate and every draw.
 
-    The draws go through ``crude_interval`` as columns, in one call; in
-    fixed mode every row keeps the point's density ratio, in random mode
-    each row has its own. The endpoint SEs are the replicates' sample
-    standard deviations. A missing outcome range raises InvalidOutcomeRange.
+    The replicates on which all four boundary fits succeeded go through
+    ``crude_interval`` as columns, in one call; in fixed mode every row
+    keeps the point's density ratio, in random mode each row has its own.
+    The endpoint SEs are the replicates' sample standard deviations. A
+    missing outcome range raises InvalidOutcomeRange, and more than 10%
+    failed replicates TooManyFailedReplicates.
     """
     point = crude_bounds(draws.point, y_low, y_high, assumption)
-    mu_plus, mu_minus, f_plus, f_minus = draws.draws.T
+    boundary, n_failed = drop_failed(draws.draws[:, :4], "boundary")
+    mu_plus, mu_minus, f_plus, f_minus = boundary.T
     if r_mode is RMode.FIXED:
         f_plus, f_minus = draws.point.f_plus, draws.point.f_minus
     reps = np.column_stack(crude_interval(mu_plus, mu_minus, f_minus / f_plus, y_low, y_high, assumption))
-    return BootstrapBounds(point, reps, se_lower=sample_sd(reps[:, 0]), se_upper=sample_sd(reps[:, 1]))
+    return BootstrapBounds(point, reps, sample_sd(reps[:, 0]), sample_sd(reps[:, 1]), n_failed)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from mrdd import (
     FitSpec,
     KernelKind,
     Side,
+    balance_test,
     boundary_density,
     density_discontinuity_test,
     estimate_boundary,
@@ -320,6 +321,40 @@ class TestAnalyze:
         density = density_discontinuity_test(data, fit, BootstrapConfig(b=64, seed=4))
         assert block["discontinuity_t"] == density.statistic
 
+    def test_single_covariate_balance_equals_library_test(self, tmp_path):
+        # no manipulation, so the density test accepts and the balance test is reported
+        ts = gen_typed({0: 1.0}, n=4_000, seed=5)
+        path = tmp_path / "clean.csv"
+        write_typed_csv(ts, str(path))
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", str(path), "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--covariate", "x_star", "--boot", "64", "--seed", "4", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        data = ingest(str(path), cutoff=0.0, y_low=0.0, y_high=1.0, covariates=("x_star",))
+        balance = balance_test(data, "x_star", FitConfig(), BootstrapConfig(b=64, seed=4))
+        expected = {"covariate": "x_star", **asdict(balance)}
+        assert report["protocol"]["balance"] == [json.loads(json.dumps(expected))]
+
+    @pytest.mark.parametrize("covariates", [(), ("--covariate", "x_star")], ids=["outcome", "covariate"])
+    def test_one_bootstrap_pass_per_analysis(self, typed_file, tmp_path, monkeypatch, covariates):
+        from mrdd import _bootstrap, inference
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # each plan sorts the whole sample once
+        monkeypatch.setattr(_bootstrap, "_plan", counted("plan", _bootstrap._plan))
+        monkeypatch.setattr(inference, "run_replicates", counted("run", inference.run_replicates))
+        path, _ = typed_file
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", *covariates,
+                       "--sharp", "--boot", "64", "--out", str(tmp_path / "r.json")) == 0
+        assert calls == ["run", "plan"]
+
     def test_missing_file_exits_3(self):
         assert run_cli("analyze", "/nonexistent.csv", "--cutoff", "0",
                        "--y-min", "0", "--y-max", "1") == 3
@@ -424,16 +459,16 @@ class TestAnalyze:
         path, _ = typed_file
         from mrdd import cli as cli_mod
 
-        real_protocol = cli_mod.run_sequential_protocol
+        real_protocol = cli_mod.protocol_from_draws
 
-        def nan_density_statistic(data, boot, fit, covariates=None):
-            outcome = real_protocol(data, boot, fit, covariates)
+        def nan_density_statistic(draws, alpha):
+            outcome = real_protocol(draws, alpha)
             return replace(outcome, density=replace(outcome.density, statistic=float("nan")))
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        monkeypatch.setattr(cli_mod, "run_sequential_protocol", nan_density_statistic)
+        monkeypatch.setattr(cli_mod, "protocol_from_draws", nan_density_statistic)
         out = tmp_path / "r.json"
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
                        "--boot", "64", "--out", str(out)) == 0

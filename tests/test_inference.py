@@ -202,7 +202,7 @@ def synthetic_draws(point_r):
     )
     if point_r == 1.0:
         point = replace(point, f_minus=point.f_plus)
-    return BoundaryDraws(point=point, draws=np.column_stack([mu, f_plus, f_minus]), n_failed=0)
+    return BoundaryDraws(point=point, draws=np.column_stack([mu, f_plus, f_minus]))
 
 
 class TestBoundsFromDraws:
