@@ -1,27 +1,34 @@
-"""Replicate-keyed nonparametric bootstrap of one-sided local fits at a cutoff.
+"""Replicate-keyed nonparametric bootstrap of the boundary fits at a cutoff.
 
 Every replicate draws its row resample from a generator seeded by
 (seed, DRAW_KEY, replicate_index), so results are identical regardless
 of execution order or worker count.
 
-A resample is a vector of multinomial counts over the rows (Efron 1979), and
-every local polynomial fit is a weighted moment sum, so replicates never
-re-fit rows. Setup sorts x once and keeps the rows inside the union of the
-fit windows, in x order. Each replicate's draws become per-row counts with
-``bincount``, of which only the window rows are kept. For a chunk of
-replicates, the counts times the precomputed columns w*u^k and w*u^k*v give
-the normal equations of every mean fit; the counts times the running count,
-taken through the last row of each tie group, give those of the CDF fits
-behind the densities (Cattaneo, Jansson & Ma 2020). The resample rows below
-the window only add a constant to that running count, which moves the fitted
+One pass serves an analysis. On each side of the cutoff it fits the
+outcome's mean, the density, and every covariate's mean on the outcome's
+mean window. A resample is a vector of multinomial counts over the rows
+(Efron 1979), and every local polynomial fit is a weighted moment sum, so
+replicates never re-fit rows. Setup sorts x once and keeps the rows inside
+the union of the four windows (a mean and a density window per side), in x
+order. Each side's mean weights w*u^k are written once and shared by every
+value column w*u^k*v on that side. The outcome's columns (mean weights,
+outcome values, density weights) form one moment block and the covariates'
+value columns a second; each block has its own product with the counts, so
+the boundary draws are the same bits whichever covariates are requested.
+For a chunk of replicates, the counts times the blocks give the normal
+equations of every mean fit; the counts times the running count, taken
+through the last row of each tie group, give those of the CDF fits behind
+the densities (Cattaneo, Jansson & Ma 2020). The resample rows below the
+window only add a constant to that running count, which moves the fitted
 intercept and not the slope, so they need no count. One batched solve per
-fit yields the levels, and the CDF slopes over h the densities, floored at
-DENSITY_FLOOR.
+side yields the levels, another the CDF slopes, which over h are the
+densities, floored at DENSITY_FLOOR.
 
 A fit fails on a replicate (NaN cell, the other fits keep their values)
 exactly where the per-row fit would raise InsufficientData or
 SingularDesign: when its window holds fewer distinct positive-weight values
-with positive count than the fit has coefficients. Chunks are fixed by
+with positive count than the fit has coefficients. The means on a side share
+a window, so one support check decides them all. Chunks are fixed by
 replicate index and sized from the window under a fixed byte budget;
 workers only share out whole chunks.
 """
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import FitConfig
 from .errors import InvalidConfig, TooManyFailedReplicates
 from .localfit import (
     DENSITY_FLOOR,
@@ -83,53 +91,41 @@ class BootstrapConfig:
 
 
 @dataclass(frozen=True)
-class MeanFit:
-    """One-sided local polynomial level of ``values`` at the cutoff."""
-
-    spec: FitSpec
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class DensityFit:
-    """One-sided density at the cutoff: CDF fit of degree ``spec.order + 1``."""
-
-    spec: FitSpec
-
-
-@dataclass(frozen=True)
-class _FitPlan:
-    right: bool  # rows and moment columns of the right-hand side
-    col: int  # first moment column
-    degree: int  # polynomial degree of the fit
-    groups: tuple[int, int]  # tie groups holding the fit's positive-weight rows
-    density_scale: float | None  # 1 / (n h) for densities, None for means
+class _SidePlan:
+    rows: slice  # the side's window rows, as columns of the counts
+    mean_groups: tuple[int, int]  # tie groups holding the mean window's positive-weight rows
+    density_groups: tuple[int, int]  # tie groups holding the CDF window's positive-weight rows
+    density_scale: float  # 1 / (n h) of the density's CDF fit
 
 
 @dataclass(frozen=True)
 class _Plan:
     n: int
+    degree: int  # of the mean fits; the CDF fits are one degree above
     rows: np.ndarray  # original index of each window row, in x order
-    split: int  # window rows [0, split) lie left of the cutoff
-    moments: np.ndarray  # (m, K); left rows hold left-fit columns, right rows right-fit ones
+    # (m, 5d + 5): on each side's rows, that side's mean weights w*u^k
+    # (k = 0..2d), outcome columns w*u^k*y (k = 0..d) and CDF weights w*u^k
+    # (k = 0..2d + 2)
+    moments: np.ndarray
+    covariates: np.ndarray  # (m, c (d + 1)): w*u^k*v (k = 0..d) of each covariate v
     group_starts: np.ndarray | None  # first row of each tie group; None without ties
     group_end: np.ndarray | None  # last row of each row's tie group; None without ties
-    fits: tuple[_FitPlan, ...]
+    sides: tuple[_SidePlan, _SidePlan]  # right, left
     chunk: int
 
 
-def _fit_rows(xs_sorted, cutoff, fit) -> tuple[int, int]:
-    """Sorted-row range of the rows that carry positive weight in a fit.
+def _window(xs_sorted, cutoff, spec: FitSpec, cdf: bool) -> tuple[int, int]:
+    """Sorted-row range of the rows with positive weight in the mean fit on
+    ``spec``, or with ``cdf`` in the CDF fit behind its density.
 
     Membership uses the per-row fits' own tests, so the engine and those
     fits agree on every edge point; the windows are intervals of sorted x.
     """
-    spec = fit.spec
     h = spec.bandwidth
     lo = int(np.searchsorted(xs_sorted, cutoff - 2.0 * h, side="left"))
     hi = int(np.searchsorted(xs_sorted, cutoff + 2.0 * h, side="right"))
     seg = xs_sorted[lo:hi]
-    if isinstance(fit, DensityFit):
+    if cdf:
         rows = density_window(seg, cutoff, spec) & (kernel_weight((seg - cutoff) / h, spec.kernel) > 0)
     else:
         rows = local_weights(seg, cutoff, spec)[2]
@@ -137,27 +133,18 @@ def _fit_rows(xs_sorted, cutoff, fit) -> tuple[int, int]:
     return (lo + int(rows[0]), lo + int(rows[-1]) + 1) if rows.size else (lo, lo)
 
 
-def _degree(fit) -> int:
-    """Polynomial degree: the CDF fit behind a density is one above its order."""
-    return fit.spec.order + 1 if isinstance(fit, DensityFit) else fit.spec.order
-
-
-def _n_columns(fit) -> int:
-    """w*u^k for k = 0..2d, plus w*u^k*v for k = 0..d for a mean."""
-    d = _degree(fit)
-    return 2 * d + 1 if isinstance(fit, DensityFit) else 3 * d + 2
-
-
-def _plan(xs: np.ndarray, cutoff: float, fits) -> _Plan:
-    """Window rows, tie groups and moment columns shared by every replicate."""
-    for fit in fits:
-        if fit.spec.side is Side.INTERIOR:
-            raise InvalidConfig("the bootstrap engine fits one side of the cutoff at a time")
-    n = xs.size
+def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
+    """Windows, tie groups and moment columns shared by every replicate."""
+    n, d = xs.size, fit.order
     order = np.argsort(xs, kind="stable")
     xs_sorted = xs[order]
-    ranges = [_fit_rows(xs_sorted, cutoff, fit) for fit in fits]
-    spans = [(lo, hi) for lo, hi in ranges if hi > lo]
+    sides = (Side.RIGHT, Side.LEFT)
+    specs = [(fit.mean_spec(side), fit.density_spec(side)) for side in sides]
+    windows = [
+        (_window(xs_sorted, cutoff, mean, cdf=False), _window(xs_sorted, cutoff, dens, cdf=True))
+        for mean, dens in specs
+    ]
+    spans = [(lo, hi) for pair in windows for lo, hi in pair if hi > lo]
     if spans:
         a, b = min(lo for lo, _ in spans), max(hi for _, hi in spans)
     else:
@@ -175,85 +162,91 @@ def _plan(xs: np.ndarray, cutoff: float, fits) -> _Plan:
         group_starts = np.flatnonzero(new_group)
         group_end = np.append(group_starts[1:], m)[group_id] - 1
 
-    width = {False: 0, True: 0}
-    cols = []
-    for fit in fits:
-        right = fit.spec.side is Side.RIGHT
-        cols.append(width[right])
-        width[right] += _n_columns(fit)
-    moments = np.zeros((m, max(width.values())))
+    def groups(lo, hi):
+        return (int(group_id[lo]), int(group_id[hi - 1]) + 1) if hi > lo else (0, 0)
+
+    ys, *covariates = (np.asarray(v, dtype=float) for v in values)
+    moments = np.zeros((m, 5 * d + 5))
+    cov_moments = np.zeros((m, len(covariates) * (d + 1)))
     plans = []
-    for fit, col, (lo, hi) in zip(fits, cols, ranges):
-        spec = fit.spec
-        right = spec.side is Side.RIGHT
-        lo, hi = lo - a, hi - a
-        u = (window[lo:hi] - cutoff) / spec.bandwidth
-        w = kernel_weight(u, spec.kernel)
-        d = _degree(fit)
-        weighted_powers(u, w, 2 * d, moments[lo:hi, col : col + 2 * d + 1])
-        if isinstance(fit, DensityFit):
-            scale = 1.0 / (n * spec.bandwidth)
-        else:
-            v = np.asarray(fit.values, dtype=float)[order[a + lo : a + hi]]
-            weighted_powers(u, w * v, d, moments[lo:hi, col + 2 * d + 1 : col + 3 * d + 2])
-            scale = None
-        groups = (int(group_id[lo]), int(group_id[hi - 1]) + 1) if hi > lo else (0, 0)
-        plans.append(_FitPlan(right, col, d, groups, scale))
+    for side, (mean, dens), ((lo, hi), (c_lo, c_hi)) in zip(sides, specs, windows):
+        lo, hi, c_lo, c_hi = lo - a, hi - a, c_lo - a, c_hi - a
+        u = (window[lo:hi] - cutoff) / mean.bandwidth
+        w = kernel_weight(u, mean.kernel)
+        weighted_powers(u, w, 2 * d, moments[lo:hi, : 2 * d + 1])
+        index = order[a + lo : a + hi]
+        weighted_powers(u, w * ys[index], d, moments[lo:hi, 2 * d + 1 : 3 * d + 2])
+        for j, v in enumerate(covariates):
+            weighted_powers(u, w * v[index], d, cov_moments[lo:hi, j * (d + 1) : (j + 1) * (d + 1)])
+        u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
+        weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[c_lo:c_hi, 3 * d + 2 :])
+        rows = slice(split, m) if side is Side.RIGHT else slice(0, split)
+        plans.append(_SidePlan(rows, groups(lo, hi), groups(c_lo, c_hi), 1.0 / (n * dens.bandwidth)))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return _Plan(n, order[a:b].copy(), split, moments, group_starts, group_end, tuple(plans), chunk)
+    return _Plan(n, d, order[a:b].copy(), moments, cov_moments, group_starts, group_end, tuple(plans), chunk)
+
+
+def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
+    """Replicates that drew more distinct values of a window than ``degree``:
+    at least as many as a fit of that degree has coefficients."""
+    g_lo, g_hi = groups
+    return np.count_nonzero(present[:, g_lo:g_hi], axis=1) > degree
 
 
 def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
     """Fitted values of one chunk of replicates, a NaN cell where a fit failed."""
-    n, m, s = plan.n, plan.moments.shape[0], plan.split
-    counts = np.empty((len(reps), m))
+    n, m, d = plan.n, plan.rows.size, plan.degree
+    r, c = len(reps), plan.covariates.shape[1] // (d + 1)
+    counts = np.empty((r, m))
     for j, rep in enumerate(reps):
         indices = replicate_rng(seed, rep).integers(0, n, n)
         counts[j] = np.bincount(indices, minlength=n)[plan.rows]
-    # which distinct x values each resample holds, for the failure checks
+    # which distinct x values each resample holds, for the support checks
     present = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
     present = present > 0
-    moments = plan.moments
-    sums = (counts[:, :s] @ moments[:s], counts[:, s:] @ moments[s:])
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
     running = np.cumsum(counts, axis=1)
     cdf = running if plan.group_end is None else running[:, plan.group_end]
     cdf *= counts
-    cdf_sums = (cdf[:, :s] @ moments[:s], cdf[:, s:] @ moments[s:])
-    out = np.full((len(reps), len(plan.fits)), np.nan)
-    for i, fp in enumerate(plan.fits):
-        d, col = fp.degree, fp.col
-        g_lo, g_hi = fp.groups
-        ok = np.count_nonzero(present[:, g_lo:g_hi], axis=1) > d
-        if not ok.any():
-            continue
-        weight_sums = sums[fp.right][ok, col : col + 2 * d + 1]
-        if fp.density_scale is None:
-            beta = fit_from_moments(weight_sums, sums[fp.right][ok, col + 2 * d + 1 : col + 3 * d + 2])
-            out[ok, i] = beta[:, 0]
-        else:
-            beta = fit_from_moments(weight_sums, cdf_sums[fp.right][ok, col : col + d + 1])
-            out[ok, i] = np.maximum(beta[:, 1] * fp.density_scale, DENSITY_FLOOR)
+    out = np.full((r, 4 + 2 * c), np.nan)
+    for i, side in enumerate(plan.sides):
+        rows = side.rows
+        sums = counts[:, rows] @ plan.moments[rows]
+        # the whole block, not just the d + 2 CDF weight columns: a narrower
+        # product rounds differently, and the densities keep their bits
+        cdf_sums = cdf[:, rows] @ plan.moments[rows]
+        ok = _supported(present, side.density_groups, d + 1)
+        beta = fit_from_moments(sums[ok, 3 * d + 2 :], cdf_sums[ok, 3 * d + 2 : 4 * d + 4])
+        out[ok, 2 + i] = np.maximum(beta[:, 1] * side.density_scale, DENSITY_FLOOR)
+        # the outcome's and every covariate's value sums share the side's mean weights
+        cov_sums = (counts[:, rows] @ plan.covariates[rows]).reshape(r, c, d + 1)
+        value_sums = np.concatenate([sums[:, None, 2 * d + 1 : 3 * d + 2], cov_sums], axis=1)
+        ok = _supported(present, side.mean_groups, d)
+        levels = fit_from_moments(sums[ok, None, : 2 * d + 1], value_sums[ok])[..., 0]
+        out[ok, i] = levels[:, 0]
+        out[ok, 4 + i :: 2] = levels[:, 1:]
     return out
 
 
-def run_replicates(xs, cutoff, fits, b, seed, workers=1):
-    """Evaluate one-sided ``fits`` on ``b`` row resamples of the sample.
+def run_replicates(xs, cutoff, fit, values, b, seed, workers=1):
+    """Evaluate the boundary fits on ``b`` row resamples of the sample.
 
     Parameters
     ----------
     xs : running variable of the full sample (finite)
-    fits : sequence of MeanFit / DensityFit, each on the LEFT or RIGHT side
+    fit : FitConfig with resolved bandwidths
+    values : the outcome, then each covariate; columns as long as ``xs``
 
     Returns
     -------
-    A (b, len(fits)) array, one column per fit, with NaN where a fit failed
-    on a replicate.
+    A (b, 2 + 2 * len(values)) array with the columns (mu_plus, mu_minus,
+    f_plus, f_minus), then the right and left means of each covariate, NaN
+    where a fit failed on a replicate.
     """
     xs = np.asarray(xs, dtype=float)
-    plan = _plan(xs, cutoff, tuple(fits))
-    out = np.empty((b, len(plan.fits)))
+    plan = _plan(xs, cutoff, fit, values)
+    out = np.empty((b, 2 + 2 * len(values)))
 
     def one(start):
         stop = min(start + plan.chunk, b)

@@ -6,10 +6,11 @@ presentation: discontinuity test, density ratio, bandwidths, point estimate
 with bootstrap SE, identified set, and fixed-r / random-r confidence
 intervals.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-invariant violation. Identical invocations (flags, files, seed) produce
-byte-identical outputs; bootstrap randomness is keyed per replicate so the
-worker count does not change results.
+Exit codes: 0 success, 2 configuration error (an unopenable ``--config``
+included), 3 data error (an unopenable input included), 4 internal error:
+any other exception, printed with its traceback. Identical invocations
+(flags, files, seed) produce byte-identical outputs; bootstrap randomness
+is keyed per replicate so the worker count does not change results.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
+import traceback
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -42,7 +43,6 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     MissingColumn,
-    MrddError,
     ParseError,
 )
 from .inference import (
@@ -130,11 +130,9 @@ def ingest(
     call fails or gives a value that is not finite, the file is read again
     one record at a time, which either returns the same columns or raises
     ParseError with the 1-based line number of the bad row. Requested
-    columns must exist in the header. A byte the file's encoding cannot
-    decode raises DataError naming the file.
+    columns must exist in the header. A file that cannot be opened, or a
+    byte its encoding cannot decode, raises DataError naming the file.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     # each requested column once, with the words its ParseError uses
     wanted: dict[str, str] = {}
     for name in (col_x, col_y):
@@ -143,7 +141,11 @@ def ingest(
         wanted.setdefault(col_d, "treatment")
     for name in covariates:
         wanted.setdefault(name, f"covariate {name!r}")
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as err:
+        raise DataError(f"cannot open {path}: {err.strerror}") from None
+    with fh:
         try:
             header = next(csv.reader(fh), [])
             for col in wanted:
@@ -345,9 +347,11 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
 
 
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise InvalidConfig(f"config file {path} not found")
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise InvalidConfig(f"cannot open config file {path}: {err.strerror}") from None
+    with fh:
         try:
             text = fh.read()
         except UnicodeDecodeError:
@@ -662,14 +666,12 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
-        print(f"data error: file not found: {err}", file=sys.stderr)
-        return EXIT_DATA
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except MrddError as err:
-        print(f"internal error: {err}", file=sys.stderr)
+    except Exception as err:
+        traceback.print_exc()
+        print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._bootstrap import (
-    BootstrapConfig,
-    DensityFit,
-    MeanFit,
-    drop_failed,
-    run_replicates,
-)
+from ._bootstrap import BootstrapConfig, drop_failed, run_replicates
 from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, UnknownCovariate
@@ -72,9 +66,10 @@ def bootstrap_boundary_replicates(
 
     One engine pass evaluates the four boundary fits and, for each name in
     ``covariates`` (UnknownCovariate if absent), its two mean fits on the
-    outcome's windows. Bandwidths are selected once on the full sample and
-    frozen across replicates, and replicate randomness is keyed by (seed,
-    replicate index), so the draws are deterministic in the arguments.
+    outcome's windows. The boundary columns are the same bits whichever
+    covariates are named. Bandwidths are selected once on the full sample
+    and frozen across replicates, and replicate randomness is keyed by
+    (seed, replicate index), so the draws are deterministic in the arguments.
     """
     for name in covariates:
         if name not in data.covariates:
@@ -83,17 +78,15 @@ def bootstrap_boundary_replicates(
     fit = fit.resolved(data.xs, c)
     point = estimate_boundary(data, fit)
     right, left = fit.mean_spec(Side.RIGHT), fit.mean_spec(Side.LEFT)
-    fits = [MeanFit(right, data.ys), MeanFit(left, data.ys)]
-    fits += [DensityFit(fit.density_spec(Side.RIGHT)), DensityFit(fit.density_spec(Side.LEFT))]
     jumps = []
     for name in covariates:
         ws = data.covariates[name]
-        fits += [MeanFit(right, ws), MeanFit(left, ws)]
         w_plus = local_poly_fit(data.xs, ws, c, right).coefficients[0]
         w_minus = local_poly_fit(data.xs, ws, c, left).coefficients[0]
         jumps.append((name, w_plus - w_minus))
-    values = run_replicates(data.xs, c, fits, cfg.b, cfg.seed, cfg.workers)
-    return BoundaryDraws(point=point, draws=values, covariates=tuple(jumps))
+    columns = (data.ys, *(data.covariates[name] for name in covariates))
+    draws = run_replicates(data.xs, c, fit, columns, cfg.b, cfg.seed, cfg.workers)
+    return BoundaryDraws(point=point, draws=draws, covariates=tuple(jumps))
 
 
 def bounds_from_draws(

@@ -102,7 +102,6 @@ class LocalFitResult:
 
     coefficients: np.ndarray
     effective_n: int
-    residual_scale: float
 
 
 def kernel_weight(u, kernel: KernelKind = KernelKind.TRIANGULAR):
@@ -180,11 +179,14 @@ def local_poly_fit(x, y, eval_point: float, spec: FitSpec) -> LocalFitResult:
         )
     u, w, y = u[keep], np.asarray(w)[keep], y[keep]
     beta = _weighted_polyfit(u, w, y, spec.order, spec.side.value)
-    resid = y - np.vander(u, spec.order + 1, increasing=True) @ beta
-    scale = float(np.sqrt(np.sum(w * resid * resid) / np.sum(w)))
-    # beta is in u-powers; convert back to (x - eval_point) powers
-    coef = beta / spec.bandwidth ** np.arange(spec.order + 1)
-    return LocalFitResult(coefficients=coef, effective_n=m, residual_scale=scale)
+    # beta is in u-powers; convert back to (x - eval_point) powers one
+    # division by h at a time, so h**k never overflows on its own. A slope
+    # beyond the float range becomes inf, as in Python floats.
+    coef = beta.copy()
+    with np.errstate(over="ignore"):
+        for k in range(1, spec.order + 1):
+            coef[k:] /= spec.bandwidth
+    return LocalFitResult(coefficients=coef, effective_n=m)
 
 
 def local_weights(x: np.ndarray, eval_point: float, spec: FitSpec):

@@ -23,16 +23,10 @@ from mrdd import (
     density_discontinuity_test,
 )
 from mrdd import _bootstrap, localfit
-from mrdd._bootstrap import (
-    DensityFit,
-    MeanFit,
-    drop_failed,
-    replicate_rng,
-    run_replicates,
-)
+from mrdd._bootstrap import drop_failed, replicate_rng, run_replicates
 from mrdd.diagnostics import protocol_from_draws
 from mrdd.errors import DataError, TooManyFailedReplicates
-from mrdd.localfit import FitSpec, Side, boundary_density, local_poly_fit
+from mrdd.localfit import Side, boundary_density, local_poly_fit
 
 B = 64
 SEED = 17
@@ -136,13 +130,31 @@ def test_engine_matches_per_row_fits(order, kernel):
 
 def test_chunks_and_workers_do_not_change_draws(monkeypatch):
     data = tied_sample()
-    fits = (DensityFit(FitSpec(1, H, side=Side.RIGHT)), MeanFit(FitSpec(2, H, side=Side.LEFT), data.ys))
-    whole = run_replicates(data.xs, 0.0, fits, 200, SEED)
+    fit = config(1, KernelKind.TRIANGULAR)
+    columns = (data.ys, data.covariates["w"])
+    whole = run_replicates(data.xs, 0.0, fit, columns, 200, SEED)
     monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 1 << 16)  # a few replicates per chunk
-    one = run_replicates(data.xs, 0.0, fits, 200, SEED, workers=1)
-    three = run_replicates(data.xs, 0.0, fits, 200, SEED, workers=3)
+    one = run_replicates(data.xs, 0.0, fit, columns, 200, SEED, workers=1)
+    three = run_replicates(data.xs, 0.0, fit, columns, 200, SEED, workers=3)
+    assert one.shape == (200, 6)
     assert np.array_equal(one, three)
     np.testing.assert_allclose(one, whole, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_boundary_draws_do_not_depend_on_covariates(order):
+    # the outcome's moment block is multiplied on its own, so the covariates'
+    # columns cannot change how its sums round
+    rng = np.random.default_rng(0)
+    xs = rng.normal(0.0, 0.6, 1000)
+    ys = (rng.uniform(size=xs.size) < 0.4 + 0.2 * (xs >= 0)).astype(float)
+    covs = {f"w{j}": 0.5 * xs + rng.normal(size=xs.size) for j in range(1, 5)}
+    data = Dataset(xs=xs, ys=ys, cutoff=0.0, y_low=0.0, y_high=1.0, covariates=covs)
+    boot, fit = BootstrapConfig(b=B, seed=SEED), FitConfig(order=order)
+    alone = bootstrap_boundary_replicates(data, boot, fit).draws
+    draws = bootstrap_boundary_replicates(data, boot, fit, tuple(covs)).draws
+    assert draws.shape == (B, 12)
+    assert np.array_equal(draws[:, :4], alone)
 
 
 def sparse_left_sample(n_left, seed=2):

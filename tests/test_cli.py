@@ -35,7 +35,7 @@ from mrdd import (
     write_typed_csv,
 )
 from mrdd.cli import MAX_PLOT_BINS, ingest, main
-from mrdd.errors import DataError, EmptyInput, MissingColumn, MrddError, ParseError
+from mrdd.errors import DataError, EmptyInput, MissingColumn, ParseError
 
 
 @pytest.fixture()
@@ -355,9 +355,22 @@ class TestAnalyze:
                        "--sharp", "--boot", "64", "--out", str(tmp_path / "r.json")) == 0
         assert calls == ["run", "plan"]
 
-    def test_missing_file_exits_3(self):
-        assert run_cli("analyze", "/nonexistent.csv", "--cutoff", "0",
-                       "--y-min", "0", "--y-max", "1") == 3
+    @pytest.mark.parametrize("target", ["directory", "missing"])
+    @pytest.mark.parametrize("command", ["analyze", "plotdata"])
+    def test_unopenable_input_exits_3(self, tmp_path, capsys, command, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing.csv"
+        flags = ("--y-min", "0", "--y-max", "1") if command == "analyze" else ()
+        assert run_cli(command, str(path), "--cutoff", "0", *flags, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        reason = "Is a directory" if target == "directory" else "No such file or directory"
+        assert err == f"data error: cannot open {path}: {reason}\n"
+
+    def test_unopenable_config_exits_2(self, typed_file, tmp_path, capsys):
+        path, _ = typed_file
+        assert run_cli("analyze", path, "--config", str(tmp_path), "--cutoff", "0",
+                       "--y-min", "0", "--y-max", "1") == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: cannot open config file {tmp_path}: Is a directory\n"
 
     @pytest.mark.skipif(not undecodable(b"\xff"), reason="the locale encoding decodes every byte")
     @pytest.mark.parametrize("text", [b"x,y\n0.5,1\n\xff0.2,0\n", b"x,y\xff\n0.5,1\n0.2,0\n"],
@@ -441,19 +454,19 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "--cutoff is required" in proc.stderr
 
-    def test_internal_error_exits_4(self, typed_file, monkeypatch):
-        # any package error outside the config and data families
+    def test_internal_error_exits_4(self, typed_file, monkeypatch, capsys):
+        # any exception outside the config and data families: a bug
         path, _ = typed_file
         from mrdd import cli as cli_mod
 
-        class Boom(MrddError):
-            pass
-
         def boom(cfg, data):
-            raise Boom("invariant violated")
+            raise RuntimeError("invariant violated")
 
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("\ninternal error: RuntimeError('invariant violated')\n")
 
     def test_non_finite_statistic_written_as_null(self, typed_file, tmp_path, monkeypatch):
         path, _ = typed_file

