@@ -6,23 +6,29 @@ of execution order or worker count.
 
 One pass serves an analysis. On each side of the cutoff it fits the
 outcome's mean, the density, and every covariate's mean on the outcome's
-mean window. A resample is a vector of multinomial counts over the rows
-(Efron 1979), and every local polynomial fit is a weighted moment sum, so
-replicates never re-fit rows. Setup sorts x once and keeps the rows inside
-the union of the four windows (a mean and a density window per side), in x
-order. Each side's mean weights w*u^k are written once and shared by every
-value column w*u^k*v on that side. The outcome's columns (mean weights,
-outcome values, density weights) form one moment block and the covariates'
-value columns a second; each block has its own product with the counts, so
-the boundary draws are the same bits whichever covariates are requested.
-For a chunk of replicates, the counts times the blocks give the normal
-equations of every mean fit; the counts times the running count, taken
-through the last row of each tie group, give those of the CDF fits behind
-the densities (Cattaneo, Jansson & Ma 2020). The resample rows below the
-window only add a constant to that running count, which moves the fitted
-intercept and not the slope, so they need no count. One batched solve per
-side yields the levels, another the CDF slopes, which over h are the
-densities, floored at DENSITY_FLOOR.
+mean window. A resample is a vector of multinomial(n, 1/n) counts over the
+rows (Efron 1979), and every local polynomial fit is a weighted moment sum,
+so replicates never re-fit rows. Only the m rows inside the union of the
+four windows (a mean and a density window per side) enter a fit, so a
+replicate draws only their counts: a window total k ~ Binomial(n, m/n),
+then k uniform draws over the window rows taken in order of original row
+index. That is the same law at O(m) cost, and the resample is a function
+of the rows, not of their x order. Setup sorts only the rows within twice
+the widest bandwidth of the cutoff. Each side's mean weights w*u^k are
+written once and shared by every value column w*u^k*v on that side. The
+outcome's columns (mean weights, outcome values, density weights) form one
+moment block and the covariates' value columns a second; each block has
+its own product with the counts, so the boundary draws are the same bits
+whichever covariates are requested. Per replicate, the counts times the
+blocks give the normal equations of every mean fit; the running count,
+taken through the last row of each tie group, times the counts and the CDF
+weights gives those of the CDF fits behind the densities (Cattaneo,
+Jansson & Ma 2020). The resample rows below the window only add a constant
+to that running count, which moves the fitted intercept and not the slope,
+so they need no count. Each product is taken one replicate at a time, so
+its bits do not depend on the chunk. One batched solve per side yields the
+levels, another the CDF slopes, which over h are the densities, floored at
+DENSITY_FLOOR.
 
 A fit fails on a replicate (NaN cell, the other fits keep their values)
 exactly where the per-row fit would raise InsufficientData or
@@ -102,7 +108,7 @@ class _SidePlan:
 class _Plan:
     n: int
     degree: int  # of the mean fits; the CDF fits are one degree above
-    rows: np.ndarray  # original index of each window row, in x order
+    by_index: np.ndarray  # x position of each window row, the rows taken by original index
     # (m, 5d + 5): on each side's rows, that side's mean weights w*u^k
     # (k = 0..2d), outcome columns w*u^k*y (k = 0..d) and CDF weights w*u^k
     # (k = 0..2d + 2)
@@ -136,10 +142,14 @@ def _window(xs_sorted, cutoff, spec: FitSpec, cdf: bool) -> tuple[int, int]:
 def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
     """Windows, tie groups and moment columns shared by every replicate."""
     n, d = xs.size, fit.order
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
     sides = (Side.RIGHT, Side.LEFT)
     specs = [(fit.mean_spec(side), fit.density_spec(side)) for side in sides]
+    # every window lies within twice its bandwidth of the cutoff; the stable
+    # sort of those rows keeps tied rows in original-index order
+    reach = 2.0 * max(spec.bandwidth for pair in specs for spec in pair)
+    order = np.flatnonzero((xs >= cutoff - reach) & (xs <= cutoff + reach))
+    order = order[np.argsort(xs[order], kind="stable")]
+    xs_sorted = xs[order]
     windows = [
         (_window(xs_sorted, cutoff, mean, cdf=False), _window(xs_sorted, cutoff, dens, cdf=True))
         for mean, dens in specs
@@ -183,7 +193,8 @@ def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
         rows = slice(split, m) if side is Side.RIGHT else slice(0, split)
         plans.append(_SidePlan(rows, groups(lo, hi), groups(c_lo, c_hi), 1.0 / (n * dens.bandwidth)))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return _Plan(n, d, order[a:b].copy(), moments, cov_moments, group_starts, group_end, tuple(plans), chunk)
+    by_index = np.argsort(order[a:b])
+    return _Plan(n, d, by_index, moments, cov_moments, group_starts, group_end, tuple(plans), chunk)
 
 
 def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
@@ -193,34 +204,43 @@ def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.
     return np.count_nonzero(present[:, g_lo:g_hi], axis=1) > degree
 
 
+def _draw_counts(plan: _Plan, reps: range, seed: int) -> np.ndarray:
+    """Each replicate's resample counts of the window rows, in x order."""
+    n, m = plan.n, plan.by_index.size
+    counts = np.empty((len(reps), m))
+    for j, rep in enumerate(reps):
+        g = replicate_rng(seed, rep)
+        draws = g.integers(0, m, g.binomial(n, m / n))
+        counts[j] = np.bincount(plan.by_index[draws], minlength=m)
+    return counts
+
+
 def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
     """Fitted values of one chunk of replicates, a NaN cell where a fit failed."""
-    n, m, d = plan.n, plan.rows.size, plan.degree
+    d = plan.degree
     r, c = len(reps), plan.covariates.shape[1] // (d + 1)
-    counts = np.empty((r, m))
-    for j, rep in enumerate(reps):
-        indices = replicate_rng(seed, rep).integers(0, n, n)
-        counts[j] = np.bincount(indices, minlength=n)[plan.rows]
+    counts = _draw_counts(plan, reps, seed)
     # which distinct x values each resample holds, for the support checks
     present = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
     present = present > 0
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
     running = np.cumsum(counts, axis=1)
-    cdf = running if plan.group_end is None else running[:, plan.group_end]
+    # take, not fancy indexing: C order keeps each replicate's product on one path
+    cdf = running if plan.group_end is None else np.take(running, plan.group_end, axis=1)
     cdf *= counts
     out = np.full((r, 4 + 2 * c), np.nan)
     for i, side in enumerate(plan.sides):
         rows = side.rows
-        sums = counts[:, rows] @ plan.moments[rows]
-        # the whole block, not just the d + 2 CDF weight columns: a narrower
-        # product rounds differently, and the densities keep their bits
-        cdf_sums = cdf[:, rows] @ plan.moments[rows]
+        # one product per replicate, so its sums do not depend on the chunk
+        side_counts = counts[:, None, rows]
+        sums = (side_counts @ plan.moments[rows])[:, 0]
+        cdf_sums = (cdf[:, None, rows] @ plan.moments[rows, 3 * d + 2 : 4 * d + 4])[:, 0]
         ok = _supported(present, side.density_groups, d + 1)
-        beta = fit_from_moments(sums[ok, 3 * d + 2 :], cdf_sums[ok, 3 * d + 2 : 4 * d + 4])
+        beta = fit_from_moments(sums[ok, 3 * d + 2 :], cdf_sums[ok])
         out[ok, 2 + i] = np.maximum(beta[:, 1] * side.density_scale, DENSITY_FLOOR)
         # the outcome's and every covariate's value sums share the side's mean weights
-        cov_sums = (counts[:, rows] @ plan.covariates[rows]).reshape(r, c, d + 1)
+        cov_sums = (side_counts @ plan.covariates[rows])[:, 0].reshape(r, c, d + 1)
         value_sums = np.concatenate([sums[:, None, 2 * d + 1 : 3 * d + 2], cov_sums], axis=1)
         ok = _supported(present, side.mean_groups, d)
         levels = fit_from_moments(sums[ok, None, : 2 * d + 1], value_sums[ok])[..., 0]

@@ -1,9 +1,15 @@
 """The count-based bootstrap engine against per-row fits on every resample.
 
-The reference loop draws the same keyed indices and applies each per-row
-fit (``local_poly_fit``, ``boundary_density``) to ``xs[idx]`` on its own,
-so a fit that raises blanks only its own cell, with the discreteness
-heuristic off as resamples duplicate values by construction.
+The reference loop rebuilds each replicate's resample from the same keyed
+draws: k ~ Binomial(n, m/n) uniform draws over the m window rows (those
+between the lowest and highest x with positive weight in one of the four
+boundary fits), taken in order of original row index, plus n - k rows
+drawn uniformly from outside the window with a generator of its own. Each
+per-row fit (``local_poly_fit``,
+``boundary_density``) is applied to ``xs[idx]`` on its own, so a fit that
+raises blanks only its own cell, with the discreteness heuristic off as
+resamples duplicate values by construction. A law test checks the window
+draw against the full multinomial(n, 1/n) resample it replaces.
 """
 
 import numpy as np
@@ -26,7 +32,7 @@ from mrdd import _bootstrap, localfit
 from mrdd._bootstrap import drop_failed, replicate_rng, run_replicates
 from mrdd.diagnostics import protocol_from_draws
 from mrdd.errors import DataError, TooManyFailedReplicates
-from mrdd.localfit import Side, boundary_density, local_poly_fit
+from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_poly_fit, local_weights
 
 B = 64
 SEED = 17
@@ -67,11 +73,31 @@ def per_row_fits(data, fit, covariates=()):
     return stats
 
 
-def reference(n, stats, b=B):
-    """Per-replicate loop over the keyed draws: a column per fit, NaN where that fit raises."""
+def window_rows(data, fit):
+    """Rows, by original index, between the lowest and highest x with positive
+    weight in one of the four boundary fits: the rows a replicate draws."""
+    xs, c = data.xs, data.cutoff
+    used = np.zeros(xs.size, dtype=bool)
+    for side in (Side.RIGHT, Side.LEFT):
+        used |= local_weights(xs, c, fit.mean_spec(side))[2]
+        spec = fit.density_spec(side)
+        used |= density_window(xs, c, spec) & (kernel_weight((xs - c) / spec.bandwidth, spec.kernel) > 0)
+    if not used.any():
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero((xs >= xs[used].min()) & (xs <= xs[used].max()))
+
+
+def reference(data, fit, stats, b=B):
+    """Per-replicate loop over the keyed window draws: a column per fit, NaN where that fit raises."""
+    n = data.n
+    window = window_rows(data, fit)
+    outside = np.setdiff1d(np.arange(n), window)
+    fill = np.random.default_rng(0)  # rows outside every window change no fit
     cells = np.full((b, len(stats)), np.nan)
     for rep in range(b):
-        idx = replicate_rng(SEED, rep).integers(0, n, n)
+        g = replicate_rng(SEED, rep)
+        picks = window[g.integers(0, window.size, g.binomial(n, window.size / n))]
+        idx = np.concatenate([picks, fill.choice(outside, n - picks.size)])
         for j, stat in enumerate(stats):
             try:
                 cells[rep, j] = stat(idx)
@@ -111,7 +137,7 @@ def test_engine_matches_per_row_fits(order, kernel):
 
     draws = bootstrap_boundary_replicates(data, boot, fit, ("w",))
     stats = per_row_fits(data, fit, ("w",))
-    ref = reference(data.n, stats)
+    ref = reference(data, fit, stats)
     assert_same(draws.draws, ref)
     boundary, n_failed = drop_failed(draws.draws[:, :4], "boundary")
     assert n_failed == B - ok_rows(ref[:, :4]).shape[0]
@@ -128,17 +154,21 @@ def test_engine_matches_per_row_fits(order, kernel):
     assert res.replications == ok_rows(ref[:, 4:6]).shape[0]
 
 
-def test_chunks_and_workers_do_not_change_draws(monkeypatch):
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_chunks_and_workers_do_not_change_draws(monkeypatch, order):
     data = tied_sample()
-    fit = config(1, KernelKind.TRIANGULAR)
+    fit = config(order, KernelKind.TRIANGULAR)
     columns = (data.ys, data.covariates["w"])
     whole = run_replicates(data.xs, 0.0, fit, columns, 200, SEED)
     monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 1 << 16)  # a few replicates per chunk
     one = run_replicates(data.xs, 0.0, fit, columns, 200, SEED, workers=1)
     three = run_replicates(data.xs, 0.0, fit, columns, 200, SEED, workers=3)
+    monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 8)  # one replicate per chunk
+    single = run_replicates(data.xs, 0.0, fit, columns, 200, SEED)
     assert one.shape == (200, 6)
     assert np.array_equal(one, three)
-    np.testing.assert_allclose(one, whole, rtol=1e-12, atol=0.0)
+    assert np.array_equal(one, whole)
+    assert np.array_equal(one, single)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -175,7 +205,7 @@ SPARSE_FIT = FitConfig(bandwidths=Bandwidths(mean_left=2.0, mean_right=0.5, dens
 
 
 def sparse_reference(data, b):
-    return reference(data.n, per_row_fits(data, SPARSE_FIT), b)
+    return reference(data, SPARSE_FIT, per_row_fits(data, SPARSE_FIT), b)
 
 
 def test_few_failures_are_dropped():
@@ -223,7 +253,7 @@ def test_each_consumer_drops_only_its_own_failed_fits():
     data = narrow_mean_window_sample()
     b = 200
     boot = BootstrapConfig(b=b, seed=SEED)
-    ref = reference(data.n, per_row_fits(data, NARROW_MEAN_FIT, ("w",)), b)
+    ref = reference(data, NARROW_MEAN_FIT, per_row_fits(data, NARROW_MEAN_FIT, ("w",)), b)
     mean_failed = np.isnan(ref[:, 1])
     assert 0 < mean_failed.sum() <= 0.1 * b
     assert not np.isnan(ref[:, [0, 2, 3]]).any()
@@ -244,3 +274,60 @@ def test_each_consumer_drops_only_its_own_failed_fits():
     [(name, balance)] = outcome.balance
     assert name == "w" and balance.replications == b - mean_failed.sum()
     assert balance == balance_test(data, "w", NARROW_MEAN_FIT, boot)
+
+
+def full_multinomial_counts(n, window, reps, seed):
+    """Window counts of the full resample: n uniform row draws, counted over all n rows."""
+    counts = np.empty((reps, window.size))
+    for rep in range(reps):
+        counts[rep] = np.bincount(replicate_rng(seed, rep).integers(0, n, n), minlength=n)[window]
+    return counts
+
+
+def moments_and_variances(counts):
+    """Per-row means and the covariance matrix of the counts, each with the
+    squared Monte Carlo standard error of its estimate."""
+    reps = counts.shape[0]
+    c = counts - counts.mean(axis=0)
+    cov = c.T @ c / reps
+    return (counts.mean(axis=0), counts.var(axis=0) / reps), (cov, ((c**2).T @ c**2 / reps - cov**2) / reps)
+
+
+def test_window_draw_has_the_full_multinomial_law():
+    # a binomial window total, then uniform draws over the window rows, gives
+    # the window counts of the multinomial(n, 1/n) row resample
+    rng = np.random.default_rng(1)
+    xs = rng.normal(0.0, 1.5, 110)
+    xs = np.concatenate([xs, xs[:10]])  # ties
+    data = Dataset(xs=xs, ys=np.zeros(xs.size), cutoff=0.0, y_low=0.0, y_high=1.0)
+    fit = config(1, KernelKind.TRIANGULAR)
+    window = window_rows(data, fit)
+    plan = _bootstrap._plan(data.xs, 0.0, fit, (data.ys,))
+    n, m, reps = data.n, window.size, 10_000
+    assert plan.by_index.size == m and 20 < m < n / 2
+    # the engine's counts are in x order; by_index puts them in row order
+    ours = _bootstrap._draw_counts(plan, range(reps), SEED)[:, plan.by_index]
+    full = full_multinomial_counts(n, window, reps, SEED + 1)
+    # per-row means, then variances and pairwise covariances, within Monte Carlo error
+    for (a, se2_a), (b, se2_b) in zip(moments_and_variances(ours), moments_and_variances(full)):
+        assert np.max(np.abs(a - b) / np.sqrt(se2_a + se2_b)) < 5.0
+    # the window total's variance sums them all; it is m (1 - m / n), not 0
+    assert ours.sum(axis=1).var() == pytest.approx(m * (1.0 - m / n), rel=0.1)
+    assert full.sum(axis=1).var() == pytest.approx(m * (1.0 - m / n), rel=0.1)
+
+
+def test_sparse_side_fails_as_often_as_under_the_full_resample():
+    data = sparse_left_sample(5)
+    n, reps = data.n, 2000
+    left_density = per_row_fits(data, SPARSE_FIT)[3]
+    failed = 0
+    for rep in range(reps):
+        try:
+            left_density(replicate_rng(SEED + 1, rep).integers(0, n, n))
+        except DataError:
+            failed += 1
+    draws = run_replicates(data.xs, 0.0, SPARSE_FIT, (data.ys,), reps, SEED)
+    ours, full = np.isnan(draws[:, 3]).mean(), failed / reps
+    assert ours > 0.1 and full > 0.1
+    se = np.sqrt((ours * (1 - ours) + full * (1 - full)) / reps)
+    assert abs(ours - full) < 5.0 * se

@@ -322,8 +322,12 @@ class TestAnalyze:
         assert block["discontinuity_t"] == density.statistic
 
     def test_single_covariate_balance_equals_library_test(self, tmp_path):
-        # no manipulation, so the density test accepts and the balance test is reported
+        # x drawn in +- pairs: the full-sample density jump is zero by
+        # construction, so the density test accepts and the balance test is reported
         ts = gen_typed({0: 1.0}, n=4_000, seed=5)
+        half = ts.data.n // 2
+        x = np.concatenate([ts.x_star[:half], -ts.x_star[:half]])
+        ts = replace(ts, data=replace(ts.data, xs=x), x_star=x)
         path = tmp_path / "clean.csv"
         write_typed_csv(ts, str(path))
         out = tmp_path / "r.json"
