@@ -62,6 +62,9 @@ from .localfit import (
 MIN_REPLICATES = 50
 DEFAULT_B = 500
 MAX_FAILURE_FRACTION = 0.10
+#: Largest level: above it the one-sided normal quantile is negative, and an
+#: Imbens-Manski interval would lie inside the identified set.
+MAX_ALPHA = 0.5
 #: Bytes of window counts per chunk of replicates; sets the chunk length.
 CHUNK_BYTES = 1 << 21
 
@@ -90,8 +93,8 @@ class BootstrapConfig:
             raise InvalidConfig(f"bootstrap replication count must be >= {MIN_REPLICATES}, got {self.b}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed}")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if not (0.0 < self.alpha <= MAX_ALPHA):
+            raise InvalidConfig(f"alpha must lie in (0, {MAX_ALPHA}], got {self.alpha}")
         if self.workers < 1:
             raise InvalidConfig("workers must be at least 1")
 

@@ -19,9 +19,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._bootstrap import BootstrapConfig, drop_failed
+from ._normal import ndtr
 from .boundary import Dataset, FitConfig
 from .errors import InvalidConfig
 from .inference import BoundaryDraws, bootstrap_boundary_replicates
@@ -55,7 +55,7 @@ class ProtocolOutcome:
 
 
 def _two_sided_p(t: float) -> float:
-    return float(2.0 * special.ndtr(-abs(t)))
+    return 2.0 * ndtr(-abs(t))
 
 
 def _jump_test(point, columns: np.ndarray, what: str) -> TestResult:

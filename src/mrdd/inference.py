@@ -17,9 +17,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from ._bootstrap import BootstrapConfig, drop_failed, run_replicates
+from ._bootstrap import MAX_ALPHA, BootstrapConfig, drop_failed, run_replicates
+from ._normal import ndtr, ndtri
 from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, UnknownCovariate
@@ -134,16 +134,18 @@ def imbens_manski_ci(
     solves Phi(c + width / max(se)) - Phi(-c) = 1 - alpha by bisection to
     1e-6. The multiplier lives between the one-sided quantile (wide
     identified sets) and the two-sided quantile (point identification).
-    Degenerate SEs (both zero) return the identified set itself.
+    Degenerate SEs (both zero) return the identified set itself. A level
+    outside (0, MAX_ALPHA] raises InvalidInputs: above 0.5 the multiplier
+    would be negative and the interval would shrink inside the set.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputs(f"alpha must lie strictly in (0, 1), got {alpha}")
+    if not (0.0 < alpha <= MAX_ALPHA):
+        raise InvalidInputs(f"alpha must lie in (0, {MAX_ALPHA}], got {alpha}")
     if se_lower < 0 or se_upper < 0 or not np.isfinite([se_lower, se_upper]).all():
         raise InvalidInputs("standard errors must be finite and nonnegative")
     if not (lower_hat <= upper_hat):
         raise InvalidInputs(f"need lower_hat <= upper_hat, got [{lower_hat}, {upper_hat}]")
-    z_one = float(special.ndtri(1.0 - alpha))
-    z_two = float(special.ndtri(1.0 - alpha / 2.0))
+    z_one = ndtri(1.0 - alpha)
+    z_two = ndtri(1.0 - alpha / 2.0)
     se_max = max(se_lower, se_upper)
     if se_max == 0.0:
         c_bar = z_one if upper_hat > lower_hat else z_two
@@ -151,7 +153,7 @@ def imbens_manski_ci(
     width_ratio = (upper_hat - lower_hat) / se_max
 
     def gap(c):
-        return special.ndtr(c + width_ratio) - special.ndtr(-c) - (1.0 - alpha)
+        return ndtr(c + width_ratio) - ndtr(-c) - (1.0 - alpha)
 
     lo_c, hi_c = z_one, z_two
     if gap(lo_c) >= 0.0:

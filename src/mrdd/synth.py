@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
 from .bounds import TypeAssumption, crude_bounds, sharp_type2_bounds
@@ -56,6 +55,9 @@ _DRAW_BOUND = 64.0
 
 def _mu_d(x, d):
     """Success probability of the binary outcome given the latent score."""
+    # imported here so that analyze and plotdata never load scipy
+    from scipy import special
+
     return special.ndtr(np.asarray(x) - (0.5 if d == 1 else 1.0))
 
 

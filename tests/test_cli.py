@@ -263,10 +263,25 @@ class TestAnalyze:
         assert block["sharp_set"][1] <= block["identified_set"][1] + 1e-9
         assert block["fuzzy_status"] in {"Informative", "Degenerate", "Refuted"}
 
-    def test_bad_alpha_exits_2(self, typed_file):
+    def test_bad_alpha_exits_2(self, tmp_path, typed_file):
         path, _ = typed_file
-        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
-                       "--alpha", "1.5") == 2
+        # above 0.5 the interval would lie inside the identified set; the flag
+        # is refused before the input is read, so a missing file exits 2 too
+        for alpha in ("1.5", "0.6", "0.9"):
+            for source in (path, str(tmp_path / "missing.csv")):
+                assert run_cli("analyze", source, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                               "--alpha", alpha) == 2
+
+    def test_alpha_half_interval_contains_set(self, tmp_path, typed_file):
+        path, _ = typed_file
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--boot", "50",
+                       "--alpha", "0.5", "--out", str(out)) == 0
+        block = json.loads(out.read_text())["blocks"][0]
+        lo, hi = block["identified_set"]
+        for mode in ("fixed_r", "random_r"):
+            assert block[f"c_bar_{mode}"] >= 0.0
+            assert block[f"ci_{mode}"][0] <= lo and hi <= block[f"ci_{mode}"][1]
 
     def test_missing_cutoff_exits_2(self, typed_file):
         path, _ = typed_file

@@ -82,6 +82,10 @@ class TestBootstrapBounds:
             BootstrapConfig(b=10, seed=0)
         with pytest.raises(InvalidConfig):
             BootstrapConfig(b=100, seed=0, alpha=1.5)
+        # above 0.5 the one-sided quantile is negative
+        with pytest.raises(InvalidConfig):
+            BootstrapConfig(b=100, seed=0, alpha=np.nextafter(0.5, 1.0))
+        assert BootstrapConfig(b=100, seed=0, alpha=0.5).alpha == 0.5
 
     @pytest.mark.slow
     def test_bootstrap_se_calibrated_against_monte_carlo(self):
@@ -280,6 +284,16 @@ class TestImbensManski:
         c_scan = grid[np.argmax(vals >= 0)]
         ci = imbens_manski_ci(lower, upper, se, se, alpha)
         assert ci.c_bar == pytest.approx(c_scan, abs=1e-4)
+
+    def test_alpha_above_half_refused(self):
+        # a level above 0.5 would give c_bar < 0, an interval inside the set
+        for alpha in (np.nextafter(0.5, 1.0), 0.6, 0.9, 1.0, 0.0, -0.1, float("nan")):
+            with pytest.raises(InvalidInputs):
+                imbens_manski_ci(0.0, 0.2, 0.05, 0.05, alpha)
+        for lower, upper in ((0.0, 0.2), (0.1, 0.1)):
+            ci = imbens_manski_ci(lower, upper, 0.05, 0.05, 0.5)
+            assert ci.c_bar >= 0.0
+            assert ci.lo <= lower and upper <= ci.hi
 
     def test_contains_identified_set(self, rng):
         for _ in range(200):
