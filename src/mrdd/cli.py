@@ -284,12 +284,17 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         warnings.append(point.note)
 
     for label, bb in (("fixed_r", fixed), ("random_r", random_)):
-        ci = imbens_manski_ci(set_lo, set_hi, bb.se_lower, bb.se_upper, cfg.boot.alpha)
-        lo, hi, _ = clamp_interval(ci.lo, ci.hi, y_low, y_high)
-        block[f"ci_{label}"] = [lo, hi]
+        # replicate ends past the float range, near a huge outcome range, give
+        # a non-finite SE; the SE, the interval and c_bar are written as null
+        ci = None
+        if np.isfinite([bb.se_lower, bb.se_upper]).all():
+            ci = imbens_manski_ci(set_lo, set_hi, bb.se_lower, bb.se_upper, cfg.boot.alpha)
+        elif "bootstrap_se_not_finite" not in warnings:
+            warnings.append("bootstrap_se_not_finite")
+        block[f"ci_{label}"] = None if ci is None else list(clamp_interval(ci.lo, ci.hi, y_low, y_high)[:2])
         block[f"se_lower_{label}"] = bb.se_lower
         block[f"se_upper_{label}"] = bb.se_upper
-        block[f"c_bar_{label}"] = ci.c_bar
+        block[f"c_bar_{label}"] = None if ci is None else ci.c_bar
 
     if cfg.sharp:
         # the right-side mean fit's window and kernel weights

@@ -8,14 +8,27 @@ The estimators here:
   local polynomial fit to the empirical CDF, one degree above the requested
   order. A non-positive slope is floored at ``DENSITY_FLOOR`` and flagged;
   reporting or counting the flag is the caller's job.
-* ``density_curve`` gives the same densities at many points over one
-  sample: it sorts x once and fits each point on its own window's rows.
+* ``density_curve`` gives the same densities, bit for bit, at many points
+  over one sample.
 * ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth from
   ``sample_sd``, a standard deviation that cannot overflow; the bootstrap
   SEs use it too.
 
 Both fits take plain arrays: the running variable, and for the mean fit the
 outcome.
+
+Both density functions run one kernel, ``_fit_windows``. The sorted rows
+are cut into blocks of _BLOCK rows at fixed multiples of _BLOCK in the
+sorted sample, and each block keeps sum(t**k) and sum(t**k * r), with
+t = (x - a) / h and r = e_x - e_a for its first value a and the tie-group
+ends e, which are the CDF ranks up to a constant. A point fits the ranks
+less its window's first one on v = (x - point) / h - centre, centred on the
+window's rows so the normal equations stay well conditioned. On each side
+of the point the blocks inside its window shift to v binomially and the at
+most 2 (_BLOCK - 1) rows around them are summed directly, weighted by that
+side's kernel polynomial; one batched ``fit_from_moments`` solve gives the
+slopes. A fit costs O(_BLOCK + m / _BLOCK) for m window rows, and sums use
+elementwise numpy and ``bincount`` only, never BLAS.
 
 ``local_weights``, ``density_window``, ``weighted_powers`` and
 ``fit_from_moments`` are the array-level pieces behind them: which rows a fit
@@ -30,11 +43,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import (
-    DataError,
     DegenerateSupport,
     InsufficientData,
     InvalidConfig,
@@ -50,12 +63,25 @@ DENSITY_FLOOR = 1e-6
 MIN_BANDWIDTH = 1e-8
 #: In-window duplicate share beyond which the running variable is treated as discrete.
 DUPLICATE_FRACTION_LIMIT = 0.2
+#: Sorted rows per block of the density fits' moment sums.
+_BLOCK = 32
+#: Bytes of the temporaries of one batch of density fits or of block sums.
+_BATCH_BYTES = 1 << 21
 
 
 class KernelKind(enum.Enum):
     TRIANGULAR = "triangular"
     UNIFORM = "uniform"
     EPANECHNIKOV = "epanechnikov"
+
+
+#: The kernel's coefficients of u**0, u**1, ... below the point and at or
+#: above it; each polynomial is ``kernel_weight`` wherever that is positive.
+_KERNEL_POLY = {
+    KernelKind.TRIANGULAR: ((1.0, 1.0), (1.0, -1.0)),
+    KernelKind.UNIFORM: ((0.5,), (0.5,)),
+    KernelKind.EPANECHNIKOV: ((0.75, 0.0, -0.75),) * 2,
+}
 
 
 class Side(enum.Enum):
@@ -238,37 +264,150 @@ def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarr
     return (xs >= lo) & below_hi
 
 
-def _density_fit(win: np.ndarray, ranks: np.ndarray, n: int, eval_point: float, spec: FitSpec):
-    """Density from the window's sorted x values and their full-sample CDF ranks.
+def _sorted_rows(x_sorted: np.ndarray, offset: int):
+    """``x_sorted``, rows ``offset`` on of the sorted sample; each row's
+    tie-group end; the tie groups that start before each row (n + 1 counts);
+    and the row where the first block starts."""
+    starts = np.zeros(x_sorted.size + 1, dtype=np.intp)
+    np.cumsum(x_sorted[1:] != x_sorted[:-1], out=starts[2:])
+    starts[1:] += 1
+    return x_sorted, np.searchsorted(x_sorted, x_sorted, side="right"), starts, -offset % _BLOCK
 
-    ``ranks[i]`` counts the sample values <= ``win[i]`` and ``n`` is the
-    sample size. Returns ``(density, clipped)`` as ``boundary_density``.
+
+def _power_sums(owner, t, r, n_owners: int, n_pow: int, n_val: int, out: np.ndarray) -> None:
+    """Add each owner's sum(t**k) to ``out[k]`` (k < n_pow) and sum(t**k * r)
+    to ``out[n_pow + k]`` (k < n_val); ``bincount`` sums in row order."""
+    tk = np.ones_like(t)
+    for k in range(n_pow):
+        out[k] += np.bincount(owner, tk, n_owners)
+        if k < n_val:
+            out[n_pow + k] += np.bincount(owner, tk * r, n_owners)
+        tk *= t
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray):
+    """Owner and row of every row in the ranges [starts[i], starts[i] + lengths[i])."""
+    owner = np.repeat(np.arange(starts.size), lengths)
+    return owner, np.arange(owner.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _block_sums(rows, h: float, order: int, kernel: KernelKind):
+    """Each full block's first value and tie-group end, the ``_power_sums``
+    of its t = (x - first value) / h and r = end - first end, and how many
+    of those are sums of powers, enough for the CDF fits of ``order``."""
+    x, ends, _, first = rows
+    # the kernel polynomial's terms times v**k (k <= 2 (order + 1)), and times r (k <= order + 1)
+    terms = len(_KERNEL_POLY[kernel][0])
+    n_pow, n_val = 2 * order + 2 + terms, order + 1 + terms
+    nb = max(x.size - first, 0) // _BLOCK
+    xb, eb = (a[first : first + nb * _BLOCK].reshape(nb, _BLOCK) for a in (x, ends))
+    sums = np.zeros((n_pow + n_val, nb))
+    # chunks of 8k rows: each temporary is 64 KB, small enough for the
+    # allocator to reuse, which keeps an analysis's peak RSS where it was
+    step = max(1, _BATCH_BYTES // (256 * _BLOCK))
+    # a block wider than 2h enters no window, and its powers may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, nb, step):
+            xa, ea = xb[a : a + step], eb[a : a + step]
+            t, r = ((xa - xa[:, :1]) / h).ravel(), (ea - ea[:, :1]).ravel().astype(float)
+            owner = np.repeat(np.arange(len(xa)), _BLOCK)
+            _power_sums(owner, t, r, len(xa), n_pow, n_val, sums[:, a : a + step])
+    return xb[:, 0], eb[:, 0], sums, n_pow
+
+
+def _segment_sums(rows, blocks, lo, hi, p, c, e, h: float) -> np.ndarray:
+    """``_power_sums`` of v = (x - p) / h - c and r = end - e over the rows
+    [lo, hi) of each segment: its full blocks shifted binomially, the at most
+    2 (_BLOCK - 1) rows around them directly."""
+    x, ends, _, first = rows
+    anchors, anchor_ends, sums, n_pow = blocks
+    n_val = sums.shape[0] - n_pow
+    j_lo = -((first - lo) // _BLOCK)
+    n_blocks = np.maximum((hi - first) // _BLOCK - j_lo, 0)
+    head_end = np.where(n_blocks > 0, first + j_lo * _BLOCK, hi)
+    tail = head_end + n_blocks * _BLOCK
+    seg, j = _ranges(j_lo, n_blocks)
+    delta = (anchors[j] - p[seg]) / h - c[seg]
+    sums = sums[:, j]
+    sums[n_pow:] += (anchor_ends[j] - e[seg]) * sums[:n_val]
+    powers = [np.ones_like(delta)]
+    for _ in range(1, n_pow):
+        powers.append(powers[-1] * delta)
+    out = np.empty((n_pow + n_val, lo.size))
+    for base, count in ((0, n_pow), (n_pow, n_val)):
+        for k in range(count):
+            shifted = sum(comb(k, q) * powers[k - q] * sums[base + q] for q in range(k + 1))
+            out[base + k] = np.bincount(seg, shifted, lo.size)
+    # the head and the tail of each segment
+    starts = np.stack([lo, tail], axis=1).ravel()
+    seg, row = _ranges(starts, np.stack([head_end, hi], axis=1).ravel() - starts)
+    seg //= 2
+    r = (ends[row] - e[seg]).astype(float)
+    _power_sums(seg, (x[row] - p[seg]) / h - c[seg], r, lo.size, n_pow, n_val, out)
+    return out
+
+
+def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float, kernel: KernelKind):
+    """The CDF-fit density at each of ``points`` on the sorted rows [start, stop).
+
+    ``blocks`` are the rows' ``_block_sums`` for this bandwidth, order and
+    kernel. Returns ``(density, clipped, code, counts)``. Code 1, 2 or 3
+    marks a fit that raises DegenerateSupport, InsufficientData or
+    SingularDesign, with NaN density; ``counts`` holds each window's rows,
+    distinct values and distinct positive-weight values.
     """
-    m = win.size
-    if m > 0:
-        n_distinct = 1 + int(np.count_nonzero(np.diff(win) > 0))
-        if (m - n_distinct) > DUPLICATE_FRACTION_LIMIT * m:
-            raise DegenerateSupport(
-                f"{m - n_distinct} of {m} in-window values are exact duplicates; "
-                "the running variable looks discrete",
-                side=spec.side.value,
-            )
-    else:
-        n_distinct = 0
-    if n_distinct < spec.order + 2:
-        raise InsufficientData(
-            f"{n_distinct} distinct in-window points on side {spec.side.value!r}, "
-            f"need at least {spec.order + 2} for a degree-{spec.order + 1} CDF fit",
-            side=spec.side.value,
-        )
-    h = spec.bandwidth
-    u = (win - eval_point) / h
-    w = kernel_weight(u, spec.kernel)
-    beta = _weighted_polyfit(u, w, ranks / n, spec.order + 1, spec.side.value)
-    dens = float(beta[1] / h)
-    if dens < DENSITY_FLOOR:
-        return DENSITY_FLOOR, True
-    return dens, False
+    x, ends, starts, _ = rows
+    degree = order + 1
+
+    def n_distinct(a, b):
+        return np.where(b > a, starts[b] - starts[np.minimum(a + 1, b)] + 1, 0)
+
+    m, distinct = stop - start, n_distinct(start, stop)
+    code = np.where(m - distinct > DUPLICATE_FRACTION_LIMIT * m, 1, np.where(distinct < degree + 1, 2, 0))
+    # the positive-weight rows: drop each tie group at either end of the
+    # window that kernel_weight gives no weight
+    s0, s1 = start.copy(), stop.copy()
+    for low in (True, False):
+        live = np.flatnonzero(code == 0)
+        while live.size:
+            live = live[s0[live] < s1[live]]
+            live = live[kernel_weight((x[s0[live] if low else s1[live] - 1] - points[live]) / h, kernel) == 0]
+            if low:
+                s0[live] = ends[s0[live]]
+            else:
+                s1[live] = np.searchsorted(x, x[s1[live] - 1], side="left")
+    positive = n_distinct(s0, s1)
+    code[(code == 0) & (positive < degree + 1)] = 3
+
+    i = np.flatnonzero(code == 0)
+    centre = 0.5 * ((x[s0[i]] - points[i]) / h + (x[s1[i] - 1] - points[i]) / h)
+    # segment 2k holds point k's rows below it, segment 2k + 1 the rest
+    mid = np.clip(np.searchsorted(x, points[i], side="left"), s0[i], s1[i])
+    lo, hi = np.stack([s0[i], mid], axis=1).ravel(), np.stack([mid, s1[i]], axis=1).ravel()
+    p, c, e = np.repeat(points[i], 2), np.repeat(centre, 2), np.repeat(ends[start[i]], 2)
+    raw = _segment_sums(rows, blocks, lo, hi, p, c, e, h)
+    # each side's kernel polynomial in v; then both sides summed
+    poly = [np.tile(pair, i.size) for pair in zip(*_KERNEL_POLY[kernel])]
+    coef = [sum(comb(k, q) * poly[k] * c ** (k - q) for k in range(q, len(poly))) for q in range(len(poly))]
+    n_pow = blocks[3]
+    sums = np.array([sum(cq * raw[k + q] for q, cq in enumerate(coef))
+                     for k in (*range(2 * degree + 1), *range(n_pow, n_pow + degree + 1))])
+    sums = (sums[:, 0::2] + sums[:, 1::2]).T
+    weight_sums, value_sums = sums[:, : 2 * degree + 1], sums[:, 2 * degree + 1 :]
+    gram = weight_sums[:, np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
+    sign, logdet = np.linalg.slogdet(gram)
+    solvable = (sign != 0) & np.isfinite(logdet)
+    code[i[~solvable]] = 3
+    beta = fit_from_moments(weight_sums[solvable], value_sums[solvable])
+    # the slope at the point, where v = -centre
+    slope = degree * beta[:, degree]
+    for k in range(degree - 1, 0, -1):
+        slope = slope * -centre[solvable] + k * beta[:, k]
+    density = np.full(points.size, np.nan)
+    density[i[solvable]] = slope / n / h
+    clipped = density < DENSITY_FLOOR
+    density[clipped] = DENSITY_FLOOR
+    return density, clipped, code, (m, distinct, positive)
 
 
 def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:
@@ -281,15 +420,31 @@ def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]
     ``clipped`` says so. Raises DegenerateSupport when too many in-window
     values are exact duplicates.
 
-    One call costs O(n): it masks the sample and sorts only the window. For
-    many points over one sample, ``density_curve`` sorts once instead.
+    One call costs O(n) to mask the sample plus O(m log m) to sort the m
+    window rows; the rows below the window place the sample's blocks in it,
+    so the value has the bits of ``density_curve``'s.
     """
     xs = np.asarray(xs, dtype=float)
     lo, _ = _density_edges(eval_point, spec)
     win = np.sort(xs[density_window(xs, eval_point, spec)])
-    # rows below the window plus each value's rank inside it
-    ranks = int(np.count_nonzero(xs < lo)) + np.searchsorted(win, win, side="right")
-    return _density_fit(win, ranks, xs.size, eval_point, spec)
+    rows = _sorted_rows(win, int(np.count_nonzero(xs < lo)))
+    density, clipped, code, counts = _fit_windows(
+        rows, _block_sums(rows, spec.bandwidth, spec.order, spec.kernel), xs.size,
+        np.array([eval_point], dtype=float), np.array([0]), np.array([win.size]),
+        spec.order, spec.bandwidth, spec.kernel,
+    )
+    m, distinct, positive = (int(c[0]) for c in counts)
+    side, degree = spec.side.value, spec.order + 1
+    if code[0] == 1:
+        raise DegenerateSupport(f"{m - distinct} of {m} in-window values are exact duplicates; "
+                                "the running variable looks discrete", side=side)
+    if code[0] == 2:
+        raise InsufficientData(f"{distinct} distinct in-window points on side {side!r}, need at least "
+                               f"{degree + 1} for a degree-{degree} CDF fit", side=side)
+    if code[0] == 3:
+        raise SingularDesign(f"normal equations of the degree-{degree} CDF fit are singular on "
+                             f"{positive} distinct positive-weight values in window", side=side)
+    return float(density[0]), bool(clipped[0])
 
 
 def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
@@ -299,27 +454,32 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     clipped)`` as float and bool arrays, equal bit for bit to calling
     ``boundary_density`` point by point; where that call would raise a
     DataError the density is NaN and the flag False. x is sorted once, and
-    each point fits only the slice of sorted rows inside its own window, so
-    the cost per point follows the window rows, not the sample size.
+    the points that share a bandwidth, order and kernel share one pass of
+    block sums: O(n log n + sum_i (_BLOCK + m_i / _BLOCK)) for m_i rows in
+    point i's window, not O(sum_i m_i).
     """
     points = np.asarray(eval_points, dtype=float)
     if points.ndim != 1 or points.size != len(specs):
         raise InvalidConfig("eval_points must be 1-d with one FitSpec per point")
-    xs_sorted = np.sort(np.asarray(xs, dtype=float))
-    # sample values <= each sorted value: the same integers as the per-point ranks
-    ranks = np.searchsorted(xs_sorted, xs_sorted, side="right")
-    densities = np.full(points.size, np.nan)
-    clipped = np.zeros(points.size, dtype=bool)
-    for i, (point, spec) in enumerate(zip(points, specs)):
-        lo, hi = _density_edges(point, spec)
-        start = np.searchsorted(xs_sorted, lo, side="left")
-        stop = np.searchsorted(xs_sorted, hi, side="left" if spec.side is Side.LEFT else "right")
-        try:
-            densities[i], clipped[i] = _density_fit(
-                xs_sorted[start:stop], ranks[start:stop], xs_sorted.size, point, spec
-            )
-        except DataError:
-            pass
+    x = np.sort(np.asarray(xs, dtype=float))
+    # the edges of _density_edges and the tests of density_window, per point
+    left, right = (np.array([s.side is side for s in specs], dtype=bool) for side in (Side.LEFT, Side.RIGHT))
+    bandwidth = np.fromiter((s.bandwidth for s in specs), float, points.size)
+    start = np.searchsorted(x, np.where(right, points, points - bandwidth), side="left")
+    hi = np.where(left, points, points + bandwidth)
+    stop = np.where(left, np.searchsorted(x, hi, side="left"), np.searchsorted(x, hi, side="right"))
+    groups: dict[tuple, int] = {}
+    group = np.array([groups.setdefault((s.bandwidth, s.order, s.kernel), len(groups)) for s in specs], dtype=int)
+    rows = _sorted_rows(x, 0)
+    densities, clipped = np.full(points.size, np.nan), np.zeros(points.size, dtype=bool)
+    for (h, order, kernel), g in groups.items():
+        blocks = _block_sums(rows, h, order, kernel)
+        i = np.flatnonzero(group == g)
+        # batches of points by their 8-byte temporaries: block columns and edge rows
+        cost = ((stop[i] - start[i]) // _BLOCK + 2) * 3 * blocks[2].shape[0] + 36 * _BLOCK
+        for j in np.split(i, np.flatnonzero(np.diff(np.cumsum(cost) // (_BATCH_BYTES // 8))) + 1):
+            fit = _fit_windows(rows, blocks, x.size, points[j], start[j], stop[j], order, h, kernel)
+            densities[j], clipped[j] = fit[:2]
     return densities, clipped
 
 

@@ -283,6 +283,29 @@ class TestAnalyze:
             assert block[f"c_bar_{mode}"] >= 0.0
             assert block[f"ci_{mode}"][0] <= lo and hi <= block[f"ci_{mode}"][1]
 
+    def test_overflowing_bootstrap_se_is_null_with_one_warning(self, tmp_path, capfd):
+        sample = tmp_path / "ad.csv"
+        assert run_cli("simulate", "appendix-d", "--p", "0.5", "--n", "20000", "--seed", "1",
+                       "--out", str(sample)) == 0
+        blocks = {}
+        for bound in ("8e307", "1e307"):
+            out = tmp_path / f"r{bound}.json"
+            assert run_cli("analyze", str(sample), "--cutoff", "0", f"--y-min=-{bound}", f"--y-max={bound}",
+                           "--boot", "100", "--out", str(out)) == 0
+            report = json.loads(out.read_text())
+            blocks[bound] = report["blocks"][0], report["warnings"]
+        capfd.readouterr()
+        block, warnings_ = blocks["8e307"]
+        assert warnings_.count("bootstrap_se_not_finite") == 1
+        assert block["ci_random_r"] is None and block["c_bar_random_r"] is None
+        assert block["se_lower_random_r"] is None and block["se_upper_random_r"] is None
+        # the fixed-r ends keep the point's ratio and stay finite
+        lo, hi = block["identified_set"]
+        assert block["ci_fixed_r"][0] <= lo and hi <= block["ci_fixed_r"][1]
+        block, warnings_ = blocks["1e307"]
+        assert "bootstrap_se_not_finite" not in warnings_
+        assert all(block[f"ci_{mode}"] is not None for mode in ("fixed_r", "random_r"))
+
     def test_missing_cutoff_exits_2(self, typed_file):
         path, _ = typed_file
         assert run_cli("analyze", path, "--y-min", "0", "--y-max", "1") == 2

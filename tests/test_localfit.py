@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from mrdd import (
     rot_bandwidth,
 )
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
-from mrdd.localfit import DENSITY_FLOOR, sample_sd
+from mrdd import localfit
+from mrdd.localfit import DENSITY_FLOOR, density_window, sample_sd
 
 
 class TestKernelWeight:
@@ -224,6 +226,185 @@ class TestDensityCurve:
     def test_one_spec_per_point(self):
         with pytest.raises(InvalidConfig):
             density_curve(curve_sample(), [0.0, 1.0], [FitSpec(order=1, bandwidth=0.5)])
+
+
+    def test_equal_scaled_distances_raise_singular_design(self):
+        # two values whose distances to the point round to one u: the normal
+        # equations are exactly singular, and no LinAlgError escapes
+        xs = np.array([np.nextafter(1.0, 0.0), 1.0])
+        h = 1.8132702392002724
+        assert xs[0] / h == xs[1] / h
+        for kernel in KernelKind:
+            spec = FitSpec(0, h, kernel, Side.RIGHT)
+            with pytest.raises(SingularDesign):
+                boundary_density(xs, 0.0, spec)
+            dens, clipped = density_curve(xs, [0.0], [spec])
+            assert np.isnan(dens[0]) and not clipped[0]
+
+    def test_zero_weight_window_edges_raise_singular_design(self):
+        # the triangular kernel gives the window's end values no weight
+        xs = np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(SingularDesign):
+            boundary_density(xs, 0.0, FitSpec(0, 1.0, KernelKind.TRIANGULAR, Side.INTERIOR))
+        assert boundary_density(xs, 0.0, FitSpec(0, 1.0, KernelKind.UNIFORM, Side.INTERIOR))[0] > 0
+
+
+def mixed_specs():
+    """Points over ``curve_sample`` with every side and a mix of orders, kernels and bandwidths."""
+    points, specs = [], []
+    kernels = list(KernelKind)
+    for i, point in enumerate(TestDensityCurve.POINTS):
+        for j, side in enumerate(Side):
+            points.append(point)
+            specs.append(FitSpec((i + j) % 3, (0.25, 0.5, 1.0)[i % 3], kernels[(i + 2 * j) % 3], side))
+    return np.array(points), specs
+
+
+class TestDensityCurveProperties:
+    def test_value_does_not_depend_on_the_other_points(self, monkeypatch):
+        xs = curve_sample()
+        points, specs = mixed_specs()
+        dens, clipped = density_curve(xs, points, specs)
+        assert np.isfinite(dens).sum() > 50
+        for i in range(points.size):
+            alone = density_curve(xs, points[i : i + 1], specs[i : i + 1])
+            assert np.array_equal(alone[0], dens[i : i + 1], equal_nan=True)
+            assert alone[1][0] == clipped[i]
+        perm = np.random.default_rng(3).permutation(points.size)
+        shuffled = density_curve(xs, points[perm], [specs[i] for i in perm])
+        assert np.array_equal(shuffled[0], dens[perm], equal_nan=True)
+        assert np.array_equal(shuffled[1], clipped[perm])
+        half = points.size // 2
+        split = [density_curve(xs, points[a:b], specs[a:b])[0] for a, b in ((0, half), (half, None))]
+        assert np.array_equal(np.concatenate(split), dens, equal_nan=True)
+        # one point per batch of fits
+        monkeypatch.setattr(localfit, "_BATCH_BYTES", 8)
+        assert np.array_equal(density_curve(xs, points, specs)[0], dens, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_of_two_scaling_is_exact(self):
+        xs = curve_sample()
+        points, specs = mixed_specs()
+        dens, clipped = density_curve(xs, points, specs)
+        compared = 0
+        for k in range(-40, 41):
+            scale = 2.0**k
+            scaled_specs = [FitSpec(s.order, s.bandwidth * scale, s.kernel, s.side) for s in specs]
+            dens_k, clipped_k = density_curve(xs * scale, points * scale, scaled_specs)
+            assert np.array_equal(np.isnan(dens_k), np.isnan(dens))
+            # the floor is absolute, so only points above it at both scales compare
+            both = ~np.isnan(dens) & ~clipped & ~clipped_k
+            assert np.array_equal(dens_k[both], np.ldexp(dens[both], -k))
+            compared += np.count_nonzero(both)
+        assert compared > 2000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blocks_far_wider_than_the_bandwidth_emit_no_warning(self):
+        xs = np.concatenate([curve_sample(), [-1.7e308, -1e300, 1e300, 1.7e308] * 40])
+        points, specs = mixed_specs()
+        assert np.isfinite(density_curve(xs, points, specs)[0]).sum() > 50
+
+
+def _dyadic_integers(values):
+    """The floats ``values`` times the one power of two that makes them all integers."""
+    fractions = [Fraction(float(v)) for v in values]
+    exponent = max(f.denominator for f in fractions).bit_length() - 1
+    return [int(f * 2**exponent) for f in fractions]
+
+
+def exact_density(xs_sorted, point, spec):
+    """The CDF fit's slope over n h in exact rational arithmetic.
+
+    The rows are those of ``density_window`` to which ``kernel_weight`` gives
+    positive weight; u = (x - point) / h and the kernel are exact, and the
+    normal equations are solved by Gaussian elimination on fractions.
+    Returns the density and the number of rows.
+    """
+    h = spec.bandwidth
+    win = xs_sorted[density_window(xs_sorted, point, spec)]
+    win = win[kernel_weight((win - point) / h, spec.kernel) > 0]
+    ranks = [int(r) for r in np.searchsorted(xs_sorted, win, side="right")]
+    *scaled, p, big_h = _dyadic_integers([*win, point, h])
+    us = [x - p for x in scaled]  # u = us / big_h
+    if spec.kernel is KernelKind.TRIANGULAR:
+        weights, denom = [big_h - abs(u) for u in us], big_h
+    elif spec.kernel is KernelKind.UNIFORM:
+        weights, denom = [1] * len(us), 2
+    else:
+        weights, denom = [3 * (big_h * big_h - u * u) for u in us], 4 * big_h * big_h
+    d = spec.order + 1
+    gram = [Fraction(sum(w * u**k for w, u in zip(weights, us)), denom * big_h**k) for k in range(2 * d + 1)]
+    rhs = [Fraction(sum(w * u**k * r for w, u, r in zip(weights, us, ranks)), denom * big_h**k) for k in range(d + 1)]
+    rows = [[gram[i + j] for j in range(d + 1)] + [rhs[i]] for i in range(d + 1)]
+    for c in range(d + 1):
+        pivot = next(r for r in range(c, d + 1) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(d + 1):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    slope = rows[1][d + 1] / rows[1][1]
+    return float(slope / (xs_sorted.size * Fraction(h))), win.size
+
+
+@pytest.fixture(scope="module")
+def manipulated_sample():
+    """200k draws of the Appendix D design at (p, lambda) = (0.1, 0.05): a
+    normal bulk, and exponential landings whose tail reaches F close to 1."""
+    rng = np.random.default_rng(0)
+    n = 200_000
+    x_star = rng.standard_normal(n)
+    return np.where((x_star < 0) & (rng.uniform(size=n) < 0.1), rng.exponential(20.0, n), x_star)
+
+
+class TestDensityAccuracy:
+    TOLERANCE = 1e-10
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_cutoff_windows_match_exact_arithmetic(self, manipulated_sample, order, kernel):
+        xs = manipulated_sample
+        xs_sorted = np.sort(xs)
+        h = rot_bandwidth(xs, Side.LEFT, 0.0)
+        for side in (Side.LEFT, Side.RIGHT):
+            spec = FitSpec(order, h, kernel, side)
+            exact, m = exact_density(xs_sorted, 0.0, spec)
+            assert m > 4000
+            dens, clipped = boundary_density(xs, 0.0, spec)
+            assert not clipped
+            assert abs(dens - exact) <= self.TOLERANCE * abs(exact)
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_rows_at_the_window_edge_without_weight_match_exact_arithmetic(self, order, kernel):
+        # 0.1 + 0.2 is inside the window [p - h, p + h], but its u rounds to
+        # 1.0000000000000002, where every kernel_weight is 0
+        point, h = 0.1, 0.2
+        rng = np.random.default_rng(4)
+        xs = np.sort(np.concatenate([rng.uniform(-0.5, 0.7, 400), [point + h] * 3, [point - h] * 2]))
+        assert (point + h - point) / h > 1.0
+        spec = FitSpec(order, h, kernel, Side.INTERIOR)
+        exact, _ = exact_density(xs, point, spec)
+        dens, _ = boundary_density(xs, point, spec)
+        assert abs(dens - exact) <= self.TOLERANCE * abs(exact)
+
+    def test_far_tail_windows_match_exact_arithmetic(self, manipulated_sample):
+        # a few rows at F close to 1: a fit to F itself loses the slope to cancellation
+        xs = manipulated_sample
+        xs_sorted = np.sort(xs)
+        h = rot_bandwidth(xs, Side.RIGHT, 0.0)
+        points = np.arange(40.0, xs.max(), h / 2)
+        checked = 0
+        for order in (0, 1, 2):
+            for kernel in KernelKind:
+                spec = FitSpec(order, h, kernel, Side.INTERIOR)
+                dens, clipped = density_curve(xs, points, [spec] * points.size)
+                for point, value in zip(points[~np.isnan(dens) & ~clipped], dens[~np.isnan(dens) & ~clipped]):
+                    exact, m = exact_density(xs_sorted, point, spec)
+                    if m <= 5:
+                        assert abs(value - exact) <= self.TOLERANCE * abs(exact), (point, order, kernel)
+                        checked += 1
+        assert checked > 300
 
 
 class TestSampleSd:
