@@ -18,14 +18,12 @@ from .bounds import (
     BoundsResult,
     BoundsStatus,
     TypeAssumption,
-    binary_sharp_gfuncs,
     clamp_interval,
     covariate_bounds,
     crude_bounds,
     crude_interval,
     fuzzy_bounds,
     sharp_type2_bounds,
-    weighted_trimmed_means,
 )
 from .diagnostics import (
     ProtocolOutcome,
@@ -57,15 +55,12 @@ from .localfit import (
     rot_bandwidth,
 )
 from .synth import (
-    LemmaMomentReport,
     OracleRow,
     TypedSample,
-    brute_force_trimming,
     gen_appendix_d,
     gen_counterexample_e,
     gen_typed,
     oracle_appendix_d,
-    verify_lemma_moments,
     write_typed_csv,
 )
 
@@ -84,7 +79,6 @@ __all__ = [
     "FitSpec",
     "IntervalCI",
     "KernelKind",
-    "LemmaMomentReport",
     "LocalFitResult",
     "OracleRow",
     "ProtocolOutcome",
@@ -96,11 +90,9 @@ __all__ = [
     "TypedSample",
     "Verdict",
     "balance_test",
-    "binary_sharp_gfuncs",
     "bootstrap_boundary_replicates",
     "boundary_density",
     "bounds_from_draws",
-    "brute_force_trimming",
     "clamp_interval",
     "covariate_bounds",
     "crude_bounds",
@@ -119,7 +111,5 @@ __all__ = [
     "rot_bandwidth",
     "run_sequential_protocol",
     "sharp_type2_bounds",
-    "verify_lemma_moments",
-    "weighted_trimmed_means",
     "write_typed_csv",
 ]

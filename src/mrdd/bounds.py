@@ -174,23 +174,6 @@ def crude_bounds(
     )
 
 
-def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:
-    """Closed-form extreme trimmed means for a binary outcome.
-
-    g_low = max{0, (mu+ - (1 - tau)) / tau} and g_high = min{1, mu+ / tau}
-    for tau > 0; the vacuous tau = 0 case returns (0, 1).
-    """
-    if not (0.0 <= mu_plus <= 1.0):
-        raise InvalidConfig(f"mu_plus must lie in [0, 1], got {mu_plus}")
-    if not (0.0 <= tau <= 1.0):
-        raise InvalidConfig(f"tau must lie in [0, 1], got {tau}")
-    if tau == 0.0:
-        return 0.0, 1.0
-    g_low = max(0.0, (mu_plus - (1.0 - tau)) / tau)
-    g_high = min(1.0, mu_plus / tau)
-    return g_low, g_high
-
-
 def _sorted_window(ys, weights):
     """The window's positive-weight rows as (outcomes ascending, weights summing to one)."""
     ys = np.asarray(ys, dtype=float)
@@ -214,40 +197,6 @@ def _lower_partial_sums(cum, cum_y, y_sorted, masses):
     below = np.where(ks > 0, cum_y[prev], 0.0)
     below_mass = np.where(ks > 0, cum[prev], 0.0)
     return below + (masses - below_mass) * y_sorted[idx]
-
-
-def weighted_trimmed_means(ys, weights, tau, y_low: float, y_high: float):
-    """Extreme means of a tau-mass sub-population of a weighted sample.
-
-    The sample is sorted by outcome; the lowest (highest) mass tau is taken,
-    fractionally weighting the boundary observation, and averaged. tau = 0
-    returns the vacuous (y_low, y_high) pair. Vectorised over tau.
-    """
-    scalar = np.ndim(tau) == 0
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < -1e-12) or np.any(taus > 1 + 1e-12):
-        raise InvalidConfig("tau values must lie in [0, 1]")
-    taus = np.clip(taus, 0.0, 1.0)
-    y_sorted, w_sorted = _sorted_window(ys, weights)
-    cum = np.cumsum(w_sorted)
-    cum_y = np.cumsum(w_sorted * y_sorted)
-    total_y = cum_y[-1]
-
-    pos = taus > 0.0
-    safe = np.where(pos, taus, 1.0)
-    g_low = np.where(
-        pos,
-        _lower_partial_sums(cum, cum_y, y_sorted, taus) / safe,
-        y_low,
-    )
-    g_high = np.where(
-        pos,
-        (total_y - _lower_partial_sums(cum, cum_y, y_sorted, 1.0 - taus)) / safe,
-        y_high,
-    )
-    if scalar:
-        return float(g_low[0]), float(g_high[0])
-    return g_low, g_high
 
 
 def _min_trimmed_ratio(y_sorted, w_sorted, a: float, r: float) -> float:

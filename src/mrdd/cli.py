@@ -564,15 +564,18 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     is_left = edges[1:] <= c
     h_left = rot_bandwidth(xs, Side.LEFT, c)
     h_right = rot_bandwidth(xs, Side.RIGHT, c)
-    specs = []
-    for center, left in zip(centers, is_left):
-        h = h_left if left else h_right
-        if left:
-            fit_side = Side.INTERIOR if center + h <= c else Side.LEFT
-        else:
-            fit_side = Side.INTERIOR if center - h >= c else Side.RIGHT
-        specs.append(FitSpec(1, h, KernelKind.TRIANGULAR, fit_side))
-    densities, clipped = density_curve(xs, centers, specs)
+    # a bin's fit is one-sided where its window crosses the cutoff, so the
+    # bins share at most four specs: (side of the cutoff, interior or not)
+    interior = np.where(is_left, centers + h_left <= c, centers - h_right >= c)
+    keys = list(zip(is_left.tolist(), interior.tolist()))
+    specs = {
+        (left, inner): FitSpec(
+            1, h_left if left else h_right, KernelKind.TRIANGULAR,
+            Side.INTERIOR if inner else Side.LEFT if left else Side.RIGHT,
+        )
+        for left, inner in set(keys)
+    }
+    densities, clipped = density_curve(xs, centers, [specs[key] for key in keys])
     lines = ["bin_left,bin_right,count,side,fitted_density"]
     rows = zip(edges[:-1], edges[1:], counts, is_left, densities)
     for left_edge, right_edge, count, left, dens in rows:

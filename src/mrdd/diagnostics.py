@@ -16,12 +16,12 @@ a NaN cell: a test drops only the replicates its own two fits lost.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._bootstrap import BootstrapConfig, drop_failed
-from ._normal import ndtr
 from .boundary import Dataset, FitConfig
 from .errors import InvalidConfig
 from .inference import BoundaryDraws, bootstrap_boundary_replicates
@@ -55,7 +55,8 @@ class ProtocolOutcome:
 
 
 def _two_sided_p(t: float) -> float:
-    return 2.0 * ndtr(-abs(t))
+    # 2 Phi(-|t|) as one erfc, which keeps its digits far into the tail
+    return math.erfc(abs(t) / math.sqrt(2.0))
 
 
 def _jump_test(point, columns: np.ndarray, what: str) -> TestResult:

@@ -84,10 +84,6 @@ class InvalidInputs(DataError):
     pass
 
 
-class InvalidDistribution(DataError):
-    pass
-
-
 class MissingColumn(DataError):
     pass
 

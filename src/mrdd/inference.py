@@ -14,12 +14,13 @@ interpolates between the one-sided and two-sided normal quantiles.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from ._bootstrap import MAX_ALPHA, BootstrapConfig, drop_failed, run_replicates
-from ._normal import ndtr, ndtri
 from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, UnknownCovariate
@@ -144,8 +145,9 @@ def imbens_manski_ci(
         raise InvalidInputs("standard errors must be finite and nonnegative")
     if not (lower_hat <= upper_hat):
         raise InvalidInputs(f"need lower_hat <= upper_hat, got [{lower_hat}, {upper_hat}]")
-    z_one = ndtri(1.0 - alpha)
-    z_two = ndtri(1.0 - alpha / 2.0)
+    normal = NormalDist()
+    # 1 - alpha rounds to 1 for alpha below 2**-53, whose quantile inv_cdf refuses
+    z_one, z_two = (normal.inv_cdf(p) if p < 1.0 else math.inf for p in (1.0 - alpha, 1.0 - alpha / 2.0))
     se_max = max(se_lower, se_upper)
     if se_max == 0.0:
         c_bar = z_one if upper_hat > lower_hat else z_two
@@ -153,7 +155,7 @@ def imbens_manski_ci(
     width_ratio = (upper_hat - lower_hat) / se_max
 
     def gap(c):
-        return ndtr(c + width_ratio) - ndtr(-c) - (1.0 - alpha)
+        return normal.cdf(c + width_ratio) - normal.cdf(-c) - (1.0 - alpha)
 
     lo_c, hi_c = z_one, z_two
     if gap(lo_c) >= 0.0:

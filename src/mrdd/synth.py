@@ -30,13 +30,7 @@ import numpy as np
 
 from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
 from .bounds import TypeAssumption, crude_bounds, sharp_type2_bounds
-from .errors import (
-    InsufficientData,
-    InvalidConfig,
-    InvalidDistribution,
-    InvalidParams,
-    InvalidWeights,
-)
+from .errors import InvalidConfig, InvalidParams, InvalidWeights
 
 CUTOFF = 0.0
 #: Enforced minimum manipulation distance |x - x_star| for typed generators.
@@ -305,156 +299,6 @@ def gen_typed(type_shares: dict[int, float], n: int, seed: int, attempt_prob: fl
     manipulated = x != x_star
     data = Dataset(xs=x, ys=y, cutoff=CUTOFF, y_low=0.0, y_high=1.0, d=d)
     return TypedSample(data=data, x_star=x_star, manipulated=manipulated, t_type=t_type)
-
-
-@dataclass(frozen=True)
-class LemmaMomentReport:
-    """Window-mean residuals of the mixture identities, plus raw pieces.
-
-    ``residuals`` holds absolute differences between the two sides of each
-    applicable identity; ``estimates`` the underlying window quantities,
-    including the raw density and mean jumps.
-    """
-
-    residuals: dict[str, float]
-    estimates: dict[str, float]
-
-
-def verify_lemma_moments(
-    ts: TypedSample, window: float, point_effect: float | None = None
-) -> LemmaMomentReport:
-    """Check the boundary mixture identities on latent-conditional windows.
-
-    Uses one-sided windows of the given width around the cutoff for both
-    the observed and the latent running variable. Identities that need
-    types absent from the sample are skipped; the type-2 family needs all
-    manipulators to be type 2 style (and likewise for type 4).
-
-    When ``point_effect`` (the generator's true cutoff effect) is supplied,
-    a ``continuity_link`` residual is added: whenever the estimated density
-    jump is insignificant (under three Monte Carlo sigmas), a smooth density
-    implies point identification, so the observed mean jump must match the
-    true effect. A significant density jump imposes no restriction and the
-    residual is zero. DGPs that break the one-sided manipulation
-    restrictions can fail this check while passing the density test; that
-    failure mode is exactly what the smooth-density counterexample shows.
-    """
-    if window <= 0:
-        raise InvalidConfig(f"window must be positive, got {window}")
-    data = ts.data
-    c = data.cutoff
-    x, y = data.xs, data.ys
-    xs_star, manip = ts.x_star, ts.manipulated
-
-    right = (x >= c) & (x < c + window)
-    left = (x >= c - window) & (x < c)
-    star_right = (xs_star >= c) & (xs_star < c + window)
-    star_left = (xs_star >= c - window) & (xs_star < c)
-
-    def mean(mask):
-        return float(y[mask].mean()) if np.any(mask) else 0.0
-
-    n = x.size
-    f_plus = float(np.count_nonzero(right)) / (n * window)
-    f_minus = float(np.count_nonzero(left)) / (n * window)
-    f_star = float(np.count_nonzero(star_right)) / (n * window)
-    mu_plus, mu_minus = mean(right), mean(left)
-
-    est = {
-        "f_plus": f_plus,
-        "f_minus": f_minus,
-        "f_star": f_star,
-        "mu_plus": mu_plus,
-        "mu_minus": mu_minus,
-        "density_jump": f_plus - f_minus,
-        "mean_jump": mu_plus - mu_minus,
-        "manipulation_fraction": float(np.mean(manip)),
-    }
-
-    res: dict[str, float] = {}
-    present = set(np.unique(ts.t_type).tolist())
-    p_manip_right = float(np.mean(manip[right])) if np.any(right) else 0.0
-    if f_plus <= 0.0:
-        raise InsufficientData(
-            f"no observations within {window} above the cutoff; widen the window",
-            side="right",
-        )
-
-    if present <= {0, 2}:
-        # manipulators land above and originate below, so the latent density
-        # fills f(c+) from below: P(manip | X=c+) = 1 - f*(c)/f(c+)
-        w_star = f_star / f_plus if f_plus > 0 else 0.0
-        m_star_right = mean(star_right)
-        m_manip_right = mean(right & manip)
-        res["mix_plus"] = abs(mu_plus - (w_star * m_star_right + (1.0 - w_star) * m_manip_right))
-        res["collapse_minus"] = abs(mu_minus - mean(star_left & ~manip))
-        res["fraction_manipulated_right"] = abs(p_manip_right - (1.0 - f_star / f_plus))
-        if f_star > 0:
-            p_manip_star_left = float(np.mean(manip[star_left])) if np.any(star_left) else 0.0
-            res["fraction_manipulated_star_left"] = abs(
-                p_manip_star_left - (1.0 - f_minus / f_star)
-            )
-
-    if present <= {0, 4}:
-        # sorting-free precise manipulation: the non-manipulated density at
-        # the cutoff equals f(c-), so P(manip | X=c+) = 1 - f(c-)/f(c+)
-        w_keep = f_minus / f_plus if f_plus > 0 else 0.0
-        m_keep_right = mean(star_right & ~manip)
-        m_manip_right = mean(right & manip)
-        res["mix_plus_sorting_free"] = abs(
-            mu_plus - (w_keep * m_keep_right + (1.0 - w_keep) * m_manip_right)
-        )
-        res["collapse_minus"] = abs(mu_minus - mean(star_left & ~manip))
-        res["fraction_manipulated_right_sorting_free"] = abs(
-            p_manip_right - (1.0 - f_minus / f_plus)
-        )
-
-    if present <= {0, 1}:
-        res["density_continuity"] = abs(f_plus - f_minus)
-
-    # Monte Carlo scale of the density jump (Poisson window counts)
-    se_f = float(
-        np.sqrt(max(f_plus, 1e-12) / (n * window)) + np.sqrt(max(f_minus, 1e-12) / (n * window))
-    )
-    est["density_jump_se"] = se_f
-    if point_effect is not None:
-        density_jumps = abs(f_plus - f_minus) > 3.0 * se_f
-        res["continuity_link"] = 0.0 if density_jumps else abs((mu_plus - mu_minus) - point_effect)
-    return LemmaMomentReport(residuals=res, estimates=est)
-
-
-def brute_force_trimming(values, probs, tau: float) -> tuple[float, float]:
-    """Exact extreme means of a tau-mass sub-distribution, by greedy enumeration.
-
-    Sorts the atoms and fills mass from the bottom (top), splitting the
-    boundary atom. Serves as the independent oracle for the trimmed-mean
-    machinery; tau = 1 returns the plain mean twice.
-    """
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
-        raise InvalidDistribution("need matching nonempty value/probability arrays")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise InvalidDistribution("probabilities must be nonnegative and sum to 1")
-    if not (0.0 < tau <= 1.0):
-        raise InvalidDistribution(f"tau must lie in (0, 1], got {tau}")
-    order = np.argsort(values, kind="stable")
-    v, q = values[order], probs[order]
-
-    def fill(vals, masses):
-        taken = 0.0
-        acc = 0.0
-        for val, mass in zip(vals, masses):
-            take = min(mass, tau - taken)
-            acc += take * val
-            taken += take
-            if taken >= tau - 1e-15:
-                break
-        return acc / tau
-
-    g_low = fill(v, q)
-    g_high = fill(v[::-1], q[::-1])
-    return float(g_low), float(g_high)
 
 
 def write_typed_csv(ts: TypedSample, path: str) -> None:

@@ -19,8 +19,6 @@ from mrdd import (
     Bandwidths,
     SideCounts,
     TypeAssumption,
-    binary_sharp_gfuncs,
-    brute_force_trimming,
     density_discontinuity_test,
     estimate_boundary,
     crude_bounds,
@@ -31,11 +29,10 @@ from mrdd import (
     imbens_manski_ci,
     oracle_appendix_d,
     sharp_type2_bounds,
-    verify_lemma_moments,
-    weighted_trimmed_means,
     write_typed_csv,
 )
 from mrdd.cli import main as cli_main
+from oracles import binary_sharp_gfuncs, brute_force_trimming, verify_lemma_moments, weighted_trimmed_means
 
 
 def _criterion(capsys, num, ok, detail=""):

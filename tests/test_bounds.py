@@ -9,16 +9,15 @@ from mrdd import (
     BoundsStatus,
     SideCounts,
     TypeAssumption,
-    binary_sharp_gfuncs,
     clamp_interval,
     covariate_bounds,
     crude_bounds,
     fuzzy_bounds,
     oracle_appendix_d,
     sharp_type2_bounds,
-    weighted_trimmed_means,
 )
 from mrdd.errors import EmptyInput, EmptyWindow, InvalidConfig, InvalidOutcomeRange, MixedTargets
+from oracles import binary_sharp_gfuncs, brute_force_trimming, weighted_trimmed_means
 
 
 def make_be(mu_plus, mu_minus, r, f_plus=1.0):
@@ -310,6 +309,32 @@ class TestSharpBounds:
                 assert sharp.upper >= grid_hi - 1e-12
             crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
             assert crude.lower - 1e-12 <= sharp.lower <= sharp.upper <= crude.upper + 1e-12
+
+    def test_trimming_matches_brute_force_scan(self, rng):
+        # the per-q ends with L(q) and U(q) from the greedy oracle, over a dense
+        # q grid on [r, 1] plus the masses below and above each atom, where the
+        # exact extremes lie: the sharp set is never narrower and attains them
+        for _ in range(100):
+            m = int(rng.integers(1, 12))
+            ys = rng.choice([0.0, 0.25, 0.5, 1.0], m)
+            probs = rng.uniform(0.05, 1.0, m)
+            probs /= probs.sum()
+            mu_p = float(np.clip(probs @ ys + rng.uniform(-0.2, 0.2), 0.0, 1.0))
+            r = float(rng.uniform(0.2, 1.0))
+            be = make_be(mu_p, float(rng.uniform(0.0, 1.0)), r)
+            sharp = sharp_type2_bounds(probs, ys, be, 0.0, 1.0)
+            cum = np.cumsum(probs[np.argsort(ys, kind="stable")])
+            kinks = np.concatenate([cum, 1.0 - cum])
+            shift = mu_p - probs @ ys
+            theta_low, theta_high = [], []
+            for q in np.concatenate([np.linspace(r, 1.0, 401), kinks[(r < kinks) & (kinks < 1.0)]]):
+                g_low, g_high = brute_force_trimming(ys, probs, float(q))
+                theta_low.append((shift + q * g_low - r * (be.mu_minus - 1.0)) / q - 1.0)
+                theta_high.append((shift + q * g_high - r * be.mu_minus) / q)
+            assert sharp.lower <= min(theta_low) + 1e-12
+            assert sharp.upper >= max(theta_high) - 1e-12
+            assert sharp.lower == pytest.approx(min(theta_low), abs=1e-9)
+            assert sharp.upper == pytest.approx(max(theta_high), abs=1e-9)
 
     def test_sharp_within_crude_random(self, rng):
         for _ in range(300):

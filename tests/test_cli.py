@@ -753,6 +753,22 @@ class TestPlotdata:
             lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{count},{side.value},{dens!r}")
         assert out.read_text() == "\n".join(lines) + "\n"
 
+    def test_bins_share_their_fit_specs(self, typed_file, tmp_path, monkeypatch):
+        # one spec per (side of the cutoff, interior or not), not one per bin
+        made = []
+
+        class CountedFitSpec(FitSpec):
+            def __post_init__(self):
+                made.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(cli, "FitSpec", CountedFitSpec)
+        path, _ = typed_file
+        assert run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05",
+                       "--out", str(tmp_path / "bins.csv")) == 0
+        assert {spec.side for spec in made} == {Side.LEFT, Side.RIGHT, Side.INTERIOR}
+        assert len(made) == 4
+
     @pytest.mark.parametrize("width", ["0", "nan", "-0.1", "inf", "1e-9", "over-cap"])
     def test_bad_bin_width_exits_2_before_edges(self, typed_file, tmp_path, capsys, monkeypatch, width):
         path, _ = typed_file

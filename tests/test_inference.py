@@ -10,6 +10,7 @@ from mrdd import (
     BootstrapConfig,
     BoundaryDraws,
     BoundaryEstimates,
+    IntervalCI,
     RMode,
     SideCounts,
     TypeAssumption,
@@ -294,6 +295,14 @@ class TestImbensManski:
             ci = imbens_manski_ci(lower, upper, 0.05, 0.05, 0.5)
             assert ci.c_bar >= 0.0
             assert ci.lo <= lower and upper <= ci.hi
+
+    def test_alpha_below_double_epsilon_gives_the_whole_line(self):
+        # 1 - alpha rounds to 1: the quantiles, c_bar and the ends are infinite
+        for alpha in (1e-17, 5e-324):
+            for lower, upper in ((0.0, 0.2), (0.1, 0.1)):
+                ci = imbens_manski_ci(lower, upper, 0.05, 0.05, alpha)
+                assert (ci.lo, ci.hi, ci.c_bar) == (-np.inf, np.inf, np.inf)
+            assert imbens_manski_ci(0.0, 0.2, 0.0, 0.0, alpha) == IntervalCI(0.0, 0.2, np.inf)
 
     def test_contains_identified_set(self, rng):
         for _ in range(200):

@@ -4,26 +4,22 @@ from scipy import stats
 
 from mrdd import (
     Dataset,
-    binary_sharp_gfuncs,
-    brute_force_trimming,
     estimate_boundary,
     gen_appendix_d,
     gen_counterexample_e,
     gen_typed,
     oracle_appendix_d,
-    verify_lemma_moments,
-    weighted_trimmed_means,
     write_typed_csv,
 )
 from mrdd.cli import ingest
 from mrdd.synth import MIN_JUMP, TypedSample
 from mrdd.errors import (
     ConfigError,
-    InvalidDistribution,
     InvalidParams,
     InvalidWeights,
     MissingColumn,
 )
+from oracles import binary_sharp_gfuncs, brute_force_trimming, verify_lemma_moments, weighted_trimmed_means
 
 LATENTS = ("x_star", "manipulated", "t_type")
 
@@ -305,11 +301,11 @@ class TestBruteForceTrimming:
             assert hi_a == pytest.approx(hi_b, abs=1e-9)
 
     def test_validation(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(ValueError):
             brute_force_trimming([0.0, 1.0], [0.6, 0.6], 0.5)
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(ValueError):
             brute_force_trimming([0.0, 1.0], [0.5, 0.5], 0.0)
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(ValueError):
             brute_force_trimming([], [], 0.5)
 
 
