@@ -14,21 +14,32 @@ replicate draws only their counts: a window total k ~ Binomial(n, m/n),
 then k uniform draws over the window rows taken in order of original row
 index. That is the same law at O(m) cost, and the resample is a function
 of the rows, not of their x order. Setup sorts only the rows within twice
-the widest bandwidth of the cutoff. Each side's mean weights w*u^k are
-written once and shared by every value column w*u^k*v on that side. The
-outcome's columns (mean weights, outcome values, density weights) form one
-moment block and the covariates' value columns a second; each block has
-its own product with the counts, so the boundary draws are the same bits
-whichever covariates are requested. Per replicate, the counts times the
-blocks give the normal equations of every mean fit; the running count,
-taken through the last row of each tie group, times the counts and the CDF
-weights gives those of the CDF fits behind the densities (Cattaneo,
-Jansson & Ma 2020). The resample rows below the window only add a constant
-to that running count, which moves the fitted intercept and not the slope,
-so they need no count. Each product is taken one replicate at a time, so
-its bits do not depend on the chunk. One batched solve per side yields the
-levels, another the CDF slopes, which over h are the densities, floored at
-DENSITY_FLOOR.
+the widest bandwidth of the cutoff.
+
+Each side keeps its own matrix of moment rows over its window rows, C
+ordered so a replicate's sums read contiguous memory: the mean weights
+w*u^k (k <= 2d), the CDF weights w*u^k (k <= 2d + 2) and the outcome's
+value rows w*u^k*y (k <= d). When the density spec has the mean spec's
+bandwidth and kernel, the default, its window, u and w are the mean fit's,
+so its CDF weights for k <= 2d are the mean weight rows bit for bit and only
+k = 2d + 1 and 2d + 2 are stored. The covariates' value rows, which share
+the side's mean weights, form a second matrix, so the boundary draws are
+the same bits whichever covariates are requested. Per replicate, the counts
+times a side's rows give the normal equations of every mean fit on it; the
+running count, taken through the last row of each tie group, times the
+counts and the CDF weights up to k = d + 1 gives those of the CDF fit
+behind its density (Cattaneo, Jansson & Ma 2020). The resample rows below
+the window only add a constant to that running count, which moves the
+fitted intercept and not the slope, so they need no count. One batched
+solve per side yields the levels, another the CDF slopes, which over h are
+the densities, floored at DENSITY_FLOOR.
+
+The moment sums never go through BLAS, whose threaded kernels sum in an
+order set by the thread count. ``np.einsum`` without ``optimize`` sums each
+replicate's row in fixed blocks of window rows, and ``np.sum`` adds the
+block sums pairwise; so a sum's bits depend on neither the chunk, the
+worker count nor the BLAS thread count, and it is closer to the exact sum
+than one long running total.
 
 A fit fails on a replicate (NaN cell, the other fits keep their values)
 exactly where the per-row fit would raise InsufficientData or
@@ -67,6 +78,8 @@ MAX_FAILURE_FRACTION = 0.10
 MAX_ALPHA = 0.5
 #: Bytes of window counts per chunk of replicates; sets the chunk length.
 CHUNK_BYTES = 1 << 21
+#: Window rows per block of a moment sum; blocks are fixed by row, not by chunk.
+SUM_BLOCK = 256
 
 #: The middle term of every draw key (seed, DRAW_KEY, replicate). It is 3,
 #: the bounds bootstrap's key from when each test drew its own stream, so
@@ -102,6 +115,13 @@ class BootstrapConfig:
 @dataclass(frozen=True)
 class _SidePlan:
     rows: slice  # the side's window rows, as columns of the counts
+    # (K, rows), C order: the mean weights w*u^k (k = 0..2d), the CDF weights
+    # w*u^k (k = 0..2d + 2) from row cdf_row on, then the outcome's value
+    # rows w*u^k*y (k = 0..d) last. With cdf_row 0 the CDF weights continue
+    # the mean weights, whose rows they equal bit for bit.
+    moments: np.ndarray
+    covariates: np.ndarray  # (c (d + 1), rows): w*u^k*v (k = 0..d) of each covariate v
+    cdf_row: int
     mean_groups: tuple[int, int]  # tie groups holding the mean window's positive-weight rows
     density_groups: tuple[int, int]  # tie groups holding the CDF window's positive-weight rows
     density_scale: float  # 1 / (n h) of the density's CDF fit
@@ -112,11 +132,6 @@ class _Plan:
     n: int
     degree: int  # of the mean fits; the CDF fits are one degree above
     by_index: np.ndarray  # x position of each window row, the rows taken by original index
-    # (m, 5d + 5): on each side's rows, that side's mean weights w*u^k
-    # (k = 0..2d), outcome columns w*u^k*y (k = 0..d) and CDF weights w*u^k
-    # (k = 0..2d + 2)
-    moments: np.ndarray
-    covariates: np.ndarray  # (m, c (d + 1)): w*u^k*v (k = 0..d) of each covariate v
     group_starts: np.ndarray | None  # first row of each tie group; None without ties
     group_end: np.ndarray | None  # last row of each row's tie group; None without ties
     sides: tuple[_SidePlan, _SidePlan]  # right, left
@@ -179,32 +194,45 @@ def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
         return (int(group_id[lo]), int(group_id[hi - 1]) + 1) if hi > lo else (0, 0)
 
     ys, *covariates = (np.asarray(v, dtype=float) for v in values)
-    moments = np.zeros((m, 5 * d + 5))
-    cov_moments = np.zeros((m, len(covariates) * (d + 1)))
+    index = order[a:b]
     plans = []
-    for side, (mean, dens), ((lo, hi), (c_lo, c_hi)) in zip(sides, specs, windows):
-        lo, hi, c_lo, c_hi = lo - a, hi - a, c_lo - a, c_hi - a
+    for side, (mean, dens), pair in zip(sides, specs, windows):
+        rows = slice(split, m) if side is Side.RIGHT else slice(0, split)
+        (lo, hi), (c_lo, c_hi) = ((lo - a, hi - a) for lo, hi in pair)
+        # on the default density spec, the mean spec's bandwidth and kernel,
+        # both windows and so u and w are one: the CDF weights of powers up
+        # to 2d are the mean weights, and only the two above them are stored
+        shared = (dens.bandwidth, dens.kernel, c_lo, c_hi) == (mean.bandwidth, mean.kernel, lo, hi)
+        cdf_row = 0 if shared else 2 * d + 1
+        moments = np.zeros((cdf_row + 3 * d + 4, rows.stop - rows.start))
+        cov_moments = np.zeros((len(covariates) * (d + 1), rows.stop - rows.start))
+        # the windows as columns of the side's matrices; an empty one slices nothing
+        cols, c_cols = slice(lo - rows.start, hi - rows.start), slice(c_lo - rows.start, c_hi - rows.start)
         u = (window[lo:hi] - cutoff) / mean.bandwidth
         w = kernel_weight(u, mean.kernel)
-        weighted_powers(u, w, 2 * d, moments[lo:hi, : 2 * d + 1])
-        index = order[a + lo : a + hi]
-        weighted_powers(u, w * ys[index], d, moments[lo:hi, 2 * d + 1 : 3 * d + 2])
+        top = 2 * d + 2 if shared else 2 * d
+        weighted_powers(u, w, top, moments[: top + 1, cols])
+        weighted_powers(u, w * ys[index[lo:hi]], d, moments[-(d + 1) :, cols])
         for j, v in enumerate(covariates):
-            weighted_powers(u, w * v[index], d, cov_moments[lo:hi, j * (d + 1) : (j + 1) * (d + 1)])
-        u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
-        weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[c_lo:c_hi, 3 * d + 2 :])
-        rows = slice(split, m) if side is Side.RIGHT else slice(0, split)
-        plans.append(_SidePlan(rows, groups(lo, hi), groups(c_lo, c_hi), 1.0 / (n * dens.bandwidth)))
+            weighted_powers(u, w * v[index[lo:hi]], d, cov_moments[j * (d + 1) : (j + 1) * (d + 1), cols])
+        if not shared:
+            u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
+            weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row : cdf_row + 2 * d + 3, c_cols])
+        plans.append(_SidePlan(
+            rows, moments, cov_moments, cdf_row, groups(lo, hi), groups(c_lo, c_hi), 1.0 / (n * dens.bandwidth)
+        ))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    by_index = np.argsort(order[a:b])
-    return _Plan(n, d, by_index, moments, cov_moments, group_starts, group_end, tuple(plans), chunk)
+    return _Plan(n, d, np.argsort(index), group_starts, group_end, tuple(plans), chunk)
 
 
 def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
     """Replicates that drew more distinct values of a window than ``degree``:
     at least as many as a fit of that degree has coefficients."""
     g_lo, g_hi = groups
-    return np.count_nonzero(present[:, g_lo:g_hi], axis=1) > degree
+    window = present[:, g_lo:g_hi]
+    # the first few groups of a well-filled window settle almost every replicate
+    ok = np.count_nonzero(window[:, :64], axis=1) > degree
+    return ok if ok.all() else np.count_nonzero(window, axis=1) > degree
 
 
 def _draw_counts(plan: _Plan, reps: range, seed: int) -> np.ndarray:
@@ -218,10 +246,31 @@ def _draw_counts(plan: _Plan, reps: range, seed: int) -> np.ndarray:
     return counts
 
 
+def _moment_sums(counts: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """``sum_i counts[r, i] * moments[k, i]`` for every replicate r and row k.
+
+    ``np.einsum`` without ``optimize`` runs numpy's own loop, never BLAS, on
+    each replicate's row alone. It sums each block of SUM_BLOCK rows, then
+    ``np.sum`` adds the block sums pairwise and the last partial block is
+    added after, so the order is fixed by the window: the bits depend neither
+    on the chunk nor on the BLAS thread count.
+    """
+    r, width = counts.shape
+    k, blocks = moments.shape[0], width // SUM_BLOCK
+    full = blocks * SUM_BLOCK
+    sums = np.einsum(
+        "rbi,kbi->rkb",
+        counts[:, :full].reshape(r, blocks, SUM_BLOCK),
+        moments[:, :full].reshape(k, blocks, SUM_BLOCK),
+        order="C",
+    ).sum(axis=2)
+    return sums + np.einsum("ri,ki->rk", counts[:, full:], moments[:, full:])
+
+
 def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
     """Fitted values of one chunk of replicates, a NaN cell where a fit failed."""
     d = plan.degree
-    r, c = len(reps), plan.covariates.shape[1] // (d + 1)
+    r, c = len(reps), plan.sides[0].covariates.shape[0] // (d + 1)
     counts = _draw_counts(plan, reps, seed)
     # which distinct x values each resample holds, for the support checks
     present = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
@@ -229,22 +278,21 @@ def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
     running = np.cumsum(counts, axis=1)
-    # take, not fancy indexing: C order keeps each replicate's product on one path
+    # take, not fancy indexing: C order keeps every sum on numpy's contiguous loop
     cdf = running if plan.group_end is None else np.take(running, plan.group_end, axis=1)
     cdf *= counts
     out = np.full((r, 4 + 2 * c), np.nan)
     for i, side in enumerate(plan.sides):
-        rows = side.rows
-        # one product per replicate, so its sums do not depend on the chunk
-        side_counts = counts[:, None, rows]
-        sums = (side_counts @ plan.moments[rows])[:, 0]
-        cdf_sums = (cdf[:, None, rows] @ plan.moments[rows, 3 * d + 2 : 4 * d + 4])[:, 0]
+        rows, k = side.rows, side.cdf_row
+        side_counts = counts[:, rows]
+        sums = _moment_sums(side_counts, side.moments)
+        cdf_sums = _moment_sums(cdf[:, rows], side.moments[k : k + d + 2])
         ok = _supported(present, side.density_groups, d + 1)
-        beta = fit_from_moments(sums[ok, 3 * d + 2 :], cdf_sums[ok])
+        beta = fit_from_moments(sums[ok, k : k + 2 * d + 3], cdf_sums[ok])
         out[ok, 2 + i] = np.maximum(beta[:, 1] * side.density_scale, DENSITY_FLOOR)
         # the outcome's and every covariate's value sums share the side's mean weights
-        cov_sums = (side_counts @ plan.covariates[rows])[:, 0].reshape(r, c, d + 1)
-        value_sums = np.concatenate([sums[:, None, 2 * d + 1 : 3 * d + 2], cov_sums], axis=1)
+        cov_sums = _moment_sums(side_counts, side.covariates).reshape(r, c, d + 1)
+        value_sums = np.concatenate([sums[:, None, -(d + 1) :], cov_sums], axis=1)
         ok = _supported(present, side.mean_groups, d)
         levels = fit_from_moments(sums[ok, None, : 2 * d + 1], value_sums[ok])[..., 0]
         out[ok, i] = levels[:, 0]

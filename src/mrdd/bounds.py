@@ -247,7 +247,8 @@ def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high:
     upper = (be.mu_plus - y_low) - r * (be.mu_minus - y_low)
     if r < 1.0:
         y_sorted, w_sorted = _sorted_window(ys, weights)
-        shift = be.mu_plus - float(np.dot(w_sorted, y_sorted))
+        # numpy's pairwise sum, not BLAS: its bits do not depend on the BLAS thread count
+        shift = be.mu_plus - float(np.sum(w_sorted * y_sorted))
         # U(q) of y is -L(q) of -y, whose ascending order is y's reversed
         lower = min(lower, _min_trimmed_ratio(y_sorted, w_sorted, shift - r * (be.mu_minus - y_high), r) - y_high)
         upper = max(

@@ -10,7 +10,11 @@ Exit codes: 0 success, 2 configuration error (an unopenable ``--config``
 included), 3 data error (an unopenable input included), 4 internal error:
 any other exception, printed with its traceback. Identical invocations
 (flags, files, seed) produce byte-identical outputs; bootstrap randomness
-is keyed per replicate so the worker count does not change results.
+is keyed per replicate so the worker count does not change results, and
+the long sums (the bootstrap's moment sums, the sharp bound's weighted
+mean, the density curve's block sums) run in numpy's own loops rather than
+BLAS, so neither does the BLAS thread count (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``).
 """
 
 from __future__ import annotations

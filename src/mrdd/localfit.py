@@ -228,12 +228,12 @@ def local_weights(x: np.ndarray, eval_point: float, spec: FitSpec):
 
 
 def weighted_powers(u: np.ndarray, w: np.ndarray, degree: int, out: np.ndarray) -> None:
-    """Write ``w * u**k`` for k = 0..degree into the columns of ``out``."""
-    col = np.array(w, dtype=float)
+    """Write ``w * u**k`` for k = 0..degree into the rows of ``out``."""
+    row = np.array(w, dtype=float)
     for k in range(degree + 1):
-        out[:, k] = col
+        out[k] = row
         if k < degree:
-            col *= u
+            row *= u
 
 
 def fit_from_moments(weight_sums: np.ndarray, value_sums: np.ndarray) -> np.ndarray:
@@ -462,14 +462,20 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     if points.ndim != 1 or points.size != len(specs):
         raise InvalidConfig("eval_points must be 1-d with one FitSpec per point")
     x = np.sort(np.asarray(xs, dtype=float))
+    # one walk over specs maps each point to its spec object; callers share a
+    # few, so side, bandwidth and group are read from the distinct ones
+    ids = np.fromiter(map(id, specs), np.uintp, points.size)
+    _, first, spec_of = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = [specs[i] for i in first]
     # the edges of _density_edges and the tests of density_window, per point
-    left, right = (np.array([s.side is side for s in specs], dtype=bool) for side in (Side.LEFT, Side.RIGHT))
-    bandwidth = np.fromiter((s.bandwidth for s in specs), float, points.size)
+    left, right = (np.array([s.side is sd for s in distinct], dtype=bool)[spec_of] for sd in (Side.LEFT, Side.RIGHT))
+    bandwidth = np.array([s.bandwidth for s in distinct], dtype=float)[spec_of]
     start = np.searchsorted(x, np.where(right, points, points - bandwidth), side="left")
     hi = np.where(left, points, points + bandwidth)
     stop = np.where(left, np.searchsorted(x, hi, side="left"), np.searchsorted(x, hi, side="right"))
     groups: dict[tuple, int] = {}
-    group = np.array([groups.setdefault((s.bandwidth, s.order, s.kernel), len(groups)) for s in specs], dtype=int)
+    group = np.array([groups.setdefault((s.bandwidth, s.order, s.kernel), len(groups)) for s in distinct], dtype=int)
+    group = group[spec_of]
     rows = _sorted_rows(x, 0)
     densities, clipped = np.full(points.size, np.nan), np.zeros(points.size, dtype=bool)
     for (h, order, kernel), g in groups.items():

@@ -12,6 +12,8 @@ resamples duplicate values by construction. A law test checks the window
 draw against the full multinomial(n, 1/n) resample it replaces.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,24 @@ def test_engine_matches_per_row_fits(order, kernel):
     point = stats[4](whole) - stats[5](whole)
     assert res.statistic == pytest.approx(jump_statistic(point, ref[:, 4:6]), rel=1e-9)
     assert res.replications == ok_rows(ref[:, 4:6]).shape[0]
+
+
+@pytest.mark.parametrize("blocks, tail", [(0, 0), (0, 1), (0, 255), (9, 7), (40, 0), (240, 186)])
+def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
+    # the last case is the right side's window on the benchmark's n=200k
+    # sample; the rows start at an odd offset, as one side's rows do
+    rng = np.random.default_rng(blocks + tail)
+    width = blocks * _bootstrap.SUM_BLOCK + tail
+    counts = rng.integers(0, 4, size=(5, width + 3)).astype(float)[:, 3:]
+    moments = rng.uniform(size=(4, width)) * rng.uniform(size=width) ** np.arange(4)[:, None]
+    sums = _bootstrap._moment_sums(counts, moments)
+    for j, row in enumerate(counts):
+        assert np.array_equal(sums[j], _bootstrap._moment_sums(row[None].copy(), moments)[0])
+        for k, weights in enumerate(moments):
+            terms = row * weights
+            # within a few roundings of the exact sum; one running total over
+            # 60k rows is off by about 6e-15 of it
+            assert abs(sums[j, k] - math.fsum(terms)) <= 1e-15 * math.fsum(terms)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -627,6 +627,33 @@ class TestAnalyze:
         assert lo == pytest.approx(row.crude_lower, abs=0.03)
         assert hi == pytest.approx(row.crude_upper, abs=0.03)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: BLAS runs one thread whatever it is asked for")
+    def test_report_does_not_depend_on_blas_thread_count(self, tmp_path):
+        # The thread count must be set before numpy loads, so each analyze
+        # runs in its own interpreter. The sample is large enough that
+        # threaded BLAS kernels would split the bootstrap's moment sums and
+        # the sharp bound's weighted mean, and so move their last bits.
+        sample = tmp_path / "s.csv"
+        assert run_cli("simulate", "appendix-d", "--n", "200000", "--seed", "0", "--out", str(sample)) == 0
+        src = str(Path(mrdd.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.json"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "mrdd.cli", "analyze", str(sample), "--cutoff", "0", "--y-min", "0",
+                 "--y-max", "1", "--boot", "50", "--sharp", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):
