@@ -1,53 +1,42 @@
 """Replicate-keyed nonparametric bootstrap of the boundary fits at a cutoff.
 
-Every replicate draws its row resample from a generator seeded by
-(seed, DRAW_KEY, replicate_index), so results are identical regardless
-of execution order or worker count.
+Replicate i resamples the rows with a generator seeded by (seed, DRAW_KEY,
+i), so results do not depend on execution order or worker count.
 
-One pass serves an analysis. On each side of the cutoff it fits the
-outcome's mean, the density, and every covariate's mean on the outcome's
-mean window. A resample is a vector of multinomial(n, 1/n) counts over the
-rows (Efron 1979), and every local polynomial fit is a weighted moment sum,
-so replicates never re-fit rows. Only the m rows inside the union of the
-four windows (a mean and a density window per side) enter a fit, so a
-replicate draws only their counts: a window total k ~ Binomial(n, m/n),
-then k uniform draws over the window rows taken in order of original row
-index. That is the same law at O(m) cost, and the resample is a function
-of the rows, not of their x order. Setup sorts only the rows within twice
-the widest bandwidth of the cutoff.
+``build_plan`` prepares one analysis: on each side of the cutoff the
+outcome's mean, the density and every covariate's mean on the outcome's
+mean window. A resample is a vector of multinomial(n, 1/n) row counts
+(Efron 1979) and every fit is a weighted moment sum, so ``evaluate``
+solves all the fits for any counts without re-fitting rows. All-ones
+counts are the sample itself: the point estimates solve the equations
+every replicate solves. Only the m rows in the union of the four windows
+enter a fit, so a replicate draws a window total k ~ Binomial(n, m/n), then
+k uniform draws over the window rows in original-index order: the same law
+at O(m), and a function of the rows, not of their x order.
 
-Each side keeps its own matrix of moment rows over its window rows, C
-ordered so a replicate's sums read contiguous memory: the mean weights
-w*u^k (k <= 2d), the CDF weights w*u^k (k <= 2d + 2) and the outcome's
-value rows w*u^k*y (k <= d). When the density spec has the mean spec's
-bandwidth and kernel, the default, its window, u and w are the mean fit's,
-so its CDF weights for k <= 2d are the mean weight rows bit for bit and only
-k = 2d + 1 and 2d + 2 are stored. The covariates' value rows, which share
-the side's mean weights, form a second matrix, so the boundary draws are
-the same bits whichever covariates are requested. Per replicate, the counts
-times a side's rows give the normal equations of every mean fit on it; the
-running count, taken through the last row of each tie group, times the
-counts and the CDF weights up to k = d + 1 gives those of the CDF fit
-behind its density (Cattaneo, Jansson & Ma 2020). The resample rows below
-the window only add a constant to that running count, which moves the
-fitted intercept and not the slope, so they need no count. One batched
-solve per side yields the levels, another the CDF slopes, which over h are
-the densities, floored at DENSITY_FLOOR.
+Each side keeps a C-ordered matrix of moment rows over its window rows:
+the mean weights w*u^k (k <= 2d), the CDF weights (k <= 2d + 2) and the
+outcome's w*u^k*y (k <= d). The covariates' rows form a second matrix, so
+the boundary draws are the same bits whichever covariates are requested.
+On the default density spec, the mean spec's bandwidth and kernel, the CDF
+weights for k <= 2d are the mean weight rows, and only two more are stored.
+The counts times the rows give every mean fit's normal equations; the
+running count through each tie group's last row, times the counts and the
+CDF weights, gives the CDF fit's (Cattaneo, Jansson & Ma 2020). Rows below
+the window only add a constant to that count, which moves the intercept
+and not the slope. The densities are the slopes over n h, floored at
+DENSITY_FLOOR.
 
-The moment sums never go through BLAS, whose threaded kernels sum in an
-order set by the thread count. ``np.einsum`` without ``optimize`` sums each
-replicate's row in fixed blocks of window rows, and ``np.sum`` adds the
-block sums pairwise; so a sum's bits depend on neither the chunk, the
-worker count nor the BLAS thread count, and it is closer to the exact sum
-than one long running total.
+The sums never go through BLAS, whose threaded kernels sum in an order set
+by the thread count: ``np.einsum`` sums fixed blocks of window rows and
+``np.sum`` adds the block sums pairwise, so the bits depend on neither the
+chunk, the worker count nor the BLAS thread count.
 
-A fit fails on a replicate (NaN cell, the other fits keep their values)
-exactly where the per-row fit would raise InsufficientData or
-SingularDesign: when its window holds fewer distinct positive-weight values
-with positive count than the fit has coefficients. The means on a side share
-a window, so one support check decides them all. Chunks are fixed by
-replicate index and sized from the window under a fixed byte budget;
-workers only share out whole chunks.
+A fit fails on a replicate (a NaN cell) where its window drew fewer
+distinct positive-weight values than the fit has coefficients, or where
+its normal equations are singular in floating point. Chunks are fixed by
+replicate index and sized from the window under a byte budget; workers
+share out whole chunks.
 """
 
 from __future__ import annotations
@@ -57,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import FitConfig
 from .errors import InvalidConfig, TooManyFailedReplicates
 from .localfit import (
     DENSITY_FLOOR,
@@ -125,10 +113,12 @@ class _SidePlan:
     mean_groups: tuple[int, int]  # tie groups holding the mean window's positive-weight rows
     density_groups: tuple[int, int]  # tie groups holding the CDF window's positive-weight rows
     density_scale: float  # 1 / (n h) of the density's CDF fit
+    mean_counts: tuple[int, int, int]  # the sample's mean window, as support_error takes it
+    density_counts: tuple[int, int, int]  # the sample's CDF window, likewise
 
 
 @dataclass(frozen=True)
-class _Plan:
+class Plan:
     n: int
     degree: int  # of the mean fits; the CDF fits are one degree above
     by_index: np.ndarray  # x position of each window row, the rows taken by original index
@@ -138,27 +128,41 @@ class _Plan:
     chunk: int
 
 
-def _window(xs_sorted, cutoff, spec: FitSpec, cdf: bool) -> tuple[int, int]:
-    """Sorted-row range of the rows with positive weight in the mean fit on
-    ``spec``, or with ``cdf`` in the CDF fit behind its density.
-
-    Membership uses the per-row fits' own tests, so the engine and those
-    fits agree on every edge point; the windows are intervals of sorted x.
-    """
+def _window(xs_sorted, cutoff, spec: FitSpec, cdf: bool):
+    """The sorted-row range of the rows with positive weight in the mean fit
+    on ``spec``, or with ``cdf`` in the CDF fit behind its density, and the
+    fit's ``support_error`` counts on the sample. Membership uses the
+    per-row fits' own tests, so they agree on every edge point."""
     h = spec.bandwidth
     lo = int(np.searchsorted(xs_sorted, cutoff - 2.0 * h, side="left"))
     hi = int(np.searchsorted(xs_sorted, cutoff + 2.0 * h, side="right"))
     seg = xs_sorted[lo:hi]
     if cdf:
-        rows = density_window(seg, cutoff, spec) & (kernel_weight((seg - cutoff) / h, spec.kernel) > 0)
+        inside = density_window(seg, cutoff, spec)
+        rows = inside & (kernel_weight((seg - cutoff) / h, spec.kernel) > 0)
     else:
-        rows = local_weights(seg, cutoff, spec)[2]
-    rows = np.flatnonzero(rows)
-    return (lo + int(rows[0]), lo + int(rows[-1]) + 1) if rows.size else (lo, lo)
+        inside = rows = local_weights(seg, cutoff, spec)[2]
+
+    def span(mask):
+        at = np.flatnonzero(mask)
+        return (lo + int(at[0]), lo + int(at[-1]) + 1) if at.size else (lo, lo)
+
+    def distinct(values):
+        return int(np.count_nonzero(values[1:] != values[:-1])) + 1 if values.size else 0
+
+    (a, b), (c, d) = span(inside), span(rows)
+    # the mean fit's design is in u, where x values closer than h's rounding are one
+    fitted = xs_sorted[c:d] if cdf else (xs_sorted[c:d] - cutoff) / h
+    return (c, d), (b - a, distinct(xs_sorted[a:b]), distinct(fitted))
 
 
-def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
-    """Windows, tie groups and moment columns shared by every replicate."""
+def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
+    """Windows, tie groups and moment columns shared by every replicate.
+
+    ``fit`` is a FitConfig with resolved bandwidths; ``values`` are the
+    outcome, then each covariate, as columns as long as ``xs``.
+    """
+    xs = np.asarray(xs, dtype=float)
     n, d = xs.size, fit.order
     sides = (Side.RIGHT, Side.LEFT)
     specs = [(fit.mean_spec(side), fit.density_spec(side)) for side in sides]
@@ -172,7 +176,7 @@ def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
         (_window(xs_sorted, cutoff, mean, cdf=False), _window(xs_sorted, cutoff, dens, cdf=True))
         for mean, dens in specs
     ]
-    spans = [(lo, hi) for pair in windows for lo, hi in pair if hi > lo]
+    spans = [(lo, hi) for pair in windows for (lo, hi), _ in pair if hi > lo]
     if spans:
         a, b = min(lo for lo, _ in spans), max(hi for _, hi in spans)
     else:
@@ -196,9 +200,9 @@ def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
     ys, *covariates = (np.asarray(v, dtype=float) for v in values)
     index = order[a:b]
     plans = []
-    for side, (mean, dens), pair in zip(sides, specs, windows):
+    for side, (mean, dens), ((mean_span, mean_counts), (cdf_span, cdf_counts)) in zip(sides, specs, windows):
         rows = slice(split, m) if side is Side.RIGHT else slice(0, split)
-        (lo, hi), (c_lo, c_hi) = ((lo - a, hi - a) for lo, hi in pair)
+        (lo, hi), (c_lo, c_hi) = ((lo - a, hi - a) for lo, hi in (mean_span, cdf_span))
         # on the default density spec, the mean spec's bandwidth and kernel,
         # both windows and so u and w are one: the CDF weights of powers up
         # to 2d are the mean weights, and only the two above them are stored
@@ -219,10 +223,11 @@ def _plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> _Plan:
             u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
             weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row : cdf_row + 2 * d + 3, c_cols])
         plans.append(_SidePlan(
-            rows, moments, cov_moments, cdf_row, groups(lo, hi), groups(c_lo, c_hi), 1.0 / (n * dens.bandwidth)
+            rows, moments, cov_moments, cdf_row, groups(lo, hi), groups(c_lo, c_hi),
+            1.0 / (max(n, 1) * dens.bandwidth), mean_counts, cdf_counts,
         ))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return _Plan(n, d, np.argsort(index), group_starts, group_end, tuple(plans), chunk)
+    return Plan(n, d, np.argsort(index), group_starts, group_end, tuple(plans), chunk)
 
 
 def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
@@ -235,7 +240,7 @@ def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.
     return ok if ok.all() else np.count_nonzero(window, axis=1) > degree
 
 
-def _draw_counts(plan: _Plan, reps: range, seed: int) -> np.ndarray:
+def _draw_counts(plan: Plan, reps: range, seed: int) -> np.ndarray:
     """Each replicate's resample counts of the window rows, in x order."""
     n, m = plan.n, plan.by_index.size
     counts = np.empty((len(reps), m))
@@ -249,11 +254,9 @@ def _draw_counts(plan: _Plan, reps: range, seed: int) -> np.ndarray:
 def _moment_sums(counts: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """``sum_i counts[r, i] * moments[k, i]`` for every replicate r and row k.
 
-    ``np.einsum`` without ``optimize`` runs numpy's own loop, never BLAS, on
-    each replicate's row alone. It sums each block of SUM_BLOCK rows, then
-    ``np.sum`` adds the block sums pairwise and the last partial block is
-    added after, so the order is fixed by the window: the bits depend neither
-    on the chunk nor on the BLAS thread count.
+    ``np.einsum`` without ``optimize``, never BLAS, sums each block of
+    SUM_BLOCK rows of one replicate; ``np.sum`` adds the block sums pairwise
+    and the last partial block is added after, an order fixed by the window.
     """
     r, width = counts.shape
     k, blocks = moments.shape[0], width // SUM_BLOCK
@@ -267,11 +270,12 @@ def _moment_sums(counts: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return sums + np.einsum("ri,ki->rk", counts[:, full:], moments[:, full:])
 
 
-def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
-    """Fitted values of one chunk of replicates, a NaN cell where a fit failed."""
+def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
+    """The fits on each row of ``counts``, a resample's counts of the window
+    rows in x order, as ``run_replicates``' columns, NaN where a fit failed.
+    All-ones counts are the sample itself."""
     d = plan.degree
-    r, c = len(reps), plan.sides[0].covariates.shape[0] // (d + 1)
-    counts = _draw_counts(plan, reps, seed)
+    r, c = counts.shape[0], plan.sides[0].covariates.shape[0] // (d + 1)
     # which distinct x values each resample holds, for the support checks
     present = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
     present = present > 0
@@ -300,37 +304,22 @@ def _run_chunk(plan: _Plan, reps: range, seed: int) -> np.ndarray:
     return out
 
 
-def run_replicates(xs, cutoff, fit, values, b, seed, workers=1):
-    """Evaluate the boundary fits on ``b`` row resamples of the sample.
+def run_replicates(plan: Plan, b: int, seed: int, workers: int = 1) -> np.ndarray:
+    """``evaluate`` on ``b`` keyed row resamples of the sample ``plan`` was built on.
 
-    Parameters
-    ----------
-    xs : running variable of the full sample (finite)
-    fit : FitConfig with resolved bandwidths
-    values : the outcome, then each covariate; columns as long as ``xs``
-
-    Returns
-    -------
-    A (b, 2 + 2 * len(values)) array with the columns (mu_plus, mu_minus,
-    f_plus, f_minus), then the right and left means of each covariate, NaN
-    where a fit failed on a replicate.
+    Returns a (b, 4 + 2 c) array, c the plan's covariates, with the columns
+    (mu_plus, mu_minus, f_plus, f_minus), then the right and left means of
+    each covariate, NaN where a fit failed on a replicate.
     """
-    xs = np.asarray(xs, dtype=float)
-    plan = _plan(xs, cutoff, fit, values)
-    out = np.empty((b, 2 + 2 * len(values)))
 
     def one(start):
-        stop = min(start + plan.chunk, b)
-        out[start:stop] = _run_chunk(plan, range(start, stop), seed)
+        return evaluate(plan, _draw_counts(plan, range(start, min(start + plan.chunk, b)), seed))
 
     starts = range(0, b, plan.chunk)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, starts))
-    else:
-        for start in starts:
-            one(start)
-    return out
+            return np.concatenate(list(pool.map(one, starts)))
+    return np.concatenate([one(start) for start in starts])
 
 
 def drop_failed(values: np.ndarray, what: str) -> tuple[np.ndarray, int]:

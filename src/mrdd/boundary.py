@@ -1,31 +1,31 @@
 """Boundary statistics at the cutoff: one-sided means, densities, and their ratio.
 
 ``estimate_boundary`` assembles the five numbers every bound and test
-consumes: mu_plus, mu_minus, f_plus, f_minus and r = f_minus / f_plus.
+consumes: mu_plus, mu_minus, f_plus, f_minus and r = f_minus / f_plus, as
+the all-ones replicate of the bootstrap engine's plan (``sample_estimates``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
 
+from ._bootstrap import Plan, build_plan, evaluate
 from .errors import (
-    DataError,
     InvalidConfig,
     InvalidInputs,
     InvalidOutcomeRange,
 )
 from .localfit import (
+    DENSITY_FLOOR,
     FitSpec,
     KernelKind,
     Side,
-    boundary_density,
     check_order,
-    density_window,
-    local_poly_fit,
     rot_bandwidth,
+    support_error,
 )
 
 
@@ -106,12 +106,21 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Bandwidths:
-    """Per-side, per-object bandwidths; None means rule-of-thumb default."""
+    """Per-side, per-object bandwidths; None means rule-of-thumb default.
+
+    A given bandwidth that is not positive and finite raises InvalidConfig.
+    """
 
     mean_left: float | None = None
     mean_right: float | None = None
     dens_left: float | None = None
     dens_right: float | None = None
+
+    def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if value is not None and not (value > 0 and np.isfinite(value)):
+                raise InvalidConfig(f"bandwidth {item.name} must be positive and finite, got {value}")
 
     def resolved(self, xs: np.ndarray, cutoff: float) -> "Bandwidths":
         """Fill missing entries with rot_bandwidth on the matching side.
@@ -197,65 +206,43 @@ class BoundaryEstimates:
     warnings: tuple[str, ...] = ()
 
 
-def _labeled(side: str, stage: str, err: DataError) -> DataError:
-    err.args = (f"{side} {stage}: {err.args[0]}",) + err.args[1:]
-    if hasattr(err, "side"):
-        err.side = side
-    return err
-
-
 def estimate_boundary(data: Dataset, config: FitConfig = FitConfig()) -> BoundaryEstimates:
     """Estimate (mu_plus, mu_minus, f_plus, f_minus, r) at the cutoff.
 
     Means come from one-sided local polynomial intercepts on (x, y);
     densities from one-sided local CDF fits. Missing bandwidths default to
     the rule of thumb per side. A warning flag is recorded when the density
-    ratio exceeds one, which contradicts the one-sided sorting direction
-    f(c-) <= f(c+) maintained by the bounds.
-
-    Raises per-side labeled InsufficientData / SingularDesign /
-    DegenerateSupport when a side cannot be estimated.
+    ratio exceeds one, against the direction f(c-) <= f(c+) the bounds
+    maintain. A side that cannot be estimated raises a labeled DataError.
     """
-    xs, c = data.xs, data.cutoff
-    fit = config.resolved(xs, c)
-    notes: list[str] = []
+    fit = config.resolved(data.xs, data.cutoff)
+    return sample_estimates(build_plan(data.xs, data.cutoff, fit, (data.ys,)), fit)[0]
 
-    def mean_fit(side):
-        try:
-            return local_poly_fit(xs, data.ys, c, fit.mean_spec(side))
-        except DataError as err:
-            raise _labeled(side.value, "mean fit", err)
 
-    def dens_fit(side):
-        spec = fit.density_spec(side)
-        try:
-            dens, clipped = boundary_density(xs, c, spec)
-        except DataError as err:
-            raise _labeled(side.value, "density fit", err)
-        if clipped:
-            notes.append(f"density_clipped_{side.value}")
-        return dens, int(np.count_nonzero(density_window(xs, c, spec)))
-
+def sample_estimates(plan: Plan, fit: FitConfig) -> tuple[BoundaryEstimates, np.ndarray]:
+    """The boundary statistics of the sample ``plan`` was built on with ``fit``,
+    and the row of ``evaluate`` on all-ones counts they come from: the
+    moment equations every replicate solves. The first fit that cannot be
+    made raises its labeled DataError."""
+    row = evaluate(plan, np.ones((1, plan.by_index.size)))[0]
+    mu_plus, mu_minus, f_plus, f_minus = (float(v) for v in row[:4])
+    right, left = plan.sides
     # the densities first, so a sample the density test cannot fit reports that first
-    f_minus, n_dens_left = dens_fit(Side.LEFT)
-    f_plus, n_dens_right = dens_fit(Side.RIGHT)
-    fit_minus = mean_fit(Side.LEFT)
-    fit_plus = mean_fit(Side.RIGHT)
+    checks = (
+        (Side.LEFT, True, fit.density_spec(Side.LEFT), left.density_counts, f_minus),
+        (Side.RIGHT, True, fit.density_spec(Side.RIGHT), right.density_counts, f_plus),
+        (Side.LEFT, False, fit.mean_spec(Side.LEFT), left.mean_counts, mu_minus),
+        (Side.RIGHT, False, fit.mean_spec(Side.RIGHT), right.mean_counts, mu_plus),
+    )
+    for side, cdf, spec, counts, value in checks:
+        err = support_error(spec, counts, cdf, solved=not np.isnan(value))
+        if err is not None:
+            err.args = (f"{side.value} {'density' if cdf else 'mean'} fit: {err}",)
+            raise err
+    # a fit at the floor was floored: its slope was not positive
+    notes = [f"density_clipped_{side}" for side, f in (("left", f_minus), ("right", f_plus)) if f == DENSITY_FLOOR]
     r = f_minus / f_plus
     if r > 1.0:
         notes.append("density_ratio_above_one")
-    return BoundaryEstimates(
-        mu_plus=float(fit_plus.coefficients[0]),
-        mu_minus=float(fit_minus.coefficients[0]),
-        f_plus=f_plus,
-        f_minus=f_minus,
-        r=r,
-        bandwidths=fit.bandwidths,
-        n_effective=SideCounts(
-            mean_left=fit_minus.effective_n,
-            mean_right=fit_plus.effective_n,
-            dens_left=n_dens_left,
-            dens_right=n_dens_right,
-        ),
-        warnings=tuple(notes),
-    )
+    counts = SideCounts(left.mean_counts[0], right.mean_counts[0], left.density_counts[0], right.density_counts[0])
+    return BoundaryEstimates(mu_plus, mu_minus, f_plus, f_minus, r, fit.bandwidths, counts, tuple(notes)), row

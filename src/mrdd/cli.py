@@ -323,6 +323,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         block["fuzzy_set"] = None
         block["fuzzy_status"] = None
 
+    _check_sets(block, cfg.assumption, y_low, y_high)
     dup_fraction = 1.0 - np.unique(data.xs).size / data.n
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -350,6 +351,23 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         "blocks": [block],
     }
     return report
+
+
+def _check_sets(block: dict, assumption: TypeAssumption, y_low: float, y_high: float) -> None:
+    """Raise RuntimeError, an internal error, where ``block`` breaks what its
+    formulas guarantee: each confidence interval contains the identified
+    set, and under type 2 and the mixture the sharp set lies inside it. The
+    slack is the one ``bounds`` snaps crossed ends with; an end the report
+    writes as null is not compared."""
+    slack = 1e-9 * max(1.0, abs(y_low), abs(y_high))
+    pairs = [("ci_fixed_r", "identified_set"), ("ci_random_r", "identified_set")]
+    if assumption in (TypeAssumption.TYPE2, TypeAssumption.MIXED):
+        pairs.append(("identified_set", "sharp_set"))
+    for outer, inner in pairs:
+        if block[outer] and block[inner]:
+            ends = ((block[outer][0], block[inner][0]), (block[inner][1], block[outer][1]))
+            if any(np.isfinite([a, b]).all() and a > b + slack for a, b in ends):
+                raise RuntimeError(f"{outer} {block[outer]} does not contain {inner} {block[inner]}")
 
 
 # ---------------------------------------------------------------- commands

@@ -20,11 +20,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._bootstrap import MAX_ALPHA, BootstrapConfig, drop_failed, run_replicates
-from .boundary import BoundaryEstimates, Dataset, FitConfig, estimate_boundary
+from ._bootstrap import MAX_ALPHA, BootstrapConfig, build_plan, drop_failed, run_replicates
+from .boundary import BoundaryEstimates, Dataset, FitConfig, sample_estimates
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, UnknownCovariate
-from .localfit import Side, local_poly_fit, sample_sd
+from .localfit import sample_sd
 
 
 class RMode(enum.Enum):
@@ -65,29 +65,27 @@ def bootstrap_boundary_replicates(
 ) -> BoundaryDraws:
     """Row-resample the data ``cfg.b`` times and re-estimate the boundary.
 
-    One engine pass evaluates the four boundary fits and, for each name in
+    One engine plan evaluates the four boundary fits and, for each name in
     ``covariates`` (UnknownCovariate if absent), its two mean fits on the
-    outcome's windows. The boundary columns are the same bits whichever
-    covariates are named. Bandwidths are selected once on the full sample
-    and frozen across replicates, and replicate randomness is keyed by
-    (seed, replicate index), so the draws are deterministic in the arguments.
+    outcome's windows: on the sample, for the point estimates and jumps,
+    then on every replicate. The boundary columns are the same bits
+    whichever covariates are named. Bandwidths are selected once on the full
+    sample, and replicate randomness is keyed by (seed, replicate index).
     """
     for name in covariates:
         if name not in data.covariates:
             raise UnknownCovariate(f"covariate {name!r} not present; have {sorted(data.covariates)}")
-    c = data.cutoff
-    fit = fit.resolved(data.xs, c)
-    point = estimate_boundary(data, fit)
-    right, left = fit.mean_spec(Side.RIGHT), fit.mean_spec(Side.LEFT)
-    jumps = []
-    for name in covariates:
-        ws = data.covariates[name]
-        w_plus = local_poly_fit(data.xs, ws, c, right).coefficients[0]
-        w_minus = local_poly_fit(data.xs, ws, c, left).coefficients[0]
-        jumps.append((name, w_plus - w_minus))
+    fit = fit.resolved(data.xs, data.cutoff)
     columns = (data.ys, *(data.covariates[name] for name in covariates))
-    draws = run_replicates(data.xs, c, fit, columns, cfg.b, cfg.seed, cfg.workers)
-    return BoundaryDraws(point=point, draws=draws, covariates=tuple(jumps))
+    plan = build_plan(data.xs, data.cutoff, fit, columns)
+    point, row = sample_estimates(plan, fit)
+    # a constant covariate has no jump; its two moment solves may leave one of rounding size
+    jumps = tuple(
+        (name, 0.0 if np.ptp(data.covariates[name]) == 0 else float(row[4 + 2 * j] - row[5 + 2 * j]))
+        for j, name in enumerate(covariates)
+    )
+    draws = run_replicates(plan, cfg.b, cfg.seed, cfg.workers)
+    return BoundaryDraws(point=point, draws=draws, covariates=jumps)
 
 
 def bounds_from_draws(

@@ -3,19 +3,17 @@
 The estimators here:
 
 * ``local_poly_fit`` fits a weighted polynomial in the centred running
-  variable and reads the level off the intercept, one-sided or interior.
+  variable, one-sided or interior, from the normal equations of its
+  window's moment sums, as the bootstrap engine does; the intercept is the
+  level.
 * ``boundary_density`` estimates the density at a point as the slope of a
   local polynomial fit to the empirical CDF, one degree above the requested
-  order. A non-positive slope is floored at ``DENSITY_FLOOR`` and flagged;
-  reporting or counting the flag is the caller's job.
-* ``density_curve`` gives the same densities, bit for bit, at many points
-  over one sample.
+  order. A non-positive slope is floored at ``DENSITY_FLOOR`` and flagged.
+  ``density_curve`` gives the same densities, bit for bit, at many points.
 * ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth from
-  ``sample_sd``, a standard deviation that cannot overflow; the bootstrap
-  SEs use it too.
+  ``sample_sd``, a standard deviation that cannot overflow.
 
-Both fits take plain arrays: the running variable, and for the mean fit the
-outcome.
+The fits take plain arrays.
 
 Both density functions run one kernel, ``_fit_windows``. The sorted rows
 are cut into blocks of _BLOCK rows at fixed multiples of _BLOCK in the
@@ -30,13 +28,12 @@ side's kernel polynomial; one batched ``fit_from_moments`` solve gives the
 slopes. A fit costs O(_BLOCK + m / _BLOCK) for m window rows, and sums use
 elementwise numpy and ``bincount`` only, never BLAS.
 
-``local_weights``, ``density_window``, ``weighted_powers`` and
-``fit_from_moments`` are the array-level pieces behind them: which rows a fit
-uses, with what weight, and the coefficients from weighted moment sums. The
-bootstrap engine builds its batched fits from the same pieces.
-
-Everything is a pure function of its arguments and safe to call from
-multiple threads.
+``local_weights``, ``density_window``, ``weighted_powers``,
+``fit_from_moments`` and ``support_error`` are the array-level pieces behind
+them, which the bootstrap engine shares: which rows a fit uses, with what
+weight, the coefficients from weighted moment sums, and the error of a
+window too poor for its fit. Everything is a pure function of its
+arguments and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from math import comb
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateSupport,
     InsufficientData,
     InvalidConfig,
@@ -158,20 +156,6 @@ def _side_mask(x: np.ndarray, point: float, side: Side) -> np.ndarray:
     return np.ones(x.shape, dtype=bool)
 
 
-def _weighted_polyfit(u, w, v, degree, side_label):
-    """Weighted LS of v on powers of u (already scaled to [-1, 1])."""
-    design = np.vander(u, degree + 1, increasing=True)
-    sw = np.sqrt(w)
-    beta, _, rank, _ = np.linalg.lstsq(design * sw[:, None], v * sw, rcond=None)
-    if rank < degree + 1:
-        raise SingularDesign(
-            f"normal equations rank {rank} < {degree + 1}; "
-            "not enough distinct running-variable values in window",
-            side=side_label,
-        )
-    return beta
-
-
 def local_poly_fit(x, y, eval_point: float, spec: FitSpec) -> LocalFitResult:
     """Kernel-weighted polynomial regression of y on (x - eval_point).
 
@@ -183,36 +167,63 @@ def local_poly_fit(x, y, eval_point: float, spec: FitSpec) -> LocalFitResult:
 
     Returns
     -------
-    LocalFitResult with ``coefficients[0]`` the one-sided level estimate.
+    LocalFitResult with ``coefficients[0]`` the one-sided level estimate,
+    from the normal equations of the window's moment sums.
 
     Raises
     ------
     InvalidConfig : x and y are not 1-d arrays of equal length
-    InsufficientData : fewer than order+1 points carry nonzero weight
-    SingularDesign : the weighted design is rank deficient
+    InsufficientData, SingularDesign : as ``support_error`` finds them
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise InvalidConfig("x and y must be 1-d arrays of equal length")
     u, w, keep = local_weights(x, eval_point, spec)
-    m = int(np.count_nonzero(keep))
-    if m < spec.order + 1:
-        raise InsufficientData(
-            f"{m} in-window points on side {spec.side.value!r}, "
-            f"need at least {spec.order + 1} for order {spec.order}",
-            side=spec.side.value,
-        )
-    u, w, y = u[keep], np.asarray(w)[keep], y[keep]
-    beta = _weighted_polyfit(u, w, y, spec.order, spec.side.value)
+    u, w, y = u[keep], w[keep], y[keep]
+    d = spec.order
+    moments = np.empty((3 * d + 2, u.size))
+    weighted_powers(u, w, 2 * d, moments[: 2 * d + 1])
+    weighted_powers(u, w * y, d, moments[2 * d + 1 :])
+    # numpy's pairwise sums along each row, never BLAS
+    sums = moments.sum(axis=1)
+    beta = fit_from_moments(sums[: 2 * d + 1], sums[2 * d + 1 :])
+    positive = np.unique(u).size
+    err = support_error(spec, (u.size, positive, positive), cdf=False, solved=not np.isnan(beta[0]))
+    if err is not None:
+        raise err
     # beta is in u-powers; convert back to (x - eval_point) powers one
     # division by h at a time, so h**k never overflows on its own. A slope
     # beyond the float range becomes inf, as in Python floats.
-    coef = beta.copy()
     with np.errstate(over="ignore"):
-        for k in range(1, spec.order + 1):
-            coef[k:] /= spec.bandwidth
-    return LocalFitResult(coefficients=coef, effective_n=m)
+        for k in range(1, d + 1):
+            beta[k:] /= spec.bandwidth
+    return LocalFitResult(coefficients=beta, effective_n=u.size)
+
+
+def support_error(spec: FitSpec, counts, cdf: bool, solved: bool = True) -> DataError | None:
+    """The DataError of the mean fit on ``spec``, or with ``cdf`` of the CDF
+    fit behind its density, on a window of ``counts``: rows, distinct values
+    and distinct positive-weight values; None where it can be fit. ``solved``
+    False marks normal equations with an exactly zero pivot.
+    """
+    rows, distinct, positive = counts
+    side, degree = spec.side.value, spec.order + cdf
+    if cdf and rows - distinct > DUPLICATE_FRACTION_LIMIT * rows:
+        return DegenerateSupport(f"{rows - distinct} of {rows} in-window values are exact duplicates; "
+                                 "the running variable looks discrete", side=side)
+    if cdf and distinct <= degree:
+        return InsufficientData(f"{distinct} distinct in-window points on side {side!r}, need at least "
+                                f"{degree + 1} for a degree-{degree} CDF fit", side=side)
+    if not cdf and rows <= degree:
+        return InsufficientData(f"{rows} in-window points on side {side!r}, "
+                                f"need at least {degree + 1} for order {degree}", side=side)
+    if not cdf and positive <= degree:
+        return SingularDesign(f"normal equations rank {positive} < {degree + 1}; "
+                              "not enough distinct running-variable values in window", side=side)
+    if positive <= degree or not solved:
+        return SingularDesign(f"normal equations of the degree-{degree} {'CDF' if cdf else 'mean'} fit are "
+                              f"singular on {positive} distinct positive-weight values in window", side=side)
+    return None
 
 
 def local_weights(x: np.ndarray, eval_point: float, spec: FitSpec):
@@ -242,11 +253,20 @@ def fit_from_moments(weight_sums: np.ndarray, value_sums: np.ndarray) -> np.ndar
     ``weight_sums[..., k]`` holds sum(w * u**k) for k = 0..2d and
     ``value_sums[..., j]`` holds sum(w * u**j * v) for j = 0..d. Returns the
     solution of the normal equations, coefficients in u powers, shape
-    ``(..., d + 1)``. The caller rules out singular systems beforehand.
+    ``(..., d + 1)``; the batch shapes broadcast. A system that is singular
+    in floating point, with an exactly zero pivot, gets NaN coefficients.
     """
     d = value_sums.shape[-1] - 1
     gram = weight_sums[..., np.add.outer(np.arange(d + 1), np.arange(d + 1))]
-    return np.linalg.solve(gram, value_sums[..., None])[..., 0]
+    values = value_sums[..., None]
+    try:
+        return np.linalg.solve(gram, values)[..., 0]
+    except np.linalg.LinAlgError:
+        # the same LU factorisation finds the singular systems; the identity
+        # stands in for them, so that the others are solved alone
+        singular = (np.linalg.slogdet(gram)[0] == 0)[..., None]
+        gram = np.where(singular[..., None], np.eye(d + 1), gram)
+        return np.where(singular, np.nan, np.linalg.solve(gram, values)[..., 0])
 
 
 def _density_edges(eval_point: float, spec: FitSpec) -> tuple[float, float]:
@@ -351,10 +371,9 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
     """The CDF-fit density at each of ``points`` on the sorted rows [start, stop).
 
     ``blocks`` are the rows' ``_block_sums`` for this bandwidth, order and
-    kernel. Returns ``(density, clipped, code, counts)``. Code 1, 2 or 3
-    marks a fit that raises DegenerateSupport, InsufficientData or
-    SingularDesign, with NaN density; ``counts`` holds each window's rows,
-    distinct values and distinct positive-weight values.
+    kernel. Returns ``(density, clipped, counts)``: the density is NaN where
+    ``support_error`` gives the fit an error, and ``counts`` holds each
+    window's rows, distinct values and distinct positive-weight values.
     """
     x, ends, starts, _ = rows
     degree = order + 1
@@ -363,12 +382,13 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
         return np.where(b > a, starts[b] - starts[np.minimum(a + 1, b)] + 1, 0)
 
     m, distinct = stop - start, n_distinct(start, stop)
-    code = np.where(m - distinct > DUPLICATE_FRACTION_LIMIT * m, 1, np.where(distinct < degree + 1, 2, 0))
+    # the tests of support_error, on every window at once
+    fit = (m - distinct <= DUPLICATE_FRACTION_LIMIT * m) & (distinct >= degree + 1)
     # the positive-weight rows: drop each tie group at either end of the
     # window that kernel_weight gives no weight
     s0, s1 = start.copy(), stop.copy()
     for low in (True, False):
-        live = np.flatnonzero(code == 0)
+        live = np.flatnonzero(fit)
         while live.size:
             live = live[s0[live] < s1[live]]
             live = live[kernel_weight((x[s0[live] if low else s1[live] - 1] - points[live]) / h, kernel) == 0]
@@ -377,9 +397,7 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
             else:
                 s1[live] = np.searchsorted(x, x[s1[live] - 1], side="left")
     positive = n_distinct(s0, s1)
-    code[(code == 0) & (positive < degree + 1)] = 3
-
-    i = np.flatnonzero(code == 0)
+    i = np.flatnonzero(fit & (positive >= degree + 1))
     centre = 0.5 * ((x[s0[i]] - points[i]) / h + (x[s1[i] - 1] - points[i]) / h)
     # segment 2k holds point k's rows below it, segment 2k + 1 the rest
     mid = np.clip(np.searchsorted(x, points[i], side="left"), s0[i], s1[i])
@@ -393,21 +411,16 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
     sums = np.array([sum(cq * raw[k + q] for q, cq in enumerate(coef))
                      for k in (*range(2 * degree + 1), *range(n_pow, n_pow + degree + 1))])
     sums = (sums[:, 0::2] + sums[:, 1::2]).T
-    weight_sums, value_sums = sums[:, : 2 * degree + 1], sums[:, 2 * degree + 1 :]
-    gram = weight_sums[:, np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
-    sign, logdet = np.linalg.slogdet(gram)
-    solvable = (sign != 0) & np.isfinite(logdet)
-    code[i[~solvable]] = 3
-    beta = fit_from_moments(weight_sums[solvable], value_sums[solvable])
+    beta = fit_from_moments(sums[:, : 2 * degree + 1], sums[:, 2 * degree + 1 :])
     # the slope at the point, where v = -centre
     slope = degree * beta[:, degree]
     for k in range(degree - 1, 0, -1):
-        slope = slope * -centre[solvable] + k * beta[:, k]
+        slope = slope * -centre + k * beta[:, k]
     density = np.full(points.size, np.nan)
-    density[i[solvable]] = slope / n / h
+    density[i] = slope / n / h
     clipped = density < DENSITY_FLOOR
     density[clipped] = DENSITY_FLOOR
-    return density, clipped, code, (m, distinct, positive)
+    return density, clipped, (m, distinct, positive)
 
 
 def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:
@@ -417,33 +430,22 @@ def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]
     polynomial of degree ``spec.order + 1`` and takes its slope. Returns
     ``(density, clipped)``: a non-positive slope is replaced by
     ``DENSITY_FLOOR``, because ratios built downstream need f > 0, and
-    ``clipped`` says so. Raises DegenerateSupport when too many in-window
-    values are exact duplicates.
-
-    One call costs O(n) to mask the sample plus O(m log m) to sort the m
-    window rows; the rows below the window place the sample's blocks in it,
-    so the value has the bits of ``density_curve``'s.
+    ``clipped`` says so. A window too poor for the fit raises the DataError
+    of ``support_error``. One call costs O(n + m log m) for m window rows,
+    and the value has the bits of ``density_curve``'s.
     """
     xs = np.asarray(xs, dtype=float)
     lo, _ = _density_edges(eval_point, spec)
     win = np.sort(xs[density_window(xs, eval_point, spec)])
     rows = _sorted_rows(win, int(np.count_nonzero(xs < lo)))
-    density, clipped, code, counts = _fit_windows(
+    density, clipped, counts = _fit_windows(
         rows, _block_sums(rows, spec.bandwidth, spec.order, spec.kernel), xs.size,
         np.array([eval_point], dtype=float), np.array([0]), np.array([win.size]),
         spec.order, spec.bandwidth, spec.kernel,
     )
-    m, distinct, positive = (int(c[0]) for c in counts)
-    side, degree = spec.side.value, spec.order + 1
-    if code[0] == 1:
-        raise DegenerateSupport(f"{m - distinct} of {m} in-window values are exact duplicates; "
-                                "the running variable looks discrete", side=side)
-    if code[0] == 2:
-        raise InsufficientData(f"{distinct} distinct in-window points on side {side!r}, need at least "
-                               f"{degree + 1} for a degree-{degree} CDF fit", side=side)
-    if code[0] == 3:
-        raise SingularDesign(f"normal equations of the degree-{degree} CDF fit are singular on "
-                             f"{positive} distinct positive-weight values in window", side=side)
+    err = support_error(spec, [int(c[0]) for c in counts], cdf=True, solved=not np.isnan(density[0]))
+    if err is not None:
+        raise err
     return float(density[0]), bool(clipped[0])
 
 

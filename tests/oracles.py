@@ -5,7 +5,9 @@ package against, and that ``mrdd analyze`` never runs.
 mass by greedy enumeration; ``weighted_trimmed_means`` and
 ``binary_sharp_gfuncs`` are the vectorised and binary closed forms of the
 same extreme trimmed means; ``verify_lemma_moments`` checks the boundary
-mixture identities of a ``TypedSample`` on latent-conditional windows.
+mixture identities of a ``TypedSample`` on latent-conditional windows;
+``lstsq_level`` is a local polynomial fit by least squares on the weighted
+design, against the moment equations the package solves.
 """
 
 from __future__ import annotations
@@ -15,8 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from mrdd.bounds import _lower_partial_sums, _sorted_window
-from mrdd.errors import InsufficientData, InvalidConfig
+from mrdd.errors import InsufficientData, InvalidConfig, SingularDesign
+from mrdd.localfit import FitSpec, local_weights
 from mrdd.synth import TypedSample
+
+
+def lstsq_level(x, y, eval_point: float, spec: FitSpec) -> float:
+    """The level at ``eval_point`` of the kernel-weighted polynomial fit of y
+    on x, by ``np.linalg.lstsq`` on the square-root-weighted design.
+
+    Raises InsufficientData when fewer rows than coefficients carry weight,
+    and SingularDesign when the design's numerical rank is below that.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    u, w, keep = local_weights(x, eval_point, spec)
+    need = spec.order + 1
+    if np.count_nonzero(keep) < need:
+        raise InsufficientData(f"{np.count_nonzero(keep)} weighted rows, need {need}", side=spec.side.value)
+    sw = np.sqrt(w[keep])
+    design = np.vander(u[keep], need, increasing=True) * sw[:, None]
+    beta, _, rank, _ = np.linalg.lstsq(design, y[keep] * sw, rcond=None)
+    if rank < need:
+        raise SingularDesign(f"design rank {rank} < {need}", side=spec.side.value)
+    # the intercept in u powers is the level in x powers too
+    return float(beta[0])
 
 
 def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:

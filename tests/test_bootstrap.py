@@ -5,11 +5,12 @@ draws: k ~ Binomial(n, m/n) uniform draws over the m window rows (those
 between the lowest and highest x with positive weight in one of the four
 boundary fits), taken in order of original row index, plus n - k rows
 drawn uniformly from outside the window with a generator of its own. Each
-per-row fit (``local_poly_fit``,
-``boundary_density``) is applied to ``xs[idx]`` on its own, so a fit that
-raises blanks only its own cell, with the discreteness heuristic off as
-resamples duplicate values by construction. A law test checks the window
-draw against the full multinomial(n, 1/n) resample it replaces.
+per-row fit (the least-squares ``oracles.lstsq_level`` for the means,
+``boundary_density`` for the densities) is applied to ``xs[idx]`` on its
+own, so a fit that raises blanks only its own cell, with the discreteness
+heuristic off as resamples duplicate values by construction. A law test
+checks the window draw against the full multinomial(n, 1/n) resample it
+replaces.
 """
 
 import math
@@ -24,17 +25,20 @@ from mrdd import (
     FitConfig,
     KernelKind,
     RMode,
+    SideCounts,
     TypeAssumption,
     balance_test,
     bootstrap_boundary_replicates,
     bounds_from_draws,
     density_discontinuity_test,
+    estimate_boundary,
 )
 from mrdd import _bootstrap, localfit
-from mrdd._bootstrap import drop_failed, replicate_rng, run_replicates
+from mrdd._bootstrap import build_plan, drop_failed, replicate_rng, run_replicates
 from mrdd.diagnostics import protocol_from_draws
 from mrdd.errors import DataError, TooManyFailedReplicates
-from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_poly_fit, local_weights
+from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_weights
+from oracles import lstsq_level
 
 B = 64
 SEED = 17
@@ -64,7 +68,7 @@ def per_row_fits(data, fit, covariates=()):
     mean_r, mean_l = fit.mean_spec(Side.RIGHT), fit.mean_spec(Side.LEFT)
 
     def mean(values, spec):
-        return lambda idx: local_poly_fit(xs[idx], values[idx], c, spec).coefficients[0]
+        return lambda idx: lstsq_level(xs[idx], values[idx], c, spec)
 
     def density(side):
         return lambda idx: boundary_density(xs[idx], c, fit.density_spec(side))[0]
@@ -156,6 +160,36 @@ def test_engine_matches_per_row_fits(order, kernel):
     assert res.replications == ok_rows(ref[:, 4:6]).shape[0]
 
 
+def continuous_sample(seed=6, n=3000):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(0.0, 0.6, n)
+    ys = (rng.uniform(size=n) < 0.4 + 0.2 * (xs >= 0)).astype(float)
+    return Dataset(xs=xs, ys=ys, cutoff=0.0, y_low=0.0, y_high=1.0, covariates={"w": xs + rng.normal(size=n)})
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("sample", [tied_sample, continuous_sample])
+def test_sample_is_replicate_zero(sample, order, kernel):
+    data = sample()
+    fit = config(order, kernel)
+    plan = build_plan(data.xs, 0.0, fit, (data.ys, data.covariates["w"]))
+    row = _bootstrap.evaluate(plan, np.ones((1, plan.by_index.size)))[0]
+    be = estimate_boundary(data, fit)
+    assert (be.mu_plus, be.mu_minus, be.f_plus, be.f_minus) == tuple(row[:4])
+    draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=B, seed=SEED), fit, ("w",))
+    assert draws.point == be
+    assert draws.covariates == (("w", row[4] - row[5]),)
+    # against the per-row fits: least squares for the means, the block-sum CDF fit for the densities
+    stats = per_row_fits(data, fit, ("w",))
+    np.testing.assert_allclose(row, [stat(np.arange(data.n)) for stat in stats], rtol=1e-12, atol=1e-14)
+    # the sample's windows and their rows, as every per-row fit counts them
+    xs = data.xs
+    means = [local_weights(xs, 0.0, fit.mean_spec(side))[2].sum() for side in (Side.LEFT, Side.RIGHT)]
+    dens = [density_window(xs, 0.0, fit.density_spec(side)).sum() for side in (Side.LEFT, Side.RIGHT)]
+    assert be.n_effective == SideCounts(*means, *dens)
+
+
 @pytest.mark.parametrize("blocks, tail", [(0, 0), (0, 1), (0, 255), (9, 7), (40, 0), (240, 186)])
 def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
     # the last case is the right side's window on the benchmark's n=200k
@@ -179,12 +213,13 @@ def test_chunks_and_workers_do_not_change_draws(monkeypatch, order):
     data = tied_sample()
     fit = config(order, KernelKind.TRIANGULAR)
     columns = (data.ys, data.covariates["w"])
-    whole = run_replicates(data.xs, 0.0, fit, columns, 200, SEED)
+    whole = run_replicates(build_plan(data.xs, 0.0, fit, columns), 200, SEED)
     monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 1 << 16)  # a few replicates per chunk
-    one = run_replicates(data.xs, 0.0, fit, columns, 200, SEED, workers=1)
-    three = run_replicates(data.xs, 0.0, fit, columns, 200, SEED, workers=3)
+    plan = build_plan(data.xs, 0.0, fit, columns)
+    one = run_replicates(plan, 200, SEED, workers=1)
+    three = run_replicates(plan, 200, SEED, workers=3)
     monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 8)  # one replicate per chunk
-    single = run_replicates(data.xs, 0.0, fit, columns, 200, SEED)
+    single = run_replicates(build_plan(data.xs, 0.0, fit, columns), 200, SEED)
     assert one.shape == (200, 6)
     assert np.array_equal(one, three)
     assert np.array_equal(one, whole)
@@ -322,7 +357,7 @@ def test_window_draw_has_the_full_multinomial_law():
     data = Dataset(xs=xs, ys=np.zeros(xs.size), cutoff=0.0, y_low=0.0, y_high=1.0)
     fit = config(1, KernelKind.TRIANGULAR)
     window = window_rows(data, fit)
-    plan = _bootstrap._plan(data.xs, 0.0, fit, (data.ys,))
+    plan = build_plan(data.xs, 0.0, fit, (data.ys,))
     n, m, reps = data.n, window.size, 10_000
     assert plan.by_index.size == m and 20 < m < n / 2
     # the engine's counts are in x order; by_index puts them in row order
@@ -346,7 +381,7 @@ def test_sparse_side_fails_as_often_as_under_the_full_resample():
             left_density(replicate_rng(SEED + 1, rep).integers(0, n, n))
         except DataError:
             failed += 1
-    draws = run_replicates(data.xs, 0.0, SPARSE_FIT, (data.ys,), reps, SEED)
+    draws = run_replicates(build_plan(data.xs, 0.0, SPARSE_FIT, (data.ys,)), reps, SEED)
     ours, full = np.isnan(draws[:, 3]).mean(), failed / reps
     assert ours > 0.1 and full > 0.1
     se = np.sqrt((ours * (1 - ours) + full * (1 - full)) / reps)

@@ -6,10 +6,18 @@ from mrdd import (
     Bandwidths,
     Dataset,
     FitConfig,
+    KernelKind,
     estimate_boundary,
     gen_appendix_d,
 )
-from mrdd.errors import InsufficientData, InvalidInputs, InvalidOutcomeRange
+from mrdd.errors import (
+    DegenerateSupport,
+    InsufficientData,
+    InvalidConfig,
+    InvalidInputs,
+    InvalidOutcomeRange,
+    SingularDesign,
+)
 
 
 def population_r(p, lam):
@@ -122,3 +130,43 @@ class TestEstimateBoundary:
         be = estimate_boundary(data)
         assert be.r > 1.0
         assert "density_ratio_above_one" in be.warnings
+
+
+def degenerate_cases():
+    """Samples that one boundary fit cannot support, with its error: class, side and message."""
+    rng = np.random.default_rng(1)
+    left, right = -rng.uniform(0, 1, 100), rng.uniform(0, 1, 100)
+    ones = Bandwidths(1.0, 1.0, 1.0, 1.0)
+    h = 1.8132702392002724  # the two right values' distances over h round to one u
+    narrow = Bandwidths(mean_left=0.02, mean_right=0.5, dens_left=1.0, dens_right=0.5)
+    return [
+        (np.abs(rng.standard_normal(1000)) + 0.1, ones, 1, InsufficientData, "left",
+         "left density fit: 0 distinct in-window points on side 'left', need at least 3 for a degree-2 CDF fit"),
+        (np.concatenate([np.full(80, 0.5), right[:20], left]), ones, 1, DegenerateSupport, "right",
+         "right density fit: 79 of 100 in-window values are exact duplicates; the running variable looks discrete"),
+        (np.concatenate([[0.1, 0.2], left]), ones, 1, InsufficientData, "right",
+         "right density fit: 2 distinct in-window points on side 'right', need at least 3 for a degree-2 CDF fit"),
+        (np.concatenate([[np.nextafter(1.0, 0.0), 1.0], left]), Bandwidths(h, h, h, h), 0, SingularDesign, "right",
+         "right density fit: normal equations of the degree-1 CDF fit are singular on 2 distinct "
+         "positive-weight values in window"),
+        (np.concatenate([np.full(3, -0.001), left - 0.05, right]), narrow, 1, SingularDesign, "left",
+         "left mean fit: normal equations rank 1 < 2; not enough distinct running-variable values in window"),
+        (np.concatenate([[-0.001], left - 0.05, right]), narrow, 1, InsufficientData, "left",
+         "left mean fit: 1 in-window points on side 'left', need at least 2 for order 1"),
+    ]
+
+
+@pytest.mark.parametrize("xs, bandwidths, order, error, side, message", degenerate_cases())
+def test_degenerate_sample_raises_labeled_error(xs, bandwidths, order, error, side, message):
+    data = Dataset(xs=xs, ys=np.zeros_like(xs), cutoff=0.0)
+    with pytest.raises(error) as excinfo:
+        estimate_boundary(data, FitConfig(order=order, kernel=KernelKind.TRIANGULAR, bandwidths=bandwidths))
+    assert excinfo.value.side == side
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["mean_left", "mean_right", "dens_left", "dens_right"])
+def test_bandwidth_must_be_positive_and_finite(name, value):
+    with pytest.raises(InvalidConfig, match=f"bandwidth {name} must be positive and finite"):
+        Bandwidths(**{name: value})

@@ -379,7 +379,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("covariates", [(), ("--covariate", "x_star")], ids=["outcome", "covariate"])
     def test_one_bootstrap_pass_per_analysis(self, typed_file, tmp_path, monkeypatch, covariates):
-        from mrdd import _bootstrap, inference
+        from mrdd import _bootstrap, boundary, inference
 
         calls = []
 
@@ -389,13 +389,16 @@ class TestAnalyze:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # each plan sorts the whole sample once
-        monkeypatch.setattr(_bootstrap, "_plan", counted("plan", _bootstrap._plan))
+        # each plan sorts the rows near the cutoff once; the point estimates
+        # are its all-ones replicate, so they need no plan of their own
+        monkeypatch.setattr(_bootstrap, "build_plan", counted("plan", _bootstrap.build_plan))
+        monkeypatch.setattr(boundary, "build_plan", counted("plan", boundary.build_plan))
+        monkeypatch.setattr(inference, "build_plan", counted("plan", inference.build_plan))
         monkeypatch.setattr(inference, "run_replicates", counted("run", inference.run_replicates))
         path, _ = typed_file
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", *covariates,
                        "--sharp", "--boot", "64", "--out", str(tmp_path / "r.json")) == 0
-        assert calls == ["run", "plan"]
+        assert calls == ["plan", "run"]
 
     @pytest.mark.parametrize("target", ["directory", "missing"])
     @pytest.mark.parametrize("command", ["analyze", "plotdata"])
@@ -495,6 +498,39 @@ class TestAnalyze:
         )
         assert proc.returncode == 2
         assert "--cutoff is required" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("key", ["bw_mean_left", "bw_mean_right", "bw_dens_left", "bw_dens_right"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_bandwidth_exits_2_before_reading_input(self, tmp_path, capsys, source, key, value):
+        given = [f"--{key.replace('_', '-')}={value}"]
+        if source == "config":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n")
+            given = ["--config", str(config)]
+        assert run_cli("analyze", str(tmp_path / "missing.csv"), "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       *given) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bandwidth ") and "positive and finite" in err
+
+    @pytest.mark.parametrize("assumption, code", [("type2", 4), ("mixed", 4), ("type3", 0)])
+    def test_sharp_set_outside_identified_set_exits_4(self, typed_file, tmp_path, monkeypatch, capsys,
+                                                      assumption, code):
+        # the report checks what its formulas guarantee, and a breach is a bug;
+        # the type-2 sharp set need not lie inside another model's set
+        path, _ = typed_file
+        real_sharp = cli.sharp_type2_bounds
+
+        def wider(*args):
+            res = real_sharp(*args)
+            return replace(res, lower=res.lower - 0.01, upper=res.upper + 0.01)
+
+        monkeypatch.setattr(cli, "sharp_type2_bounds", wider)
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--type", assumption,
+                       "--sharp", "--boot", "64", "--out", str(tmp_path / "r.json")) == code
+        if code == 4:
+            err = capsys.readouterr().err
+            assert "internal error: RuntimeError(" in err and "does not contain sharp_set" in err
 
     def test_internal_error_exits_4(self, typed_file, monkeypatch, capsys):
         # any exception outside the config and data families: a bug

@@ -18,6 +18,7 @@ from mrdd import (
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
 from mrdd import localfit
 from mrdd.localfit import DENSITY_FLOOR, density_window, sample_sd
+from oracles import lstsq_level
 
 
 class TestKernelWeight:
@@ -76,6 +77,16 @@ class TestLocalPolyFit:
         mask = np.abs(xs) <= h
         assert abs(res.coefficients[0] - ys[mask].mean()) < 1e-12
         assert res.effective_n == mask.sum()
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_moment_equations_match_least_squares(self, rng, order, kernel, side):
+        xs = rng.normal(0.3, 1.0, 2000)
+        ys = np.sin(3.0 * xs) + rng.normal(size=xs.size)
+        spec = FitSpec(order, 0.7, kernel, side)
+        level = local_poly_fit(xs, ys, 0.25, spec).coefficients[0]
+        assert level == pytest.approx(lstsq_level(xs, ys, 0.25, spec), rel=1e-12, abs=1e-14)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientData):
