@@ -95,7 +95,7 @@ def _refutation(r: float) -> tuple[BoundsStatus, str | None]:
     """Refuted, with a note, when the density ratio r exceeds one beyond
     tolerance; Informative otherwise."""
     if r <= 0:
-        raise InvalidConfig(f"density ratio must be positive, got {r}")
+        raise ValueError(f"density ratio must be positive, got {r}")
     if r > 1.0 + R_REFUTATION_TOLERANCE:
         return BoundsStatus.REFUTED, (
             f"estimated density ratio r={r:.4f} exceeds 1 beyond tolerance "
@@ -141,7 +141,7 @@ def crude_interval(mu_plus, mu_minus, r, y_low: float, y_high: float, assumption
     """
     _check_range(y_low, y_high)
     if np.any(r <= 0):
-        raise InvalidConfig(f"density ratio must be positive, got {np.min(r)}")
+        raise ValueError(f"density ratio must be positive, got {np.min(r)}")
     r = np.where(1.0 < r, 1.0, r)
     # overflow to inf and inf - inf = nan pass silently, as in Python floats
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import enum
 import json
 import sys
 import traceback
@@ -65,7 +66,6 @@ from .localfit import (
     density_curve,
     local_poly_fit,
     local_weights,
-    rot_bandwidth,
     sample_sd,
 )
 
@@ -403,103 +403,98 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {
+#: analyze's options in --help order: each config key, whose flag is the key
+#: with - for _, and the type of its value or the values it takes (an Enum's,
+#: or a range's). Column names come one per repeated --covariate flag, and
+#: comma-separated or as a JSON list in the config file.
+_OPTIONS = {
     "cutoff": float,
     "y_min": float,
     "y_max": float,
-    "type": str,
-    "order": int,
-    "kernel": str,
+    "type": TypeAssumption,
+    "order": range(MAX_ORDER + 1),
+    "kernel": KernelKind,
     "alpha": float,
     "boot": int,
     "seed": int,
     "sharp": bool,
     "fuzzy": bool,
+    "covariates": tuple,
     "col_x": str,
     "col_y": str,
     "col_d": str,
-    "workers": int,
     "bw_mean_left": float,
     "bw_mean_right": float,
     "bw_dens_left": float,
     "bw_dens_right": float,
+    "workers": int,
 }
 
 
+def _choices(kind) -> tuple[type, list | None]:
+    """The type of an option's flag value and the values the flag takes, None for any."""
+    if isinstance(kind, range):
+        return int, list(kind)
+    if isinstance(kind, enum.EnumMeta):
+        return str, [member.value for member in kind]
+    return kind, None
+
+
 def _coerce(key: str, value, kind):
-    """A config value as ``kind``: a string that parses as one, or a JSON value
-    of that type. An integer also serves as a float; a bool serves only as a bool."""
-    if isinstance(value, str) and kind is bool:
+    """A flag or config value as an option of ``kind``: a string that parses as
+    one, or a JSON value of its type. An integer also serves as a float; a
+    bool serves only as a bool. An Enum option gives its member; a range
+    option any int, which its config class checks."""
+    base, choices = _choices(kind)
+    if kind is tuple:
+        if isinstance(value, str):
+            value = [s for s in value.split(",") if s]
+        if isinstance(value, list) and all(isinstance(s, str) for s in value):
+            return tuple(value)
+    elif isinstance(value, str) and kind is bool:
         lowered = value.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-    elif isinstance(value, str) or type(value) is kind or (kind is float and type(value) is int):
+    elif isinstance(value, str) or type(value) is base or (base is float and type(value) is int):
         try:
-            return kind(value)
+            return kind(base(value)) if isinstance(kind, enum.EnumMeta) else base(value)
         except (ValueError, OverflowError):
             pass
-    raise InvalidConfig(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}")
+    what = "column names" if kind is tuple else base.__name__
+    if isinstance(kind, enum.EnumMeta):
+        what = "one of " + ", ".join(choices)
+    raise InvalidConfig(f"config key {key!r}: cannot parse {value!r} as {what}")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over the config classes' defaults."""
-    file_values: dict = {}
+    values: dict = {}
     if args.config:
-        raw = _read_config_file(args.config)
-        for key, value in raw.items():
-            if key == "covariates":
-                if isinstance(value, str):
-                    value = [s for s in value.split(",") if s]
-                if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
-                    raise InvalidConfig(f"config key 'covariates': expected column names, got {value!r}")
-                file_values["covariates"] = tuple(value)
-                continue
-            if key not in _CONFIG_KEYS:
+        for key, value in _read_config_file(args.config).items():
+            if key not in _OPTIONS:
                 raise InvalidConfig(f"unknown config key {key!r}")
-            file_values[key] = _coerce(key, value, _CONFIG_KEYS[key])
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
+            values[key] = _coerce(key, value, _OPTIONS[key])
+    for key, kind in _OPTIONS.items():
+        if getattr(args, key) is not None:
+            values[key] = _coerce(key, getattr(args, key), kind)
+    if "cutoff" not in values:
+        raise InvalidConfig("--cutoff is required (no inference from data)")
 
     def given(**fields: str) -> dict:
         """Field name -> value for each key a flag or the config file sets."""
-        values = {name: pick(getattr(args, key), key, None) for name, key in fields.items()}
-        return {name: value for name, value in values.items() if value is not None}
+        return {name: values[key] for name, key in fields.items() if key in values}
 
-    if pick(args.cutoff, "cutoff", None) is None:
-        raise InvalidConfig("--cutoff is required (no inference from data)")
-    type_name = pick(args.type, "type", "type2")
-    try:
-        assumption = TypeAssumption(type_name)
-    except ValueError:
-        raise InvalidConfig(f"unknown assumption type {type_name!r}")
-    kernel_name = pick(args.kernel, "kernel", "triangular")
-    try:
-        kernel = KernelKind(kernel_name)
-    except ValueError:
-        raise InvalidConfig(f"unknown kernel {kernel_name!r}")
-    bandwidths = Bandwidths(
-        **given(
-            mean_left="bw_mean_left",
-            mean_right="bw_mean_right",
-            dens_left="bw_dens_left",
-            dens_right="bw_dens_right",
-        )
-    )
+    # the bw_* keys name Bandwidths' fields
+    bandwidths = Bandwidths(**{key[3:]: value for key, value in values.items() if key.startswith("bw_")})
     return RunConfig(
-        assumption=assumption,
-        fit=FitConfig(kernel=kernel, bandwidths=bandwidths, **given(order="order")),
+        fit=FitConfig(bandwidths=bandwidths, **given(order="order", kernel="kernel")),
         boot=BootstrapConfig(**given(b="boot", seed="seed", alpha="alpha", workers="workers")),
-        sharp=bool(args.sharp or file_values.get("sharp", False)),
-        fuzzy=bool(args.fuzzy or file_values.get("fuzzy", False)),
-        covariates=tuple(args.covariate) if args.covariate else file_values.get("covariates", ()),
-        **given(cutoff="cutoff", y_low="y_min", y_high="y_max", col_x="col_x", col_y="col_y", col_d="col_d"),
+        **given(
+            cutoff="cutoff", y_low="y_min", y_high="y_max", assumption="type", sharp="sharp", fuzzy="fuzzy",
+            covariates="covariates", col_x="col_x", col_y="col_y", col_d="col_d",
+        ),
     )
 
 
@@ -584,15 +579,15 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     counts, _ = np.histogram(xs, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     is_left = edges[1:] <= c
-    h_left = rot_bandwidth(xs, Side.LEFT, c)
-    h_right = rot_bandwidth(xs, Side.RIGHT, c)
+    fit = FitConfig().resolved(xs, c)
+    h_left, h_right = fit.bandwidths.dens_left, fit.bandwidths.dens_right
     # a bin's fit is one-sided where its window crosses the cutoff, so the
     # bins share at most four specs: (side of the cutoff, interior or not)
     interior = np.where(is_left, centers + h_left <= c, centers - h_right >= c)
     keys = list(zip(is_left.tolist(), interior.tolist()))
     specs = {
         (left, inner): FitSpec(
-            1, h_left if left else h_right, KernelKind.TRIANGULAR,
+            fit.order, h_left if left else h_right, fit.kernel,
             Side.INTERIOR if inner else Side.LEFT if left else Side.RIGHT,
         )
         for left, inner in set(keys)
@@ -627,26 +622,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run the diagnostic protocol and bounds on a CSV file")
     pa.add_argument("input")
-    pa.add_argument("--cutoff", type=float, default=None)
-    pa.add_argument("--y-min", dest="y_min", type=float, default=None)
-    pa.add_argument("--y-max", dest="y_max", type=float, default=None)
-    pa.add_argument("--type", choices=[t.value for t in TypeAssumption], default=None)
-    pa.add_argument("--order", type=int, choices=range(MAX_ORDER + 1), default=None)
-    pa.add_argument("--kernel", choices=[k.value for k in KernelKind], default=None)
-    pa.add_argument("--alpha", type=float, default=None)
-    pa.add_argument("--boot", type=int, default=None)
-    pa.add_argument("--seed", type=int, default=None)
-    pa.add_argument("--sharp", action="store_true", default=False)
-    pa.add_argument("--fuzzy", action="store_true", default=False)
-    pa.add_argument("--covariate", action="append", default=None, metavar="NAME")
-    pa.add_argument("--col-x", dest="col_x", default=None)
-    pa.add_argument("--col-y", dest="col_y", default=None)
-    pa.add_argument("--col-d", dest="col_d", default=None)
-    pa.add_argument("--bw-mean-left", dest="bw_mean_left", type=float, default=None)
-    pa.add_argument("--bw-mean-right", dest="bw_mean_right", type=float, default=None)
-    pa.add_argument("--bw-dens-left", dest="bw_dens_left", type=float, default=None)
-    pa.add_argument("--bw-dens-right", dest="bw_dens_right", type=float, default=None)
-    pa.add_argument("--workers", type=int, default=None)
+    for key, kind in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            pa.add_argument(flag, dest=key, action="store_true", default=None)
+        elif kind is tuple:
+            pa.add_argument("--covariate", dest=key, action="append", metavar="NAME")
+        else:
+            base, choices = _choices(kind)
+            pa.add_argument(flag, dest=key, type=base, choices=choices)
     pa.add_argument("--config", default=None, help="key = value file or JSON")
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze)

@@ -23,7 +23,6 @@ import numpy as np
 
 from ._bootstrap import BootstrapConfig, drop_failed
 from .boundary import Dataset, FitConfig
-from .errors import InvalidConfig
 from .inference import BoundaryDraws, bootstrap_boundary_replicates
 from .localfit import sample_sd
 
@@ -44,7 +43,7 @@ class TestResult:
 
     def __post_init__(self):
         if not (0.0 <= self.p_value <= 1.0):
-            raise InvalidConfig(f"p-value out of [0, 1]: {self.p_value}")
+            raise ValueError(f"p-value out of [0, 1]: {self.p_value}")
 
 
 @dataclass(frozen=True)

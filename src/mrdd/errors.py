@@ -32,28 +32,24 @@ class InvalidWeights(ConfigError):
     pass
 
 
-class InsufficientData(DataError):
+class FitError(DataError):
+    """A local fit cannot be made; ``side`` names the side of the cutoff, if any."""
+
+    def __init__(self, message: str, side: str | None = None):
+        super().__init__(message)
+        self.side = side
+
+
+class InsufficientData(FitError):
     """Too few usable observations in the requested window or side."""
 
-    def __init__(self, message: str, side: str | None = None):
-        super().__init__(message)
-        self.side = side
 
-
-class SingularDesign(DataError):
+class SingularDesign(FitError):
     """Rank-deficient weighted least squares design."""
 
-    def __init__(self, message: str, side: str | None = None):
-        super().__init__(message)
-        self.side = side
 
-
-class DegenerateSupport(DataError):
+class DegenerateSupport(FitError):
     """Running variable looks discrete: too many exact duplicates in window."""
-
-    def __init__(self, message: str, side: str | None = None):
-        super().__init__(message)
-        self.side = side
 
 
 class UnknownCovariate(DataError):

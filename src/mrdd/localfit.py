@@ -6,16 +6,17 @@ The estimators here:
   variable, one-sided or interior, from the normal equations of its
   window's moment sums, as the bootstrap engine does; the intercept is the
   level.
-* ``boundary_density`` estimates the density at a point as the slope of a
-  local polynomial fit to the empirical CDF, one degree above the requested
-  order. A non-positive slope is floored at ``DENSITY_FLOOR`` and flagged.
-  ``density_curve`` gives the same densities, bit for bit, at many points.
+* ``density_curve`` estimates the density at each of many points as the
+  slope of a local polynomial fit to the empirical CDF, one degree above
+  the requested order; a non-positive slope is floored at ``DENSITY_FLOOR``
+  and flagged. ``boundary_density`` is its one-point case, which raises a
+  poor window's labelled DataError, and costs one sort of x.
 * ``rot_bandwidth`` supplies the rule-of-thumb default bandwidth from
   ``sample_sd``, a standard deviation that cannot overflow.
 
 The fits take plain arrays.
 
-Both density functions run one kernel, ``_fit_windows``. The sorted rows
+The densities come from one kernel, ``_fit_windows``. The sorted rows
 are cut into blocks of _BLOCK rows at fixed multiples of _BLOCK in the
 sorted sample, and each block keeps sum(t**k) and sum(t**k * r), with
 t = (x - a) / h and r = e_x - e_a for its first value a and the tie-group
@@ -269,29 +270,22 @@ def fit_from_moments(weight_sums: np.ndarray, value_sums: np.ndarray) -> np.ndar
         return np.where(singular, np.nan, np.linalg.solve(gram, values)[..., 0])
 
 
-def _density_edges(eval_point: float, spec: FitSpec) -> tuple[float, float]:
-    """Edges of the CDF fit's window; the upper one is exclusive on the LEFT side only."""
-    h = spec.bandwidth
-    lo = eval_point if spec.side is Side.RIGHT else eval_point - h
-    hi = eval_point if spec.side is Side.LEFT else eval_point + h
-    return lo, hi
-
-
 def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarray:
     """Rows entering the CDF fit: [p - h, p) left, [p, p + h] right, both interior."""
-    lo, hi = _density_edges(eval_point, spec)
-    below_hi = xs < hi if spec.side is Side.LEFT else xs <= hi
-    return (xs >= lo) & below_hi
+    h = spec.bandwidth
+    lo = eval_point if spec.side is Side.RIGHT else eval_point - h
+    if spec.side is Side.LEFT:
+        return (xs >= lo) & (xs < eval_point)
+    return (xs >= lo) & (xs <= eval_point + h)
 
 
-def _sorted_rows(x_sorted: np.ndarray, offset: int):
-    """``x_sorted``, rows ``offset`` on of the sorted sample; each row's
-    tie-group end; the tie groups that start before each row (n + 1 counts);
-    and the row where the first block starts."""
+def _sorted_rows(x_sorted: np.ndarray):
+    """``x_sorted``, each row's tie-group end, and the tie groups that start
+    before each row (n + 1 counts)."""
     starts = np.zeros(x_sorted.size + 1, dtype=np.intp)
     np.cumsum(x_sorted[1:] != x_sorted[:-1], out=starts[2:])
     starts[1:] += 1
-    return x_sorted, np.searchsorted(x_sorted, x_sorted, side="right"), starts, -offset % _BLOCK
+    return x_sorted, np.searchsorted(x_sorted, x_sorted, side="right"), starts
 
 
 def _power_sums(owner, t, r, n_owners: int, n_pow: int, n_val: int, out: np.ndarray) -> None:
@@ -315,12 +309,12 @@ def _block_sums(rows, h: float, order: int, kernel: KernelKind):
     """Each full block's first value and tie-group end, the ``_power_sums``
     of its t = (x - first value) / h and r = end - first end, and how many
     of those are sums of powers, enough for the CDF fits of ``order``."""
-    x, ends, _, first = rows
+    x, ends, _ = rows
     # the kernel polynomial's terms times v**k (k <= 2 (order + 1)), and times r (k <= order + 1)
     terms = len(_KERNEL_POLY[kernel][0])
     n_pow, n_val = 2 * order + 2 + terms, order + 1 + terms
-    nb = max(x.size - first, 0) // _BLOCK
-    xb, eb = (a[first : first + nb * _BLOCK].reshape(nb, _BLOCK) for a in (x, ends))
+    nb = x.size // _BLOCK
+    xb, eb = (a[: nb * _BLOCK].reshape(nb, _BLOCK) for a in (x, ends))
     sums = np.zeros((n_pow + n_val, nb))
     # chunks of 8k rows: each temporary is 64 KB, small enough for the
     # allocator to reuse, which keeps an analysis's peak RSS where it was
@@ -339,12 +333,12 @@ def _segment_sums(rows, blocks, lo, hi, p, c, e, h: float) -> np.ndarray:
     """``_power_sums`` of v = (x - p) / h - c and r = end - e over the rows
     [lo, hi) of each segment: its full blocks shifted binomially, the at most
     2 (_BLOCK - 1) rows around them directly."""
-    x, ends, _, first = rows
+    x, ends, _ = rows
     anchors, anchor_ends, sums, n_pow = blocks
     n_val = sums.shape[0] - n_pow
-    j_lo = -((first - lo) // _BLOCK)
-    n_blocks = np.maximum((hi - first) // _BLOCK - j_lo, 0)
-    head_end = np.where(n_blocks > 0, first + j_lo * _BLOCK, hi)
+    j_lo = -(-lo // _BLOCK)
+    n_blocks = np.maximum(hi // _BLOCK - j_lo, 0)
+    head_end = np.where(n_blocks > 0, j_lo * _BLOCK, hi)
     tail = head_end + n_blocks * _BLOCK
     seg, j = _ranges(j_lo, n_blocks)
     delta = (anchors[j] - p[seg]) / h - c[seg]
@@ -375,7 +369,7 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
     ``support_error`` gives the fit an error, and ``counts`` holds each
     window's rows, distinct values and distinct positive-weight values.
     """
-    x, ends, starts, _ = rows
+    x, ends, starts = rows
     degree = order + 1
 
     def n_distinct(a, b):
@@ -431,19 +425,11 @@ def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]
     ``(density, clipped)``: a non-positive slope is replaced by
     ``DENSITY_FLOOR``, because ratios built downstream need f > 0, and
     ``clipped`` says so. A window too poor for the fit raises the DataError
-    of ``support_error``. One call costs O(n + m log m) for m window rows,
-    and the value has the bits of ``density_curve``'s.
+    of ``support_error``. It is ``density_curve`` at one point, and costs
+    one sort of x.
     """
-    xs = np.asarray(xs, dtype=float)
-    lo, _ = _density_edges(eval_point, spec)
-    win = np.sort(xs[density_window(xs, eval_point, spec)])
-    rows = _sorted_rows(win, int(np.count_nonzero(xs < lo)))
-    density, clipped, counts = _fit_windows(
-        rows, _block_sums(rows, spec.bandwidth, spec.order, spec.kernel), xs.size,
-        np.array([eval_point], dtype=float), np.array([0]), np.array([win.size]),
-        spec.order, spec.bandwidth, spec.kernel,
-    )
-    err = support_error(spec, [int(c[0]) for c in counts], cdf=True, solved=not np.isnan(density[0]))
+    density, clipped, counts = _density_fits(xs, [eval_point], [spec])
+    err = support_error(spec, counts[:, 0].tolist(), cdf=True, solved=not np.isnan(density[0]))
     if err is not None:
         raise err
     return float(density[0]), bool(clipped[0])
@@ -460,6 +446,13 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     block sums: O(n log n + sum_i (_BLOCK + m_i / _BLOCK)) for m_i rows in
     point i's window, not O(sum_i m_i).
     """
+    return _density_fits(xs, eval_points, specs)[:2]
+
+
+def _density_fits(xs, eval_points, specs):
+    """``density_curve``'s densities and flags, and each window's rows,
+    distinct values and distinct positive-weight values, as the columns of
+    a (3, points) array: the counts ``support_error`` reads."""
     points = np.asarray(eval_points, dtype=float)
     if points.ndim != 1 or points.size != len(specs):
         raise InvalidConfig("eval_points must be 1-d with one FitSpec per point")
@@ -469,7 +462,7 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     ids = np.fromiter(map(id, specs), np.uintp, points.size)
     _, first, spec_of = np.unique(ids, return_index=True, return_inverse=True)
     distinct = [specs[i] for i in first]
-    # the edges of _density_edges and the tests of density_window, per point
+    # the edges and the tests of density_window, per point
     left, right = (np.array([s.side is sd for s in distinct], dtype=bool)[spec_of] for sd in (Side.LEFT, Side.RIGHT))
     bandwidth = np.array([s.bandwidth for s in distinct], dtype=float)[spec_of]
     start = np.searchsorted(x, np.where(right, points, points - bandwidth), side="left")
@@ -478,8 +471,9 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     groups: dict[tuple, int] = {}
     group = np.array([groups.setdefault((s.bandwidth, s.order, s.kernel), len(groups)) for s in distinct], dtype=int)
     group = group[spec_of]
-    rows = _sorted_rows(x, 0)
+    rows = _sorted_rows(x)
     densities, clipped = np.full(points.size, np.nan), np.zeros(points.size, dtype=bool)
+    counts = np.zeros((3, points.size), dtype=np.intp)
     for (h, order, kernel), g in groups.items():
         blocks = _block_sums(rows, h, order, kernel)
         i = np.flatnonzero(group == g)
@@ -488,7 +482,8 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
         for j in np.split(i, np.flatnonzero(np.diff(np.cumsum(cost) // (_BATCH_BYTES // 8))) + 1):
             fit = _fit_windows(rows, blocks, x.size, points[j], start[j], stop[j], order, h, kernel)
             densities[j], clipped[j] = fit[:2]
-    return densities, clipped
+            counts[:, j] = fit[2]
+    return densities, clipped, counts
 
 
 def sample_sd(values) -> float:

@@ -19,8 +19,7 @@ from mrdd import (
     Bandwidths,
     SideCounts,
     TypeAssumption,
-    density_discontinuity_test,
-    estimate_boundary,
+    bootstrap_boundary_replicates,
     crude_bounds,
     fuzzy_bounds,
     gen_appendix_d,
@@ -32,6 +31,7 @@ from mrdd import (
     write_typed_csv,
 )
 from mrdd.cli import main as cli_main
+from mrdd.diagnostics import protocol_from_draws
 from oracles import binary_sharp_gfuncs, brute_force_trimming, verify_lemma_moments, weighted_trimmed_means
 
 
@@ -224,9 +224,11 @@ def test_c08_smooth_density_counterexample(capsys):
     jumps, left_limits, right_limits = [], [], []
     for seed in range(runs):
         ts = gen_counterexample_e(1_000_000, seed=seed)
-        res = density_discontinuity_test(ts.data, boot=BootstrapConfig(b=64, seed=seed))
+        # one bootstrap pass gives the density test and the point estimates
+        draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=64, seed=seed))
+        res = protocol_from_draws(draws, 0.05).density
         accept += abs(res.statistic) < 1.96
-        be = estimate_boundary(ts.data)
+        be = draws.point
         jumps.append(be.mu_plus - be.mu_minus)
         left_limits.append(be.mu_minus)
         right_limits.append(be.mu_plus)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import mrdd
-from mrdd import cli
+from mrdd import cli, diagnostics
 
 from mrdd import (
     BootstrapConfig,
@@ -546,6 +546,18 @@ class TestAnalyze:
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("\ninternal error: RuntimeError('invariant violated')\n")
 
+    def test_breached_invariant_exits_4_not_2(self, typed_file, tmp_path, monkeypatch, capsys):
+        # a p-value outside [0, 1] is a bug, not a flag the user can fix
+        path, _ = typed_file
+        monkeypatch.setattr(diagnostics, "_two_sided_p", lambda t: 1.5)
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                       "--boot", "64", "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "configuration error" not in err
+        assert err.endswith("\ninternal error: ValueError('p-value out of [0, 1]: 1.5')\n")
+        assert not out.exists()
+
     def test_non_finite_statistic_written_as_null(self, typed_file, tmp_path, monkeypatch):
         path, _ = typed_file
         from mrdd import cli as cli_mod
@@ -609,6 +621,38 @@ class TestAnalyze:
         assert run_cli("analyze", str(missing), "--config", str(cfgfile)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and named in err
+
+    # a JSON value for each option that differs from its default; a bool is a
+    # bare flag, and the column names a repeated --covariate
+    OPTION_VALUES = {
+        "cutoff": 0.25, "y_min": -1.0, "y_max": 2.0, "type": "type3", "order": 2, "kernel": "uniform",
+        "alpha": 0.1, "boot": 200, "seed": 7, "sharp": True, "fuzzy": True, "covariates": ["w1", "w2"],
+        "col_x": "score", "col_y": "outcome", "col_d": "treated", "bw_mean_left": 0.3,
+        "bw_mean_right": 0.4, "bw_dens_left": 0.5, "bw_dens_right": 0.6, "workers": 2,
+    }
+
+    @pytest.mark.parametrize("key", list(cli._OPTIONS))
+    def test_flag_and_config_key_give_one_config(self, tmp_path, key):
+        # every run names the required keys and, for --fuzzy, a treatment column
+        base = {"cutoff": "0", "y_min": "0", "y_max": "1", "col_d": "d"}
+
+        def resolve(*argv, skip=key):
+            flags = [arg for k, v in base.items() if k != skip for arg in (f"--{k.replace('_', '-')}", v)]
+            return cli._resolve(cli.build_parser().parse_args(["analyze", "missing.csv", *flags, *argv]))
+
+        value = self.OPTION_VALUES[key]
+        if value is True:
+            flags, text = [f"--{key}"], "true"
+        elif isinstance(value, list):
+            flags, text = [arg for name in value for arg in ("--covariate", name)], ",".join(value)
+        else:
+            flags, text = [f"--{key.replace('_', '-')}", str(value)], str(value)
+        (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
+        from_flag = resolve(*flags)
+        assert from_flag == resolve("--config", str(tmp_path / "run.cfg"))
+        assert from_flag == resolve("--config", str(tmp_path / "run.json"))
+        assert from_flag != resolve(skip=None)
 
     def test_unknown_config_key_exits_2(self, typed_file, tmp_path):
         path, _ = typed_file
