@@ -29,9 +29,6 @@ from .diagnostics import (
     ProtocolOutcome,
     TestResult,
     Verdict,
-    balance_test,
-    density_discontinuity_test,
-    run_sequential_protocol,
 )
 from .inference import (
     BootstrapBounds,
@@ -89,7 +86,6 @@ __all__ = [
     "TypeAssumption",
     "TypedSample",
     "Verdict",
-    "balance_test",
     "bootstrap_boundary_replicates",
     "boundary_density",
     "bounds_from_draws",
@@ -98,7 +94,6 @@ __all__ = [
     "crude_bounds",
     "crude_interval",
     "density_curve",
-    "density_discontinuity_test",
     "estimate_boundary",
     "fuzzy_bounds",
     "gen_appendix_d",
@@ -109,7 +104,6 @@ __all__ = [
     "local_poly_fit",
     "oracle_appendix_d",
     "rot_bandwidth",
-    "run_sequential_protocol",
     "sharp_type2_bounds",
     "write_typed_csv",
 ]

@@ -75,6 +75,12 @@ SUM_BLOCK = 256
 DRAW_KEY = 3
 
 
+def check_alpha(alpha: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless the level lies in (0, MAX_ALPHA]; NaN lies outside."""
+    if not (0.0 < alpha <= MAX_ALPHA):
+        raise error(f"alpha must lie in (0, {MAX_ALPHA}], got {alpha}")
+
+
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """Generator keyed by (seed, DRAW_KEY, replicate); stable across schedules and workers."""
     return np.random.default_rng([int(seed), DRAW_KEY, int(replicate)])
@@ -94,8 +100,7 @@ class BootstrapConfig:
             raise InvalidConfig(f"bootstrap replication count must be >= {MIN_REPLICATES}, got {self.b}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed}")
-        if not (0.0 < self.alpha <= MAX_ALPHA):
-            raise InvalidConfig(f"alpha must lie in (0, {MAX_ALPHA}], got {self.alpha}")
+        check_alpha(self.alpha, InvalidConfig)
         if self.workers < 1:
             raise InvalidConfig("workers must be at least 1")
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bootstrap import BootstrapConfig, drop_failed
-from .boundary import Dataset, FitConfig
-from .inference import BoundaryDraws, bootstrap_boundary_replicates
+from ._bootstrap import check_alpha, drop_failed
+from .errors import InvalidInputs
+from .inference import BoundaryDraws
 from .localfit import sample_sd
 
 
@@ -90,40 +90,16 @@ def _balance_test(draws: BoundaryDraws, j: int) -> TestResult:
     return _jump_test(jump, draws.draws[:, 4 + 2 * j : 6 + 2 * j], f"{name!r} balance-test")
 
 
-def density_discontinuity_test(
-    data: Dataset,
-    fit: FitConfig = FitConfig(),
-    boot: BootstrapConfig = BootstrapConfig(),
-) -> TestResult:
-    """Two-sided test of a density jump at the cutoff.
-
-    The statistic is (f_plus - f_minus) / SE with SE the bootstrap standard
-    deviation of the estimated jump over ``boot.b`` row resamples; the
-    p-value uses the standard normal reference. It is the density test of
-    ``analyze`` without covariates.
-    """
-    return _density_test(bootstrap_boundary_replicates(data, boot, fit))
-
-
-def balance_test(
-    data: Dataset,
-    covariate: str,
-    fit: FitConfig = FitConfig(),
-    boot: BootstrapConfig = BootstrapConfig(),
-) -> TestResult:
-    """Two-sided test of a jump in a pre-determined covariate's boundary mean:
-    the balance test of ``analyze`` with this one covariate."""
-    return _balance_test(bootstrap_boundary_replicates(data, boot, fit, (covariate,)), 0)
-
-
 def protocol_from_draws(draws: BoundaryDraws, alpha: float) -> ProtocolOutcome:
     """Density test first; balance tests only if the density test accepts.
 
     Every test reads its columns of the one pass ``draws``, with a balance
     test per covariate of the pass. Verdicts: density rejected -> UseBounds
     (balance skipped entirely); density accepted and all balance tests
-    accepted -> PointIdentified; otherwise DesignSuspect.
+    accepted -> PointIdentified; otherwise DesignSuspect. A level outside
+    (0, MAX_ALPHA], NaN included, raises InvalidInputs.
     """
+    check_alpha(alpha, InvalidInputs)
     density = _density_test(draws)
     if density.p_value < alpha:
         return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
@@ -131,15 +107,3 @@ def protocol_from_draws(draws: BoundaryDraws, alpha: float) -> ProtocolOutcome:
     all_balanced = all(res.p_value >= alpha for _, res in balance)
     verdict = Verdict.POINT_IDENTIFIED if all_balanced else Verdict.DESIGN_SUSPECT
     return ProtocolOutcome(density=density, balance=balance, verdict=verdict)
-
-
-def run_sequential_protocol(
-    data: Dataset,
-    boot: BootstrapConfig = BootstrapConfig(),
-    fit: FitConfig = FitConfig(),
-    covariates: tuple[str, ...] | None = None,
-) -> ProtocolOutcome:
-    """``protocol_from_draws`` on one bootstrap pass of ``data``, with a balance
-    test for each of ``covariates`` (every covariate in the data when None)."""
-    names = covariates if covariates is not None else tuple(sorted(data.covariates))
-    return protocol_from_draws(bootstrap_boundary_replicates(data, boot, fit, names), boot.alpha)

@@ -24,14 +24,6 @@ class InvalidConfig(ConfigError):
     pass
 
 
-class InvalidParams(ConfigError):
-    pass
-
-
-class InvalidWeights(ConfigError):
-    pass
-
-
 class FitError(DataError):
     """A local fit cannot be made; ``side`` names the side of the cutoff, if any."""
 

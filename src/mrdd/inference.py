@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._bootstrap import MAX_ALPHA, BootstrapConfig, build_plan, drop_failed, run_replicates
+from ._bootstrap import BootstrapConfig, build_plan, check_alpha, drop_failed, run_replicates
 from .boundary import BoundaryEstimates, Dataset, FitConfig, sample_estimates
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, UnknownCovariate
@@ -137,8 +137,7 @@ def imbens_manski_ci(
     outside (0, MAX_ALPHA] raises InvalidInputs: above 0.5 the multiplier
     would be negative and the interval would shrink inside the set.
     """
-    if not (0.0 < alpha <= MAX_ALPHA):
-        raise InvalidInputs(f"alpha must lie in (0, {MAX_ALPHA}], got {alpha}")
+    check_alpha(alpha, InvalidInputs)
     if se_lower < 0 or se_upper < 0 or not np.isfinite([se_lower, se_upper]).all():
         raise InvalidInputs("standard errors must be finite and nonnegative")
     if not (lower_hat <= upper_hat):

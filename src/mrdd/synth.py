@@ -30,7 +30,7 @@ import numpy as np
 
 from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
 from .bounds import TypeAssumption, crude_bounds, sharp_type2_bounds
-from .errors import InvalidConfig, InvalidParams, InvalidWeights
+from .errors import InvalidConfig
 
 CUTOFF = 0.0
 #: Enforced minimum manipulation distance |x - x_star| for typed generators.
@@ -64,18 +64,18 @@ def _norm_pdf(x):
 def _check_size(n: int, seed: int) -> None:
     """The sample size and seed every generator takes."""
     if n < 1:
-        raise InvalidParams(f"n must be at least 1, got {n}")
+        raise InvalidConfig(f"n must be at least 1, got {n}")
     if seed < 0:
-        raise InvalidParams(f"seed must be nonnegative, got {seed}")
+        raise InvalidConfig(f"seed must be nonnegative, got {seed}")
 
 
 def _check_mixture(p: float, lam: float) -> None:
     """The mixture DGP's attempt probability and landing density at zero-plus;
     a landing is a standard exponential draw times 1 / lam."""
     if not (0.0 <= p <= 1.0):
-        raise InvalidParams(f"p must lie in [0, 1], got {p}")
+        raise InvalidConfig(f"p must lie in [0, 1], got {p}")
     if not (0.0 < lam < np.inf and np.isfinite(_DRAW_BOUND / lam)):
-        raise InvalidParams(f"lambda must be finite and at least 3.6e-307, got {lam}")
+        raise InvalidConfig(f"lambda must be finite and at least 3.6e-307, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def oracle_appendix_d(p: float, lam: float) -> OracleRow:
     """
     _check_mixture(p, lam)
     if p == 1.0:
-        raise InvalidParams("p must lie below 1 for the oracle: nobody stays below the cutoff")
+        raise InvalidConfig("p must lie below 1 for the oracle: nobody stays below the cutoff")
     phi0 = float(_norm_pdf(0.0))
     f_minus = (1.0 - p) * phi0
     f_plus = phi0 + 0.5 * lam * p
@@ -210,7 +210,7 @@ def gen_counterexample_e(n: int, seed: int, noise_sd: float = 0.0) -> TypedSampl
     """
     _check_size(n, seed)
     if not (noise_sd >= 0.0 and np.isfinite(_DRAW_BOUND * noise_sd)):
-        raise InvalidParams(f"noise_sd must lie in [0, 2.8e306], got {noise_sd}")
+        raise InvalidConfig(f"noise_sd must lie in [0, 2.8e306], got {noise_sd}")
     rng = np.random.default_rng(seed)
     x_star = rng.uniform(-1.0, 1.0, size=n)
     x = np.where(
@@ -253,17 +253,17 @@ def gen_typed(type_shares: dict[int, float], n: int, seed: int, attempt_prob: fl
     """
     _check_size(n, seed)
     if not type_shares:
-        raise InvalidWeights("type_shares must not be empty")
+        raise InvalidConfig("type_shares must not be empty")
     keys = sorted(type_shares)
     if any(k not in (0, 1, 2, 3, 4) for k in keys):
-        raise InvalidWeights(f"type labels must be 0..4, got {keys}")
+        raise InvalidConfig(f"type labels must be 0..4, got {keys}")
     weights = np.array([type_shares[k] for k in keys], dtype=float)
     if not np.all(weights >= 0):
-        raise InvalidWeights(f"type shares must be nonnegative numbers, got {weights.tolist()}")
+        raise InvalidConfig(f"type shares must be nonnegative numbers, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > 1e-9:
-        raise InvalidWeights(f"type shares must sum to 1, got {weights.sum()}")
+        raise InvalidConfig(f"type shares must sum to 1, got {weights.sum()}")
     if not (0.0 <= attempt_prob <= 1.0):
-        raise InvalidParams(f"attempt_prob must lie in [0, 1], got {attempt_prob}")
+        raise InvalidConfig(f"attempt_prob must lie in [0, 1], got {attempt_prob}")
     rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(n)
     eps = rng.uniform(size=n)

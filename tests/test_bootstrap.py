@@ -27,15 +27,13 @@ from mrdd import (
     RMode,
     SideCounts,
     TypeAssumption,
-    balance_test,
     bootstrap_boundary_replicates,
     bounds_from_draws,
-    density_discontinuity_test,
     estimate_boundary,
 )
 from mrdd import _bootstrap, localfit
 from mrdd._bootstrap import build_plan, drop_failed, replicate_rng, run_replicates
-from mrdd.diagnostics import protocol_from_draws
+from mrdd.diagnostics import _balance_test, _density_test, protocol_from_draws
 from mrdd.errors import DataError, TooManyFailedReplicates
 from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_weights
 from oracles import lstsq_level
@@ -149,12 +147,12 @@ def test_engine_matches_per_row_fits(order, kernel):
     assert n_failed == B - ok_rows(ref[:, :4]).shape[0]
     assert_same(boundary, ok_rows(ref[:, :4]))
 
-    res = density_discontinuity_test(data, fit, boot)
+    res = _density_test(draws)
     point = stats[2](whole) - stats[3](whole)
     assert res.statistic == pytest.approx(jump_statistic(point, ref[:, 2:4]), rel=1e-9)
     assert res.replications == ok_rows(ref[:, 2:4]).shape[0]
 
-    res = balance_test(data, "w", fit, boot)
+    res = _balance_test(draws, 0)
     point = stats[4](whole) - stats[5](whole)
     assert res.statistic == pytest.approx(jump_statistic(point, ref[:, 4:6]), rel=1e-9)
     assert res.replications == ok_rows(ref[:, 4:6]).shape[0]
@@ -287,7 +285,7 @@ def test_too_many_failures_raise():
     with pytest.raises(TooManyFailedReplicates, match="boundary"):
         bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, 0.0, 1.0)
     with pytest.raises(TooManyFailedReplicates, match="density-test"):
-        density_discontinuity_test(data, SPARSE_FIT, boot)
+        _density_test(draws)
 
 
 def narrow_mean_window_sample(seed=0):
@@ -320,7 +318,7 @@ def test_each_consumer_drops_only_its_own_failed_fits():
     bounds = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.RANDOM, 0.0, 1.0)
     assert bounds.n_failed == mean_failed.sum()
     # the density test loses none of them, with or without the covariate's columns
-    alone = density_discontinuity_test(data, NARROW_MEAN_FIT, boot)
+    alone = _density_test(bootstrap_boundary_replicates(data, boot, NARROW_MEAN_FIT))
     assert alone.replications == b and alone.warnings == ()
     outcome = protocol_from_draws(draws, alpha=1e-9)
     assert outcome.density.replications == b
@@ -328,7 +326,7 @@ def test_each_consumer_drops_only_its_own_failed_fits():
     # the balance test loses the covariate's own failed fits
     [(name, balance)] = outcome.balance
     assert name == "w" and balance.replications == b - mean_failed.sum()
-    assert balance == balance_test(data, "w", NARROW_MEAN_FIT, boot)
+    assert balance == _balance_test(bootstrap_boundary_replicates(data, boot, NARROW_MEAN_FIT, ("w",)), 0)
 
 
 def full_multinomial_counts(n, window, reps, seed):

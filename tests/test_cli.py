@@ -23,9 +23,8 @@ from mrdd import (
     FitSpec,
     KernelKind,
     Side,
-    balance_test,
+    bootstrap_boundary_replicates,
     boundary_density,
-    density_discontinuity_test,
     estimate_boundary,
     gen_appendix_d,
     gen_counterexample_e,
@@ -356,7 +355,8 @@ class TestAnalyze:
         assert [block[k] for k in ("mu_plus", "mu_minus", "f_plus", "f_minus")] == [
             be.mu_plus, be.mu_minus, be.f_plus, be.f_minus,
         ]
-        density = density_discontinuity_test(data, fit, BootstrapConfig(b=64, seed=4))
+        draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=4), fit)
+        density = diagnostics._density_test(draws)
         assert block["discontinuity_t"] == density.statistic
 
     def test_single_covariate_balance_equals_library_test(self, tmp_path):
@@ -373,7 +373,8 @@ class TestAnalyze:
                        "--covariate", "x_star", "--boot", "64", "--seed", "4", "--out", str(out)) == 0
         report = json.loads(out.read_text())
         data = ingest(str(path), cutoff=0.0, y_low=0.0, y_high=1.0, covariates=("x_star",))
-        balance = balance_test(data, "x_star", FitConfig(), BootstrapConfig(b=64, seed=4))
+        draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=4), covariates=("x_star",))
+        balance = diagnostics._balance_test(draws, 0)
         expected = {"covariate": "x_star", **asdict(balance)}
         assert report["protocol"]["balance"] == [json.loads(json.dumps(expected))]
 

@@ -5,13 +5,12 @@ from mrdd import (
     BootstrapConfig,
     Dataset,
     Verdict,
-    balance_test,
-    density_discontinuity_test,
+    bootstrap_boundary_replicates,
     gen_appendix_d,
     gen_typed,
-    run_sequential_protocol,
 )
-from mrdd.errors import InvalidConfig, UnknownCovariate
+from mrdd.diagnostics import _balance_test, _density_test, protocol_from_draws
+from mrdd.errors import InvalidConfig, InvalidInputs, UnknownCovariate
 
 
 def with_covariates(ts, seed, extra=None):
@@ -33,46 +32,42 @@ class TestDensityTest:
     @pytest.mark.slow
     def test_size_on_harmless_manipulation(self):
         # two-sided outcome-independent manipulation keeps the density smooth
-        rejections = sum(
-            density_discontinuity_test(
-                gen_typed({1: 1.0}, n=50_000, seed=s).data, boot=BootstrapConfig(b=64, seed=s)
-            ).p_value
-            < 0.05
-            for s in range(200)
-        )
+        rejections = 0
+        for s in range(200):
+            data = gen_typed({1: 1.0}, n=50_000, seed=s).data
+            draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=s))
+            rejections += _density_test(draws).p_value < 0.05
         assert rejections <= 20
 
     @pytest.mark.slow
     def test_power_on_one_sided_manipulation(self):
         # population jump 0.5*lam*p + p*phi(0) > 0 at (0.3, 0.3)
-        rejections = sum(
-            density_discontinuity_test(
-                gen_appendix_d(0.3, 0.3, 50_000, s).data,
-                boot=BootstrapConfig(b=64, seed=s),
-            ).p_value
-            < 0.05
-            for s in range(200)
-        )
+        rejections = 0
+        for s in range(200):
+            data = gen_appendix_d(0.3, 0.3, 50_000, s).data
+            draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=s))
+            rejections += _density_test(draws).p_value < 0.05
         assert rejections >= 160
 
     def test_statistic_sign_flips_under_mirroring(self, appendix_d_small):
         data = appendix_d_small.data
-        res = density_discontinuity_test(data, boot=BootstrapConfig(b=64, seed=3))
+        boot = BootstrapConfig(b=64, seed=3)
+        res = _density_test(bootstrap_boundary_replicates(data, boot))
         mirrored = Dataset(xs=-data.xs, ys=data.ys, cutoff=0.0)
-        res_m = density_discontinuity_test(mirrored, boot=BootstrapConfig(b=64, seed=3))
+        res_m = _density_test(bootstrap_boundary_replicates(mirrored, boot))
         # the jump estimate flips exactly; the bootstrap SE differs at the
         # per-mille level because resample ties break the rank symmetry
         assert np.sign(res_m.statistic) == -np.sign(res.statistic)
         assert res_m.statistic == pytest.approx(-res.statistic, rel=0.01)
 
     def test_deterministic(self, appendix_d_small):
-        a = density_discontinuity_test(appendix_d_small.data, boot=BootstrapConfig(b=64, seed=11))
-        b = density_discontinuity_test(appendix_d_small.data, boot=BootstrapConfig(b=64, seed=11))
+        boot = BootstrapConfig(b=64, seed=11)
+        a, b = (_density_test(bootstrap_boundary_replicates(appendix_d_small.data, boot)) for _ in range(2))
         assert a == b
 
     def test_small_b_rejected(self, appendix_d_small):
         with pytest.raises(InvalidConfig):
-            density_discontinuity_test(appendix_d_small.data, boot=BootstrapConfig(b=49, seed=0))
+            bootstrap_boundary_replicates(appendix_d_small.data, BootstrapConfig(b=49, seed=0))
 
 
 class TestBalanceTest:
@@ -82,7 +77,8 @@ class TestBalanceTest:
         for s in range(200):
             ts = gen_appendix_d(0.2, 0.2, 20_000, s)
             data = with_covariates(ts, seed=5000 + s)
-            rejections += balance_test(data, "noise", boot=BootstrapConfig(b=64, seed=s)).p_value < 0.05
+            draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=s), covariates=("noise",))
+            rejections += _balance_test(draws, 0).p_value < 0.05
         assert rejections <= 20
 
     @pytest.mark.slow
@@ -92,34 +88,41 @@ class TestBalanceTest:
         for s in range(100):
             ts = gen_appendix_d(0.3, 0.3, 50_000, s)
             data = with_covariates(ts, seed=s, extra={"wstar": ts.x_star})
-            rejections += balance_test(data, "wstar", boot=BootstrapConfig(b=64, seed=s)).p_value < 0.05
+            draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=s), covariates=("wstar",))
+            rejections += _balance_test(draws, 0).p_value < 0.05
         assert rejections >= 80
 
     def test_constant_covariate_convention(self, appendix_d_small):
         data = with_covariates(
             appendix_d_small, seed=1, extra={"const": np.ones(appendix_d_small.data.n)}
         )
-        res = balance_test(data, "const", boot=BootstrapConfig(b=64, seed=0))
+        draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=0), covariates=("const",))
+        res = _balance_test(draws, 0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
     def test_unknown_covariate(self, appendix_d_small):
+        boot = BootstrapConfig(b=64, seed=0)
         with pytest.raises(UnknownCovariate):
-            balance_test(appendix_d_small.data, "missing", boot=BootstrapConfig(b=64, seed=0))
+            bootstrap_boundary_replicates(appendix_d_small.data, boot, covariates=("missing",))
 
 
 class TestSequentialProtocol:
     def test_manipulated_sample_uses_bounds(self):
         ts = gen_appendix_d(0.3, 0.3, 50_000, 1)
         data = with_covariates(ts, seed=2)
-        outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=1))
+        boot = BootstrapConfig(b=64, seed=1)
+        draws = bootstrap_boundary_replicates(data, boot, covariates=("noise",))
+        outcome = protocol_from_draws(draws, boot.alpha)
         assert outcome.verdict is Verdict.USE_BOUNDS
         assert outcome.balance is None  # structurally skipped on rejection
 
     def test_clean_sample_point_identified(self):
         ts = gen_typed({0: 1.0}, n=50_000, seed=1)
         data = with_covariates(ts, seed=9)
-        outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=1))
+        boot = BootstrapConfig(b=64, seed=1)
+        draws = bootstrap_boundary_replicates(data, boot, covariates=("noise",))
+        outcome = protocol_from_draws(draws, boot.alpha)
         assert outcome.verdict is Verdict.POINT_IDENTIFIED
         assert outcome.balance is not None
         assert all(res.p_value >= 0.05 for _, res in outcome.balance)
@@ -130,7 +133,9 @@ class TestSequentialProtocol:
         for s in range(100):
             ts = gen_typed({1: 1.0}, n=20_000, seed=s)
             data = with_covariates(ts, seed=7000 + s)
-            outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=s))
+            boot = BootstrapConfig(b=64, seed=s)
+            draws = bootstrap_boundary_replicates(data, boot, covariates=("noise",))
+            outcome = protocol_from_draws(draws, boot.alpha)
             hits += outcome.verdict is Verdict.POINT_IDENTIFIED
         assert hits >= 80
 
@@ -139,15 +144,17 @@ class TestSequentialProtocol:
         # clean density, but wire in a covariate that jumps at the cutoff
         broken = ts.data.xs >= 0
         data = with_covariates(ts, seed=3, extra={"broken": broken.astype(float)})
-        outcome = run_sequential_protocol(data, BootstrapConfig(b=64, seed=8), covariates=("broken",))
+        boot = BootstrapConfig(b=64, seed=8)
+        draws = bootstrap_boundary_replicates(data, boot, covariates=("broken",))
+        outcome = protocol_from_draws(draws, boot.alpha)
         assert outcome.verdict is Verdict.DESIGN_SUSPECT
 
     def test_alpha_validation(self, appendix_d_small):
-        for alpha in (0.0, 1.0, 1.5, -0.1):
-            with pytest.raises(InvalidConfig):
-                run_sequential_protocol(
-                    appendix_d_small.data, BootstrapConfig(alpha=alpha, b=64, seed=0)
-                )
+        draws = bootstrap_boundary_replicates(appendix_d_small.data, BootstrapConfig(b=64, seed=0))
+        for alpha in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(InvalidInputs, match=r"^alpha must lie in \(0, 0.5\], got "):
+                protocol_from_draws(draws, alpha)
+        assert protocol_from_draws(draws, 0.5).density == _density_test(draws)
 
     def test_balance_presence_matches_density_outcome(self):
         # for a mid-strength DGP, whichever way the density test goes, the
@@ -155,7 +162,8 @@ class TestSequentialProtocol:
         ts = gen_appendix_d(0.1, 0.3, 20_000, 3)
         data = with_covariates(ts, seed=4)
         cfg = BootstrapConfig(b=64, seed=3)
-        outcome = run_sequential_protocol(data, cfg)
+        draws = bootstrap_boundary_replicates(data, cfg, covariates=("noise",))
+        outcome = protocol_from_draws(draws, cfg.alpha)
         if outcome.density.p_value < cfg.alpha:
             assert outcome.balance is None
         else:

@@ -116,34 +116,38 @@ class TestBootstrapBounds:
             "The random-r companion below reaches 195/200."
         ),
     )
-    def test_fixed_r_ci_coverage(self):
+    def test_fixed_r_ci_coverage(self, coverage_passes):
         # the 95% interval CI should cover the true bound endpoints in at
         # least 90% of seeded replications
-        row = oracle_appendix_d(0.1, 0.05)
-        covered = 0
-        n_reps = 200
-        for seed in range(n_reps):
-            ts = gen_appendix_d(0.1, 0.05, 20_000, seed)
-            draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=200, seed=seed))
-            bb = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, ts.data.y_low, ts.data.y_high)
-            ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
-            covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
-        assert covered >= 0.9 * n_reps
+        assert ci_coverage(coverage_passes, RMode.FIXED) >= 0.9 * len(coverage_passes)
 
     @pytest.mark.slow
-    def test_random_r_ci_coverage(self):
+    def test_random_r_ci_coverage(self, coverage_passes):
         # re-estimating the density ratio per replicate prices its sampling
         # noise into the endpoint SEs and restores coverage
-        row = oracle_appendix_d(0.1, 0.05)
-        covered = 0
-        n_reps = 200
-        for seed in range(n_reps):
-            ts = gen_appendix_d(0.1, 0.05, 20_000, seed)
-            draws = bootstrap_boundary_replicates(ts.data, BootstrapConfig(b=200, seed=seed))
-            bb = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.RANDOM, ts.data.y_low, ts.data.y_high)
-            ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
-            covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
-        assert covered >= 0.9 * n_reps
+        assert ci_coverage(coverage_passes, RMode.RANDOM) >= 0.9 * len(coverage_passes)
+
+
+@pytest.fixture(scope="module")
+def coverage_passes():
+    """One B=200 pass for each of 200 seeded (0.1, 0.05) samples at n=20k, read by both r modes."""
+    passes = []
+    for seed in range(200):
+        data = gen_appendix_d(0.1, 0.05, 20_000, seed).data
+        passes.append(bootstrap_boundary_replicates(data, BootstrapConfig(b=200, seed=seed)))
+    return passes
+
+
+def ci_coverage(passes, r_mode):
+    """How many of the passes' 95% Imbens-Manski CIs cover the population's crude set."""
+    row = oracle_appendix_d(0.1, 0.05)
+    covered = 0
+    for draws in passes:
+        # appendix-d outcomes are binary, so every sample's range is [0, 1]
+        bb = bounds_from_draws(draws, TypeAssumption.TYPE2, r_mode, 0.0, 1.0)
+        ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
+        covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
+    return covered
 
 
 Y_LOW, Y_HIGH = -3.7, 11.3

@@ -1,11 +1,13 @@
 """Module boundaries: no package module imports another module's private names
-or scipy at import time, analyze and plotdata never load scipy, and the
-normal tail and quantiles they take from the standard library are accurate."""
+or scipy at import time, analyze and plotdata never load scipy, the normal
+tail and quantiles they take from the standard library are accurate, and
+README's library example runs on the public API."""
 
 import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from mrdd import imbens_manski_ci
 from mrdd.diagnostics import _two_sided_p
 
 MODULES = sorted(Path(mrdd.__file__).resolve().parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def private_imports(source: str) -> list[str]:
@@ -108,6 +111,14 @@ def test_analyze_and_plotdata_never_load_scipy(tmp_path):
     assert payload["sharp"][0] <= payload["theta_true"] <= payload["sharp"][1]
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["blocks"][0]["sharp_set"] is not None
+
+
+def test_readme_library_example_runs(capsys):
+    # a name the package no longer exports fails here; the first line printed
+    # is the verdict the example's comment states
+    [block] = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "Verdict.USE_BOUNDS"
 
 
 # points where each replacement of a scipy.stats.norm method is checked bit for bit

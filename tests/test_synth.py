@@ -15,8 +15,7 @@ from mrdd.cli import ingest
 from mrdd.synth import MIN_JUMP, TypedSample
 from mrdd.errors import (
     ConfigError,
-    InvalidParams,
-    InvalidWeights,
+    InvalidConfig,
     MissingColumn,
 )
 from oracles import binary_sharp_gfuncs, brute_force_trimming, verify_lemma_moments, weighted_trimmed_means
@@ -47,9 +46,9 @@ class TestGenAppendixD:
         assert not np.any(ts.manipulated[ts.x_star >= 0.0])
 
     def test_param_validation(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidConfig, match=r"^p must lie in \[0, 1\], got 1.5$"):
             gen_appendix_d(1.5, 0.05, 10, 0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidConfig, match=r"^lambda must be finite and at least 3.6e-307, got 0.0$"):
             gen_appendix_d(0.5, 0.0, 10, 0)
 
 
@@ -184,16 +183,16 @@ class TestGenTyped:
         assert be.mu_plus - be.mu_minus == pytest.approx(THETA_TRUE, abs=0.03)
 
     def test_share_validation(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(InvalidConfig, match=r"^type shares must sum to 1, got 1.1$"):
             gen_typed({0: 0.5, 2: 0.6}, n=100, seed=0)
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(InvalidConfig, match=r"^type labels must be 0\.\.4, got \[7\]$"):
             gen_typed({7: 1.0}, n=100, seed=0)
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(InvalidConfig, match=r"^type_shares must not be empty$"):
             gen_typed({}, n=100, seed=0)
 
     def test_attempt_prob(self):
         for bad in (-0.1, 1.5):
-            with pytest.raises(InvalidParams):
+            with pytest.raises(InvalidConfig, match=rf"^attempt_prob must lie in \[0, 1\], got {bad}$"):
                 gen_typed({2: 1.0}, n=100, seed=0, attempt_prob=bad)
         assert not gen_typed({1: 0.5, 4: 0.5}, n=1_000, seed=0, attempt_prob=0.0).manipulated.any()
         always = gen_typed({4: 1.0}, n=1_000, seed=0, attempt_prob=1.0)
