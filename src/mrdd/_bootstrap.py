@@ -9,10 +9,12 @@ mean window. A resample is a vector of multinomial(n, 1/n) row counts
 (Efron 1979) and every fit is a weighted moment sum, so ``evaluate``
 solves all the fits for any counts without re-fitting rows. All-ones
 counts are the sample itself: the point estimates solve the equations
-every replicate solves. Only the m rows in the union of the four windows
-enter a fit, so a replicate draws a window total k ~ Binomial(n, m/n), then
-k uniform draws over the window rows in original-index order: the same law
-at O(m), and a function of the rows, not of their x order.
+every replicate solves, and ``sharp_window`` and ``sample_means`` read the
+sharp bound's window and the treatment's means from the same plan. Only
+the m rows in the union of the four windows enter a fit, so a replicate
+draws a window total k ~ Binomial(n, m/n), then k uniform draws over the
+window rows in original-index order: the same law at O(m), and a function
+of the rows, not of their x order.
 
 Each side keeps a C-ordered matrix of moment rows over its window rows:
 the mean weights w*u^k (k <= 2d), the CDF weights (k <= 2d + 2) and the
@@ -41,6 +43,7 @@ share out whole chunks.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -127,6 +130,7 @@ class Plan:
     n: int
     degree: int  # of the mean fits; the CDF fits are one degree above
     by_index: np.ndarray  # x position of each window row, the rows taken by original index
+    index: np.ndarray  # original index of each window row, the rows taken in x order
     group_starts: np.ndarray | None  # first row of each tie group; None without ties
     group_end: np.ndarray | None  # last row of each row's tie group; None without ties
     sides: tuple[_SidePlan, _SidePlan]  # right, left
@@ -232,7 +236,7 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
             1.0 / (max(n, 1) * dens.bandwidth), mean_counts, cdf_counts,
         ))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return Plan(n, d, np.argsort(index), group_starts, group_end, tuple(plans), chunk)
+    return Plan(n, d, np.argsort(index), index, group_starts, group_end, tuple(plans), chunk)
 
 
 def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
@@ -309,6 +313,40 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def sharp_window(plan: Plan, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The right mean fit's kernel weights and the outcomes ``ys`` of the
+    sample at their rows, over the rows with positive weight, taken in
+    original-row order: the window the sharp bound trims."""
+    right = plan.sides[0]
+    at = plan.by_index[plan.by_index >= right.rows.start]
+    w = right.moments[0, at - right.rows.start]
+    keep = w > 0
+    return w[keep], ys[plan.index[at[keep]]]
+
+
+def sample_means(plan: Plan, values: np.ndarray) -> tuple[float, float]:
+    """The right and left mean fits of ``values``, a column of the sample:
+    the levels that solve each side's mean-fit moment equations on the
+    sample, with ``values`` in place of the outcome. No replicate evaluates
+    them."""
+    d = plan.degree
+    levels = []
+    for side in plan.sides:
+        weights = side.moments[: 2 * d + 1]
+        rows = np.concatenate([weights, weights[: d + 1] * values[plan.index[side.rows]]])
+        sums = _moment_sums(np.ones((1, rows.shape[1])), rows)
+        levels.append(float(fit_from_moments(sums[:, : 2 * d + 1], sums[:, 2 * d + 1 :])[0, 0]))
+    return levels[0], levels[1]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, which follows taskset and container CPU sets, else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_replicates(plan: Plan, b: int, seed: int, workers: int = 1) -> np.ndarray:
     """``evaluate`` on ``b`` keyed row resamples of the sample ``plan`` was built on.
 
@@ -321,6 +359,10 @@ def run_replicates(plan: Plan, b: int, seed: int, workers: int = 1) -> np.ndarra
         return evaluate(plan, _draw_counts(plan, range(start, min(start + plan.chunk, b)), seed))
 
     starts = range(0, b, plan.chunk)
+    # each thread holds its chunk's counts and sums while it evaluates; past
+    # the usable CPUs a thread adds those temporaries but no speed. One
+    # chunk runs serially.
+    workers = min(workers, len(starts), usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(one, starts)))

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import synth
-from ._bootstrap import drop_failed
+from ._bootstrap import drop_failed, sample_means, sharp_window
 from .boundary import Bandwidths, Dataset, FitConfig
 from .bounds import (
     BoundsStatus,
@@ -53,7 +53,7 @@ from .errors import (
 from .inference import (
     BootstrapConfig,
     RMode,
-    bootstrap_boundary_replicates,
+    boundary_pass,
     bounds_from_draws,
     imbens_manski_ci,
 )
@@ -64,8 +64,6 @@ from .localfit import (
     KernelKind,
     Side,
     density_curve,
-    local_poly_fit,
-    local_weights,
     sample_sd,
 )
 
@@ -247,11 +245,14 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     """Run the full pipeline and assemble the JSON-ready report.
 
     Bandwidths are resolved once here, and one bootstrap pass serves the
-    density test, the balance tests and both r modes. Every reported
+    density test, the balance tests and both r modes. Every fit comes from
+    that pass's plan: the point estimates are its all-ones replicate, the
+    sharp bound trims its right mean window, and the fuzzy bound's d+ and
+    d- solve its mean-fit moment equations on the sample. Every reported
     interval is clipped to the logical range of an effect.
     """
     fit = cfg.fit.resolved(data.xs, data.cutoff)
-    draws = bootstrap_boundary_replicates(data, cfg.boot, fit, cfg.covariates)
+    draws, plan = boundary_pass(data, cfg.boot, fit, cfg.covariates)
     protocol = protocol_from_draws(draws, cfg.boot.alpha)
     be = draws.point
 
@@ -301,9 +302,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         block[f"c_bar_{label}"] = None if ci is None else ci.c_bar
 
     if cfg.sharp:
-        # the right-side mean fit's window and kernel weights
-        _, w, keep = local_weights(data.xs, data.cutoff, fit.mean_spec(Side.RIGHT))
-        sharp_res = sharp_type2_bounds(w[keep], data.ys[keep], be, y_low, y_high)
+        sharp_res = sharp_type2_bounds(*sharp_window(plan, data.ys), be, y_low, y_high)
         sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
         block["sharp_set"] = [sharp_lo, sharp_hi]
         block["sharp_status"] = sharp_res.status.value
@@ -312,10 +311,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         block["sharp_status"] = None
 
     if cfg.fuzzy:
-        d_minus, d_plus = (
-            float(local_poly_fit(data.xs, data.d, data.cutoff, fit.mean_spec(side)).coefficients[0])
-            for side in (Side.LEFT, Side.RIGHT)
-        )
+        d_plus, d_minus = sample_means(plan, data.d)
         fz = fuzzy_bounds(be, min(max(d_plus, 0.0), 1.0), min(max(d_minus, 0.0), 1.0), y_low, y_high)
         block["fuzzy_set"] = None if fz.status is BoundsStatus.DEGENERATE else [fz.lower, fz.upper]
         block["fuzzy_status"] = fz.status.value

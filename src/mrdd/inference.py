@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._bootstrap import BootstrapConfig, build_plan, check_alpha, drop_failed, run_replicates
+from ._bootstrap import BootstrapConfig, Plan, build_plan, check_alpha, drop_failed, run_replicates
 from .boundary import BoundaryEstimates, Dataset, FitConfig, sample_estimates
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
 from .errors import InvalidInputs, UnknownCovariate
@@ -63,6 +63,17 @@ def bootstrap_boundary_replicates(
     fit: FitConfig = FitConfig(),
     covariates: tuple[str, ...] = (),
 ) -> BoundaryDraws:
+    """Row-resample the data ``cfg.b`` times and re-estimate the boundary:
+    the draws of ``boundary_pass``, without its engine plan."""
+    return boundary_pass(data, cfg, fit, covariates)[0]
+
+
+def boundary_pass(
+    data: Dataset,
+    cfg: BootstrapConfig,
+    fit: FitConfig = FitConfig(),
+    covariates: tuple[str, ...] = (),
+) -> tuple[BoundaryDraws, Plan]:
     """Row-resample the data ``cfg.b`` times and re-estimate the boundary.
 
     One engine plan evaluates the four boundary fits and, for each name in
@@ -71,6 +82,11 @@ def bootstrap_boundary_replicates(
     then on every replicate. The boundary columns are the same bits
     whichever covariates are named. Bandwidths are selected once on the full
     sample, and replicate randomness is keyed by (seed, replicate index).
+
+    The plan is returned beside the draws, for the sample's other fits on
+    its windows. It holds a few moment rows per window row, about 4.8 MB on
+    66k window rows against 6 KB of draws at B = 200, so it is not part of
+    ``BoundaryDraws``: a caller keeps it only while it reads those fits.
     """
     for name in covariates:
         if name not in data.covariates:
@@ -85,7 +101,7 @@ def bootstrap_boundary_replicates(
         for j, name in enumerate(covariates)
     )
     draws = run_replicates(plan, cfg.b, cfg.seed, cfg.workers)
-    return BoundaryDraws(point=point, draws=draws, covariates=jumps)
+    return BoundaryDraws(point=point, draws=draws, covariates=jumps), plan
 
 
 def bounds_from_draws(

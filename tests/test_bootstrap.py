@@ -14,6 +14,7 @@ replaces.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,51 @@ def test_chunks_and_workers_do_not_change_draws(monkeypatch, order):
     assert np.array_equal(one, three)
     assert np.array_equal(one, whole)
     assert np.array_equal(one, single)
+
+
+def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
+    # the recording executor maps serially, so no thread starts here
+    sizes = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(_bootstrap, "ThreadPoolExecutor", Serial)
+    data = tied_sample()
+    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
+    serial = run_replicates(plan, 60, SEED)
+    runs = [
+        (replace(plan, chunk=30), 100_000, 4),  # two chunks
+        (replace(plan, chunk=1), 100_000, 4),  # four cores
+        (replace(plan, chunk=1), 3, 4),
+        (replace(plan, chunk=1), 100_000, 1),  # one usable CPU runs serially
+    ]
+    for chunked, workers, cores in runs:
+        monkeypatch.setattr(_bootstrap, "usable_cpus", lambda: cores)
+        assert np.array_equal(run_replicates(chunked, 60, SEED, workers=workers), serial)
+    # the pool sizes asked for; a serial run asks for no pool
+    assert sizes == [2, 4, 3]
+
+
+def test_usable_cpus_follow_affinity_then_the_host(monkeypatch):
+    # the threaded path of the worker tests needs at least two of these
+    monkeypatch.setattr(_bootstrap.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(_bootstrap.os, "cpu_count", lambda: 64)
+    assert _bootstrap.usable_cpus() == 2
+    monkeypatch.delattr(_bootstrap.os, "sched_getaffinity")
+    assert _bootstrap.usable_cpus() == 64
+    monkeypatch.setattr(_bootstrap.os, "cpu_count", lambda: None)
+    assert _bootstrap.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -25,16 +25,23 @@ from mrdd import (
     Side,
     bootstrap_boundary_replicates,
     boundary_density,
+    clamp_interval,
     estimate_boundary,
+    fuzzy_bounds,
     gen_appendix_d,
     gen_counterexample_e,
     gen_typed,
+    local_poly_fit,
     oracle_appendix_d,
     rot_bandwidth,
+    sharp_type2_bounds,
     write_typed_csv,
 )
+from mrdd._bootstrap import sample_means
+from mrdd.inference import boundary_pass
 from mrdd.cli import MAX_PLOT_BINS, ingest, main
 from mrdd.errors import DataError, EmptyInput, MissingColumn, ParseError
+from mrdd.localfit import local_weights
 
 
 @pytest.fixture()
@@ -261,6 +268,44 @@ class TestAnalyze:
         assert block["sharp_set"][0] >= block["identified_set"][0] - 1e-9
         assert block["sharp_set"][1] <= block["identified_set"][1] + 1e-9
         assert block["fuzzy_status"] in {"Informative", "Degenerate", "Refuted"}
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_sharp_and_fuzzy_sets_equal_full_sample_fits(self, order, kernel):
+        # the report reads the sharp window and d+- from the bootstrap plan;
+        # the array-level fits over all rows give the same sets
+        data = gen_typed({0: 0.7, 2: 0.3}, n=4_000, seed=3).data
+        treated = np.where(data.xs >= 0.0, 0.8, 0.3)  # a fuzzy design: d is not x >= 0
+        data = replace(data, d=(np.random.default_rng(9).uniform(size=data.n) < treated).astype(float))
+        fit = FitConfig(order=order, kernel=kernel)
+        cfg = cli.RunConfig(
+            cutoff=0.0, y_low=0.0, y_high=1.0, fit=fit, boot=BootstrapConfig(b=50, seed=4),
+            sharp=True, fuzzy=True, col_d="d",
+        )
+        block = cli.build_report(cfg, data)["blocks"][0]
+        be = estimate_boundary(data, fit)
+        assert be.r < 1.0  # so the sharp bound trims
+        resolved = fit.resolved(data.xs, 0.0)
+        _, w, keep = local_weights(data.xs, 0.0, resolved.mean_spec(Side.RIGHT))
+        sharp = sharp_type2_bounds(w[keep], data.ys[keep], be, 0.0, 1.0)
+        assert block["sharp_set"] == list(clamp_interval(sharp.lower, sharp.upper, 0.0, 1.0)[:2])
+        # the report's fuzzy set is fuzzy_bounds at the plan's d+-
+        _, plan = boundary_pass(data, cfg.boot, resolved)
+        d_plus, d_minus = sample_means(plan, data.d)
+        fuzzy = fuzzy_bounds(be, d_plus, d_minus, 0.0, 1.0)
+        assert block["fuzzy_status"] == fuzzy.status.value == "Informative"
+        assert block["fuzzy_set"] == [fuzzy.lower, fuzzy.upper]
+        # and close to it at local_poly_fit's d+-. Both solve the same normal
+        # equations, each within about 4e-15 relative of their exact solution,
+        # and the fuzzy ends divide by d+ - d-, which magnifies that a few
+        # times: 1.03e-14 at most here, at order 2 with the uniform kernel
+        full_sample = [
+            float(local_poly_fit(data.xs, data.d, 0.0, resolved.mean_spec(side)).coefficients[0])
+            for side in (Side.RIGHT, Side.LEFT)
+        ]
+        assert [d_plus, d_minus] == pytest.approx(full_sample, rel=1e-14, abs=0.0)
+        reference = fuzzy_bounds(be, *full_sample, 0.0, 1.0)
+        assert block["fuzzy_set"] == pytest.approx([reference.lower, reference.upper], rel=2e-14, abs=0.0)
 
     def test_bad_alpha_exits_2(self, tmp_path, typed_file):
         path, _ = typed_file

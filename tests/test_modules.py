@@ -43,6 +43,16 @@ def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text()) == []
 
 
+def test_cli_refits_nothing_outside_the_plan():
+    # analyze reads the sharp window and the fuzzy bound's d+- from the
+    # bootstrap plan; cli neither imports nor names a full-sample fit
+    tree = ast.parse((Path(mrdd.__file__).resolve().parent / "cli.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"local_poly_fit", "local_weights"}
+
+
 def module_level_scipy_imports(source: str) -> list[str]:
     """Every import of scipy (or a name from it) that runs when ``source`` is imported.
 
