@@ -1,15 +1,20 @@
 """Partial-identification bounds for the cutoff treatment effect.
 
-Each kind of bound has one entry point. ``crude_bounds`` needs only the
-five boundary statistics, the outcome range and a ``TypeAssumption``; it
-evaluates ``crude_interval``, which also takes arrays, so a bootstrap's
-replicates go through the same formulas in one call. ``sharp_type2_bounds``,
-for the one-sided precise manipulation model, additionally trims the
-right-boundary outcome distribution, given as weights and outcomes, and
-takes the exact extremes over the counterfactual density value z in
-[f_minus, f_plus] at the breakpoints of the trimming functions.
-``fuzzy_bounds`` bounds the ratio estimand of a fuzzy design, and
-``covariate_bounds`` intersects per-stratum intervals.
+Every set bounds the cutoff effect through the unknown counterfactual
+density at the cutoff, which lies between f(c-) and f(c+), so it reads the
+boundary statistics only through mu_plus, mu_minus and the density ratio
+r = f(c-)/f(c+), and takes its ends from one interval algebra,
+``crude_interval``. That function also takes arrays, so a bootstrap's
+replicates go through the same formulas in one call. Each kind of bound has
+one entry point. ``crude_bounds`` evaluates ``crude_interval`` under a
+``TypeAssumption``. ``sharp_type2_bounds``, for the one-sided precise
+manipulation model, starts from its type-3 interval (no trimming) and
+additionally trims the right-boundary outcome distribution, given as
+weights and outcomes, taking the exact extremes over the counterfactual
+density share at the breakpoints of the trimming functions.
+``fuzzy_bounds`` bounds the ratio estimand of a fuzzy design by the
+extreme ratios of two type-3 intervals, the outcome's and the treatment's,
+and ``covariate_bounds`` intersects per-stratum intervals.
 
 The formulas return the interval they define, even where it leaves the
 logical range [y_low - y_high, y_high - y_low] of an effect; clipping a
@@ -82,27 +87,17 @@ class BoundsResult:
     note: str | None = None
 
 
-def _check_range(y_low: float | None, y_high: float | None) -> None:
-    if y_low is None or y_high is None:
-        raise InvalidOutcomeRange("bounds need a declared outcome range (y_low, y_high)")
-    if not (np.isfinite(y_low) and np.isfinite(y_high)):
-        raise InvalidOutcomeRange("outcome range must be finite")
-    if y_low > y_high:
-        raise InvalidOutcomeRange(f"y_low {y_low} > y_high {y_high}")
-
-
-def _refutation(r: float) -> tuple[BoundsStatus, str | None]:
-    """Refuted, with a note, when the density ratio r exceeds one beyond
-    tolerance; Informative otherwise."""
-    if r <= 0:
-        raise ValueError(f"density ratio must be positive, got {r}")
+def _result(lower, upper, r: float, assumption: TypeAssumption, target: str) -> BoundsResult:
+    """The ``BoundsResult`` of the ends at density ratio r: Refuted, with a
+    note, when r exceeds one beyond tolerance; Informative otherwise."""
+    status, note = BoundsStatus.INFORMATIVE, None
     if r > 1.0 + R_REFUTATION_TOLERANCE:
-        return BoundsStatus.REFUTED, (
+        status, note = BoundsStatus.REFUTED, (
             f"estimated density ratio r={r:.4f} exceeds 1 beyond tolerance "
             f"{R_REFUTATION_TOLERANCE}; the one-sided sorting restriction "
             "f(c-) <= f(c+) looks violated"
         )
-    return BoundsStatus.INFORMATIVE, None
+    return BoundsResult(float(lower), float(upper), target, assumption, status, note)
 
 
 def clamp_interval(lower: float, upper: float, y_low: float, y_high: float):
@@ -139,7 +134,12 @@ def crude_interval(mu_plus, mu_minus, r, y_low: float, y_high: float, assumption
     and type 2 and the mixture the hull [min(l1, l2), max(u1, u2)], with
     Python's ``min``/``max`` tie rules.
     """
-    _check_range(y_low, y_high)
+    if y_low is None or y_high is None:
+        raise InvalidOutcomeRange("bounds need a declared outcome range (y_low, y_high)")
+    if not (np.isfinite(y_low) and np.isfinite(y_high)):
+        raise InvalidOutcomeRange("outcome range must be finite")
+    if y_low > y_high:
+        raise InvalidOutcomeRange(f"y_low {y_low} > y_high {y_high}")
     if np.any(r <= 0):
         raise ValueError(f"density ratio must be positive, got {np.min(r)}")
     r = np.where(1.0 < r, 1.0, r)
@@ -163,15 +163,7 @@ def crude_bounds(
 ) -> BoundsResult:
     """``crude_interval`` at the boundary estimates, with target and status."""
     lower, upper = crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, assumption)
-    status, note = _refutation(be.r)
-    return BoundsResult(
-        lower=float(lower),
-        upper=float(upper),
-        target=TARGET_LABELS[assumption],
-        assumption=assumption,
-        status=status,
-        note=note,
-    )
+    return _result(lower, upper, be.r, assumption, TARGET_LABELS[assumption])
 
 
 def _sorted_window(ys, weights):
@@ -221,7 +213,7 @@ def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high:
     ``weights`` and ``ys`` are the kernel weights and outcomes of the
     right-of-cutoff in-bandwidth observations, 1-d and of one length; ``be``
     supplies mu_plus, mu_minus and r. The interval is the infimum and the
-    supremum, over the counterfactual density share q = z/f_plus in [r, 1]
+    supremum, over the counterfactual density share q = z/f(c+) in [r, 1]
     (r clamped to at most 1), of the per-q ends
 
         theta_low(q)  = (mu+ - T + L(q) - r (mu- - yU)) / q - yU
@@ -230,9 +222,10 @@ def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high:
     where T is the window's weighted mean and L(q), U(q) are the outcome
     sums of its lowest and highest mass q (Lee 2009 trimming). Both extremes
     are exact: they are taken at q = r, q = 1 and the window's cumulative
-    weights. The result always refines the crude two-branch interval.
+    weights. At q = 1 nothing is trimmed and the ends are the type-3
+    ``crude_interval``'s. The result always refines the crude two-branch
+    interval.
     """
-    _check_range(y_low, y_high)
     weights = np.asarray(weights, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if weights.ndim != 1 or weights.shape != ys.shape or weights.size == 0:
@@ -240,11 +233,8 @@ def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high:
     if not np.any(weights > 0):
         raise EmptyWindow("window carries no positive weight")
 
-    status, note = _refutation(be.r)
+    lower, upper = map(float, crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, TypeAssumption.TYPE3))
     r = min(be.r, 1.0)
-    # q = 1: no trimming, L(1) = U(1) = T
-    lower = (be.mu_plus - y_high) - r * (be.mu_minus - y_high)
-    upper = (be.mu_plus - y_low) - r * (be.mu_minus - y_low)
     if r < 1.0:
         y_sorted, w_sorted = _sorted_window(ys, weights)
         # numpy's pairwise sum, not BLAS: its bits do not depend on the BLAS thread count
@@ -256,14 +246,7 @@ def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high:
             -_min_trimmed_ratio(-y_sorted[::-1], w_sorted[::-1], r * (be.mu_minus - y_low) - shift, r) - y_low,
         )
     lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
-    return BoundsResult(
-        lower=float(lower),
-        upper=float(upper),
-        target=TARGET_LABELS[TypeAssumption.TYPE2],
-        assumption=TypeAssumption.TYPE2,
-        status=status,
-        note=note,
-    )
+    return _result(lower, upper, be.r, TypeAssumption.TYPE2, TARGET_LABELS[TypeAssumption.TYPE2])
 
 
 def fuzzy_bounds(
@@ -272,20 +255,19 @@ def fuzzy_bounds(
     """Interval for the ratio estimand of a fuzzy design.
 
     ``d_plus``/``d_minus`` are the one-sided treatment-probability limits at
-    the cutoff and must lie in [0, 1]. Outcome and treatment jumps are
-    bounded through the unknown counterfactual density value; the interval
-    is the extreme ratio of those bounds. Requires a strictly positive
+    the cutoff and must lie in [0, 1]. The outcome jump is bounded by the
+    type-3 ``crude_interval`` of (mu_plus, mu_minus) on [y_low, y_high],
+    the treatment jump by the same interval of (d_plus, d_minus) on [0, 1],
+    both at the density ratio r (above one evaluated at one); the interval
+    is the extreme ratio of those two. Requires a strictly positive
     worst-case treatment jump, else the result is Degenerate.
     """
     for name, v in (("d_plus", d_plus), ("d_minus", d_minus)):
         if not (0.0 <= v <= 1.0):
             raise InvalidConfig(f"{name} must lie in [0, 1], got {v}")
-    _check_range(y_low, y_high)
-    r_y_low = be.f_plus * (be.mu_plus - y_high) - be.f_minus * (be.mu_minus - y_high)
-    r_y_high = be.f_plus * (be.mu_plus - y_low) - be.f_minus * (be.mu_minus - y_low)
-    r_d_low = be.f_plus * (d_plus - 1.0) - be.f_minus * (d_minus - 1.0)
-    r_d_high = be.f_plus * d_plus - be.f_minus * d_minus
-    if r_d_low <= 0:
+    y_lo, y_hi = map(float, crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, TypeAssumption.TYPE3))
+    d_lo, d_hi = map(float, crude_interval(d_plus, d_minus, be.r, 0.0, 1.0, TypeAssumption.TYPE3))
+    if d_lo <= 0:
         return BoundsResult(
             lower=float("-inf"),
             upper=float("inf"),
@@ -294,17 +276,9 @@ def fuzzy_bounds(
             status=BoundsStatus.DEGENERATE,
             note="worst-case treatment jump is not positive; no informative bounds",
         )
-    lower = min(r_y_low / r_d_low, r_y_low / r_d_high)
-    upper = max(r_y_high / r_d_low, r_y_high / r_d_high)
-    status, note = _refutation(be.r)
-    return BoundsResult(
-        lower=float(lower),
-        upper=float(upper),
-        target=FUZZY_TARGET_LABEL,
-        assumption=TypeAssumption.TYPE2,
-        status=status,
-        note=note,
-    )
+    lower = min(y_lo / d_lo, y_lo / d_hi)
+    upper = max(y_hi / d_lo, y_hi / d_hi)
+    return _result(lower, upper, be.r, TypeAssumption.TYPE2, FUZZY_TARGET_LABEL)
 
 
 def covariate_bounds(per_stratum) -> BoundsResult:

@@ -248,8 +248,10 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     density test, the balance tests and both r modes. Every fit comes from
     that pass's plan: the point estimates are its all-ones replicate, the
     sharp bound trims its right mean window, and the fuzzy bound's d+ and
-    d- solve its mean-fit moment equations on the sample. Every reported
-    interval is clipped to the logical range of an effect.
+    d- solve its mean-fit moment equations on the sample. The identified
+    and sharp sets and both confidence intervals are clipped to the logical
+    range of an effect; the fuzzy set bounds a ratio, which that range does
+    not cap, and is reported as ``fuzzy_bounds`` gives it.
     """
     fit = cfg.fit.resolved(data.xs, data.cutoff)
     draws, plan = boundary_pass(data, cfg.boot, fit, cfg.covariates)
@@ -351,11 +353,15 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
 
 def _check_sets(block: dict, assumption: TypeAssumption, y_low: float, y_high: float) -> None:
     """Raise RuntimeError, an internal error, where ``block`` breaks what its
-    formulas guarantee: each confidence interval contains the identified
-    set, and under type 2 and the mixture the sharp set lies inside it. The
-    slack is the one ``bounds`` snaps crossed ends with; an end the report
+    formulas guarantee: every interval has its lower end at most its upper
+    end, each confidence interval contains the identified set, and under
+    type 2 and the mixture the sharp set lies inside it. The slack is the
+    one ``bounds`` snaps crossed ends with; an interval or an end the report
     writes as null is not compared."""
     slack = 1e-9 * max(1.0, abs(y_low), abs(y_high))
+    for name in ("identified_set", "sharp_set", "fuzzy_set", "ci_fixed_r", "ci_random_r"):
+        if block[name] and block[name][0] > block[name][1] + slack:
+            raise RuntimeError(f"{name} {block[name]} has its lower end above its upper end")
     pairs = [("ci_fixed_r", "identified_set"), ("ci_random_r", "identified_set")]
     if assumption in (TypeAssumption.TYPE2, TypeAssumption.MIXED):
         pairs.append(("identified_set", "sharp_set"))

@@ -380,7 +380,7 @@ class TestFuzzyBounds:
     def test_sharp_design_reduces_to_type2(self, rng):
         for _ in range(100):
             mu_p, mu_m = rng.uniform(0, 1, 2)
-            r = rng.uniform(0.1, 1.0)
+            r = rng.uniform(0.1, 1.5)  # above one, both sets evaluate r at one
             f_plus = rng.uniform(0.2, 3.0)
             be = make_be(mu_p, mu_m, r, f_plus=f_plus)
             fz = fuzzy_bounds(be, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)

@@ -307,6 +307,21 @@ class TestAnalyze:
         reference = fuzzy_bounds(be, *full_sample, 0.0, 1.0)
         assert block["fuzzy_set"] == pytest.approx([reference.lower, reference.upper], rel=2e-14, abs=0.0)
 
+    def test_fuzzy_set_at_density_ratio_above_one(self):
+        # CI's balance input: no manipulation, and r is about 1.52. The fuzzy
+        # set evaluates r above one at one, as the crude and sharp sets do, so
+        # on this sharp design (d is x >= 0) it is the identified set
+        data = gen_appendix_d(0.0, 0.05, 5_000, 0).data
+        cfg = cli.RunConfig(
+            cutoff=0.0, y_low=0.0, y_high=1.0, boot=BootstrapConfig(b=50, seed=0),
+            sharp=True, fuzzy=True, col_d="d",
+        )
+        block = cli.build_report(cfg, data)["blocks"][0]
+        assert block["r"] > 1.5
+        assert block["fuzzy_status"] == "Refuted"
+        assert block["fuzzy_set"][0] <= block["fuzzy_set"][1]
+        assert block["fuzzy_set"] == pytest.approx(block["identified_set"], rel=0.0, abs=1e-12)
+
     def test_bad_alpha_exits_2(self, tmp_path, typed_file):
         path, _ = typed_file
         # above 0.5 the interval would lie inside the identified set; the flag
@@ -577,6 +592,21 @@ class TestAnalyze:
         if code == 4:
             err = capsys.readouterr().err
             assert "internal error: RuntimeError(" in err and "does not contain sharp_set" in err
+
+    def test_crossed_fuzzy_set_exits_4(self, typed_file, tmp_path, monkeypatch, capsys):
+        # every reported interval is checked for order, the fuzzy set too
+        path, _ = typed_file
+        real_fuzzy = cli.fuzzy_bounds
+
+        def swapped(*args):
+            res = real_fuzzy(*args)
+            return replace(res, lower=res.upper, upper=res.lower)
+
+        monkeypatch.setattr(cli, "fuzzy_bounds", swapped)
+        assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--fuzzy", "--col-d", "d",
+                       "--boot", "64", "--out", str(tmp_path / "r.json")) == 4
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError(" in err and "fuzzy_set" in err
 
     def test_internal_error_exits_4(self, typed_file, monkeypatch, capsys):
         # any exception outside the config and data families: a bug
