@@ -1,17 +1,18 @@
 """Partial-identification bounds for the cutoff treatment effect.
 
 Every set bounds the cutoff effect through the unknown counterfactual
-density at the cutoff, which lies between f(c-) and f(c+), so it reads the
-boundary statistics only through mu_plus, mu_minus and the density ratio
-r = f(c-)/f(c+), and takes its ends from one interval algebra,
-``crude_interval``. That function also takes arrays, so a bootstrap's
-replicates go through the same formulas in one call. Each kind of bound has
-one entry point. ``crude_bounds`` evaluates ``crude_interval`` under a
-``TypeAssumption``. ``sharp_type2_bounds``, for the one-sided precise
-manipulation model, starts from its type-3 interval (no trimming) and
-additionally trims the right-boundary outcome distribution, given as
-weights and outcomes, taking the exact extremes over the counterfactual
-density share at the breakpoints of the trimming functions.
+density at the cutoff, which lies between f(c-) and f(c+), so it depends on
+the data only through mu_plus, mu_minus and the density ratio
+r = f(c-)/f(c+). Each kind of bound has one entry point, which takes those
+three numbers from any estimator or population and its ends from one
+interval algebra, ``crude_interval``; that function also takes arrays, so
+a bootstrap's replicates go through the same formulas in one call.
+``crude_bounds`` evaluates ``crude_interval`` under a ``TypeAssumption``.
+``sharp_type2_bounds``, for the one-sided precise manipulation model,
+starts from its type-3 interval (no trimming) and additionally trims the
+right-boundary outcome distribution, given as weights and outcomes, taking
+the exact extremes over the counterfactual density share at the
+breakpoints of the trimming functions.
 ``fuzzy_bounds`` bounds the ratio estimand of a fuzzy design by the
 extreme ratios of two type-3 intervals, the outcome's and the treatment's,
 and ``covariate_bounds`` intersects per-stratum intervals.
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryEstimates
 from .errors import (
     EmptyInput,
     EmptyWindow,
@@ -112,10 +112,14 @@ def clamp_interval(lower: float, upper: float, y_low: float, y_high: float):
     return new_lower, new_upper, (new_lower != lower or new_upper != upper)
 
 
+def snap_tolerance(y_low: float, y_high: float) -> float:
+    """How far crossed ends may lie apart and still count as a rounding crossing."""
+    return 1e-9 * max(1.0, abs(y_low), abs(y_high))
+
+
 def _snap_degenerate(lower, upper, y_low, y_high):
     """Collapse floating-point-level crossings (exact at r = 1 algebraically), elementwise."""
-    scale = max(1.0, abs(y_low), abs(y_high))
-    crossed = (upper < lower) & (lower <= upper + 1e-9 * scale)
+    crossed = (upper < lower) & (lower <= upper + snap_tolerance(y_low, y_high))
     with np.errstate(over="ignore", invalid="ignore"):
         mid = 0.5 * (lower + upper)
     return np.where(crossed, mid, lower), np.where(crossed, mid, upper)
@@ -159,11 +163,11 @@ def crude_interval(mu_plus, mu_minus, r, y_low: float, y_high: float, assumption
 
 
 def crude_bounds(
-    be: BoundaryEstimates, y_low: float, y_high: float, assumption: TypeAssumption
+    mu_plus: float, mu_minus: float, r: float, y_low: float, y_high: float, assumption: TypeAssumption
 ) -> BoundsResult:
-    """``crude_interval`` at the boundary estimates, with target and status."""
-    lower, upper = crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, assumption)
-    return _result(lower, upper, be.r, assumption, TARGET_LABELS[assumption])
+    """``crude_interval`` at one (mu_plus, mu_minus, r), with target and status."""
+    lower, upper = crude_interval(mu_plus, mu_minus, r, y_low, y_high, assumption)
+    return _result(lower, upper, r, assumption, TARGET_LABELS[assumption])
 
 
 def _sorted_window(ys, weights):
@@ -207,14 +211,15 @@ def _min_trimmed_ratio(y_sorted, w_sorted, a: float, r: float) -> float:
     return float(np.min((a + sums) / q))
 
 
-def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high: float) -> BoundsResult:
+def sharp_type2_bounds(weights, ys, mu_plus, mu_minus, r, y_low: float, y_high: float) -> BoundsResult:
     """Sharp interval for the one-sided precise manipulation model.
 
     ``weights`` and ``ys`` are the kernel weights and outcomes of the
-    right-of-cutoff in-bandwidth observations, 1-d and of one length; ``be``
-    supplies mu_plus, mu_minus and r. The interval is the infimum and the
-    supremum, over the counterfactual density share q = z/f(c+) in [r, 1]
-    (r clamped to at most 1), of the per-q ends
+    right-of-cutoff in-bandwidth observations, 1-d and of one length;
+    mu_plus, mu_minus and r are the one-sided means and the density ratio.
+    The interval is the infimum and the supremum, over the counterfactual
+    density share q = z/f(c+) in [r, 1] (r clamped to at most 1), of the
+    per-q ends
 
         theta_low(q)  = (mu+ - T + L(q) - r (mu- - yU)) / q - yU
         theta_high(q) = (mu+ - T + U(q) - r (mu- - yL)) / q - yL
@@ -233,24 +238,24 @@ def sharp_type2_bounds(weights, ys, be: BoundaryEstimates, y_low: float, y_high:
     if not np.any(weights > 0):
         raise EmptyWindow("window carries no positive weight")
 
-    lower, upper = map(float, crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, TypeAssumption.TYPE3))
-    r = min(be.r, 1.0)
-    if r < 1.0:
+    lower, upper = map(float, crude_interval(mu_plus, mu_minus, r, y_low, y_high, TypeAssumption.TYPE3))
+    q_lo = min(r, 1.0)
+    if q_lo < 1.0:
         y_sorted, w_sorted = _sorted_window(ys, weights)
         # numpy's pairwise sum, not BLAS: its bits do not depend on the BLAS thread count
-        shift = be.mu_plus - float(np.sum(w_sorted * y_sorted))
+        shift = mu_plus - float(np.sum(w_sorted * y_sorted))
         # U(q) of y is -L(q) of -y, whose ascending order is y's reversed
-        lower = min(lower, _min_trimmed_ratio(y_sorted, w_sorted, shift - r * (be.mu_minus - y_high), r) - y_high)
+        lower = min(lower, _min_trimmed_ratio(y_sorted, w_sorted, shift - q_lo * (mu_minus - y_high), q_lo) - y_high)
         upper = max(
             upper,
-            -_min_trimmed_ratio(-y_sorted[::-1], w_sorted[::-1], r * (be.mu_minus - y_low) - shift, r) - y_low,
+            -_min_trimmed_ratio(-y_sorted[::-1], w_sorted[::-1], q_lo * (mu_minus - y_low) - shift, q_lo) - y_low,
         )
     lower, upper = _snap_degenerate(lower, upper, y_low, y_high)
-    return _result(lower, upper, be.r, TypeAssumption.TYPE2, TARGET_LABELS[TypeAssumption.TYPE2])
+    return _result(lower, upper, r, TypeAssumption.TYPE2, TARGET_LABELS[TypeAssumption.TYPE2])
 
 
 def fuzzy_bounds(
-    be: BoundaryEstimates, d_plus: float, d_minus: float, y_low: float, y_high: float
+    mu_plus: float, mu_minus: float, r: float, d_plus: float, d_minus: float, y_low: float, y_high: float
 ) -> BoundsResult:
     """Interval for the ratio estimand of a fuzzy design.
 
@@ -265,8 +270,8 @@ def fuzzy_bounds(
     for name, v in (("d_plus", d_plus), ("d_minus", d_minus)):
         if not (0.0 <= v <= 1.0):
             raise InvalidConfig(f"{name} must lie in [0, 1], got {v}")
-    y_lo, y_hi = map(float, crude_interval(be.mu_plus, be.mu_minus, be.r, y_low, y_high, TypeAssumption.TYPE3))
-    d_lo, d_hi = map(float, crude_interval(d_plus, d_minus, be.r, 0.0, 1.0, TypeAssumption.TYPE3))
+    y_lo, y_hi = map(float, crude_interval(mu_plus, mu_minus, r, y_low, y_high, TypeAssumption.TYPE3))
+    d_lo, d_hi = map(float, crude_interval(d_plus, d_minus, r, 0.0, 1.0, TypeAssumption.TYPE3))
     if d_lo <= 0:
         return BoundsResult(
             lower=float("-inf"),
@@ -278,7 +283,7 @@ def fuzzy_bounds(
         )
     lower = min(y_lo / d_lo, y_lo / d_hi)
     upper = max(y_hi / d_lo, y_hi / d_hi)
-    return _result(lower, upper, be.r, TypeAssumption.TYPE2, FUZZY_TARGET_LABEL)
+    return _result(lower, upper, r, TypeAssumption.TYPE2, FUZZY_TARGET_LABEL)
 
 
 def covariate_bounds(per_stratum) -> BoundsResult:

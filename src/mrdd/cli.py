@@ -40,6 +40,7 @@ from .bounds import (
     clamp_interval,
     fuzzy_bounds,
     sharp_type2_bounds,
+    snap_tolerance,
 )
 from .diagnostics import protocol_from_draws
 from .errors import (
@@ -304,7 +305,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         block[f"c_bar_{label}"] = None if ci is None else ci.c_bar
 
     if cfg.sharp:
-        sharp_res = sharp_type2_bounds(*sharp_window(plan, data.ys), be, y_low, y_high)
+        sharp_res = sharp_type2_bounds(*sharp_window(plan, data.ys), be.mu_plus, be.mu_minus, be.r, y_low, y_high)
         sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
         block["sharp_set"] = [sharp_lo, sharp_hi]
         block["sharp_status"] = sharp_res.status.value
@@ -313,8 +314,8 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         block["sharp_status"] = None
 
     if cfg.fuzzy:
-        d_plus, d_minus = sample_means(plan, data.d)
-        fz = fuzzy_bounds(be, min(max(d_plus, 0.0), 1.0), min(max(d_minus, 0.0), 1.0), y_low, y_high)
+        d_plus, d_minus = (min(max(d, 0.0), 1.0) for d in sample_means(plan, data.d))
+        fz = fuzzy_bounds(be.mu_plus, be.mu_minus, be.r, d_plus, d_minus, y_low, y_high)
         block["fuzzy_set"] = None if fz.status is BoundsStatus.DEGENERATE else [fz.lower, fz.upper]
         block["fuzzy_status"] = fz.status.value
     else:
@@ -358,7 +359,7 @@ def _check_sets(block: dict, assumption: TypeAssumption, y_low: float, y_high: f
     type 2 and the mixture the sharp set lies inside it. The slack is the
     one ``bounds`` snaps crossed ends with; an interval or an end the report
     writes as null is not compared."""
-    slack = 1e-9 * max(1.0, abs(y_low), abs(y_high))
+    slack = snap_tolerance(y_low, y_high)
     for name in ("identified_set", "sharp_set", "fuzzy_set", "ci_fixed_r", "ci_random_r"):
         if block[name] and block[name][0] > block[name][1] + slack:
             raise RuntimeError(f"{name} {block[name]} has its lower end above its upper end")

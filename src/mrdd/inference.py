@@ -120,7 +120,7 @@ def bounds_from_draws(
     missing outcome range raises InvalidOutcomeRange, and more than 10%
     failed replicates TooManyFailedReplicates.
     """
-    point = crude_bounds(draws.point, y_low, y_high, assumption)
+    point = crude_bounds(draws.point.mu_plus, draws.point.mu_minus, draws.point.r, y_low, y_high, assumption)
     boundary, n_failed = drop_failed(draws.draws[:, :4], "boundary")
     mu_plus, mu_minus, f_plus, f_minus = boundary.T
     if r_mode is RMode.FIXED:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Bandwidths, BoundaryEstimates, Dataset, SideCounts
+from .boundary import Dataset
 from .bounds import TypeAssumption, crude_bounds, sharp_type2_bounds
 from .errors import InvalidConfig
 
@@ -153,8 +153,8 @@ def oracle_appendix_d(p: float, lam: float) -> OracleRow:
 
     The one-sided mean above the cutoff mixes the non-manipulated value
     mu_1(0) (weight phi(0)) with the manipulators' average outcome, a
-    normal tail integral (weight 0.5 * lam * p). The bounds come from the
-    estimators' own interval algebra applied to these population values:
+    normal tail integral (weight 0.5 * lam * p). The estimators' own entry
+    points take these population values of (mu_plus, mu_minus, r):
     ``crude_bounds`` under type 2 for the crude interval and
     ``sharp_type2_bounds`` on the binary outcome distribution at the right
     boundary for the sharp one.
@@ -170,18 +170,9 @@ def oracle_appendix_d(p: float, lam: float) -> OracleRow:
     mu_plus = (phi0 * float(_mu_d(0.0, 1)) + 0.5 * lam * p * _tail_integral(1)) / f_plus
     mu_minus = float(_mu_d(0.0, 0))
     theta_true = float(_mu_d(0.0, 1) - _mu_d(0.0, 0))
-    be = BoundaryEstimates(
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
-        f_plus=f_plus,
-        f_minus=f_minus,
-        r=r,
-        bandwidths=Bandwidths(),
-        n_effective=SideCounts(0, 0, 0, 0),
-    )
-    crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+    crude = crude_bounds(mu_plus, mu_minus, r, 0.0, 1.0, TypeAssumption.TYPE2)
     # binary outcome at c+: weight 1 - mu_plus on y = 0, mu_plus on y = 1
-    sharp = sharp_type2_bounds([1.0 - mu_plus, mu_plus], [0.0, 1.0], be, 0.0, 1.0)
+    sharp = sharp_type2_bounds([1.0 - mu_plus, mu_plus], [0.0, 1.0], mu_plus, mu_minus, r, 0.0, 1.0)
     return OracleRow(
         p=p,
         lam=lam,

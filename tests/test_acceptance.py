@@ -15,9 +15,6 @@ from scipy import stats
 
 from mrdd import (
     BootstrapConfig,
-    BoundaryEstimates,
-    Bandwidths,
-    SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
     crude_bounds,
@@ -41,13 +38,6 @@ def _criterion(capsys, num, ok, detail=""):
     with capsys.disabled():
         print(f"[ACCEPTANCE] criterion {num:02d}: {status}  {detail}", flush=True)
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def _be(mu_plus, mu_minus, r, f_plus=1.0):
-    return BoundaryEstimates(
-        mu_plus=mu_plus, mu_minus=mu_minus, f_plus=f_plus, f_minus=r * f_plus, r=r,
-        bandwidths=Bandwidths(1, 1, 1, 1), n_effective=SideCounts(0, 0, 0, 0),
-    )
 
 
 def _binary_window(mu_plus):
@@ -122,9 +112,8 @@ def test_c04_sharp_equals_crude_in_equality_region(capsys):
     worst = 0.0
     for r in (0.5, 0.7, 0.9):
         for mu in np.linspace(1 - r, r, 9):
-            be = _be(float(mu), 0.45, r)
-            sharp = sharp_type2_bounds(*_binary_window(float(mu)), be, 0.0, 1.0)
-            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            sharp = sharp_type2_bounds(*_binary_window(float(mu)), float(mu), 0.45, r, 0.0, 1.0)
+            crude = crude_bounds(float(mu), 0.45, r, 0.0, 1.0, TypeAssumption.TYPE2)
             worst = max(worst, abs(sharp.lower - crude.lower), abs(sharp.upper - crude.upper))
     _criterion(capsys, 4, worst <= 1e-9, f"max |sharp - crude| = {worst:.2e}")
 
@@ -140,10 +129,9 @@ def test_c05_structural_bound_identities(capsys):
         mu_p = rng.uniform(y_lo, y_hi)
         mu_m = rng.uniform(y_lo, y_hi)
         r = rng.uniform(0.05, 1.0)
-        be = _be(mu_p, mu_m, r)
-        t2 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE2)
-        t3 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE3)
-        t4 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE4)
+        t2 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE2)
+        t3 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE3)
+        t4 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE4)
         span = y_hi - y_lo
         checks = [
             abs(t2.lower - min(t3.lower, t4.lower)) < 1e-9 * max(1, span),
@@ -151,9 +139,8 @@ def test_c05_structural_bound_identities(capsys):
             abs((t3.upper - t3.lower) - (1 - r) * span) < 1e-8 * max(1, span),
             abs((t4.upper - t4.lower) - (1 / r - 1) * span) < 1e-8 * max(1, span) * (1 / r),
         ]
-        be1 = _be(mu_p, mu_m, 1.0)
         for t in (TypeAssumption.TYPE2, TypeAssumption.TYPE3, TypeAssumption.TYPE4):
-            res = crude_bounds(be1, y_lo, y_hi, t)
+            res = crude_bounds(mu_p, mu_m, 1.0, y_lo, y_hi, t)
             checks.append(abs(res.upper - res.lower) < 1e-9 * max(1, span))
         if not all(checks):
             ok = False
@@ -166,9 +153,8 @@ def test_c05_structural_bound_identities(capsys):
             mu_p = rng.uniform(0.02, 0.98)
             mu_m = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.05, 1.0)
-            be = _be(mu_p, mu_m, r)
-            sharp = sharp_type2_bounds(*_binary_window(mu_p), be, 0.0, 1.0)
-            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            sharp = sharp_type2_bounds(*_binary_window(mu_p), mu_p, mu_m, r, 0.0, 1.0)
+            crude = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.TYPE2)
             if not (sharp.lower >= crude.lower - 1e-9 and sharp.upper <= crude.upper + 1e-9
                     and sharp.lower <= sharp.upper + 1e-9):
                 ok = False
@@ -183,10 +169,9 @@ def test_c06_fuzzy_reduction(capsys):
     for _ in range(1000):
         mu_p, mu_m = rng.uniform(0, 1, 2)
         r = rng.uniform(0.05, 1.0)
-        f_plus = rng.uniform(0.1, 4.0)
-        be = _be(mu_p, mu_m, r, f_plus=f_plus)
-        fz = fuzzy_bounds(be, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)
-        t2 = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+        rng.uniform(0.1, 4.0)  # f+: the bounds read only r, but the draw keeps the stream
+        fz = fuzzy_bounds(mu_p, mu_m, r, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)
+        t2 = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.TYPE2)
         worst = max(worst, abs(fz.lower - t2.lower), abs(fz.upper - t2.upper))
     _criterion(capsys, 6, worst <= 1e-12, f"max |fuzzy - type2| = {worst:.2e}")
 
@@ -263,7 +248,7 @@ def test_c09_lemma_identity_residuals(capsys):
 
 
 def test_c10_published_set_width_consistency(capsys):
-    res = crude_bounds(_be(0.5, 0.4, 0.792), 0.0, 1.0, TypeAssumption.TYPE4)
+    res = crude_bounds(0.5, 0.4, 0.792, 0.0, 1.0, TypeAssumption.TYPE4)
     width = res.upper - res.lower
     ok = abs(width - 0.2626) <= 0.0005 and abs(width - (0.627 - 0.363)) <= 0.005
     _criterion(capsys, 10, ok, f"type-4 width at r=0.792 is {width:.4f} vs published 0.264")

@@ -4,10 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrdd import (
-    Bandwidths,
-    BoundaryEstimates,
     BoundsStatus,
-    SideCounts,
     TypeAssumption,
     clamp_interval,
     covariate_bounds,
@@ -18,19 +15,6 @@ from mrdd import (
 )
 from mrdd.errors import EmptyInput, EmptyWindow, InvalidConfig, InvalidOutcomeRange, MixedTargets
 from oracles import binary_sharp_gfuncs, brute_force_trimming, weighted_trimmed_means
-
-
-def make_be(mu_plus, mu_minus, r, f_plus=1.0):
-    """BoundaryEstimates carrier for scalar bound inputs."""
-    return BoundaryEstimates(
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
-        f_plus=f_plus,
-        f_minus=r * f_plus,
-        r=r,
-        bandwidths=Bandwidths(1.0, 1.0, 1.0, 1.0),
-        n_effective=SideCounts(0, 0, 0, 0),
-    )
 
 
 def binary_window(mu_plus, y_low=0.0, y_high=1.0):
@@ -62,42 +46,40 @@ def bound_tuples(min_r=0.05, max_r=1.0):
 class TestCrudeBounds:
     def test_type2_oracle_row1(self):
         row = oracle_appendix_d(0.1, 0.05)
-        be = make_be(row.mu_plus, row.mu_minus, row.r)
-        res = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+        res = crude_bounds(row.mu_plus, row.mu_minus, row.r, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower == pytest.approx(0.060, abs=0.002)
         assert res.upper == pytest.approx(0.185, abs=0.002)
         assert res.status is BoundsStatus.INFORMATIVE
 
     def test_type2_point_identified_at_r_one(self):
-        res = crude_bounds(make_be(0.5, 0.3, 1.0), 0.0, 1.0, TypeAssumption.TYPE2)
+        res = crude_bounds(0.5, 0.3, 1.0, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower == pytest.approx(0.2, abs=1e-12)
         assert res.upper == pytest.approx(0.2, abs=1e-12)
 
     def test_type2_hand_computed(self):
         # both branches evaluated by hand at r=0.8, mu+=0.6, mu-=0.5:
         # lower branches (0, 0), upper branches (0.2, 0.25)
-        res = crude_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0, TypeAssumption.TYPE2)
+        res = crude_bounds(0.6, 0.5, 0.8, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(0.25, abs=1e-12)
 
     def test_type3_hand_computed_and_width(self):
-        res = crude_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0, TypeAssumption.TYPE3)
+        res = crude_bounds(0.6, 0.5, 0.8, 0.0, 1.0, TypeAssumption.TYPE3)
         assert res.lower == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(0.2, abs=1e-12)
         assert res.upper - res.lower == pytest.approx((1 - 0.8) * 1.0, abs=1e-12)
 
     def test_type3_point_at_r_one(self):
-        res = crude_bounds(make_be(0.45, 0.4, 1.0), -1.0, 1.0, TypeAssumption.TYPE3)
+        res = crude_bounds(0.45, 0.4, 1.0, -1.0, 1.0, TypeAssumption.TYPE3)
         assert res.lower == pytest.approx(0.05, abs=1e-12)
         assert res.upper == pytest.approx(0.05, abs=1e-12)
 
     def test_type3_lower_is_first_type2_branch(self):
-        be = make_be(0.7, 0.2, 0.6)
         l1 = (0.7 - 1.0) - 0.6 * (0.2 - 1.0)
-        assert crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE3).lower == pytest.approx(l1, abs=1e-12)
+        assert crude_bounds(0.7, 0.2, 0.6, 0.0, 1.0, TypeAssumption.TYPE3).lower == pytest.approx(l1, abs=1e-12)
 
     def test_type4_hand_computed_and_width(self):
-        res = crude_bounds(make_be(0.6, 0.5, 0.8), 0.0, 1.0, TypeAssumption.TYPE4)
+        res = crude_bounds(0.6, 0.5, 0.8, 0.0, 1.0, TypeAssumption.TYPE4)
         assert res.lower == pytest.approx(0.0, abs=1e-12)
         assert res.upper == pytest.approx(0.25, abs=1e-12)
         assert res.upper - res.lower == pytest.approx((1 / 0.8 - 1) * 1.0, abs=1e-12)
@@ -105,7 +87,7 @@ class TestCrudeBounds:
     def test_type4_width_matches_published_set(self):
         # r = 0.792 on a unit range gives width 0.2626, matching the
         # published interval [0.363, 0.627] of width 0.264 within rounding
-        res = crude_bounds(make_be(0.5, 0.4, 0.792), 0.0, 1.0, TypeAssumption.TYPE4)
+        res = crude_bounds(0.5, 0.4, 0.792, 0.0, 1.0, TypeAssumption.TYPE4)
         width = res.upper - res.lower
         assert width == pytest.approx(1 / 0.792 - 1, abs=1e-12)
         assert width == pytest.approx(0.627 - 0.363, abs=0.005)
@@ -115,41 +97,40 @@ class TestCrudeBounds:
         for _ in range(200):
             mu_p, mu_m = rng.uniform(0, 1, 2)
             r = rng.uniform(0.1, 1.0)
-            be = make_be(mu_p, mu_m, r)
-            a = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
-            b = crude_bounds(be, 0.0, 1.0, TypeAssumption.MIXED)
+            a = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.TYPE2)
+            b = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.MIXED)
             assert a.lower == b.lower and a.upper == b.upper
             assert b.assumption is TypeAssumption.MIXED
 
     def test_mixed_oracle_row2(self):
         row = oracle_appendix_d(0.1, 0.3)
-        res = crude_bounds(make_be(row.mu_plus, row.mu_minus, row.r), 0.0, 1.0, TypeAssumption.MIXED)
+        res = crude_bounds(row.mu_plus, row.mu_minus, row.r, 0.0, 1.0, TypeAssumption.MIXED)
         assert res.lower == pytest.approx(0.032, abs=0.002)
         assert res.upper == pytest.approx(0.190, abs=0.002)
 
     def test_refuted_beyond_tolerance(self):
-        res = crude_bounds(make_be(0.5, 0.5, 1.05), 0.0, 1.0, TypeAssumption.TYPE2)
+        res = crude_bounds(0.5, 0.5, 1.05, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.status is BoundsStatus.REFUTED
         assert res.note is not None
 
     def test_r_within_tolerance_clamped_to_point(self):
-        res = crude_bounds(make_be(0.5, 0.4, 1.01), 0.0, 1.0, TypeAssumption.TYPE3)
+        res = crude_bounds(0.5, 0.4, 1.01, 0.0, 1.0, TypeAssumption.TYPE3)
         assert res.status is BoundsStatus.INFORMATIVE
         assert res.lower <= res.upper
 
     def test_invalid_range(self):
         with pytest.raises(InvalidOutcomeRange):
-            crude_bounds(make_be(0.5, 0.5, 0.9), 1.0, 0.0, TypeAssumption.TYPE2)
+            crude_bounds(0.5, 0.5, 0.9, 1.0, 0.0, TypeAssumption.TYPE2)
 
     def test_missing_range(self):
         # an undeclared range is a labelled error, not a TypeError
         for y_low, y_high in ((None, None), (0.0, None), (None, 1.0)):
             with pytest.raises(InvalidOutcomeRange):
-                crude_bounds(make_be(0.5, 0.5, 0.9), y_low, y_high, TypeAssumption.TYPE2)
+                crude_bounds(0.5, 0.5, 0.9, y_low, y_high, TypeAssumption.TYPE2)
 
     def test_clamp_flag(self):
         # r = 0.1 blows the type-4 interval beyond the logical range
-        res = crude_bounds(make_be(0.9, 0.1, 0.1), 0.0, 1.0, TypeAssumption.TYPE4)
+        res = crude_bounds(0.9, 0.1, 0.1, 0.0, 1.0, TypeAssumption.TYPE4)
         assert res.upper > 1.0
         lower, upper, clamped = clamp_interval(res.lower, res.upper, 0.0, 1.0)
         assert clamped
@@ -162,10 +143,9 @@ class TestStructuralIdentities:
     @given(bound_tuples())
     def test_type2_is_branchwise_envelope(self, tup):
         mu_p, mu_m, r, y_lo, y_hi = tup
-        be = make_be(mu_p, mu_m, r)
-        t2 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE2)
-        t3 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE3)
-        t4 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE4)
+        t2 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE2)
+        t3 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE3)
+        t4 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE4)
         assert t2.lower == pytest.approx(min(t3.lower, t4.lower), abs=1e-10)
         assert t2.upper == pytest.approx(max(t3.upper, t4.upper), abs=1e-10)
 
@@ -173,9 +153,8 @@ class TestStructuralIdentities:
     @given(bound_tuples())
     def test_width_identities(self, tup):
         mu_p, mu_m, r, y_lo, y_hi = tup
-        be = make_be(mu_p, mu_m, r)
-        t3 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE3)
-        t4 = crude_bounds(be, y_lo, y_hi, TypeAssumption.TYPE4)
+        t3 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE3)
+        t4 = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, TypeAssumption.TYPE4)
         assert t3.upper - t3.lower == pytest.approx((1 - r) * (y_hi - y_lo), abs=1e-9)
         assert t4.upper - t4.lower == pytest.approx((1 / r - 1) * (y_hi - y_lo), abs=1e-9)
 
@@ -185,18 +164,17 @@ class TestStructuralIdentities:
         mu_p, mu_m, r, y_lo, y_hi = tup
         smaller = 0.5 * r
         for t in (TypeAssumption.TYPE2, TypeAssumption.TYPE3, TypeAssumption.TYPE4):
-            wide = crude_bounds(make_be(mu_p, mu_m, smaller), y_lo, y_hi, t)
-            narrow = crude_bounds(make_be(mu_p, mu_m, r), y_lo, y_hi, t)
+            wide = crude_bounds(mu_p, mu_m, smaller, y_lo, y_hi, t)
+            narrow = crude_bounds(mu_p, mu_m, r, y_lo, y_hi, t)
             assert wide.upper - wide.lower >= narrow.upper - narrow.lower - 1e-10
 
     @settings(max_examples=200, deadline=None)
     @given(bound_tuples(min_r=1.0, max_r=1.0))
     def test_point_estimate_contained_at_r_one(self, tup):
         mu_p, mu_m, _, y_lo, y_hi = tup
-        be = make_be(mu_p, mu_m, 1.0)
         point = mu_p - mu_m
         for t in TypeAssumption:
-            res = crude_bounds(be, y_lo, y_hi, t)
+            res = crude_bounds(mu_p, mu_m, 1.0, y_lo, y_hi, t)
             assert res.lower - 1e-9 <= point <= res.upper + 1e-9
 
 
@@ -264,11 +242,10 @@ class TestWeightedTrimmedMeans:
 class TestSharpBounds:
     def test_oracle_row4(self):
         row = oracle_appendix_d(0.3, 0.3)
-        be = make_be(row.mu_plus, row.mu_minus, row.r, f_plus=0.5)
-        res = sharp_type2_bounds(*binary_window(row.mu_plus), be, 0.0, 1.0)
+        res = sharp_type2_bounds(*binary_window(row.mu_plus), row.mu_plus, row.mu_minus, row.r, 0.0, 1.0)
         assert res.lower == pytest.approx(-0.254, abs=0.003)
         assert res.upper == pytest.approx(0.303, abs=0.003)
-        crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+        crude = crude_bounds(row.mu_plus, row.mu_minus, row.r, 0.0, 1.0, TypeAssumption.TYPE2)
         assert res.lower >= crude.lower - 1e-9
         assert res.upper <= crude.upper + 1e-9
 
@@ -276,23 +253,22 @@ class TestSharpBounds:
         # binary outcome with mu_plus in [1-r, r]: sharp equals crude exactly
         for r in (0.5, 0.7, 0.9):
             for mu in np.linspace(1 - r, r, 9):
-                be = make_be(float(mu), 0.4, r)
-                sharp = sharp_type2_bounds(*binary_window(float(mu)), be, 0.0, 1.0)
-                crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+                sharp = sharp_type2_bounds(*binary_window(float(mu)), float(mu), 0.4, r, 0.0, 1.0)
+                crude = crude_bounds(float(mu), 0.4, r, 0.0, 1.0, TypeAssumption.TYPE2)
                 assert sharp.lower == pytest.approx(crude.lower, abs=1e-9)
                 assert sharp.upper == pytest.approx(crude.upper, abs=1e-9)
 
     def test_exact_scan_against_fine_grid(self, rng):
         # the exact extremes are never narrower than a dense scan of the
         # per-z ends over z in [f_minus, f_plus], and stay inside the crude set
-        def grid_set(ws, ys, be, n):
-            f_plus, f_minus = be.f_plus, min(be.f_minus, be.f_plus)
+        def grid_set(ws, ys, mu_p, mu_m, r, f_plus, n):
+            f_minus = min(r * f_plus, f_plus)
             z = np.linspace(f_minus, f_plus, n)
             tau = 1.0 - z / f_plus
             tau[-1] = 0.0
             g_low, g_high = weighted_trimmed_means(ys, ws, tau, 0.0, 1.0)
-            theta_low = (f_plus / z) * (be.mu_plus - g_high) - (f_minus / z) * (be.mu_minus - 1.0) + (g_high - 1.0)
-            theta_high = (f_plus / z) * (be.mu_plus - g_low) - (f_minus / z) * be.mu_minus + g_low
+            theta_low = (f_plus / z) * (mu_p - g_high) - (f_minus / z) * (mu_m - 1.0) + (g_high - 1.0)
+            theta_high = (f_plus / z) * (mu_p - g_low) - (f_minus / z) * mu_m + g_low
             return theta_low.min(), theta_high.max()
 
         for _ in range(300):
@@ -301,13 +277,13 @@ class TestSharpBounds:
             ws = rng.uniform(0.05, 1.0, m)
             # an order-1 intercept differs from the window mean
             mu_p = float(np.clip(np.average(ys, weights=ws) + rng.uniform(-0.2, 0.2), 0.0, 1.0))
-            be = make_be(mu_p, rng.uniform(0.0, 1.0), rng.uniform(0.3, 1.0), f_plus=rng.uniform(0.2, 3.0))
-            sharp = sharp_type2_bounds(ws, ys, be, 0.0, 1.0)
+            mu_m, r, f_plus = rng.uniform(0.0, 1.0), rng.uniform(0.3, 1.0), rng.uniform(0.2, 3.0)
+            sharp = sharp_type2_bounds(ws, ys, mu_p, mu_m, r, 0.0, 1.0)
             for n in (200_001, 201):
-                grid_lo, grid_hi = grid_set(ws, ys, be, n)
+                grid_lo, grid_hi = grid_set(ws, ys, mu_p, mu_m, r, f_plus, n)
                 assert sharp.lower <= grid_lo + 1e-12
                 assert sharp.upper >= grid_hi - 1e-12
-            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            crude = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.TYPE2)
             assert crude.lower - 1e-12 <= sharp.lower <= sharp.upper <= crude.upper + 1e-12
 
     def test_trimming_matches_brute_force_scan(self, rng):
@@ -321,16 +297,16 @@ class TestSharpBounds:
             probs /= probs.sum()
             mu_p = float(np.clip(probs @ ys + rng.uniform(-0.2, 0.2), 0.0, 1.0))
             r = float(rng.uniform(0.2, 1.0))
-            be = make_be(mu_p, float(rng.uniform(0.0, 1.0)), r)
-            sharp = sharp_type2_bounds(probs, ys, be, 0.0, 1.0)
+            mu_m = float(rng.uniform(0.0, 1.0))
+            sharp = sharp_type2_bounds(probs, ys, mu_p, mu_m, r, 0.0, 1.0)
             cum = np.cumsum(probs[np.argsort(ys, kind="stable")])
             kinks = np.concatenate([cum, 1.0 - cum])
             shift = mu_p - probs @ ys
             theta_low, theta_high = [], []
             for q in np.concatenate([np.linspace(r, 1.0, 401), kinks[(r < kinks) & (kinks < 1.0)]]):
                 g_low, g_high = brute_force_trimming(ys, probs, float(q))
-                theta_low.append((shift + q * g_low - r * (be.mu_minus - 1.0)) / q - 1.0)
-                theta_high.append((shift + q * g_high - r * be.mu_minus) / q)
+                theta_low.append((shift + q * g_low - r * (mu_m - 1.0)) / q - 1.0)
+                theta_high.append((shift + q * g_high - r * mu_m) / q)
             assert sharp.lower <= min(theta_low) + 1e-12
             assert sharp.upper >= max(theta_high) - 1e-12
             assert sharp.lower == pytest.approx(min(theta_low), abs=1e-9)
@@ -341,9 +317,8 @@ class TestSharpBounds:
             mu_p = rng.uniform(0.05, 0.95)
             mu_m = rng.uniform(0.0, 1.0)
             r = rng.uniform(0.2, 1.0)
-            be = make_be(mu_p, mu_m, r)
-            sharp = sharp_type2_bounds(*binary_window(mu_p), be, 0.0, 1.0)
-            crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            sharp = sharp_type2_bounds(*binary_window(mu_p), mu_p, mu_m, r, 0.0, 1.0)
+            crude = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.TYPE2)
             assert sharp.lower >= crude.lower - 1e-9
             assert sharp.upper <= crude.upper + 1e-9
             assert sharp.lower <= sharp.upper + 1e-9
@@ -352,27 +327,24 @@ class TestSharpBounds:
         ys = rng.uniform(0, 1, 500)
         ws = rng.uniform(0.2, 1.0, 500)
         mu_p = float(np.average(ys, weights=ws))
-        be = make_be(mu_p, 0.35, 0.6)
-        sharp = sharp_type2_bounds(ws, ys, be, 0.0, 1.0)
-        crude = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+        sharp = sharp_type2_bounds(ws, ys, mu_p, 0.35, 0.6, 0.0, 1.0)
+        crude = crude_bounds(mu_p, 0.35, 0.6, 0.0, 1.0, TypeAssumption.TYPE2)
         assert crude.lower - 1e-9 <= sharp.lower <= sharp.upper <= crude.upper + 1e-9
 
     def test_errors(self):
-        be = make_be(0.5, 0.5, 0.9)
         with pytest.raises(EmptyWindow):
-            sharp_type2_bounds(np.empty(0), np.empty(0), be, 0.0, 1.0)
+            sharp_type2_bounds(np.empty(0), np.empty(0), 0.5, 0.5, 0.9, 0.0, 1.0)
         with pytest.raises(EmptyWindow):
-            sharp_type2_bounds([1.0, 1.0], [0.0], be, 0.0, 1.0)
+            sharp_type2_bounds([1.0, 1.0], [0.0], 0.5, 0.5, 0.9, 0.0, 1.0)
         with pytest.raises(EmptyWindow):
-            sharp_type2_bounds([[1.0, 0.0]], [[1.0, 0.0]], be, 0.0, 1.0)
+            sharp_type2_bounds([[1.0, 0.0]], [[1.0, 0.0]], 0.5, 0.5, 0.9, 0.0, 1.0)
         with pytest.raises(EmptyWindow):
-            sharp_type2_bounds([0.0, 0.0], [0.0, 1.0], be, 0.0, 1.0)
+            sharp_type2_bounds([0.0, 0.0], [0.0, 1.0], 0.5, 0.5, 0.9, 0.0, 1.0)
         with pytest.raises(InvalidOutcomeRange):
-            sharp_type2_bounds(*binary_window(0.5), be, None, None)
+            sharp_type2_bounds(*binary_window(0.5), 0.5, 0.5, 0.9, None, None)
 
     def test_refuted_when_r_large(self):
-        be = make_be(0.5, 0.5, 1.2, f_plus=1.0)
-        res = sharp_type2_bounds(*binary_window(0.5), be, 0.0, 1.0)
+        res = sharp_type2_bounds(*binary_window(0.5), 0.5, 0.5, 1.2, 0.0, 1.0)
         assert res.status is BoundsStatus.REFUTED
 
 
@@ -381,35 +353,31 @@ class TestFuzzyBounds:
         for _ in range(100):
             mu_p, mu_m = rng.uniform(0, 1, 2)
             r = rng.uniform(0.1, 1.5)  # above one, both sets evaluate r at one
-            f_plus = rng.uniform(0.2, 3.0)
-            be = make_be(mu_p, mu_m, r, f_plus=f_plus)
-            fz = fuzzy_bounds(be, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)
-            t2 = crude_bounds(be, 0.0, 1.0, TypeAssumption.TYPE2)
+            rng.uniform(0.2, 3.0)  # f+: the bounds read only r, but the draw keeps the stream
+            fz = fuzzy_bounds(mu_p, mu_m, r, d_plus=1.0, d_minus=0.0, y_low=0.0, y_high=1.0)
+            t2 = crude_bounds(mu_p, mu_m, r, 0.0, 1.0, TypeAssumption.TYPE2)
             assert fz.lower == pytest.approx(t2.lower, abs=1e-12)
             assert fz.upper == pytest.approx(t2.upper, abs=1e-12)
 
     def test_point_identified_ratio(self):
-        be = make_be(0.55, 0.5, 1.0, f_plus=1.0)
-        fz = fuzzy_bounds(be, d_plus=0.6, d_minus=0.4, y_low=0.0, y_high=1.0)
+        fz = fuzzy_bounds(0.55, 0.5, 1.0, d_plus=0.6, d_minus=0.4, y_low=0.0, y_high=1.0)
         assert fz.lower == pytest.approx(0.25, abs=1e-12)
         assert fz.upper == pytest.approx(0.25, abs=1e-12)
 
     def test_degenerate_without_first_stage(self):
-        be = make_be(0.55, 0.5, 1.0, f_plus=1.0)
-        fz = fuzzy_bounds(be, d_plus=0.5, d_minus=0.5, y_low=0.0, y_high=1.0)
+        fz = fuzzy_bounds(0.55, 0.5, 1.0, d_plus=0.5, d_minus=0.5, y_low=0.0, y_high=1.0)
         assert fz.status is BoundsStatus.DEGENERATE
 
     def test_d_domain_validated(self):
-        be = make_be(0.55, 0.5, 1.0)
         with pytest.raises(InvalidConfig):
-            fuzzy_bounds(be, d_plus=1.2, d_minus=0.0, y_low=0.0, y_high=1.0)
+            fuzzy_bounds(0.55, 0.5, 1.0, d_plus=1.2, d_minus=0.0, y_low=0.0, y_high=1.0)
         with pytest.raises(InvalidConfig):
-            fuzzy_bounds(be, d_plus=1.0, d_minus=-0.1, y_low=0.0, y_high=1.0)
+            fuzzy_bounds(0.55, 0.5, 1.0, d_plus=1.0, d_minus=-0.1, y_low=0.0, y_high=1.0)
 
 
 class TestCovariateBounds:
     def _res(self, lo, hi):
-        return crude_bounds(make_be(0.5, 0.5, 1.0), 0.0, 1.0, TypeAssumption.TYPE2).__class__(
+        return crude_bounds(0.5, 0.5, 1.0, 0.0, 1.0, TypeAssumption.TYPE2).__class__(
             lower=lo,
             upper=hi,
             target="E[Y(1)-Y(0) | X*=c]",
@@ -436,6 +404,6 @@ class TestCovariateBounds:
 
     def test_mixed_targets_rejected(self):
         good = self._res(0.0, 0.5)
-        bad = crude_bounds(make_be(0.5, 0.5, 1.0), 0.0, 1.0, TypeAssumption.TYPE3)
+        bad = crude_bounds(0.5, 0.5, 1.0, 0.0, 1.0, TypeAssumption.TYPE3)
         with pytest.raises(MixedTargets):
             covariate_bounds([("a", good), ("b", bad)])

@@ -287,12 +287,12 @@ class TestAnalyze:
         assert be.r < 1.0  # so the sharp bound trims
         resolved = fit.resolved(data.xs, 0.0)
         _, w, keep = local_weights(data.xs, 0.0, resolved.mean_spec(Side.RIGHT))
-        sharp = sharp_type2_bounds(w[keep], data.ys[keep], be, 0.0, 1.0)
+        sharp = sharp_type2_bounds(w[keep], data.ys[keep], be.mu_plus, be.mu_minus, be.r, 0.0, 1.0)
         assert block["sharp_set"] == list(clamp_interval(sharp.lower, sharp.upper, 0.0, 1.0)[:2])
         # the report's fuzzy set is fuzzy_bounds at the plan's d+-
         _, plan = boundary_pass(data, cfg.boot, resolved)
         d_plus, d_minus = sample_means(plan, data.d)
-        fuzzy = fuzzy_bounds(be, d_plus, d_minus, 0.0, 1.0)
+        fuzzy = fuzzy_bounds(be.mu_plus, be.mu_minus, be.r, d_plus, d_minus, 0.0, 1.0)
         assert block["fuzzy_status"] == fuzzy.status.value == "Informative"
         assert block["fuzzy_set"] == [fuzzy.lower, fuzzy.upper]
         # and close to it at local_poly_fit's d+-. Both solve the same normal
@@ -304,7 +304,7 @@ class TestAnalyze:
             for side in (Side.RIGHT, Side.LEFT)
         ]
         assert [d_plus, d_minus] == pytest.approx(full_sample, rel=1e-14, abs=0.0)
-        reference = fuzzy_bounds(be, *full_sample, 0.0, 1.0)
+        reference = fuzzy_bounds(be.mu_plus, be.mu_minus, be.r, *full_sample, 0.0, 1.0)
         assert block["fuzzy_set"] == pytest.approx([reference.lower, reference.upper], rel=2e-14, abs=0.0)
 
     def test_fuzzy_set_at_density_ratio_above_one(self):

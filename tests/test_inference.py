@@ -154,20 +154,12 @@ Y_LOW, Y_HIGH = -3.7, 11.3
 
 
 def per_replicate_loop(draws, assumption, r_mode):
-    """Each replicate as its own BoundaryEstimates through the scalar bound function."""
+    """Each replicate through the scalar bound function, one at a time."""
     reps = np.empty((draws.draws.shape[0], 2))
     for i, (mu_p, mu_m, f_p, f_m) in enumerate(draws.draws):
         if r_mode is RMode.FIXED:
             f_p, f_m = draws.point.f_plus, draws.point.f_minus
-        be = replace(
-            draws.point,
-            mu_plus=float(mu_p),
-            mu_minus=float(mu_m),
-            f_plus=float(f_p),
-            f_minus=float(f_m),
-            r=float(f_m / f_p),
-        )
-        res = crude_bounds(be, Y_LOW, Y_HIGH, assumption)
+        res = crude_bounds(float(mu_p), float(mu_m), float(f_m / f_p), Y_LOW, Y_HIGH, assumption)
         reps[i] = (res.lower, res.upper)
     return reps
 
@@ -223,7 +215,8 @@ class TestBoundsFromDraws:
         got = bounds_from_draws(draws, assumption, r_mode, Y_LOW, Y_HIGH)
         reference = per_replicate_loop(draws, assumption, r_mode)
         assert got.replicates.tobytes() == reference.tobytes()
-        assert got.point == crude_bounds(draws.point, Y_LOW, Y_HIGH, assumption)
+        point = draws.point
+        assert got.point == crude_bounds(point.mu_plus, point.mu_minus, point.r, Y_LOW, Y_HIGH, assumption)
         assert got.se_lower == float(np.std(reference[:, 0], ddof=1))
         assert got.se_upper == float(np.std(reference[:, 1], ddof=1))
 

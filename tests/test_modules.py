@@ -53,6 +53,17 @@ def test_cli_refits_nothing_outside_the_plan():
     assert not names & {"local_poly_fit", "local_weights"}
 
 
+def test_bounds_imports_no_estimation_module():
+    # the bounds take (mu_plus, mu_minus, r) themselves, so the identification
+    # layer reads nothing from the estimation layer; errors is the one sibling
+    tree = ast.parse((Path(mrdd.__file__).resolve().parent / "bounds.py").read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    absolute += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert relative == {"errors"}
+    assert not [name for name in absolute if name.split(".")[0] == "mrdd"]
+
+
 def module_level_scipy_imports(source: str) -> list[str]:
     """Every import of scipy (or a name from it) that runs when ``source`` is imported.
 
