@@ -2,8 +2,8 @@
 
 Boundary estimation of one-sided means and densities, the sequential
 density/balance diagnostic protocol, partial-identification bounds (crude,
-sharp, fuzzy, covariate-tightened) with bootstrap inference, and synthetic
-data generators with analytically known answers.
+sharp, fuzzy) with bootstrap inference, and synthetic data generators with
+analytically known answers.
 """
 
 from .boundary import (
@@ -19,7 +19,6 @@ from .bounds import (
     BoundsStatus,
     TypeAssumption,
     clamp_interval,
-    covariate_bounds,
     crude_bounds,
     crude_interval,
     fuzzy_bounds,
@@ -90,7 +89,6 @@ __all__ = [
     "boundary_density",
     "bounds_from_draws",
     "clamp_interval",
-    "covariate_bounds",
     "crude_bounds",
     "crude_interval",
     "density_curve",

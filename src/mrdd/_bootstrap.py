@@ -44,7 +44,6 @@ share out whole chunks.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,10 +174,10 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
     n, d = xs.size, fit.order
     sides = (Side.RIGHT, Side.LEFT)
     specs = [(fit.mean_spec(side), fit.density_spec(side)) for side in sides]
-    # every window lies within twice its bandwidth of the cutoff; the stable
-    # sort of those rows keeps tied rows in original-index order
-    reach = 2.0 * max(spec.bandwidth for pair in specs for spec in pair)
-    order = np.flatnonzero((xs >= cutoff - reach) & (xs <= cutoff + reach))
+    # every window lies on its side within twice its bandwidth of the cutoff;
+    # the stable sort of those rows keeps tied rows in original-index order
+    right, left = (2.0 * max(spec.bandwidth for spec in pair) for pair in specs)
+    order = np.flatnonzero(np.where(xs < cutoff, xs >= cutoff - left, xs <= cutoff + right))
     order = order[np.argsort(xs[order], kind="stable")]
     xs_sorted = xs[order]
     windows = [
@@ -364,6 +363,9 @@ def run_replicates(plan: Plan, b: int, seed: int, workers: int = 1) -> np.ndarra
     # chunk runs serially.
     workers = min(workers, len(starts), usable_cpus())
     if workers > 1:
+        # concurrent.futures loads logging too; a one-worker run imports neither
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(one, starts)))
     return np.concatenate([one(start) for start in starts])

@@ -14,8 +14,7 @@ right-boundary outcome distribution, given as weights and outcomes, taking
 the exact extremes over the counterfactual density share at the
 breakpoints of the trimming functions.
 ``fuzzy_bounds`` bounds the ratio estimand of a fuzzy design by the
-extreme ratios of two type-3 intervals, the outcome's and the treatment's,
-and ``covariate_bounds`` intersects per-stratum intervals.
+extreme ratios of two type-3 intervals, the outcome's and the treatment's.
 
 The formulas return the interval they define, even where it leaves the
 logical range [y_low - y_high, y_high - y_low] of an effect; clipping a
@@ -30,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    EmptyWindow,
-    InvalidConfig,
-    InvalidOutcomeRange,
-    MixedTargets,
-)
+from .errors import EmptyWindow, InvalidConfig, InvalidOutcomeRange
 
 #: Estimated r above 1 + this tolerance refutes the one-sided sorting model.
 R_REFUTATION_TOLERANCE = 0.02
@@ -284,33 +277,3 @@ def fuzzy_bounds(
     lower = min(y_lo / d_lo, y_lo / d_hi)
     upper = max(y_hi / d_lo, y_hi / d_hi)
     return _result(lower, upper, r, TypeAssumption.TYPE2, FUZZY_TARGET_LABEL)
-
-
-def covariate_bounds(per_stratum) -> BoundsResult:
-    """Intersection of per-stratum intervals under an exclusion restriction.
-
-    Takes (label, BoundsResult) pairs that share target and assumption; the
-    result is [max of lowers, min of uppers]. An empty intersection is
-    reported as Refuted, signalling a violated exclusion restriction.
-    """
-    items = list(per_stratum)
-    if not items:
-        raise EmptyInput("need at least one stratum interval")
-    results = [res for _, res in items]
-    first = results[0]
-    for label, res in items:
-        if res.status is not BoundsStatus.INFORMATIVE:
-            raise MixedTargets(f"stratum {label!r} is not Informative ({res.status.value})")
-        if res.target != first.target or res.assumption is not first.assumption:
-            raise MixedTargets(f"stratum {label!r} targets a different estimand")
-    lower = max(res.lower for res in results)
-    upper = min(res.upper for res in results)
-    refuted = lower > upper
-    return BoundsResult(
-        lower=float(lower),
-        upper=float(upper),
-        target=first.target,
-        assumption=first.assumption,
-        status=BoundsStatus.REFUTED if refuted else BoundsStatus.INFORMATIVE,
-        note="stratum intervals do not intersect; exclusion restriction suspect" if refuted else None,
-    )

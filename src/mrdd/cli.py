@@ -129,12 +129,15 @@ def ingest(
 ) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
-    The requested columns are parsed in one ``np.loadtxt`` call. If that
-    call fails or gives a value that is not finite, the file is read again
-    one record at a time, which either returns the same columns or raises
-    ParseError with the 1-based line number of the bad row. Requested
-    columns must exist in the header. A file that cannot be opened, or a
-    byte its encoding cannot decode, raises DataError naming the file.
+    The requested columns are parsed in one ``np.loadtxt`` call. It is given
+    the file's path, which numpy reads in chunks, not the open file, which
+    it would read one line at a time in Python; it skips the physical lines
+    the header took. If that call fails or gives a value that is not
+    finite, the file is read again one record at a time, which either
+    returns the same columns or raises ParseError with the 1-based line
+    number of the bad row. Requested columns must exist in the header. A
+    file that cannot be opened, or a byte its encoding cannot decode,
+    raises DataError naming the file.
     """
     # each requested column once, with the words its ParseError uses
     wanted: dict[str, str] = {}
@@ -150,11 +153,12 @@ def ingest(
         raise DataError(f"cannot open {path}: {err.strerror}") from None
     with fh:
         try:
-            header = next(csv.reader(fh), [])
+            reader = csv.reader(fh)
+            header = next(reader, [])
             for col in wanted:
                 if col not in header:
                     raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
-            columns = _parse_columns(fh, header, list(wanted))
+            columns = _parse_columns(path, fh.encoding, reader.line_num, header, list(wanted))
             if columns is None:
                 fh.seek(0)
                 columns = _read_rows(fh, wanted)
@@ -174,16 +178,21 @@ def ingest(
     )
 
 
-def _parse_columns(fh, header: list[str], names: list[str]) -> dict[str, np.ndarray] | None:
-    """``names`` parsed from the rows left in ``fh``, or None if ``np.loadtxt``
-    fails on them or a value is not finite."""
+def _parse_columns(
+    path: str, encoding: str, skip: int, header: list[str], names: list[str]
+) -> dict[str, np.ndarray] | None:
+    """``names`` parsed from the rows of ``path`` after its first ``skip``
+    lines, or None if ``np.loadtxt`` fails on them or a value is not finite."""
     # csv.DictReader maps a repeated header name to its last column
     usecols = [len(header) - 1 - header[::-1].index(name) for name in names]
     try:
         with warnings.catch_warnings():
             # a header-only file is reported as EmptyInput instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2)
+            table = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2,
+                skiprows=skip, encoding=encoding,
+            )
     except ValueError:
         return None
     if not np.isfinite(table).all():

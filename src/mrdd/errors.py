@@ -60,10 +60,6 @@ class EmptyInput(DataError):
     pass
 
 
-class MixedTargets(DataError):
-    pass
-
-
 class TooManyFailedReplicates(DataError):
     pass
 

@@ -13,6 +13,7 @@ checks the window draw against the full multinomial(n, 1/n) resample it
 replaces.
 """
 
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -127,16 +128,20 @@ def jump_statistic(point, columns):
     return point / np.std(ok[:, 0] - ok[:, 1], ddof=1)
 
 
-def config(order, kernel):
-    bw = Bandwidths(mean_left=H, mean_right=2 * H, dens_left=H, dens_right=H)
+def config(order, kernel, wide=Side.RIGHT):
+    # the ``wide`` side's mean bandwidth is 2H, the other three H, so the plan
+    # reaches 4H on that side and 2H on the other, where tied edge points lie
+    mean_left, mean_right = (H, 2 * H) if wide is Side.RIGHT else (2 * H, H)
+    bw = Bandwidths(mean_left=mean_left, mean_right=mean_right, dens_left=H, dens_right=H)
     return FitConfig(order=order, kernel=kernel, bandwidths=bw)
 
 
+@pytest.mark.parametrize("wide", [Side.RIGHT, Side.LEFT], ids=["wide-right", "wide-left"])
 @pytest.mark.parametrize("kernel", list(KernelKind))
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_engine_matches_per_row_fits(order, kernel):
+def test_engine_matches_per_row_fits(order, kernel, wide):
     data = tied_sample()
-    fit = config(order, kernel)
+    fit = config(order, kernel, wide)
     boot = BootstrapConfig(b=B, seed=SEED)
     whole = np.arange(data.n)
 
@@ -242,7 +247,8 @@ def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(_bootstrap, "ThreadPoolExecutor", Serial)
+    # run_replicates imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
     data = tied_sample()
     plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
     serial = run_replicates(plan, 60, SEED)

@@ -7,13 +7,12 @@ from mrdd import (
     BoundsStatus,
     TypeAssumption,
     clamp_interval,
-    covariate_bounds,
     crude_bounds,
     fuzzy_bounds,
     oracle_appendix_d,
     sharp_type2_bounds,
 )
-from mrdd.errors import EmptyInput, EmptyWindow, InvalidConfig, InvalidOutcomeRange, MixedTargets
+from mrdd.errors import EmptyWindow, InvalidConfig, InvalidOutcomeRange
 from oracles import binary_sharp_gfuncs, brute_force_trimming, weighted_trimmed_means
 
 
@@ -373,37 +372,3 @@ class TestFuzzyBounds:
             fuzzy_bounds(0.55, 0.5, 1.0, d_plus=1.2, d_minus=0.0, y_low=0.0, y_high=1.0)
         with pytest.raises(InvalidConfig):
             fuzzy_bounds(0.55, 0.5, 1.0, d_plus=1.0, d_minus=-0.1, y_low=0.0, y_high=1.0)
-
-
-class TestCovariateBounds:
-    def _res(self, lo, hi):
-        return crude_bounds(0.5, 0.5, 1.0, 0.0, 1.0, TypeAssumption.TYPE2).__class__(
-            lower=lo,
-            upper=hi,
-            target="E[Y(1)-Y(0) | X*=c]",
-            assumption=TypeAssumption.TYPE2,
-            status=BoundsStatus.INFORMATIVE,
-        )
-
-    def test_intersection(self):
-        out = covariate_bounds([("a", self._res(0.0, 0.5)), ("b", self._res(0.2, 0.8))])
-        assert (out.lower, out.upper) == (0.2, 0.5)
-        assert out.status is BoundsStatus.INFORMATIVE
-
-    def test_single_stratum_identity(self):
-        out = covariate_bounds([("only", self._res(0.1, 0.4))])
-        assert (out.lower, out.upper) == (0.1, 0.4)
-
-    def test_empty_intersection_refuted(self):
-        out = covariate_bounds([("a", self._res(0.0, 0.1)), ("b", self._res(0.3, 0.5))])
-        assert out.status is BoundsStatus.REFUTED
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            covariate_bounds([])
-
-    def test_mixed_targets_rejected(self):
-        good = self._res(0.0, 0.5)
-        bad = crude_bounds(0.5, 0.5, 1.0, 0.0, 1.0, TypeAssumption.TYPE3)
-        with pytest.raises(MixedTargets):
-            covariate_bounds([("a", good), ("b", bad)])

@@ -76,14 +76,14 @@ HEADERS = ["x,y", "x,y,d,c", "y,x,c,d", "x,x,y,c,d", "c,d,y,x,x", "x", "x,c", "y
 
 @st.composite
 def csv_texts(draw):
-    """CSV text over AWKWARD_TOKENS: ragged rows, blank lines, CRLF, maybe no rows."""
+    """CSV text over AWKWARD_TOKENS: ragged rows, blank lines, CRLF or lone CR, maybe no rows."""
     field = st.one_of(
         st.sampled_from(AWKWARD_TOKENS),
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
     )
     row = st.lists(field, min_size=0, max_size=6).map(",".join)
     rows = draw(st.lists(row, max_size=8))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join([draw(st.sampled_from(HEADERS)), *rows])
     return text + eol if draw(st.booleans()) else text
 
@@ -170,11 +170,13 @@ class TestIngest:
         assert excinfo.value.line == line
         assert str(excinfo.value).endswith(f"at line {line}")
 
-    def test_column_reader_needs_no_row_reader(self, tmp_path):
+    @pytest.mark.parametrize("note", ["note", '"two-line\r\nnote"'], ids=["one-line", "two-line"])
+    def test_column_reader_needs_no_row_reader(self, tmp_path, note):
         # CRLF endings, blank lines, quoted and padded fields, a ragged
-        # unrequested column and a repeated header name (last one wins)
+        # unrequested column and a repeated header name (last one wins); a
+        # quoted header name may span two lines
         path = tmp_path / "d.csv"
-        path.write_text('y,x,c,x,note\r\n1,9,0.5,"-0.25",a\r\n\r\n0, 9 ,-0.0, 5e-324 \r\n1,9,2,3\r\n',
+        path.write_text(f'y,x,c,x,{note}\r\n1,9,0.5,"-0.25",a\r\n\r\n0, 9 ,-0.0, 5e-324 \r\n1,9,2,3\r\n',
                         newline="")
         with mock.patch.object(cli, "_read_rows", side_effect=AssertionError("row reader ran")):
             data = ingest(str(path), cutoff=0.0, covariates=("c",))

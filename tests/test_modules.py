@@ -1,9 +1,12 @@
 """Module boundaries: no package module imports another module's private names
-or scipy at import time, analyze and plotdata never load scipy, the normal
-tail and quantiles they take from the standard library are accurate, and
-README's library example runs on the public API."""
+or scipy at import time, every public function and error class is reached by
+the package or named as library API, analyze and plotdata never load scipy
+and a one-worker analyze no thread pool, the normal tail and quantiles they
+take from the standard library are accurate, and README's library example
+runs on the public API."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 import mrdd
-from mrdd import imbens_manski_ci
+from mrdd import errors, imbens_manski_ci
 from mrdd.diagnostics import _two_sided_p
 
 MODULES = sorted(Path(mrdd.__file__).resolve().parent.glob("*.py"))
@@ -62,6 +65,45 @@ def test_bounds_imports_no_estimation_module():
     absolute += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     assert relative == {"errors"}
     assert not [name for name in absolute if name.split(".")[0] == "mrdd"]
+
+
+#: Public functions kept for library callers though no command reaches them:
+#: the array-level fitting API, and README's entry point to the bootstrap,
+#: which hides the engine's plan
+LIBRARY_API = {"estimate_boundary", "local_poly_fit", "density_curve", "boundary_density",
+               "bootstrap_boundary_replicates"}
+
+
+def test_public_surface_is_reached():
+    # a public function is named in code by another package module, and an
+    # error class is built (support_error returns the fit errors its callers
+    # raise) or caught by one, or is a base of one that is. __init__ only
+    # re-exports, and docstrings are not code.
+    trees = {f"mrdd.{path.stem}": ast.parse(path.read_text()) for path in MODULES if path.stem != "__init__"}
+
+    def named(module: str) -> set[str]:
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for other, tree in trees.items() if other != module
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    def built_or_caught(node) -> list:
+        if isinstance(node, ast.Call):
+            return [node.func]
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            return node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return []
+
+    functions = [name for name in mrdd.__all__ if not inspect.isclass(getattr(mrdd, name))]
+    unreached = [name for name in functions
+                 if name not in LIBRARY_API and name not in named(getattr(mrdd, name).__module__)]
+    handled = {part.id if isinstance(part, ast.Name) else part.attr
+               for module, tree in trees.items() if module != "mrdd.errors"
+               for node in ast.walk(tree) for part in built_or_caught(node)
+               if isinstance(part, (ast.Name, ast.Attribute))}
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__]
+    used = {cls for cls in classes if cls.__name__ in handled}
+    unreached += [cls.__name__ for cls in classes if not any(issubclass(user, cls) for user in used)]
+    assert unreached == []
 
 
 def module_level_scipy_imports(source: str) -> list[str]:
@@ -121,6 +163,8 @@ def test_analyze_and_plotdata_never_load_scipy(tmp_path):
         f"             '--boot', '50', '--sharp', '--covariate', 'w', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
         f"assert main(['plotdata', {str(sample)!r}, '--cutoff', '0', '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
         "assert not loaded(), loaded()\n"
+        "# a one-worker run starts no thread pool, so it imports none\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "sys.exit(main(['oracle', '--p', '0.1', '--lambda', '0.05']))\n"
     )
     src = str(Path(mrdd.__file__).resolve().parents[1])
