@@ -24,17 +24,15 @@ from .bounds import (
     fuzzy_bounds,
     sharp_type2_bounds,
 )
-from .diagnostics import (
-    ProtocolOutcome,
-    TestResult,
-    Verdict,
-)
 from .inference import (
     BootstrapBounds,
     BootstrapConfig,
     BoundaryDraws,
     IntervalCI,
+    ProtocolOutcome,
     RMode,
+    TestResult,
+    Verdict,
     bootstrap_boundary_replicates,
     bounds_from_draws,
     imbens_manski_ci,

@@ -174,8 +174,10 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
     n, d = xs.size, fit.order
     sides = (Side.RIGHT, Side.LEFT)
     specs = [(fit.mean_spec(side), fit.density_spec(side)) for side in sides]
-    # every window lies on its side within twice its bandwidth of the cutoff;
-    # the stable sort of those rows keeps tied rows in original-index order
+    # a window keeps a row by u = fl(fl(x - c) / h), so rows a few ulps past
+    # fl(c - h) can be in it (tests/test_bootstrap.py has such a sample):
+    # reach twice the bandwidth, not once. The stable sort of those rows
+    # keeps tied rows in original-index order
     right, left = (2.0 * max(spec.bandwidth for spec in pair) for pair in specs)
     order = np.flatnonzero(np.where(xs < cutoff, xs >= cutoff - left, xs <= cutoff + right))
     order = order[np.argsort(xs[order], kind="stable")]

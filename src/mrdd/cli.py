@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import synth
-from ._bootstrap import drop_failed, sample_means, sharp_window
+from ._bootstrap import sample_means, sharp_window
 from .boundary import Bandwidths, Dataset, FitConfig
 from .bounds import (
     BoundsStatus,
@@ -42,7 +42,6 @@ from .bounds import (
     sharp_type2_bounds,
     snap_tolerance,
 )
-from .diagnostics import protocol_from_draws
 from .errors import (
     ConfigError,
     DataError,
@@ -57,6 +56,7 @@ from .inference import (
     boundary_pass,
     bounds_from_draws,
     imbens_manski_ci,
+    protocol_from_draws,
 )
 from .localfit import (
     DENSITY_FLOOR,
@@ -65,7 +65,6 @@ from .localfit import (
     KernelKind,
     Side,
     density_curve,
-    sample_sd,
 )
 
 REPORT_SCHEMA_VERSION = 1
@@ -267,6 +266,9 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     draws, plan = boundary_pass(data, cfg.boot, fit, cfg.covariates)
     protocol = protocol_from_draws(draws, cfg.boot.alpha)
     be = draws.point
+    y_low, y_high = cfg.y_low, cfg.y_high
+    fixed = bounds_from_draws(draws, cfg.assumption, RMode.FIXED, y_low, y_high)
+    random_ = bounds_from_draws(draws, cfg.assumption, RMode.RANDOM, y_low, y_high)
 
     block: dict = {
         "order": fit.order,
@@ -279,18 +281,12 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         "mu_minus": be.mu_minus,
         "f_plus": be.f_plus,
         "f_minus": be.f_minus,
+        # the mean jump and its bootstrap SE, on the bounds' replicates
+        "point_estimate": be.mu_plus - be.mu_minus,
+        "point_se": fixed.point_se,
     }
 
-    # point estimate of the mean jump and its bootstrap SE, on the bounds' replicates
-    boundary, _ = drop_failed(draws.draws[:, :4], "boundary")
-    block["point_estimate"] = be.mu_plus - be.mu_minus
-    block["point_se"] = sample_sd(boundary[:, 0] - boundary[:, 1])
-
     warnings = list(be.warnings)
-    y_low, y_high = cfg.y_low, cfg.y_high
-
-    fixed = bounds_from_draws(draws, cfg.assumption, RMode.FIXED, y_low, y_high)
-    random_ = bounds_from_draws(draws, cfg.assumption, RMode.RANDOM, y_low, y_high)
     point = fixed.point
     set_lo, set_hi, clamped = clamp_interval(point.lower, point.upper, y_low, y_high)
     block["identified_set"] = [set_lo, set_hi]

@@ -1,14 +1,18 @@
-"""Bootstrap distributions of boundary statistics and interval confidence sets.
+"""Bootstrap distributions of boundary statistics, the sequential diagnostic
+protocol, and interval confidence sets.
 
 One bootstrap pass per analysis draws every boundary fit, and each tested
-covariate's two mean fits, on the same replicates; the density and balance
-tests and both r modes of the bounds read their own columns of it. Two r
-modes are supported: ``fixed`` holds the density ratio at its full-sample
-estimate across replicates (isolating mean-estimation noise), ``random``
-re-estimates the densities per replicate with the full-sample bandwidths.
-Confidence intervals for the partially identified estimand expand the
-estimated interval by a data-dependent critical multiplier that
-interpolates between the one-sided and two-sided normal quantiles.
+covariate's two mean fits, on the same replicates, with the bandwidths
+frozen at their full-sample values. This module alone reads its draw
+matrix: the density and balance tests and both r modes of the bounds read
+their own columns, and each drops only the replicates its own fits lost.
+The density test runs first: under the maintained manipulation
+restrictions a smooth density implies point identification, and only then
+are covariate balance tests a meaningful further check. ``fixed`` r holds
+the density ratio at its full-sample estimate across replicates, ``random``
+re-estimates it per replicate. Confidence intervals for the partially
+identified estimand expand the estimated interval by a data-dependent
+multiplier between the one-sided and two-sided normal quantiles.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class BootstrapBounds:
     replicates: np.ndarray  # (b_ok, 2) of (lower, upper)
     se_lower: float
     se_upper: float
+    point_se: float  # of mu_plus - mu_minus, over the same replicates
     n_failed: int  # replicates on which one of the four boundary fits failed
 
 
@@ -116,9 +121,10 @@ def bounds_from_draws(
     The replicates on which all four boundary fits succeeded go through
     ``crude_interval`` as columns, in one call; in fixed mode every row
     keeps the point's density ratio, in random mode each row has its own.
-    The endpoint SEs are the replicates' sample standard deviations. A
-    missing outcome range raises InvalidOutcomeRange, and more than 10%
-    failed replicates TooManyFailedReplicates.
+    The endpoint SEs are the replicates' sample standard deviations, and
+    the point SE that of their mean jumps mu_plus - mu_minus. A missing
+    outcome range raises InvalidOutcomeRange, and more than 10% failed
+    replicates TooManyFailedReplicates.
     """
     point = crude_bounds(draws.point.mu_plus, draws.point.mu_minus, draws.point.r, y_low, y_high, assumption)
     boundary, n_failed = drop_failed(draws.draws[:, :4], "boundary")
@@ -126,7 +132,91 @@ def bounds_from_draws(
     if r_mode is RMode.FIXED:
         f_plus, f_minus = draws.point.f_plus, draws.point.f_minus
     reps = np.column_stack(crude_interval(mu_plus, mu_minus, f_minus / f_plus, y_low, y_high, assumption))
-    return BootstrapBounds(point, reps, sample_sd(reps[:, 0]), sample_sd(reps[:, 1]), n_failed)
+    return BootstrapBounds(
+        point, reps, sample_sd(reps[:, 0]), sample_sd(reps[:, 1]), sample_sd(mu_plus - mu_minus), n_failed
+    )
+
+
+class Verdict(enum.Enum):
+    USE_BOUNDS = "UseBounds"
+    POINT_IDENTIFIED = "PointIdentified"
+    DESIGN_SUSPECT = "DesignSuspect"
+
+
+@dataclass(frozen=True)
+class TestResult:
+    statistic: float
+    p_value: float
+    method: str
+    replications: int
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not (0.0 <= self.p_value <= 1.0):
+            raise ValueError(f"p-value out of [0, 1]: {self.p_value}")
+
+
+@dataclass(frozen=True)
+class ProtocolOutcome:
+    density: TestResult
+    balance: tuple[tuple[str, TestResult], ...] | None
+    verdict: Verdict
+
+
+def _two_sided_p(t: float) -> float:
+    # 2 Phi(-|t|) as one erfc, which keeps its digits far into the tail
+    return math.erfc(abs(t) / math.sqrt(2.0))
+
+
+def _jump_test(point, columns: np.ndarray, what: str) -> TestResult:
+    """Full-sample jump over the bootstrap SD of the replicate jumps, normal reference.
+
+    ``columns`` holds the (right, left) replicate columns whose difference is
+    the jump, NaN where a fit failed.
+    """
+    values, n_failed = drop_failed(columns, what)
+    reps = values[:, 0] - values[:, 1]
+    se = sample_sd(reps)
+    warnings: tuple[str, ...] = ()
+    if n_failed:
+        warnings += (f"{n_failed} bootstrap replicates failed and were dropped",)
+    if point == 0.0:
+        statistic = 0.0
+    elif se > 0.0 and np.isfinite(se):
+        statistic = float(point / se)
+    else:
+        warnings += ("degenerate bootstrap SE; p-value set to 1",)
+        return TestResult(0.0, 1.0, "bootstrap", reps.size, warnings)
+    return TestResult(statistic, _two_sided_p(statistic), "bootstrap", reps.size, warnings)
+
+
+def _density_test(draws: BoundaryDraws) -> TestResult:
+    be = draws.point
+    return _jump_test(be.f_plus - be.f_minus, draws.draws[:, 2:4], "density-test")
+
+
+def _balance_test(draws: BoundaryDraws, j: int) -> TestResult:
+    name, jump = draws.covariates[j]
+    return _jump_test(jump, draws.draws[:, 4 + 2 * j : 6 + 2 * j], f"{name!r} balance-test")
+
+
+def protocol_from_draws(draws: BoundaryDraws, alpha: float) -> ProtocolOutcome:
+    """Density test first; balance tests only if the density test accepts.
+
+    Every test reads its columns of the one pass ``draws``, with a balance
+    test per covariate of the pass. Verdicts: density rejected -> UseBounds
+    (balance skipped entirely); density accepted and all balance tests
+    accepted -> PointIdentified; otherwise DesignSuspect. A level outside
+    (0, MAX_ALPHA], NaN included, raises InvalidInputs.
+    """
+    check_alpha(alpha, InvalidInputs)
+    density = _density_test(draws)
+    if density.p_value < alpha:
+        return ProtocolOutcome(density=density, balance=None, verdict=Verdict.USE_BOUNDS)
+    balance = tuple((name, _balance_test(draws, j)) for j, (name, _) in enumerate(draws.covariates))
+    all_balanced = all(res.p_value >= alpha for _, res in balance)
+    verdict = Verdict.POINT_IDENTIFIED if all_balanced else Verdict.DESIGN_SUSPECT
+    return ProtocolOutcome(density=density, balance=balance, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from mrdd import (
 )
 from mrdd import _bootstrap, localfit
 from mrdd._bootstrap import build_plan, drop_failed, replicate_rng, run_replicates
-from mrdd.diagnostics import _balance_test, _density_test, protocol_from_draws
 from mrdd.errors import DataError, TooManyFailedReplicates
+from mrdd.inference import _balance_test, _density_test, protocol_from_draws
 from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_weights
 from oracles import lstsq_level
 
@@ -162,6 +162,40 @@ def test_engine_matches_per_row_fits(order, kernel, wide):
     point = stats[4](whole) - stats[5](whole)
     assert res.statistic == pytest.approx(jump_statistic(point, ref[:, 4:6]), rel=1e-9)
     assert res.replications == ok_rows(ref[:, 4:6]).shape[0]
+
+
+#: A cutoff and bandwidth where x within ulps below fl(c - h) has
+#: u = fl(fl(x - c) / h) = -1, so the uniform kernel keeps it
+EDGE_CUTOFF, EDGE_H = 0.1, 0.1262606747513652
+
+
+def rounding_edge_sample(seed=8, n=600):
+    """Continuous draws plus 13 rows at -6..6 ulps of fl(c - h)."""
+    rng = np.random.default_rng(seed)
+    edge = EDGE_CUTOFF - EDGE_H
+    xs = np.concatenate([rng.normal(EDGE_CUTOFF, 0.15, n), edge + np.arange(-6, 7) * np.spacing(edge)])
+    ys = (rng.uniform(size=xs.size) < 0.4 + 0.2 * (xs >= EDGE_CUTOFF)).astype(float)
+    ys[n:] = 1.0
+    ws = xs + rng.normal(size=xs.size)
+    return Dataset(xs=xs, ys=ys, cutoff=EDGE_CUTOFF, y_low=0.0, y_high=1.0, covariates={"w": ws})
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_engine_keeps_window_rows_below_the_float_edge(order):
+    # four edge rows lie below fl(c - h) but in the uniform kernel's left mean
+    # window; a plan that reached only x >= fl(c - h) would drop them from
+    # the window and its fits, so the per-row fits hold the plan's reach
+    data = rounding_edge_sample()
+    fit = FitConfig(order=order, kernel=KernelKind.UNIFORM, bandwidths=Bandwidths(
+        mean_left=EDGE_H, mean_right=EDGE_H, dens_left=EDGE_H, dens_right=EDGE_H))
+    kept = local_weights(data.xs, EDGE_CUTOFF, fit.mean_spec(Side.LEFT))[2]
+    assert np.count_nonzero(kept & (data.xs < EDGE_CUTOFF - EDGE_H)) == 4
+
+    draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=B, seed=SEED), fit, ("w",))
+    stats = per_row_fits(data, fit, ("w",))
+    assert draws.point.n_effective.mean_left == np.count_nonzero(kept)
+    assert draws.point.mu_minus == pytest.approx(stats[1](np.arange(data.n)), rel=1e-12)
+    assert_same(draws.draws, reference(data, fit, stats))
 
 
 def continuous_sample(seed=6, n=3000):

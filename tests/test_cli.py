@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import locale
 import os
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import mrdd
-from mrdd import cli, diagnostics
+from mrdd import cli, inference
 
 from mrdd import (
     BootstrapConfig,
@@ -23,6 +25,7 @@ from mrdd import (
     FitSpec,
     KernelKind,
     Side,
+    TypeAssumption,
     bootstrap_boundary_replicates,
     boundary_density,
     clamp_interval,
@@ -418,7 +421,7 @@ class TestAnalyze:
             be.mu_plus, be.mu_minus, be.f_plus, be.f_minus,
         ]
         draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=4), fit)
-        density = diagnostics._density_test(draws)
+        density = inference._density_test(draws)
         assert block["discontinuity_t"] == density.statistic
 
     def test_single_covariate_balance_equals_library_test(self, tmp_path):
@@ -436,7 +439,7 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         data = ingest(str(path), cutoff=0.0, y_low=0.0, y_high=1.0, covariates=("x_star",))
         draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=4), covariates=("x_star",))
-        balance = diagnostics._balance_test(draws, 0)
+        balance = inference._balance_test(draws, 0)
         expected = {"covariate": "x_star", **asdict(balance)}
         assert report["protocol"]["balance"] == [json.loads(json.dumps(expected))]
 
@@ -627,7 +630,7 @@ class TestAnalyze:
     def test_breached_invariant_exits_4_not_2(self, typed_file, tmp_path, monkeypatch, capsys):
         # a p-value outside [0, 1] is a bug, not a flag the user can fix
         path, _ = typed_file
-        monkeypatch.setattr(diagnostics, "_two_sided_p", lambda t: 1.5)
+        monkeypatch.setattr(inference, "_two_sided_p", lambda t: 1.5)
         out = tmp_path / "r.json"
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
                        "--boot", "64", "--out", str(out)) == 4
@@ -811,6 +814,40 @@ class TestAnalyze:
             assert proc.returncode == 0, proc.stderr
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+@pytest.fixture(scope="module")
+def unscaled_report():
+    return scaled_report(0)
+
+
+def scaled_report(k):
+    """analyze --boot 200 --sharp on an appendix-d sample with x and the cutoff times 2^k."""
+    data = gen_appendix_d(0.1, 0.05, 50_000, 1).data
+    cfg = cli.RunConfig(cutoff=data.cutoff * 2.0**k, y_low=0.0, y_high=1.0, sharp=True,
+                        boot=BootstrapConfig(b=200, seed=0))
+    return json.loads(cli._json_text(cli.build_report(cfg, replace(data, xs=data.xs * 2.0**k, cutoff=cfg.cutoff))))
+
+
+@pytest.mark.parametrize("k", [
+    -20, -10, 10,
+    pytest.param(20, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="DENSITY_FLOOR is in units of 1/x: both densities floor, and the verdict turns PointIdentified")),
+    pytest.param(-30, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="MIN_BANDWIDTH is in units of x: the bandwidths floor, and r moves to 1.3035")),
+])
+def test_report_does_not_depend_on_the_units_of_x(unscaled_report, k):
+    # a power of two scales x exactly: the bandwidths scale by 2^k and the
+    # densities by 2^-k, and every other field keeps its bits
+    report, base = scaled_report(k), json.loads(json.dumps(unscaled_report))
+    block, base_block = report["blocks"][0], base["blocks"][0]
+    scale = 2.0**k
+    assert block.pop("bandwidths") == {key: h * scale for key, h in base_block.pop("bandwidths").items()}
+    for key in ("f_plus", "f_minus"):
+        assert block.pop(key) == base_block.pop(key) / scale
+    assert report == base
 
 
 class TestSimulate:
@@ -1113,6 +1150,36 @@ def simulate_argvs(draw):
     return ["simulate", dgp, "--n", str(n), f"--seed={seed}", *own, *extra], n
 
 
+@st.composite
+def analysis_samples(draw):
+    """CSV text of 1 to 2,000 rows around the cutoff 0, with ties, support
+    on one side, mass at the cutoff or a constant x, y, d or covariate."""
+    n = draw(st.sampled_from([300, 2_000]) | st.integers(1, 2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=n)
+    xs = {
+        "normal": lambda: z,
+        "ties": lambda: np.round(z, 1),
+        "right-only": lambda: np.abs(z),
+        "left-only": lambda: -np.abs(z) - 1e-3,
+        "cutoff-mass": lambda: np.where(rng.uniform(size=n) < 0.3, 0.0, z),
+        "constant": lambda: np.zeros(n),
+    }[draw(st.sampled_from(["normal", "ties", "right-only", "left-only", "cutoff-mass", "constant"]))]()
+    ys = {
+        "binary": lambda: (rng.uniform(size=n) < 0.4 + 0.2 * (xs >= 0)).astype(float),
+        "uniform": lambda: rng.uniform(size=n),
+        "constant": lambda: np.ones(n),
+    }[draw(st.sampled_from(["binary", "uniform", "constant"]))]()
+    d = {
+        "sharp": lambda: (xs >= 0).astype(float),
+        "fuzzy": lambda: (rng.uniform(size=n) < 0.3 + 0.5 * (xs >= 0)).astype(float),
+        "constant": lambda: np.ones(n),
+    }[draw(st.sampled_from(["sharp", "fuzzy", "constant"]))]()
+    c, w = rng.normal(size=n) + xs, np.full(n, 2.5)
+    rows = zip(*(column.tolist() for column in (xs, ys, d, c, w)))
+    return "x,y,d,c,w\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def exit_code(argv):
     """``main``'s exit code, with an argparse usage error as its exit status."""
     try:
@@ -1161,6 +1228,40 @@ class TestContract:
             if code == 0:
                 report = strict_json(Path(out).read_text())
                 assert report["blocks"][0]["order"] in (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        text=analysis_samples(),
+        flags=st.lists(st.sampled_from([
+            ("--order", "0"), ("--order", "2"), ("--kernel", "uniform"), ("--kernel", "epanechnikov"),
+            ("--type", "type3"), ("--type", "type4"), ("--type", "mixed"), ("--sharp",),
+            ("--fuzzy", "--col-d", "d"), ("--covariate", "c"), ("--covariate", "w"),
+            ("--bw-mean-left", "0.3"), ("--bw-mean-right", "2"), ("--bw-dens-left", "0.05"),
+            ("--bw-dens-right", "1"),
+        ]), max_size=5),
+    )
+    def test_analyze_report_or_one_labelled_line(self, text, flags):
+        # a report that passes the block's own checks, or one labelled error
+        # line; never an internal error (4) and never a traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "s.csv"), os.path.join(tmp, "r.json")
+            Path(path).write_text(text)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = exit_code(["analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
+                                  "--boot", "50", *(flag for pair in flags for flag in pair), "--out", out])
+            event(f"exit {code}")
+            assert "Traceback" not in err.getvalue()
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 0:
+                report = strict_json(Path(out).read_text())
+                # a null end is one the report could not write, and is not compared
+                block = {key: [np.nan if end is None else end for end in value] if isinstance(value, list) else value
+                         for key, value in report["blocks"][0].items()}
+                cli._check_sets(block, TypeAssumption(report["config"]["assumption"]), 0.0, 1.0)
+            else:
+                label = "configuration error: " if code == 2 else "data error: "
+                assert err.getvalue().startswith(label) and err.getvalue().count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -9,8 +9,8 @@ from mrdd import (
     gen_appendix_d,
     gen_typed,
 )
-from mrdd.diagnostics import _balance_test, _density_test, protocol_from_draws
 from mrdd.errors import InvalidConfig, InvalidInputs, UnknownCovariate
+from mrdd.inference import _balance_test, _density_test, protocol_from_draws
 
 
 def with_covariates(ts, seed, extra=None):

@@ -1,9 +1,9 @@
 """Module boundaries: no package module imports another module's private names
-or scipy at import time, every public function and error class is reached by
-the package or named as library API, analyze and plotdata never load scipy
-and a one-worker analyze no thread pool, the normal tail and quantiles they
-take from the standard library are accurate, and README's library example
-runs on the public API."""
+or scipy at import time, only ``inference`` reads the bootstrap draw matrix,
+every public function and error class is reached by the package or named as
+library API, analyze and plotdata never load scipy and a one-worker analyze
+no thread pool, the normal tail and quantiles they take from the standard
+library are accurate, and README's library example runs on the public API."""
 
 import ast
 import inspect
@@ -20,7 +20,7 @@ import pytest
 
 import mrdd
 from mrdd import errors, imbens_manski_ci
-from mrdd.diagnostics import _two_sided_p
+from mrdd.inference import _two_sided_p
 
 MODULES = sorted(Path(mrdd.__file__).resolve().parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -65,6 +65,16 @@ def test_bounds_imports_no_estimation_module():
     absolute += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     assert relative == {"errors"}
     assert not [name for name in absolute if name.split(".")[0] == "mrdd"]
+
+
+def test_only_inference_reads_the_draw_matrix():
+    # the tests, the bounds and the point SE take their columns of
+    # BoundaryDraws.draws in inference, so its layout is known in one module
+    def reads(path):
+        return any(isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "draws" for node in ast.walk(ast.parse(path.read_text())))
+
+    assert [path.name for path in MODULES if path.name != "inference.py" and reads(path)] == []
 
 
 #: Public functions kept for library callers though no command reaches them:
