@@ -14,7 +14,9 @@ sharp bound's window and the treatment's means from the same plan. Only
 the m rows in the union of the four windows enter a fit, so a replicate
 draws a window total k ~ Binomial(n, m/n), then k uniform draws over the
 window rows in original-index order: the same law at O(m), and a function
-of the rows, not of their x order.
+of the rows, not of their x order. One ``bincount`` of the draws gives the
+counts in original-index order, and one permutation by the plan's ``rank``
+puts them in x order.
 
 Each side keeps a C-ordered matrix of moment rows over its window rows:
 the mean weights w*u^k (k <= 2d), the CDF weights (k <= 2d + 2) and the
@@ -32,13 +34,17 @@ DENSITY_FLOOR.
 The sums never go through BLAS, whose threaded kernels sum in an order set
 by the thread count: ``np.einsum`` sums fixed blocks of window rows and
 ``np.sum`` adds the block sums pairwise, so the bits depend on neither the
-chunk, the worker count nor the BLAS thread count.
+chunk, the worker count nor the BLAS thread count. The einsum runs over
+tiles of SUM_TILE blocks, so a tile of the moment rows stays in cache while
+every replicate of the chunk reads it; a block's sum is the same whatever
+tile it is in.
 
 A fit fails on a replicate (a NaN cell) where its window drew fewer
 distinct positive-weight values than the fit has coefficients, or where
-its normal equations are singular in floating point. Chunks are fixed by
-replicate index and sized from the window under a byte budget; workers
-share out whole chunks.
+its normal equations are singular in floating point. The support checks
+count the nonzero counts, or the nonzero sums of the counts over each tie
+group. Chunks are fixed by replicate index and sized from the window under
+a byte budget; workers share out whole chunks.
 """
 
 from __future__ import annotations
@@ -66,10 +72,13 @@ MAX_FAILURE_FRACTION = 0.10
 #: Largest level: above it the one-sided normal quantile is negative, and an
 #: Imbens-Manski interval would lie inside the identified set.
 MAX_ALPHA = 0.5
-#: Bytes of window counts per chunk of replicates; sets the chunk length.
+#: Bytes of window counts per chunk of replicates; sets the chunk length. A
+#: chunk holds its counts and their running counts, each at most this size.
 CHUNK_BYTES = 1 << 21
 #: Window rows per block of a moment sum; blocks are fixed by row, not by chunk.
 SUM_BLOCK = 256
+#: Blocks per einsum call of a moment sum: 32 blocks of a moment row are 64 KB.
+SUM_TILE = 32
 
 #: The middle term of every draw key (seed, DRAW_KEY, replicate). It is 3,
 #: the bounds bootstrap's key from when each test drew its own stream, so
@@ -128,8 +137,8 @@ class _SidePlan:
 class Plan:
     n: int
     degree: int  # of the mean fits; the CDF fits are one degree above
-    by_index: np.ndarray  # x position of each window row, the rows taken by original index
     index: np.ndarray  # original index of each window row, the rows taken in x order
+    rank: np.ndarray  # each window row's place among the window rows by original index, in x order
     group_starts: np.ndarray | None  # first row of each tie group; None without ties
     group_end: np.ndarray | None  # last row of each row's tie group; None without ties
     sides: tuple[_SidePlan, _SidePlan]  # right, left
@@ -177,10 +186,12 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
     # a window keeps a row by u = fl(fl(x - c) / h), so rows a few ulps past
     # fl(c - h) can be in it (tests/test_bootstrap.py has such a sample):
     # reach twice the bandwidth, not once. The stable sort of those rows
-    # keeps tied rows in original-index order
+    # keeps tied rows in original-index order, and its permutation ranks
+    # each sorted row among them by original index
     right, left = (2.0 * max(spec.bandwidth for spec in pair) for pair in specs)
     order = np.flatnonzero(np.where(xs < cutoff, xs >= cutoff - left, xs <= cutoff + right))
-    order = order[np.argsort(xs[order], kind="stable")]
+    rank = np.argsort(xs[order], kind="stable")
+    order = order[rank]
     xs_sorted = xs[order]
     windows = [
         (_window(xs_sorted, cutoff, mean, cdf=False), _window(xs_sorted, cutoff, dens, cdf=True))
@@ -194,18 +205,19 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
     m = b - a
     window = xs_sorted[a:b]
     split = int(np.searchsorted(window, cutoff, side="left"))
+    rank = _ranks(rank[a:b], rank.size)  # among the window rows alone
 
     new_group = np.ones(m, dtype=bool)
     new_group[1:] = window[1:] != window[:-1]
-    group_id = np.cumsum(new_group) - 1
     if new_group.all():
         group_starts = group_end = None
     else:
         group_starts = np.flatnonzero(new_group)
-        group_end = np.append(group_starts[1:], m)[group_id] - 1
+        group_end = np.append(group_starts[1:], m)[np.cumsum(new_group) - 1] - 1
 
     def groups(lo, hi):
-        return (int(group_id[lo]), int(group_id[hi - 1]) + 1) if hi > lo else (0, 0)
+        # the tie groups of rows lo and hi - 1, counted by their first rows
+        return (np.count_nonzero(new_group[: lo + 1]) - 1, np.count_nonzero(new_group[:hi])) if hi > lo else (0, 0)
 
     ys, *covariates = (np.asarray(v, dtype=float) for v in values)
     index = order[a:b]
@@ -237,27 +249,38 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
             1.0 / (max(n, 1) * dens.bandwidth), mean_counts, cdf_counts,
         ))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return Plan(n, d, np.argsort(index), index, group_starts, group_end, tuple(plans), chunk)
+    return Plan(n, d, index, rank, group_starts, group_end, tuple(plans), chunk)
 
 
-def _supported(present: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
+def _ranks(places: np.ndarray, size: int) -> np.ndarray:
+    """The rank of each of the distinct ``places`` in [0, size) among them,
+    from a mask over [0, size), not a sort."""
+    kept = np.zeros(size, dtype=bool)
+    kept[places] = True
+    return np.cumsum(kept)[places] - 1
+
+
+def _supported(drawn: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
     """Replicates that drew more distinct values of a window than ``degree``:
-    at least as many as a fit of that degree has coefficients."""
+    at least as many as a fit of that degree has coefficients. ``drawn``
+    holds each replicate's count of every distinct x value."""
     g_lo, g_hi = groups
-    window = present[:, g_lo:g_hi]
+    window = drawn[:, g_lo:g_hi]
     # the first few groups of a well-filled window settle almost every replicate
     ok = np.count_nonzero(window[:, :64], axis=1) > degree
     return ok if ok.all() else np.count_nonzero(window, axis=1) > degree
 
 
 def _draw_counts(plan: Plan, reps: range, seed: int) -> np.ndarray:
-    """Each replicate's resample counts of the window rows, in x order."""
-    n, m = plan.n, plan.by_index.size
+    """Each replicate's resample counts of the window rows, in x order: the
+    draws index the window rows by original index, and ``rank`` permutes
+    their counts."""
+    n, m = plan.n, plan.rank.size
     counts = np.empty((len(reps), m))
     for j, rep in enumerate(reps):
         g = replicate_rng(seed, rep)
         draws = g.integers(0, m, g.binomial(n, m / n))
-        counts[j] = np.bincount(plan.by_index[draws], minlength=m)
+        counts[j] = np.bincount(draws, minlength=m)[plan.rank]
     return counts
 
 
@@ -265,19 +288,20 @@ def _moment_sums(counts: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """``sum_i counts[r, i] * moments[k, i]`` for every replicate r and row k.
 
     ``np.einsum`` without ``optimize``, never BLAS, sums each block of
-    SUM_BLOCK rows of one replicate; ``np.sum`` adds the block sums pairwise
-    and the last partial block is added after, an order fixed by the window.
+    SUM_BLOCK rows of one replicate, SUM_TILE blocks per call; ``np.sum``
+    adds the block sums pairwise and the last partial block is added after,
+    an order fixed by the window.
     """
     r, width = counts.shape
     k, blocks = moments.shape[0], width // SUM_BLOCK
     full = blocks * SUM_BLOCK
-    sums = np.einsum(
-        "rbi,kbi->rkb",
-        counts[:, :full].reshape(r, blocks, SUM_BLOCK),
-        moments[:, :full].reshape(k, blocks, SUM_BLOCK),
-        order="C",
-    ).sum(axis=2)
-    return sums + np.einsum("ri,ki->rk", counts[:, full:], moments[:, full:])
+    counts_by_block = counts[:, :full].reshape(r, blocks, SUM_BLOCK)
+    moments_by_block = moments[:, :full].reshape(k, blocks, SUM_BLOCK)
+    block_sums = np.empty((r, k, blocks))
+    for t in range(0, blocks, SUM_TILE):
+        tile = slice(t, t + SUM_TILE)
+        np.einsum("rbi,kbi->rkb", counts_by_block[:, tile], moments_by_block[:, tile], out=block_sums[:, :, tile])
+    return block_sums.sum(axis=2) + np.einsum("ri,ki->rk", counts[:, full:], moments[:, full:])
 
 
 def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
@@ -286,9 +310,8 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
     All-ones counts are the sample itself."""
     d = plan.degree
     r, c = counts.shape[0], plan.sides[0].covariates.shape[0] // (d + 1)
-    # which distinct x values each resample holds, for the support checks
-    present = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
-    present = present > 0
+    # each resample's count of every distinct x value, for the support checks
+    drawn = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
     running = np.cumsum(counts, axis=1)
@@ -301,13 +324,15 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
         side_counts = counts[:, rows]
         sums = _moment_sums(side_counts, side.moments)
         cdf_sums = _moment_sums(cdf[:, rows], side.moments[k : k + d + 2])
-        ok = _supported(present, side.density_groups, d + 1)
+        ok = _supported(drawn, side.density_groups, d + 1)
         beta = fit_from_moments(sums[ok, k : k + 2 * d + 3], cdf_sums[ok])
         out[ok, 2 + i] = np.maximum(beta[:, 1] * side.density_scale, DENSITY_FLOOR)
         # the outcome's and every covariate's value sums share the side's mean weights
-        cov_sums = _moment_sums(side_counts, side.covariates).reshape(r, c, d + 1)
-        value_sums = np.concatenate([sums[:, None, -(d + 1) :], cov_sums], axis=1)
-        ok = _supported(present, side.mean_groups, d)
+        value_sums = sums[:, None, -(d + 1) :]
+        if c:
+            cov_sums = _moment_sums(side_counts, side.covariates).reshape(r, c, d + 1)
+            value_sums = np.concatenate([value_sums, cov_sums], axis=1)
+        ok = _supported(drawn, side.mean_groups, d)
         levels = fit_from_moments(sums[ok, None, : 2 * d + 1], value_sums[ok])[..., 0]
         out[ok, i] = levels[:, 0]
         out[ok, 4 + i :: 2] = levels[:, 1:]
@@ -319,7 +344,10 @@ def sharp_window(plan: Plan, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sample at their rows, over the rows with positive weight, taken in
     original-row order: the window the sharp bound trims."""
     right = plan.sides[0]
-    at = plan.by_index[plan.by_index >= right.rows.start]
+    # the x position of each window row, the rows taken by original index
+    by_index = np.empty_like(plan.rank)
+    by_index[plan.rank] = np.arange(plan.rank.size)
+    at = by_index[by_index >= right.rows.start]
     w = right.moments[0, at - right.rows.start]
     keep = w > 0
     return w[keep], ys[plan.index[at[keep]]]

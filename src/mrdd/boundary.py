@@ -224,7 +224,7 @@ def sample_estimates(plan: Plan, fit: FitConfig) -> tuple[BoundaryEstimates, np.
     and the row of ``evaluate`` on all-ones counts they come from: the
     moment equations every replicate solves. The first fit that cannot be
     made raises its labeled DataError."""
-    row = evaluate(plan, np.ones((1, plan.by_index.size)))[0]
+    row = evaluate(plan, np.ones((1, plan.index.size)))[0]
     mu_plus, mu_minus, f_plus, f_minus = (float(v) for v in row[:4])
     right, left = plan.sides
     # the densities first, so a sample the density test cannot fit reports that first

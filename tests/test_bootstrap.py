@@ -212,7 +212,7 @@ def test_sample_is_replicate_zero(sample, order, kernel):
     data = sample()
     fit = config(order, kernel)
     plan = build_plan(data.xs, 0.0, fit, (data.ys, data.covariates["w"]))
-    row = _bootstrap.evaluate(plan, np.ones((1, plan.by_index.size)))[0]
+    row = _bootstrap.evaluate(plan, np.ones((1, plan.index.size)))[0]
     be = estimate_boundary(data, fit)
     assert (be.mu_plus, be.mu_minus, be.f_plus, be.f_minus) == tuple(row[:4])
     draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=B, seed=SEED), fit, ("w",))
@@ -228,10 +228,18 @@ def test_sample_is_replicate_zero(sample, order, kernel):
     assert be.n_effective == SideCounts(*means, *dens)
 
 
-@pytest.mark.parametrize("blocks, tail", [(0, 0), (0, 1), (0, 255), (9, 7), (40, 0), (240, 186)])
+TILE = _bootstrap.SUM_TILE
+
+
+@pytest.mark.parametrize(
+    "blocks, tail",
+    [(0, 0), (0, 1), (0, 255), (9, 7), (40, 0), (240, 186), (TILE - 1, 5), (TILE, 9), (TILE + 1, 200)],
+)
 def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
-    # the last case is the right side's window on the benchmark's n=200k
-    # sample; the rows start at an odd offset, as one side's rows do
+    # (240, 186) is the right side's window on the benchmark's n=200k sample;
+    # the last three cases end a tile of blocks one block early, on its
+    # edge and one block late. The rows start at an odd offset, as one
+    # side's rows do
     rng = np.random.default_rng(blocks + tail)
     width = blocks * _bootstrap.SUM_BLOCK + tail
     counts = rng.integers(0, 4, size=(5, width + 3)).astype(float)[:, 3:]
@@ -244,6 +252,22 @@ def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
             # within a few roundings of the exact sum; one running total over
             # 60k rows is off by about 6e-15 of it
             assert abs(sums[j, k] - math.fsum(terms)) <= 1e-15 * math.fsum(terms)
+
+
+@pytest.mark.parametrize("sample", [tied_sample, continuous_sample])
+def test_draw_counts_are_the_bincount_of_the_keyed_draws(sample):
+    # the reference counts each draw at its row's x position; replicates
+    # from 7 on, so the keys do not start at 0
+    data = sample()
+    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
+    n, m, reps = data.n, plan.index.size, range(7, 20)
+    by_index = np.argsort(plan.index)  # x position of each window row, the rows taken by original index
+    ref = np.empty((len(reps), m))
+    for j, rep in enumerate(reps):
+        g = replicate_rng(SEED, rep)
+        ref[j] = np.bincount(by_index[g.integers(0, m, g.binomial(n, m / n))], minlength=m)
+    counts = _bootstrap._draw_counts(plan, reps, SEED)
+    assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -360,6 +384,37 @@ def test_few_failures_are_dropped():
     assert bounds.replicates.shape == (b - n_failed, 2)
 
 
+def failed_boundary_fits(plan, counts):
+    """Where a replicate's counts leave one of the four boundary fits fewer
+    distinct x values of its window than coefficients, from ``counts > 0``."""
+    d = plan.degree
+    present = counts > 0
+    if plan.group_starts is not None:
+        present = np.add.reduceat(present.astype(int), plan.group_starts, axis=1) > 0
+    failed = np.zeros((counts.shape[0], 4), dtype=bool)
+    for i, side in enumerate(plan.sides):
+        for column, (lo, hi), coefficients in ((i, side.mean_groups, d + 1), (2 + i, side.density_groups, d + 2)):
+            failed[:, column] = np.count_nonzero(present[:, lo:hi], axis=1) < coefficients
+    return failed
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_failed_fits_are_the_replicates_short_of_support(tied):
+    data = sparse_left_sample(5)
+    xs = data.xs
+    if tied:  # every left point twice, so rows and distinct values differ
+        xs = np.concatenate([xs, xs[xs < 0.0]])
+    plan = build_plan(xs, 0.0, SPARSE_FIT, (np.resize(data.ys, xs.size),))
+    assert (plan.group_starts is not None) == tied
+    counts = _bootstrap._draw_counts(plan, range(300), SEED)
+    failed = failed_boundary_fits(plan, counts)
+    assert 0 < failed.sum() < 300 and failed[:, 3].sum() > failed[:, 1].sum()
+    np.testing.assert_array_equal(np.isnan(_bootstrap.evaluate(plan, counts)), failed)
+    # one replicate at a time, the support check's first columns decide alone
+    alone = np.concatenate([_bootstrap.evaluate(plan, row[None]) for row in counts])
+    np.testing.assert_array_equal(np.isnan(alone), failed)
+
+
 def test_too_many_failures_raise():
     data = sparse_left_sample(5)
     b = 100
@@ -443,9 +498,9 @@ def test_window_draw_has_the_full_multinomial_law():
     window = window_rows(data, fit)
     plan = build_plan(data.xs, 0.0, fit, (data.ys,))
     n, m, reps = data.n, window.size, 10_000
-    assert plan.by_index.size == m and 20 < m < n / 2
-    # the engine's counts are in x order; by_index puts them in row order
-    ours = _bootstrap._draw_counts(plan, range(reps), SEED)[:, plan.by_index]
+    assert plan.rank.size == m and 20 < m < n / 2
+    # the engine's counts are in x order; rank's inverse puts them in row order
+    ours = _bootstrap._draw_counts(plan, range(reps), SEED)[:, np.argsort(plan.rank)]
     full = full_multinomial_counts(n, window, reps, SEED + 1)
     # per-row means, then variances and pairwise covariances, within Monte Carlo error
     for (a, se2_a), (b, se2_b) in zip(moments_and_variances(ours), moments_and_variances(full)):

@@ -942,7 +942,6 @@ class TestPlotdata:
         total = sum(int(r.split(",")[2]) for r in rows)
         assert total == ts.data.n
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_clipping_reported_in_one_line(self, typed_file, tmp_path, capfd):
         path, _ = typed_file
         code = run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05",
@@ -1008,7 +1007,6 @@ class TestPlotdata:
         assert capsys.readouterr().err.startswith("configuration error")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bin_count_overflow_exits_2_in_one_line(self, tmp_path, capfd):
         # the bin indices overflow a float; no numpy warning precedes the error
         path = tmp_path / "huge.csv"
@@ -1199,8 +1197,8 @@ class TestContract:
     """Adversarial inputs and flags through ``main``: exit 0, 2 or 3, and a
     success always comes with a valid output."""
 
-    # overflow is handled in the code, never left to a raw numpy warning
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # overflow is handled in the code, never left to a raw numpy warning,
+    # which pyproject.toml's filterwarnings turns into a failure
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         sample=adversarial_samples(),
@@ -1263,7 +1261,6 @@ class TestContract:
                 label = "configuration error: " if code == 2 else "data error: "
                 assert err.getvalue().startswith(label) and err.getvalue().count("\n") == 1
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         sample=adversarial_samples(),
@@ -1282,7 +1279,6 @@ class TestContract:
                 rows = Path(out).read_text().splitlines()[1:]
                 assert sum(int(row.split(",")[2]) for row in rows) == n
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(case=simulate_argvs())
     def test_simulate_exits_0_or_2(self, case):

