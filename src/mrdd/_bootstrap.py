@@ -220,7 +220,9 @@ def build_plan(xs: np.ndarray, cutoff: float, fit, values) -> Plan:
         return (np.count_nonzero(new_group[: lo + 1]) - 1, np.count_nonzero(new_group[:hi])) if hi > lo else (0, 0)
 
     ys, *covariates = (np.asarray(v, dtype=float) for v in values)
-    index = order[a:b]
+    # a copy, so that the plan does not keep the whole reach's order alive
+    index = order[a:b].copy()
+    del order
     plans = []
     for side, (mean, dens), ((mean_span, mean_counts), (cdf_span, cdf_counts)) in zip(sides, specs, windows):
         rows = slice(split, m) if side is Side.RIGHT else slice(0, split)

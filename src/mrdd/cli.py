@@ -601,13 +601,13 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         for left, inner in set(keys)
     }
     densities, clipped = density_curve(xs, centers, [specs[key] for key in keys])
-    lines = ["bin_left,bin_right,count,side,fitted_density"]
-    rows = zip(edges[:-1], edges[1:], counts, is_left, densities)
-    for left_edge, right_edge, count, left, dens in rows:
-        side = "left" if left else "right"
-        lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{int(count)},{side},{float(dens)!r}")
+    # row i's right edge is row i + 1's left edge: each edge is formatted once
+    edge_text = list(map(repr, edges.tolist()))
+    sides = ["left" if left else "right" for left in is_left.tolist()]
+    rows = zip(edge_text, edge_text[1:], counts.tolist(), sides, densities.tolist())
     with synth.atomic_open(args.out) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("bin_left,bin_right,count,side,fitted_density\n")
+        fh.writelines(f"{left},{right},{count},{side},{dens!r}\n" for left, right, count, side, dens in rows)
     n_clipped = int(np.count_nonzero(clipped))
     if n_clipped:
         print(

@@ -20,14 +20,18 @@ The densities come from one kernel, ``_fit_windows``. The sorted rows
 are cut into blocks of _BLOCK rows at fixed multiples of _BLOCK in the
 sorted sample, and each block keeps sum(t**k) and sum(t**k * r), with
 t = (x - a) / h and r = e_x - e_a for its first value a and the tie-group
-ends e, which are the CDF ranks up to a constant. A point fits the ranks
-less its window's first one on v = (x - point) / h - centre, centred on the
-window's rows so the normal equations stay well conditioned. On each side
-of the point the blocks inside its window shift to v binomially and the at
-most 2 (_BLOCK - 1) rows around them are summed directly, weighted by that
-side's kernel polynomial; one batched ``fit_from_moments`` solve gives the
-slopes. A fit costs O(_BLOCK + m / _BLOCK) for m window rows, and sums use
-elementwise numpy and ``bincount`` only, never BLAS.
+ends e, which are the CDF ranks up to a constant. The points that share a
+bandwidth, order and kernel sum only the blocks from their lowest window
+start to their highest window end; a block's sums do not depend on the
+blocks summed beside it, so each point gets the bits it gets alone. A
+point fits the ranks less its window's first one on v = (x - point) / h -
+centre, centred on the window's rows so the normal equations stay well
+conditioned. On each side of the point the blocks inside its window shift
+to v binomially and the at most 2 (_BLOCK - 1) rows around them are summed
+directly, weighted by that side's kernel polynomial; one batched
+``fit_from_moments`` solve gives the slopes. A fit costs
+O(_BLOCK + m / _BLOCK) for m window rows, and sums use elementwise numpy
+and ``bincount`` only, never BLAS.
 
 ``local_weights``, ``density_window``, ``weighted_powers``,
 ``fit_from_moments`` and ``support_error`` are the array-level pieces behind
@@ -280,12 +284,21 @@ def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarr
 
 
 def _sorted_rows(x_sorted: np.ndarray):
-    """``x_sorted``, each row's tie-group end, and the tie groups that start
+    """``x_sorted``, each row's tie-group end (``np.searchsorted(x_sorted,
+    x_sorted, side="right")``, found in O(n)), and the tie groups that start
     before each row (n + 1 counts)."""
-    starts = np.zeros(x_sorted.size + 1, dtype=np.intp)
-    np.cumsum(x_sorted[1:] != x_sorted[:-1], out=starts[2:])
+    n = x_sorted.size
+    starts = np.zeros(n + 1, dtype=np.intp)
+    new_group = x_sorted[1:] != x_sorted[:-1]
+    np.cumsum(new_group, out=starts[2:])
     starts[1:] += 1
-    return x_sorted, np.searchsorted(x_sorted, x_sorted, side="right"), starts
+    # row i's tie group ends at i + 1, or where row i + 1's ends if that row
+    # ties it: a running minimum from the last row, in O(n) and in place
+    tied = np.logical_not(new_group, out=new_group)
+    ends = np.arange(1, n + 1, dtype=np.intp)
+    ends[:-1][tied] = n
+    np.minimum.accumulate(ends[::-1], out=ends[::-1])
+    return x_sorted, ends, starts
 
 
 def _power_sums(owner, t, r, n_owners: int, n_pow: int, n_val: int, out: np.ndarray) -> None:
@@ -305,16 +318,19 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray):
     return owner, np.arange(owner.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
-def _block_sums(rows, h: float, order: int, kernel: KernelKind):
-    """Each full block's first value and tie-group end, the ``_power_sums``
-    of its t = (x - first value) / h and r = end - first end, and how many
-    of those are sums of powers, enough for the CDF fits of ``order``."""
+def _block_sums(rows, h: float, order: int, kernel: KernelKind, first: int, stop: int):
+    """The full blocks [first, stop): each one's first value and tie-group
+    end, the ``_power_sums`` of its t = (x - first value) / h and r = end -
+    first end, and how many of those are sums of powers, enough for the CDF
+    fits of ``order``; then ``first``. A block's sums do not depend on the
+    blocks beside it, so a range gives the bits of the whole sample's call.
+    """
     x, ends, _ = rows
     # the kernel polynomial's terms times v**k (k <= 2 (order + 1)), and times r (k <= order + 1)
     terms = len(_KERNEL_POLY[kernel][0])
     n_pow, n_val = 2 * order + 2 + terms, order + 1 + terms
-    nb = x.size // _BLOCK
-    xb, eb = (a[: nb * _BLOCK].reshape(nb, _BLOCK) for a in (x, ends))
+    nb = stop - first
+    xb, eb = (a[first * _BLOCK : stop * _BLOCK].reshape(nb, _BLOCK) for a in (x, ends))
     sums = np.zeros((n_pow + n_val, nb))
     # chunks of 8k rows: each temporary is 64 KB, small enough for the
     # allocator to reuse, which keeps an analysis's peak RSS where it was
@@ -326,31 +342,40 @@ def _block_sums(rows, h: float, order: int, kernel: KernelKind):
             t, r = ((xa - xa[:, :1]) / h).ravel(), (ea - ea[:, :1]).ravel().astype(float)
             owner = np.repeat(np.arange(len(xa)), _BLOCK)
             _power_sums(owner, t, r, len(xa), n_pow, n_val, sums[:, a : a + step])
-    return xb[:, 0], eb[:, 0], sums, n_pow
+    return xb[:, 0], eb[:, 0], sums, n_pow, first
 
 
 def _segment_sums(rows, blocks, lo, hi, p, c, e, h: float) -> np.ndarray:
     """``_power_sums`` of v = (x - p) / h - c and r = end - e over the rows
-    [lo, hi) of each segment: its full blocks shifted binomially, the at most
-    2 (_BLOCK - 1) rows around them directly."""
+    [lo, hi) of each segment: its full blocks shifted binomially, the at
+    most 2 (_BLOCK - 1) rows around them directly. ``blocks`` are
+    ``_block_sums`` over a range that holds every segment's full blocks,
+    indexed from its first block."""
     x, ends, _ = rows
-    anchors, anchor_ends, sums, n_pow = blocks
+    anchors, anchor_ends, sums, n_pow, first = blocks
     n_val = sums.shape[0] - n_pow
     j_lo = -(-lo // _BLOCK)
     n_blocks = np.maximum(hi // _BLOCK - j_lo, 0)
     head_end = np.where(n_blocks > 0, j_lo * _BLOCK, hi)
     tail = head_end + n_blocks * _BLOCK
-    seg, j = _ranges(j_lo, n_blocks)
+    seg, j = _ranges(j_lo - first, n_blocks)
     delta = (anchors[j] - p[seg]) / h - c[seg]
     sums = sums[:, j]
     sums[n_pow:] += (anchor_ends[j] - e[seg]) * sums[:n_val]
-    powers = [np.ones_like(delta)]
-    for _ in range(1, n_pow):
+    # powers[k] = delta**k for k >= 1
+    powers = [None, delta]
+    for _ in range(2, n_pow):
         powers.append(powers[-1] * delta)
     out = np.empty((n_pow + n_val, lo.size))
     for base, count in ((0, n_pow), (n_pow, n_val)):
-        for k in range(count):
-            shifted = sum(comb(k, q) * powers[k - q] * sums[base + q] for q in range(k + 1))
+        out[base] = np.bincount(seg, sums[base], lo.size)
+        for k in range(1, count):
+            # sum_q comb(k, q) delta**(k - q) sums[q], added in q order; the
+            # terms with comb 1 skip their unit factors
+            shifted = powers[k] * sums[base]
+            for q in range(1, k):
+                shifted += comb(k, q) * powers[k - q] * sums[base + q]
+            shifted += sums[base + k]
             out[base + k] = np.bincount(seg, shifted, lo.size)
     # the head and the tail of each segment
     starts = np.stack([lo, tail], axis=1).ravel()
@@ -365,9 +390,10 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
     """The CDF-fit density at each of ``points`` on the sorted rows [start, stop).
 
     ``blocks`` are the rows' ``_block_sums`` for this bandwidth, order and
-    kernel. Returns ``(density, clipped, counts)``: the density is NaN where
-    ``support_error`` gives the fit an error, and ``counts`` holds each
-    window's rows, distinct values and distinct positive-weight values.
+    kernel, over the blocks the windows reach. Returns ``(density, clipped,
+    counts)``: the density is NaN where ``support_error`` gives the fit an
+    error, and ``counts`` holds each window's rows, distinct values and
+    distinct positive-weight values.
     """
     x, ends, starts = rows
     degree = order + 1
@@ -443,8 +469,9 @@ def density_curve(xs, eval_points, specs) -> tuple[np.ndarray, np.ndarray]:
     ``boundary_density`` point by point; where that call would raise a
     DataError the density is NaN and the flag False. x is sorted once, and
     the points that share a bandwidth, order and kernel share one pass of
-    block sums: O(n log n + sum_i (_BLOCK + m_i / _BLOCK)) for m_i rows in
-    point i's window, not O(sum_i m_i).
+    block sums over the blocks their windows reach: O(n log n + sum_i
+    (_BLOCK + m_i / _BLOCK)) for m_i rows in point i's window, not
+    O(sum_i m_i).
     """
     return _density_fits(xs, eval_points, specs)[:2]
 
@@ -475,8 +502,9 @@ def _density_fits(xs, eval_points, specs):
     densities, clipped = np.full(points.size, np.nan), np.zeros(points.size, dtype=bool)
     counts = np.zeros((3, points.size), dtype=np.intp)
     for (h, order, kernel), g in groups.items():
-        blocks = _block_sums(rows, h, order, kernel)
         i = np.flatnonzero(group == g)
+        # only the blocks the group's windows reach
+        blocks = _block_sums(rows, h, order, kernel, start[i].min() // _BLOCK, stop[i].max() // _BLOCK)
         # batches of points by their 8-byte temporaries: block columns and edge rows
         cost = ((stop[i] - start[i]) // _BLOCK + 2) * 3 * blocks[2].shape[0] + 36 * _BLOCK
         for j in np.split(i, np.flatnonzero(np.diff(np.cumsum(cost) // (_BATCH_BYTES // 8))) + 1):

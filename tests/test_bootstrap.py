@@ -255,6 +255,16 @@ def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
 
 
 @pytest.mark.parametrize("sample", [tied_sample, continuous_sample])
+def test_plan_index_holds_only_the_window_rows(sample):
+    # the plan sorts the rows within twice each side's widest bandwidth of
+    # the cutoff, 2H below and 4H above; it keeps no view of that array
+    data = sample()
+    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
+    assert plan.index.base is None
+    assert plan.index.size < np.count_nonzero((data.xs >= -2 * H) & (data.xs <= 4 * H))
+
+
+@pytest.mark.parametrize("sample", [tied_sample, continuous_sample])
 def test_draw_counts_are_the_bincount_of_the_keyed_draws(sample):
     # the reference counts each draw at its row's x position; replicates
     # from 7 on, so the keys do not start at 0

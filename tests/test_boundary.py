@@ -6,11 +6,15 @@ from mrdd import (
     Bandwidths,
     Dataset,
     FitConfig,
+    FitSpec,
     KernelKind,
+    Side,
     estimate_boundary,
     gen_appendix_d,
+    local_poly_fit,
 )
 from mrdd.errors import (
+    DataError,
     DegenerateSupport,
     InsufficientData,
     InvalidConfig,
@@ -163,6 +167,33 @@ def test_degenerate_sample_raises_labeled_error(xs, bandwidths, order, error, si
         estimate_boundary(data, FitConfig(order=order, kernel=KernelKind.TRIANGULAR, bandwidths=bandwidths))
     assert excinfo.value.side == side
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("pair_ys", [(1.0, 1.0), (0.0, 1.0)])
+def test_near_equal_scaled_distances_fit_as_local_poly_fit_does(pair_ys):
+    # the left mean window holds only two values whose u = x / h differ in
+    # the last bit: both fits count two distinct u and solve the nearly
+    # singular equations alike, or both raise one error class
+    h = 0.01 * 1.8132702392002724
+    pair = np.array([-0.01, -0.01 * (1 - 2.0**-53)])
+    assert np.nextafter(pair[0] / h, 0.0) == pair[1] / h
+    rng = np.random.default_rng(1)
+    left, right = -rng.uniform(0.05, 1.0, 400), rng.uniform(0.0, 1.0, 400)
+    xs = np.concatenate([left, pair, right])
+    assert np.count_nonzero((xs > -h) & (xs < 0.0)) == 2
+    ys = np.concatenate([np.zeros(400), pair_ys, (right > 0.5).astype(float)])
+    config = FitConfig(order=1, bandwidths=Bandwidths(mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0))
+    fits = (
+        lambda: estimate_boundary(Dataset(xs=xs, ys=ys, cutoff=0.0), config).mu_minus,
+        lambda: float(local_poly_fit(xs, ys, 0.0, FitSpec(1, h, KernelKind.TRIANGULAR, Side.LEFT)).coefficients[0]),
+    )
+    outcomes = []
+    for fit in fits:
+        try:
+            outcomes.append(fit())
+        except DataError as err:
+            outcomes.append(type(err))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])

@@ -971,7 +971,7 @@ class TestPlotdata:
                 dens = boundary_density(xs, center, spec)[0]
             except DataError:
                 dens = float("nan")
-            lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{count},{side.value},{dens!r}")
+            lines.append(f"{float(left_edge)!r},{float(right_edge)!r},{int(count)},{side.value},{float(dens)!r}")
         assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_bins_share_their_fit_specs(self, typed_file, tmp_path, monkeypatch):

@@ -270,26 +270,39 @@ def mixed_specs():
     return np.array(points), specs
 
 
+def disjoint_specs():
+    """Two groups of points over ``curve_sample``, each with its own bandwidth,
+    order and kernel, whose windows reach disjoint blocks of the sorted rows."""
+    low, high = np.linspace(-2.0, -1.0, 40), np.linspace(1.0, 2.0, 40)
+    sides = list(Side)
+    specs = [FitSpec(1, 0.25, KernelKind.UNIFORM, sides[i % 3]) for i in range(low.size)]
+    specs += [FitSpec(2, 0.5, KernelKind.EPANECHNIKOV, sides[i % 3]) for i in range(high.size)]
+    x = np.sort(curve_sample())
+    assert np.searchsorted(x, -1.0 + 0.25) // localfit._BLOCK < np.searchsorted(x, 1.0 - 0.5) // localfit._BLOCK
+    return np.concatenate([low, high]), specs
+
+
 class TestDensityCurveProperties:
     def test_value_does_not_depend_on_the_other_points(self, monkeypatch):
         xs = curve_sample()
-        points, specs = mixed_specs()
-        dens, clipped = density_curve(xs, points, specs)
-        assert np.isfinite(dens).sum() > 50
-        for i in range(points.size):
-            alone = density_curve(xs, points[i : i + 1], specs[i : i + 1])
-            assert np.array_equal(alone[0], dens[i : i + 1], equal_nan=True)
-            assert alone[1][0] == clipped[i]
-        perm = np.random.default_rng(3).permutation(points.size)
-        shuffled = density_curve(xs, points[perm], [specs[i] for i in perm])
-        assert np.array_equal(shuffled[0], dens[perm], equal_nan=True)
-        assert np.array_equal(shuffled[1], clipped[perm])
-        half = points.size // 2
-        split = [density_curve(xs, points[a:b], specs[a:b])[0] for a, b in ((0, half), (half, None))]
-        assert np.array_equal(np.concatenate(split), dens, equal_nan=True)
-        # one point per batch of fits
-        monkeypatch.setattr(localfit, "_BATCH_BYTES", 8)
-        assert np.array_equal(density_curve(xs, points, specs)[0], dens, equal_nan=True)
+        for points, specs in (mixed_specs(), disjoint_specs()):
+            dens, clipped = density_curve(xs, points, specs)
+            assert np.isfinite(dens).sum() > 50
+            for i in range(points.size):
+                alone = density_curve(xs, points[i : i + 1], specs[i : i + 1])
+                assert np.array_equal(alone[0], dens[i : i + 1], equal_nan=True)
+                assert alone[1][0] == clipped[i]
+            perm = np.random.default_rng(3).permutation(points.size)
+            shuffled = density_curve(xs, points[perm], [specs[i] for i in perm])
+            assert np.array_equal(shuffled[0], dens[perm], equal_nan=True)
+            assert np.array_equal(shuffled[1], clipped[perm])
+            half = points.size // 2
+            split = [density_curve(xs, points[a:b], specs[a:b])[0] for a, b in ((0, half), (half, None))]
+            assert np.array_equal(np.concatenate(split), dens, equal_nan=True)
+            # one point per batch of fits
+            with monkeypatch.context() as patch:
+                patch.setattr(localfit, "_BATCH_BYTES", 8)
+                assert np.array_equal(density_curve(xs, points, specs)[0], dens, equal_nan=True)
 
     def test_power_of_two_scaling_is_exact(self):
         xs = curve_sample()
@@ -311,6 +324,42 @@ class TestDensityCurveProperties:
         xs = np.concatenate([curve_sample(), [-1.7e308, -1e300, 1e300, 1.7e308] * 40])
         points, specs = mixed_specs()
         assert np.isfinite(density_curve(xs, points, specs)[0]).sum() > 50
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("sample", ["tied", "continuous"])
+def test_block_sums_over_a_range_are_the_columns_of_the_whole_call(monkeypatch, sample, order, kernel):
+    xs = curve_sample() if sample == "tied" else np.random.default_rng(6).normal(0.0, 1.0, 3000)
+    rows = localfit._sorted_rows(np.sort(xs))
+    nb = xs.size // localfit._BLOCK
+    whole = localfit._block_sums(rows, 0.25, order, kernel, 0, nb)
+    # chunks of 5 blocks, so the ranges' chunks start at other blocks than the whole call's
+    monkeypatch.setattr(localfit, "_BATCH_BYTES", 5 * 256 * localfit._BLOCK)
+    for first, stop in ((0, nb), (3, nb - 4), (17, 18), (40, 40), (nb, nb)):
+        anchors, anchor_ends, sums, n_pow, offset = localfit._block_sums(rows, 0.25, order, kernel, first, stop)
+        assert (n_pow, offset) == (whole[3], first)
+        assert sums.shape == (whole[2].shape[0], stop - first)
+        assert np.array_equal(anchors, whole[0][first:stop])
+        assert np.array_equal(anchor_ends, whole[1][first:stop])
+        assert np.array_equal(sums, whole[2][:, first:stop], equal_nan=True)
+
+
+@pytest.mark.parametrize("xs", [
+    curve_sample(),
+    np.round(np.random.default_rng(7).normal(0.0, 1.0, 500), 1),
+    np.full(5, 2.0),
+    np.array([-np.inf, -np.inf, 0.0, np.inf, np.inf]),
+    np.array([1.0]),
+    np.array([]),
+], ids=["curve", "grid", "one-group", "infinite", "one-row", "empty"])
+def test_tie_group_ends_are_the_right_insertion_points(xs):
+    x = np.sort(xs)
+    sorted_x, ends, starts = localfit._sorted_rows(x)
+    assert sorted_x is x
+    assert ends.dtype == np.intp and np.array_equal(ends, np.searchsorted(x, x, side="right"))
+    new_group = np.concatenate([[True], x[1:] != x[:-1]])[: x.size]
+    assert np.array_equal(starts, np.concatenate([[0], np.cumsum(new_group)]))
 
 
 def _dyadic_integers(values):
