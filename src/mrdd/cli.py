@@ -23,16 +23,14 @@ import argparse
 import contextlib
 import csv
 import enum
-import json
 import sys
-import traceback
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import synth
-from ._bootstrap import sample_means, sharp_window
+from ._bootstrap import BootstrapConfig, sample_means, sharp_window
 from .boundary import Bandwidths, Dataset, FitConfig
 from .bounds import (
     BoundsStatus,
@@ -49,14 +47,6 @@ from .errors import (
     InvalidConfig,
     MissingColumn,
     ParseError,
-)
-from .inference import (
-    BootstrapConfig,
-    RMode,
-    boundary_pass,
-    bounds_from_draws,
-    imbens_manski_ci,
-    protocol_from_draws,
 )
 from .localfit import (
     DENSITY_FLOOR,
@@ -247,6 +237,8 @@ def _output(out: str | None):
 
 def _json_text(payload: dict) -> str:
     """Strict JSON: a non-finite number becomes null."""
+    import json
+
     return json.dumps(_nulls_for_non_finite(payload), indent=2, allow_nan=False) + "\n"
 
 
@@ -262,6 +254,9 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     range of an effect; the fuzzy set bounds a ratio, which that range does
     not cap, and is reported as ``fuzzy_bounds`` gives it.
     """
+    # imported here, so that plotdata, simulate and oracle do not load it
+    from .inference import RMode, boundary_pass, bounds_from_draws, imbens_manski_ci, protocol_from_draws
+
     fit = cfg.fit.resolved(data.xs, data.cutoff)
     draws, plan = boundary_pass(data, cfg.boot, fit, cfg.covariates)
     protocol = protocol_from_draws(draws, cfg.boot.alpha)
@@ -392,6 +387,8 @@ def _read_config_file(path: str) -> dict:
         except UnicodeDecodeError:
             raise InvalidConfig(f"config file {path} is not {fh.encoding} text") from None
     if path.endswith(".json"):
+        import json
+
         try:
             loaded = json.loads(text)
         except ValueError as err:  # JSONDecodeError, or an integer with too many digits
@@ -692,6 +689,8 @@ def main(argv=None) -> int:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception as err:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

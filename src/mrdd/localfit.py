@@ -68,7 +68,8 @@ MIN_BANDWIDTH = 1e-8
 DUPLICATE_FRACTION_LIMIT = 0.2
 #: Sorted rows per block of the density fits' moment sums.
 _BLOCK = 32
-#: Bytes of the temporaries of one batch of density fits or of block sums.
+#: Bytes of the temporaries of one chunk of block sums; a batch of density
+#: fits gets twice this.
 _BATCH_BYTES = 1 << 21
 
 
@@ -505,9 +506,11 @@ def _density_fits(xs, eval_points, specs):
         i = np.flatnonzero(group == g)
         # only the blocks the group's windows reach
         blocks = _block_sums(rows, h, order, kernel, start[i].min() // _BLOCK, stop[i].max() // _BLOCK)
-        # batches of points by their 8-byte temporaries: block columns and edge rows
+        # batches of points by their 8-byte temporaries: block columns and edge rows.
+        # A batch gets twice the block sums' budget, which halves the batches
+        # and their fixed numpy calls: about 4 ms of plotdata's 10k bins on 200k rows
         cost = ((stop[i] - start[i]) // _BLOCK + 2) * 3 * blocks[2].shape[0] + 36 * _BLOCK
-        for j in np.split(i, np.flatnonzero(np.diff(np.cumsum(cost) // (_BATCH_BYTES // 8))) + 1):
+        for j in np.split(i, np.flatnonzero(np.diff(np.cumsum(cost) // (2 * _BATCH_BYTES // 8))) + 1):
             fit = _fit_windows(rows, blocks, x.size, points[j], start[j], stop[j], order, h, kernel)
             densities[j], clipped[j] = fit[:2]
             counts[:, j] = fit[2]

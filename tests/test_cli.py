@@ -641,9 +641,8 @@ class TestAnalyze:
 
     def test_non_finite_statistic_written_as_null(self, typed_file, tmp_path, monkeypatch):
         path, _ = typed_file
-        from mrdd import cli as cli_mod
-
-        real_protocol = cli_mod.protocol_from_draws
+        # build_report imports the protocol from inference when it runs
+        real_protocol = inference.protocol_from_draws
 
         def nan_density_statistic(draws, alpha):
             outcome = real_protocol(draws, alpha)
@@ -652,7 +651,7 @@ class TestAnalyze:
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        monkeypatch.setattr(cli_mod, "protocol_from_draws", nan_density_statistic)
+        monkeypatch.setattr(inference, "protocol_from_draws", nan_density_statistic)
         out = tmp_path / "r.json"
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
                        "--boot", "64", "--out", str(out)) == 0

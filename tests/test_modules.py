@@ -2,8 +2,9 @@
 or scipy at import time, only ``inference`` reads the bootstrap draw matrix,
 every public function and error class is reached by the package or named as
 library API, analyze and plotdata never load scipy and a one-worker analyze
-no thread pool, the normal tail and quantiles they take from the standard
-library are accurate, and README's library example runs on the public API."""
+no thread pool, the package loads each module when one of its names is first
+read, the normal tail and quantiles analyze takes from the standard library
+are accurate, and README's library example runs on the public API."""
 
 import ast
 import inspect
@@ -156,6 +157,13 @@ def test_no_module_level_scipy_import(path):
     assert module_level_scipy_imports(path.read_text()) == []
 
 
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports this package."""
+    src = str(Path(mrdd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_analyze_and_plotdata_never_load_scipy(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(2_000)
@@ -177,15 +185,53 @@ def test_analyze_and_plotdata_never_load_scipy(tmp_path):
         "assert 'concurrent.futures' not in sys.modules\n"
         "sys.exit(main(['oracle', '--p', '0.1', '--lambda', '0.05']))\n"
     )
-    src = str(Path(mrdd.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert (payload["p"], payload["lambda"]) == (0.1, 0.05)
     assert payload["sharp"][0] <= payload["theta_true"] <= payload["sharp"][1]
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["blocks"][0]["sharp_set"] is not None
+
+
+def test_package_loads_each_module_on_first_use(tmp_path):
+    # import mrdd loads no module of the package, and plotdata none of what
+    # only analyze and the report writer run: the protocol, the bounds'
+    # inference, JSON and the internal-error traceback
+    sample = tmp_path / "s.csv"
+    sample.write_text("x\n" + "\n".join(map(repr, np.random.default_rng(1).standard_normal(500).tolist())) + "\n")
+    plotdata = (
+        "import sys\n"
+        "import mrdd\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('mrdd.'))\n"
+        "assert not loaded, loaded\n"
+        "from mrdd.cli import main\n"
+        f"assert main(['plotdata', {str(sample)!r}, '--cutoff', '0', '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
+        "loaded = [m for m in ('mrdd.inference', 'statistics', 'json', 'traceback') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    # dir lists the public names before any is read, each resolves by
+    # attribute, as do the modules README reads names from, and a star
+    # import binds them
+    namespace = (
+        "import mrdd\n"
+        "assert '__all__' in dir(mrdd) and set(mrdd.__all__) <= set(dir(mrdd))\n"
+        "assert callable(mrdd.inference.protocol_from_draws) and mrdd.synth.EXP_RATE > 0\n"
+        "missing = [name for name in mrdd.__all__ if getattr(mrdd, name, None) is None]\n"
+        "assert not missing, missing\n"
+        "star = {}\n"
+        "exec('from mrdd import *', star)\n"
+        "assert all(star[name] is getattr(mrdd, name) for name in mrdd.__all__)\n"
+        "try:\n"
+        "    mrdd.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('mrdd.no_such_name resolved')\n"
+    )
+    for script in (plotdata, namespace):
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_library_example_runs(capsys):
