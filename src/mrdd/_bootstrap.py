@@ -28,8 +28,8 @@ The counts times the rows give every mean fit's normal equations; the
 running count through each tie group's last row, times the counts and the
 CDF weights, gives the CDF fit's (Cattaneo, Jansson & Ma 2020). Rows below
 the window only add a constant to that count, which moves the intercept
-and not the slope. The densities are the slopes over n h, floored at
-DENSITY_FLOOR.
+and not the slope. The densities are the slopes over n h, floored by
+``floor_density``.
 
 The sums never go through BLAS, whose threaded kernels sum in an order set
 by the thread count: ``np.einsum`` sums fixed blocks of window rows and
@@ -41,10 +41,12 @@ tile it is in.
 
 A fit fails on a replicate (a NaN cell) where its window drew fewer
 distinct positive-weight values than the fit has coefficients, or where
-its normal equations are singular in floating point. The support checks
-count the nonzero counts, or the nonzero sums of the counts over each tie
-group. Chunks are fixed by replicate index and sized from the window under
-a byte budget; workers share out whole chunks.
+``fit_from_moments`` finds its normal equations singular: their Gram,
+scaled to unit diagonal, has a determinant at or below SINGULAR_DET
+(6.2e-13), as where the window drew only rows whose u differ in the last
+bits. The support checks count the nonzero counts, or the nonzero sums of
+the counts over each tie group. Chunks are fixed by replicate index and
+sized from the window under a byte budget; workers share out whole chunks.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ import numpy as np
 
 from .errors import InvalidConfig, TooManyFailedReplicates
 from .localfit import (
-    DENSITY_FLOOR,
     FitSpec,
     Side,
     density_window,
     fit_from_moments,
+    floor_density,
     kernel_weight,
     local_weights,
     weighted_powers,
@@ -328,7 +330,7 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
         cdf_sums = _moment_sums(cdf[:, rows], side.moments[k : k + d + 2])
         ok = _supported(drawn, side.density_groups, d + 1)
         beta = fit_from_moments(sums[ok, k : k + 2 * d + 3], cdf_sums[ok])
-        out[ok, 2 + i] = np.maximum(beta[:, 1] * side.density_scale, DENSITY_FLOOR)
+        out[ok, 2 + i] = floor_density(beta[:, 1] * side.density_scale)[0]
         # the outcome's and every covariate's value sums share the side's mean weights
         value_sums = sums[:, None, -(d + 1) :]
         if c:

@@ -605,11 +605,11 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     with synth.atomic_open(args.out) as fh:
         fh.write("bin_left,bin_right,count,side,fitted_density\n")
         fh.writelines(f"{left},{right},{count},{side},{dens!r}\n" for left, right, count, side, dens in rows)
-    n_clipped = int(np.count_nonzero(clipped))
-    if n_clipped:
+    n_clipped, n_unfit = int(np.count_nonzero(clipped)), int(np.count_nonzero(np.isnan(densities)))
+    if n_clipped or n_unfit:
         print(
-            f"warning: {n_clipped} of {counts.size} bins clipped to {DENSITY_FLOOR}: "
-            "their fitted density was not positive",
+            f"warning: {n_clipped} of {counts.size} bins clipped to {DENSITY_FLOOR} (their fitted density "
+            f"was not positive); {n_unfit} have no fitted density (nan: their window is too poor for the fit)",
             file=sys.stderr,
         )
     return EXIT_OK

@@ -62,6 +62,19 @@ from .errors import (
 MAX_ORDER = 2
 #: Floor applied to non-positive density estimates; downstream ratios need f > 0.
 DENSITY_FLOOR = 1e-6
+#: The determinant of a Gram scaled to unit diagonal at or below which a
+#: fit's normal equations count as singular. Scaled, the entries lie in
+#: [-1, 1] and the determinant in [0, 1]. By Cauchy-Schwarz an entry's
+#: terms sum in absolute value to at most its scale, so rounding moves a
+#: scaled entry by at most about g eps; g = 256 allows for sums of many
+#: rows. Where the exact Gram of p coefficients is singular, the computed
+#: one has an eigenvalue below p g eps (Weyl) and the others sum to at most
+#: p, so its determinant is below e p g eps. A CDF fit has the most
+#: coefficients, MAX_ORDER + 2, which gives 6.2e-13. A system above it has
+#: a smallest eigenvalue above SINGULAR_DET / e: a scaled condition number
+#: below 2e13. Exactly singular Grams, summed as the bootstrap sums them,
+#: reach about 1.2e-14; a plotdata fit that keeps seven digits, 4.6e-11.
+SINGULAR_DET = np.e * (MAX_ORDER + 2) * 256 * float(np.finfo(float).eps)
 #: Lower bound for rule-of-thumb bandwidths (guards zero-variance sides).
 MIN_BANDWIDTH = 1e-8
 #: In-window duplicate share beyond which the running variable is treated as discrete.
@@ -210,7 +223,8 @@ def support_error(spec: FitSpec, counts, cdf: bool, solved: bool = True) -> Data
     """The DataError of the mean fit on ``spec``, or with ``cdf`` of the CDF
     fit behind its density, on a window of ``counts``: rows, distinct values
     and distinct positive-weight values; None where it can be fit. ``solved``
-    False marks normal equations with an exactly zero pivot.
+    False marks normal equations that ``fit_from_moments`` finds singular,
+    a scaled Gram determinant at or below SINGULAR_DET.
     """
     rows, distinct, positive = counts
     side, degree = spec.side.value, spec.order + cdf
@@ -259,20 +273,27 @@ def fit_from_moments(weight_sums: np.ndarray, value_sums: np.ndarray) -> np.ndar
     ``weight_sums[..., k]`` holds sum(w * u**k) for k = 0..2d and
     ``value_sums[..., j]`` holds sum(w * u**j * v) for j = 0..d. Returns the
     solution of the normal equations, coefficients in u powers, shape
-    ``(..., d + 1)``; the batch shapes broadcast. A system that is singular
-    in floating point, with an exactly zero pivot, gets NaN coefficients.
+    ``(..., d + 1)``; the batch shapes broadcast. A system whose Gram,
+    scaled to unit diagonal, has a determinant at or below SINGULAR_DET,
+    or is zero or not finite, gets NaN coefficients.
     """
     d = value_sums.shape[-1] - 1
     gram = weight_sums[..., np.add.outer(np.arange(d + 1), np.arange(d + 1))]
-    values = value_sums[..., None]
-    try:
-        return np.linalg.solve(gram, values)[..., 0]
-    except np.linalg.LinAlgError:
-        # the same LU factorisation finds the singular systems; the identity
-        # stands in for them, so that the others are solved alone
-        singular = (np.linalg.slogdet(gram)[0] == 0)[..., None]
-        gram = np.where(singular[..., None], np.eye(d + 1), gram)
-        return np.where(singular, np.nan, np.linalg.solve(gram, values)[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the diagonal is sum(w * u**2k)
+        root = np.sqrt(weight_sums[..., : 2 * d + 1 : 2])
+        singular = ~(np.linalg.det(gram / root[..., :, None] / root[..., None, :]) > SINGULAR_DET)
+    # the identity stands in for the singular systems, so that the others
+    # are solved alone
+    gram[singular] = np.eye(d + 1)
+    return np.where(singular[..., None], np.nan, np.linalg.solve(gram, value_sums[..., None])[..., 0])
+
+
+def floor_density(density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``density`` with each value below DENSITY_FLOOR raised to it, and a
+    mask of those values; NaN stays NaN and unmasked."""
+    clipped = density < DENSITY_FLOOR
+    return np.where(clipped, DENSITY_FLOOR, density), clipped
 
 
 def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarray:
@@ -439,9 +460,7 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
         slope = slope * -centre + k * beta[:, k]
     density = np.full(points.size, np.nan)
     density[i] = slope / n / h
-    clipped = density < DENSITY_FLOOR
-    density[clipped] = DENSITY_FLOOR
-    return density, clipped, (m, distinct, positive)
+    return (*floor_density(density), (m, distinct, positive))
 
 
 def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:

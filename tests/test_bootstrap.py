@@ -425,6 +425,27 @@ def test_failed_fits_are_the_replicates_short_of_support(tied):
     np.testing.assert_array_equal(np.isnan(alone), failed)
 
 
+def test_replicate_left_with_the_near_tied_pair_fails_its_mean_fit():
+    # the left mean window holds three points and a pair whose u differ in
+    # the last bit; a resample that draws only the pair passes the support
+    # check on two distinct values, and its normal equations are singular
+    h = 0.01 * 1.8132702392002724
+    pair = np.array([-0.01, -0.01 * (1 - 2.0**-53)])
+    rng = np.random.default_rng(1)
+    others = np.array([-0.015, -0.008, -0.004])
+    xs = np.concatenate([-rng.uniform(0.05, 1.0, 400), pair, others, rng.uniform(0.0, 1.0, 400)])
+    ys = np.concatenate([np.zeros(400), [1.0, 1.0], [0.0, 1.0, 0.0], rng.uniform(size=400)])
+    fit = FitConfig(order=1, bandwidths=Bandwidths(mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0))
+    plan = build_plan(xs, 0.0, fit, (ys,))
+    counts = np.ones((2, plan.index.size))
+    counts[1, np.isin(plan.index, np.arange(402, 405))] = 0.0
+    values = _bootstrap.evaluate(plan, counts)
+    assert np.isfinite(values[0]).all()
+    assert np.array_equal(np.isnan(values[1]), [False, True, False, False])
+    kept, n_failed = drop_failed(np.repeat(values, [19, 1], axis=0), "boundary")
+    assert n_failed == 1 and np.array_equal(kept, np.repeat(values[:1], 19, axis=0))
+
+
 def test_too_many_failures_raise():
     data = sparse_left_sample(5)
     b = 100

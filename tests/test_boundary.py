@@ -202,13 +202,6 @@ def test_near_equal_scaled_distances_fit_as_local_poly_fit_does(pair_ys):
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason=(
-        "fit_from_moments has no relative pivot check: it solves the near-equal pair's "
-        "normal equations on a pivot that is rounding error, and both fits give mu- 0.5321"
-    ),
-)
 def test_near_equal_pair_of_ones_fits_one_or_raises():
     # every outcome in the window is 1, so a fit that does not raise must
     # give level 1

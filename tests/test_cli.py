@@ -44,7 +44,7 @@ from mrdd._bootstrap import sample_means
 from mrdd.inference import boundary_pass
 from mrdd.cli import MAX_PLOT_BINS, ingest, main
 from mrdd.errors import DataError, EmptyInput, MissingColumn, ParseError
-from mrdd.localfit import local_weights
+from mrdd.localfit import DENSITY_FLOOR, local_weights
 
 
 @pytest.fixture()
@@ -943,12 +943,16 @@ class TestPlotdata:
 
     def test_clipping_reported_in_one_line(self, typed_file, tmp_path, capfd):
         path, _ = typed_file
-        code = run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05",
-                       "--out", str(tmp_path / "bins.csv"))
+        out = tmp_path / "bins.csv"
+        code = run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05", "--out", str(out))
         assert code == 0
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1
-        assert " bins clipped to " in err[0]
+        densities = [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]]
+        clipped, unfit = densities.count(repr(DENSITY_FLOOR)), densities.count("nan")
+        assert clipped > 0 and unfit > 0
+        assert err[0].startswith(f"warning: {clipped} of {len(densities)} bins clipped to ")
+        assert f"; {unfit} have no fitted density (nan: " in err[0]
 
     def test_csv_matches_per_bin_reference(self, typed_file, tmp_path):
         path, _ = typed_file
@@ -1177,6 +1181,32 @@ def analysis_samples(draw):
     return "x,y,d,c,w\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+@st.composite
+def near_tied_x(draw):
+    """CSV text of an x column of 1 to 2,000 rows whose values come one ulp
+    apart: rows moved one ulp from another row, ladders a few ulps long at
+    a few points, all rows within a few ulps of one point, or ulp steps of
+    the subnormals at the cutoff 0."""
+    n = draw(st.sampled_from([300, 2_000]) | st.integers(1, 2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=n)
+    steps = rng.integers(-3, 4, n)
+    shape = draw(st.sampled_from(["pairs", "ladders", "cluster", "at-cutoff"]))
+    if shape == "pairs":
+        moved = rng.uniform(size=n) < draw(st.sampled_from([0.05, 0.5, 1.0]))
+        z[moved] = np.nextafter(z[rng.integers(0, n, moved.sum())], np.where(steps[moved] < 0, -np.inf, np.inf))
+        xs = z
+    elif shape == "ladders":
+        k = draw(st.integers(1, 8))
+        points = rng.normal(size=k)[rng.integers(0, k, n)]
+        xs = points + steps * np.spacing(points)
+    elif shape == "cluster":
+        xs = 0.3 + steps * np.spacing(0.3)
+    else:
+        xs = np.where(rng.uniform(size=n) < 0.5, steps * 5e-324, z)
+    return "x\n" + "".join(f"{x!r}\n" for x in xs.tolist())
+
+
 def exit_code(argv):
     """``main``'s exit code, with an argparse usage error as its exit status."""
     try:
@@ -1259,6 +1289,33 @@ class TestContract:
             else:
                 label = "configuration error: " if code == 2 else "data error: "
                 assert err.getvalue().startswith(label) and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=near_tied_x(), cutoff=st.sampled_from(["0", "0.3"]),
+           width=st.sampled_from([[], ["--bin-width", "0.05"], ["--bin-width", "1e-3"]]))
+    def test_plotdata_csv_or_one_labelled_line(self, text, cutoff, width):
+        # near-tied x, whose fits the relative rank test finds singular: a CSV
+        # of finite or nan densities and at most one warning line, or one
+        # labelled error line; never an internal error (4) and never a traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "s.csv"), os.path.join(tmp, "bins.csv")
+            Path(path).write_text(text)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = exit_code(["plotdata", path, "--cutoff", cutoff, *width, "--out", out])
+            event(f"exit {code}")
+            lines = err.getvalue().splitlines()
+            assert "Traceback" not in err.getvalue()
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 0:
+                rows = [row.split(",") for row in Path(out).read_text().splitlines()[1:]]
+                densities = np.array([float(row[4]) for row in rows])
+                assert not np.isinf(densities).any()
+                assert sum(int(row[2]) for row in rows) == text.count("\n") - 1
+                assert len(lines) <= 1 and all(line.startswith("warning: ") for line in lines)
+            else:
+                label = "configuration error: " if code == 2 else "data error: "
+                assert len(lines) == 1 and lines[0].startswith(label)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

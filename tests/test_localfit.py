@@ -17,6 +17,7 @@ from mrdd import (
 )
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
 from mrdd import localfit
+from mrdd._bootstrap import _moment_sums
 from mrdd.localfit import DENSITY_FLOOR, density_window, sample_sd
 from oracles import lstsq_level
 
@@ -463,6 +464,24 @@ class TestDensityAccuracy:
                         checked += 1
         assert checked > 300
 
+    @pytest.mark.parametrize("gap, singular", [(2.0**-20, False), (2.0**-24, True)])
+    def test_rows_close_together_fit_until_their_gram_is_singular(self, gap, singular):
+        # three rows in the window, two of them gap * h apart: the scaled
+        # Gram's determinant falls like gap**2, to 2.2e-12 at 2**-20, where
+        # the fit keeps five digits, and to 8.7e-15 at 2**-24, below
+        # SINGULAR_DET
+        point, h = 5.0, 0.5
+        rng = np.random.default_rng(3)
+        xs = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, 200), point + h * np.array([-0.5, -0.5 + gap, 0.5])]))
+        spec = FitSpec(1, h, KernelKind.TRIANGULAR, Side.INTERIOR)
+        if singular:
+            with pytest.raises(SingularDesign):
+                boundary_density(xs, point, spec)
+        else:
+            exact, m = exact_density(xs, point, spec)
+            assert m == 3
+            assert abs(boundary_density(xs, point, spec)[0] - exact) <= 1e-4 * abs(exact)
+
 
 class TestSampleSd:
     def test_same_bits_as_np_std_at_every_scale(self):
@@ -527,3 +546,55 @@ class TestRotBandwidth:
             assert np.isfinite(h) and h > 1e200
             # a power-of-two scale moves the bandwidth by exactly that factor
             assert rot_bandwidth(wide, Side.LEFT, 0.0) == rot_bandwidth(wide * 2.0**-1000, Side.LEFT, 0.0) * 2.0**1000
+
+
+def near_tied_pair_gram():
+    """The weight sums of the order-1 left mean fit on two rows whose u
+    differ in the last bit, at the bandwidth of tests/test_boundary.py's
+    near-equal pair."""
+    h = 0.01 * 1.8132702392002724
+    u = np.array([-0.01, -0.01 * (1 - 2.0**-53)]) / h
+    assert np.nextafter(u[0], 0.0) == u[1]
+    powers = np.empty((3, 2))
+    localfit.weighted_powers(u, kernel_weight(u), 2, powers)
+    return powers.sum(axis=1)
+
+
+def test_fit_from_moments_solves_only_the_well_conditioned_systems():
+    well = np.array([3.0, -1.25, 0.875])
+    batch = np.array([
+        well,
+        [1.5, -0.75, 0.375],  # three rows at u = -0.5: exactly singular
+        near_tied_pair_gram(),
+        [0.0, 0.0, 0.0],  # an empty window
+        [np.inf, 1.0, 1.0],
+    ])
+    values = np.array([[1.0, -0.5]] * batch.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = localfit.fit_from_moments(batch, values)
+        # the mean fits' broadcast: one Gram per replicate, several value columns
+        wide = localfit.fit_from_moments(batch[:, None], np.stack([values, 2 * values], axis=1))
+    gram = well[np.add.outer(np.arange(2), np.arange(2))]
+    assert np.array_equal(beta[0], np.linalg.solve(gram, values[0]))
+    assert np.isnan(beta[1:]).all()
+    assert np.array_equal(np.isfinite(wide).all(axis=(1, 2)), [True, False, False, False, False])
+    assert np.array_equal(wide[0], [beta[0], 2 * beta[0]])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_every_exactly_singular_window_is_flagged(degree):
+    # windows with at most `degree` distinct u, with bootstrap-like counts,
+    # summed pairwise as local_poly_fit sums them and in blocks as the engine
+    # does: each Gram is singular in exact arithmetic
+    rng = np.random.default_rng(degree)
+    for _ in range(300):
+        distinct = rng.uniform(-1.0, 0.0, rng.integers(1, degree + 1))
+        u = np.repeat(distinct, rng.integers(1, 600, distinct.size))
+        w = kernel_weight(u, KernelKind(rng.choice([k.value for k in KernelKind])))
+        u, w = u[w > 0], w[w > 0]
+        counts = rng.multinomial(u.size, np.full(u.size, 1 / u.size)).astype(float)
+        powers = np.empty((2 * degree + 1, u.size))
+        localfit.weighted_powers(u, w, 2 * degree, powers)
+        for sums in ((powers * counts).sum(axis=1), _moment_sums(counts[None], powers)[0]):
+            assert np.isnan(localfit.fit_from_moments(sums, np.ones(degree + 1))).all()
