@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 #: Each public name and the module that defines it.
 _EXPORTS = {
-    "BootstrapConfig": "_bootstrap",
     "Bandwidths": "boundary",
+    "BootstrapConfig": "boundary",
     "BoundaryEstimates": "boundary",
     "Dataset": "boundary",
     "FitConfig": "boundary",
@@ -35,7 +35,6 @@ _EXPORTS = {
     "BoundaryDraws": "inference",
     "IntervalCI": "inference",
     "ProtocolOutcome": "inference",
-    "RMode": "inference",
     "TestResult": "inference",
     "Verdict": "inference",
     "bootstrap_boundary_replicates": "inference",

@@ -30,8 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import synth
-from ._bootstrap import BootstrapConfig, sample_means, sharp_window
-from .boundary import Bandwidths, Dataset, FitConfig
+from .boundary import Bandwidths, BootstrapConfig, Dataset, FitConfig, sample_means, sharp_window
 from .bounds import (
     BoundsStatus,
     TypeAssumption,
@@ -255,15 +254,14 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     not cap, and is reported as ``fuzzy_bounds`` gives it.
     """
     # imported here, so that plotdata, simulate and oracle do not load it
-    from .inference import RMode, boundary_pass, bounds_from_draws, imbens_manski_ci, protocol_from_draws
+    from .inference import boundary_pass, bounds_from_draws, imbens_manski_ci, protocol_from_draws
 
     fit = cfg.fit.resolved(data.xs, data.cutoff)
     draws, plan = boundary_pass(data, cfg.boot, fit, cfg.covariates)
     protocol = protocol_from_draws(draws, cfg.boot.alpha)
     be = draws.point
     y_low, y_high = cfg.y_low, cfg.y_high
-    fixed = bounds_from_draws(draws, cfg.assumption, RMode.FIXED, y_low, y_high)
-    random_ = bounds_from_draws(draws, cfg.assumption, RMode.RANDOM, y_low, y_high)
+    fixed, random_ = bounds_from_draws(draws, cfg.assumption, y_low, y_high)
 
     block: dict = {
         "order": fit.order,

@@ -4,15 +4,16 @@ protocol, and interval confidence sets.
 One bootstrap pass per analysis draws every boundary fit, and each tested
 covariate's two mean fits, on the same replicates, with the bandwidths
 frozen at their full-sample values. This module alone reads its draw
-matrix: the density and balance tests and both r modes of the bounds read
-their own columns, and each drops only the replicates its own fits lost.
+matrix: the density and balance tests and the bounds read their own
+columns, and each drops only the replicates its own fits lost.
 The density test runs first: under the maintained manipulation
 restrictions a smooth density implies point identification, and only then
-are covariate balance tests a meaningful further check. ``fixed`` r holds
-the density ratio at its full-sample estimate across replicates, ``random``
-re-estimates it per replicate. Confidence intervals for the partially
-identified estimand expand the estimated interval by a data-dependent
-multiplier between the one-sided and two-sided normal quantiles.
+are covariate balance tests a meaningful further check. The bounds come
+in two r modes: fixed r holds the density ratio at its full-sample
+estimate across replicates, random r re-estimates it per replicate.
+Confidence intervals for the partially identified estimand expand the
+estimated interval by a data-dependent multiplier between the one-sided
+and two-sided normal quantiles.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._bootstrap import BootstrapConfig, Plan, build_plan, check_alpha, drop_failed, run_replicates
-from .boundary import BoundaryEstimates, Dataset, FitConfig, sample_estimates
+from .boundary import (
+    BootstrapConfig, BoundaryEstimates, Dataset, FitConfig, Plan, build_plan, check_alpha, drop_failed,
+    run_replicates, sample_estimates,
+)
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
-from .errors import InvalidInputs, UnknownCovariate
+from .errors import InvalidInputs
 from .localfit import sample_sd
-
-
-class RMode(enum.Enum):
-    FIXED = "fixed"
-    RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -82,22 +80,20 @@ def boundary_pass(
     """Row-resample the data ``cfg.b`` times and re-estimate the boundary.
 
     One engine plan evaluates the four boundary fits and, for each name in
-    ``covariates`` (UnknownCovariate if absent), its two mean fits on the
-    outcome's windows: on the sample, for the point estimates and jumps,
-    then on every replicate. The boundary columns are the same bits
-    whichever covariates are named. Bandwidths are selected once on the full
-    sample, and replicate randomness is keyed by (seed, replicate index).
+    ``covariates`` (checked by ``Dataset.value_columns``), its two mean
+    fits on the outcome's windows: on the sample, for the point estimates
+    and jumps, then on every replicate. The boundary columns are the same
+    bits whichever covariates are named. Bandwidths are selected once on the
+    full sample, and replicate randomness is keyed by (seed, replicate
+    index).
 
     The plan is returned beside the draws, for the sample's other fits on
     its windows. It holds a few moment rows per window row, about 4.8 MB on
     66k window rows against 6 KB of draws at B = 200, so it is not part of
     ``BoundaryDraws``: a caller keeps it only while it reads those fits.
     """
-    for name in covariates:
-        if name not in data.covariates:
-            raise UnknownCovariate(f"covariate {name!r} not present; have {sorted(data.covariates)}")
+    columns = data.value_columns(covariates)
     fit = fit.resolved(data.xs, data.cutoff)
-    columns = (data.ys, *(data.covariates[name] for name in covariates))
     plan = build_plan(data.xs, data.cutoff, fit, columns)
     point, row = sample_estimates(plan, fit)
     # a constant covariate has no jump; its two moment solves may leave one of rounding size
@@ -112,28 +108,30 @@ def boundary_pass(
 def bounds_from_draws(
     draws: BoundaryDraws,
     assumption: TypeAssumption,
-    r_mode: RMode,
     y_low: float,
     y_high: float,
-) -> BootstrapBounds:
-    """Evaluate the requested interval on the point estimate and every draw.
+) -> tuple[BootstrapBounds, BootstrapBounds]:
+    """The requested interval on the point estimate and every draw, with a
+    fixed and with a random density ratio: ``(fixed, random)``.
 
     The replicates on which all four boundary fits succeeded go through
-    ``crude_interval`` as columns, in one call; in fixed mode every row
-    keeps the point's density ratio, in random mode each row has its own.
-    The endpoint SEs are the replicates' sample standard deviations, and
-    the point SE that of their mean jumps mu_plus - mu_minus. A missing
-    outcome range raises InvalidOutcomeRange, and more than 10% failed
-    replicates TooManyFailedReplicates.
+    ``crude_interval`` as columns, both r modes in one call: first every
+    row at the point's density ratio, then each row at its own. The
+    endpoint SEs are each mode's replicates' sample standard deviations,
+    and the point SE, shared, that of their mean jumps mu_plus - mu_minus.
+    A missing outcome range raises InvalidOutcomeRange, and more than 10%
+    failed replicates TooManyFailedReplicates.
     """
     point = crude_bounds(draws.point.mu_plus, draws.point.mu_minus, draws.point.r, y_low, y_high, assumption)
     boundary, n_failed = drop_failed(draws.draws[:, :4], "boundary")
     mu_plus, mu_minus, f_plus, f_minus = boundary.T
-    if r_mode is RMode.FIXED:
-        f_plus, f_minus = draws.point.f_plus, draws.point.f_minus
-    reps = np.column_stack(crude_interval(mu_plus, mu_minus, f_minus / f_plus, y_low, y_high, assumption))
-    return BootstrapBounds(
-        point, reps, sample_sd(reps[:, 0]), sample_sd(reps[:, 1]), sample_sd(mu_plus - mu_minus), n_failed
+    k = mu_plus.size
+    r = np.concatenate([np.full(k, draws.point.f_minus / draws.point.f_plus), f_minus / f_plus])
+    ends = crude_interval(np.tile(mu_plus, 2), np.tile(mu_minus, 2), r, y_low, y_high, assumption)
+    point_se = sample_sd(mu_plus - mu_minus)
+    return tuple(
+        BootstrapBounds(point, reps, sample_sd(reps[:, 0]), sample_sd(reps[:, 1]), point_se, n_failed)
+        for reps in np.column_stack(ends).reshape(2, k, 2)
     )
 
 

@@ -3,8 +3,8 @@
 Generators return a :class:`TypedSample`: observable rows (running variable,
 outcome, treatment) plus latent columns (the non-manipulated running
 variable, a manipulation flag, and the behavioural type of each unit).
-Matching population oracles deliver the exact boundary quantities by
-quadrature so estimators and bounds can be verified end to end.
+Matching population oracles deliver the exact boundary quantities in
+closed form so estimators and bounds can be verified end to end.
 
 The mixture DGP ("appendix-d" in the CLI) draws a standard normal latent
 score; units below the cutoff attempt manipulation with probability p and
@@ -140,12 +140,16 @@ def gen_appendix_d(p: float, lam: float, n: int, seed: int) -> TypedSample:
 
 
 def _tail_integral(d: int) -> float:
-    """2 * integral of mu_d(x) phi(x) over (-inf, 0), by adaptive quadrature."""
-    # imported here so that only the oracle pays for scipy.integrate
-    from scipy import integrate
+    """2 * integral of mu_d(x) phi(x) over (-inf, 0), in closed form.
 
-    val, _ = integrate.quad(lambda x: _mu_d(x, d) * _norm_pdf(x), -8.0, 0.0, epsabs=1e-8)
-    return 2.0 * val
+    With mu_d(x) = Phi(x - a) and X, Z independent standard normals, it is
+    2 P(Z <= X - a, X <= 0) = 1 - 2 Phi_2(0, k; 1/sqrt 2) at k = a/sqrt 2.
+    Owen's T(k, 1) = Phi(k) Phi(-k) / 2 gives Phi_2(0, k; 1/sqrt 2) =
+    Phi(k) (2 - Phi(k)) / 2, so the integral is Phi(-k)^2.
+    """
+    from scipy import special
+
+    return float(special.ndtr(-(0.5 if d == 1 else 1.0) / np.sqrt(2.0))) ** 2
 
 
 def oracle_appendix_d(p: float, lam: float) -> OracleRow:

@@ -26,15 +26,14 @@ from mrdd import (
     Dataset,
     FitConfig,
     KernelKind,
-    RMode,
     SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
     bounds_from_draws,
     estimate_boundary,
 )
-from mrdd import _bootstrap, localfit
-from mrdd._bootstrap import build_plan, drop_failed, replicate_rng, run_replicates
+from mrdd import boundary, localfit
+from mrdd.boundary import build_plan, drop_failed, replicate_rng, run_replicates
 from mrdd.errors import DataError, TooManyFailedReplicates
 from mrdd.inference import _balance_test, _density_test, protocol_from_draws
 from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_weights
@@ -149,9 +148,9 @@ def test_engine_matches_per_row_fits(order, kernel, wide):
     stats = per_row_fits(data, fit, ("w",))
     ref = reference(data, fit, stats)
     assert_same(draws.draws, ref)
-    boundary, n_failed = drop_failed(draws.draws[:, :4], "boundary")
+    fits, n_failed = drop_failed(draws.draws[:, :4], "boundary")
     assert n_failed == B - ok_rows(ref[:, :4]).shape[0]
-    assert_same(boundary, ok_rows(ref[:, :4]))
+    assert_same(fits, ok_rows(ref[:, :4]))
 
     res = _density_test(draws)
     point = stats[2](whole) - stats[3](whole)
@@ -212,7 +211,7 @@ def test_sample_is_replicate_zero(sample, order, kernel):
     data = sample()
     fit = config(order, kernel)
     plan = build_plan(data.xs, 0.0, fit, (data.ys, data.covariates["w"]))
-    row = _bootstrap.evaluate(plan, np.ones((1, plan.index.size)))[0]
+    row = boundary.evaluate(plan, np.ones((1, plan.index.size)))[0]
     be = estimate_boundary(data, fit)
     assert (be.mu_plus, be.mu_minus, be.f_plus, be.f_minus) == tuple(row[:4])
     draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=B, seed=SEED), fit, ("w",))
@@ -228,7 +227,7 @@ def test_sample_is_replicate_zero(sample, order, kernel):
     assert be.n_effective == SideCounts(*means, *dens)
 
 
-TILE = _bootstrap.SUM_TILE
+TILE = boundary.SUM_TILE
 
 
 @pytest.mark.parametrize(
@@ -241,12 +240,12 @@ def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
     # edge and one block late. The rows start at an odd offset, as one
     # side's rows do
     rng = np.random.default_rng(blocks + tail)
-    width = blocks * _bootstrap.SUM_BLOCK + tail
+    width = blocks * boundary.SUM_BLOCK + tail
     counts = rng.integers(0, 4, size=(5, width + 3)).astype(float)[:, 3:]
     moments = rng.uniform(size=(4, width)) * rng.uniform(size=width) ** np.arange(4)[:, None]
-    sums = _bootstrap._moment_sums(counts, moments)
+    sums = boundary._moment_sums(counts, moments)
     for j, row in enumerate(counts):
-        assert np.array_equal(sums[j], _bootstrap._moment_sums(row[None].copy(), moments)[0])
+        assert np.array_equal(sums[j], boundary._moment_sums(row[None].copy(), moments)[0])
         for k, weights in enumerate(moments):
             terms = row * weights
             # within a few roundings of the exact sum; one running total over
@@ -276,7 +275,7 @@ def test_draw_counts_are_the_bincount_of_the_keyed_draws(sample):
     for j, rep in enumerate(reps):
         g = replicate_rng(SEED, rep)
         ref[j] = np.bincount(by_index[g.integers(0, m, g.binomial(n, m / n))], minlength=m)
-    counts = _bootstrap._draw_counts(plan, reps, SEED)
+    counts = boundary._draw_counts(plan, reps, SEED)
     assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
 
 
@@ -286,11 +285,11 @@ def test_chunks_and_workers_do_not_change_draws(monkeypatch, order):
     fit = config(order, KernelKind.TRIANGULAR)
     columns = (data.ys, data.covariates["w"])
     whole = run_replicates(build_plan(data.xs, 0.0, fit, columns), 200, SEED)
-    monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 1 << 16)  # a few replicates per chunk
+    monkeypatch.setattr(boundary, "CHUNK_BYTES", 1 << 16)  # a few replicates per chunk
     plan = build_plan(data.xs, 0.0, fit, columns)
     one = run_replicates(plan, 200, SEED, workers=1)
     three = run_replicates(plan, 200, SEED, workers=3)
-    monkeypatch.setattr(_bootstrap, "CHUNK_BYTES", 8)  # one replicate per chunk
+    monkeypatch.setattr(boundary, "CHUNK_BYTES", 8)  # one replicate per chunk
     single = run_replicates(build_plan(data.xs, 0.0, fit, columns), 200, SEED)
     assert one.shape == (200, 6)
     assert np.array_equal(one, three)
@@ -327,7 +326,7 @@ def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
         (replace(plan, chunk=1), 100_000, 1),  # one usable CPU runs serially
     ]
     for chunked, workers, cores in runs:
-        monkeypatch.setattr(_bootstrap, "usable_cpus", lambda: cores)
+        monkeypatch.setattr(boundary, "usable_cpus", lambda: cores)
         assert np.array_equal(run_replicates(chunked, 60, SEED, workers=workers), serial)
     # the pool sizes asked for; a serial run asks for no pool
     assert sizes == [2, 4, 3]
@@ -335,13 +334,13 @@ def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
 
 def test_usable_cpus_follow_affinity_then_the_host(monkeypatch):
     # the threaded path of the worker tests needs at least two of these
-    monkeypatch.setattr(_bootstrap.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    monkeypatch.setattr(_bootstrap.os, "cpu_count", lambda: 64)
-    assert _bootstrap.usable_cpus() == 2
-    monkeypatch.delattr(_bootstrap.os, "sched_getaffinity")
-    assert _bootstrap.usable_cpus() == 64
-    monkeypatch.setattr(_bootstrap.os, "cpu_count", lambda: None)
-    assert _bootstrap.usable_cpus() == 1
+    monkeypatch.setattr(boundary.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(boundary.os, "cpu_count", lambda: 64)
+    assert boundary.usable_cpus() == 2
+    monkeypatch.delattr(boundary.os, "sched_getaffinity")
+    assert boundary.usable_cpus() == 64
+    monkeypatch.setattr(boundary.os, "cpu_count", lambda: None)
+    assert boundary.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -389,7 +388,7 @@ def test_few_failures_are_dropped():
     assert 0 < n_failed <= 0.1 * b
     draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=b, seed=SEED), SPARSE_FIT)
     assert_same(draws.draws, ref)
-    bounds = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, 0.0, 1.0)
+    bounds, _ = bounds_from_draws(draws, TypeAssumption.TYPE2, 0.0, 1.0)
     assert bounds.n_failed == n_failed
     assert bounds.replicates.shape == (b - n_failed, 2)
 
@@ -416,12 +415,12 @@ def test_failed_fits_are_the_replicates_short_of_support(tied):
         xs = np.concatenate([xs, xs[xs < 0.0]])
     plan = build_plan(xs, 0.0, SPARSE_FIT, (np.resize(data.ys, xs.size),))
     assert (plan.group_starts is not None) == tied
-    counts = _bootstrap._draw_counts(plan, range(300), SEED)
+    counts = boundary._draw_counts(plan, range(300), SEED)
     failed = failed_boundary_fits(plan, counts)
     assert 0 < failed.sum() < 300 and failed[:, 3].sum() > failed[:, 1].sum()
-    np.testing.assert_array_equal(np.isnan(_bootstrap.evaluate(plan, counts)), failed)
+    np.testing.assert_array_equal(np.isnan(boundary.evaluate(plan, counts)), failed)
     # one replicate at a time, the support check's first columns decide alone
-    alone = np.concatenate([_bootstrap.evaluate(plan, row[None]) for row in counts])
+    alone = np.concatenate([boundary.evaluate(plan, row[None]) for row in counts])
     np.testing.assert_array_equal(np.isnan(alone), failed)
 
 
@@ -439,7 +438,7 @@ def test_replicate_left_with_the_near_tied_pair_fails_its_mean_fit():
     plan = build_plan(xs, 0.0, fit, (ys,))
     counts = np.ones((2, plan.index.size))
     counts[1, np.isin(plan.index, np.arange(402, 405))] = 0.0
-    values = _bootstrap.evaluate(plan, counts)
+    values = boundary.evaluate(plan, counts)
     assert np.isfinite(values[0]).all()
     assert np.array_equal(np.isnan(values[1]), [False, True, False, False])
     kept, n_failed = drop_failed(np.repeat(values, [19, 1], axis=0), "boundary")
@@ -455,7 +454,7 @@ def test_too_many_failures_raise():
     assert b - ok_rows(ref[:, 3:4]).shape[0] > 0.1 * b
     draws = bootstrap_boundary_replicates(data, boot, SPARSE_FIT)
     with pytest.raises(TooManyFailedReplicates, match="boundary"):
-        bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, 0.0, 1.0)
+        bounds_from_draws(draws, TypeAssumption.TYPE2, 0.0, 1.0)
     with pytest.raises(TooManyFailedReplicates, match="density-test"):
         _density_test(draws)
 
@@ -487,7 +486,7 @@ def test_each_consumer_drops_only_its_own_failed_fits():
     draws = bootstrap_boundary_replicates(data, boot, NARROW_MEAN_FIT, ("w",))
     assert_same(draws.draws, ref)
     # the bounds lose every replicate on which one of the four boundary fits failed
-    bounds = bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.RANDOM, 0.0, 1.0)
+    _, bounds = bounds_from_draws(draws, TypeAssumption.TYPE2, 0.0, 1.0)
     assert bounds.n_failed == mean_failed.sum()
     # the density test loses none of them, with or without the covariate's columns
     alone = _density_test(bootstrap_boundary_replicates(data, boot, NARROW_MEAN_FIT))
@@ -531,7 +530,7 @@ def test_window_draw_has_the_full_multinomial_law():
     n, m, reps = data.n, window.size, 10_000
     assert plan.rank.size == m and 20 < m < n / 2
     # the engine's counts are in x order; rank's inverse puts them in row order
-    ours = _bootstrap._draw_counts(plan, range(reps), SEED)[:, np.argsort(plan.rank)]
+    ours = boundary._draw_counts(plan, range(reps), SEED)[:, np.argsort(plan.rank)]
     full = full_multinomial_counts(n, window, reps, SEED + 1)
     # per-row means, then variances and pairwise covariances, within Monte Carlo error
     for (a, se2_a), (b, se2_b) in zip(moments_and_variances(ours), moments_and_variances(full)):

@@ -40,7 +40,7 @@ from mrdd import (
     sharp_type2_bounds,
     write_typed_csv,
 )
-from mrdd._bootstrap import sample_means
+from mrdd.boundary import sample_means
 from mrdd.inference import boundary_pass
 from mrdd.cli import MAX_PLOT_BINS, ingest, main
 from mrdd.errors import DataError, EmptyInput, MissingColumn, ParseError
@@ -445,7 +445,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("covariates", [(), ("--covariate", "x_star")], ids=["outcome", "covariate"])
     def test_one_bootstrap_pass_per_analysis(self, typed_file, tmp_path, monkeypatch, covariates):
-        from mrdd import _bootstrap, boundary, inference
+        from mrdd import boundary, inference
 
         calls = []
 
@@ -457,7 +457,6 @@ class TestAnalyze:
 
         # each plan sorts the rows near the cutoff once; the point estimates
         # are its all-ones replicate, so they need no plan of their own
-        monkeypatch.setattr(_bootstrap, "build_plan", counted("plan", _bootstrap.build_plan))
         monkeypatch.setattr(boundary, "build_plan", counted("plan", boundary.build_plan))
         monkeypatch.setattr(inference, "build_plan", counted("plan", inference.build_plan))
         monkeypatch.setattr(inference, "run_replicates", counted("run", inference.run_replicates))
@@ -538,6 +537,26 @@ class TestAnalyze:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("data error") and "'d'" in err
+
+    @pytest.mark.parametrize("column", ["y", "w"])
+    def test_column_whose_sums_overflow_exits_3(self, tmp_path, capfd, column):
+        # every value is finite, but a fit's sum over 4,000 of them is not;
+        # the mean fit read that as singular normal equations
+        rng = np.random.default_rng(0)
+        xs = rng.standard_normal(4_000)
+        huge = np.where(rng.uniform(size=xs.size) < 0.5, -8e307, 8e307)
+        ys, ws = (huge, xs) if column == "y" else ((xs > 0).astype(float), huge)
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y,w\n" + "".join(f"{x!r},{y!r},{w!r}\n" for x, y, w in zip(xs.tolist(), ys.tolist(), ws.tolist())))
+        out = tmp_path / "r.json"
+        code = run_cli("analyze", str(path), "--cutoff", "0", "--y-min=-8e307", "--y-max=8e307",
+                       "--covariate", "w", "--boot", "50", "--out", str(out))
+        assert code == 3
+        assert capfd.readouterr().err.splitlines() == [
+            f"data error: column {column!r} has values up to 8e+307 in magnitude: "
+            "their sums over 4000 rows overflow a float"
+        ]
+        assert not out.exists()
 
     def test_too_many_failed_replicates_exits_3(self, tmp_path, capsys):
         # five points left of the cutoff: over 10% of resamples draw fewer

@@ -11,7 +11,6 @@ from mrdd import (
     BoundaryDraws,
     BoundaryEstimates,
     IntervalCI,
-    RMode,
     SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
@@ -29,42 +28,39 @@ class TestBootstrapBounds:
     def test_deterministic(self, appendix_d_small):
         data = appendix_d_small.data
         cfg = BootstrapConfig(b=64, seed=21)
-        a, b = (
-            bounds_from_draws(
-                bootstrap_boundary_replicates(data, cfg), TypeAssumption.TYPE2, RMode.FIXED,
-                data.y_low, data.y_high,
-            )
+        first, second = (
+            bounds_from_draws(bootstrap_boundary_replicates(data, cfg), TypeAssumption.TYPE2, data.y_low, data.y_high)
             for _ in range(2)
         )
-        assert a.point == b.point
-        assert np.array_equal(a.replicates, b.replicates)
-        assert (a.se_lower, a.se_upper) == (b.se_lower, b.se_upper)
+        for a, b in zip(first, second):
+            assert a.point == b.point
+            assert np.array_equal(a.replicates, b.replicates)
+            assert (a.se_lower, a.se_upper) == (b.se_lower, b.se_upper)
 
     def test_worker_count_invariance(self, appendix_d_small):
         data = appendix_d_small.data
-        one = bounds_from_draws(
-            bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=5, workers=1)),
-            TypeAssumption.TYPE2, RMode.FIXED, data.y_low, data.y_high,
-        )
-        four = bounds_from_draws(
-            bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=5, workers=4)),
-            TypeAssumption.TYPE2, RMode.FIXED, data.y_low, data.y_high,
+        one, four = (
+            bounds_from_draws(
+                bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=5, workers=workers)),
+                TypeAssumption.TYPE2, data.y_low, data.y_high,
+            )[0]
+            for workers in (1, 4)
         )
         assert np.array_equal(one.replicates, four.replicates)
 
     def test_fixed_r_type4_widths_constant(self, appendix_d_small):
         data = appendix_d_small.data
         draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=2))
-        res = bounds_from_draws(draws, TypeAssumption.TYPE4, RMode.FIXED, data.y_low, data.y_high)
+        res, _ = bounds_from_draws(draws, TypeAssumption.TYPE4, data.y_low, data.y_high)
         widths = res.replicates[:, 1] - res.replicates[:, 0]
         expected = (1.0 / draws.point.r - 1.0) * (data.y_high - data.y_low)
         assert np.all(np.abs(widths - expected) < 1e-12)
 
     def test_random_r_widths_vary(self, appendix_d_small):
         data = appendix_d_small.data
-        res = bounds_from_draws(
+        _, res = bounds_from_draws(
             bootstrap_boundary_replicates(data, BootstrapConfig(b=64, seed=2)),
-            TypeAssumption.TYPE4, RMode.RANDOM, data.y_low, data.y_high,
+            TypeAssumption.TYPE4, data.y_low, data.y_high,
         )
         widths = res.replicates[:, 1] - res.replicates[:, 0]
         assert np.std(widths) > 0
@@ -76,7 +72,7 @@ class TestBootstrapBounds:
         stripped = Dataset(xs=data.xs, ys=data.ys, cutoff=data.cutoff)
         draws = bootstrap_boundary_replicates(stripped, BootstrapConfig(b=64, seed=0))
         with pytest.raises(InvalidOutcomeRange):
-            bounds_from_draws(draws, TypeAssumption.TYPE2, RMode.FIXED, stripped.y_low, stripped.y_high)
+            bounds_from_draws(draws, TypeAssumption.TYPE2, stripped.y_low, stripped.y_high)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
@@ -119,13 +115,13 @@ class TestBootstrapBounds:
     def test_fixed_r_ci_coverage(self, coverage_passes):
         # the 95% interval CI should cover the true bound endpoints in at
         # least 90% of seeded replications
-        assert ci_coverage(coverage_passes, RMode.FIXED) >= 0.9 * len(coverage_passes)
+        assert ci_coverage(coverage_passes)[0] >= 0.9 * len(coverage_passes)
 
     @pytest.mark.slow
     def test_random_r_ci_coverage(self, coverage_passes):
         # re-estimating the density ratio per replicate prices its sampling
         # noise into the endpoint SEs and restores coverage
-        assert ci_coverage(coverage_passes, RMode.RANDOM) >= 0.9 * len(coverage_passes)
+        assert ci_coverage(coverage_passes)[1] >= 0.9 * len(coverage_passes)
 
 
 @pytest.fixture(scope="module")
@@ -138,30 +134,34 @@ def coverage_passes():
     return passes
 
 
-def ci_coverage(passes, r_mode):
-    """How many of the passes' 95% Imbens-Manski CIs cover the population's crude set."""
+def ci_coverage(passes):
+    """How many of the passes' 95% Imbens-Manski CIs cover the population's
+    crude set, with fixed r and with random r."""
     row = oracle_appendix_d(0.1, 0.05)
-    covered = 0
+    covered = np.zeros(2, dtype=int)
     for draws in passes:
         # appendix-d outcomes are binary, so every sample's range is [0, 1]
-        bb = bounds_from_draws(draws, TypeAssumption.TYPE2, r_mode, 0.0, 1.0)
-        ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
-        covered += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
+        for mode, bb in enumerate(bounds_from_draws(draws, TypeAssumption.TYPE2, 0.0, 1.0)):
+            ci = imbens_manski_ci(bb.point.lower, bb.point.upper, bb.se_lower, bb.se_upper, 0.05)
+            covered[mode] += ci.lo <= row.crude_lower and row.crude_upper <= ci.hi
     return covered
 
 
 Y_LOW, Y_HIGH = -3.7, 11.3
+# bounds_from_draws returns (fixed, random); each r mode is its own case
+R_MODES, R_MODE_IDS = (0, 1), ("fixed", "random")
 
 
-def per_replicate_loop(draws, assumption, r_mode):
-    """Each replicate through the scalar bound function, one at a time."""
-    reps = np.empty((draws.draws.shape[0], 2))
+def per_replicate_loop(draws, assumption, y_low=Y_LOW, y_high=Y_HIGH):
+    """Each replicate through the scalar bound function, one at a time: at
+    the point's density ratio (fixed r), then at its own (random r)."""
+    fixed, random_ = np.empty((2, draws.draws.shape[0], 2))
+    point = draws.point
     for i, (mu_p, mu_m, f_p, f_m) in enumerate(draws.draws):
-        if r_mode is RMode.FIXED:
-            f_p, f_m = draws.point.f_plus, draws.point.f_minus
-        res = crude_bounds(float(mu_p), float(mu_m), float(f_m / f_p), Y_LOW, Y_HIGH, assumption)
-        reps[i] = (res.lower, res.upper)
-    return reps
+        for reps, r in ((fixed, point.f_minus / point.f_plus), (random_, float(f_m / f_p))):
+            res = crude_bounds(float(mu_p), float(mu_m), r, y_low, y_high, assumption)
+            reps[i] = (res.lower, res.upper)
+    return fixed, random_
 
 
 def python_crude(mu_p, mu_m, r, assumption, y_low=Y_LOW, y_high=Y_HIGH):
@@ -197,8 +197,10 @@ def synthetic_draws(point_r):
     f_plus = rng.uniform(0.2, 3.0, size=n)
     r = np.concatenate([rng.uniform(0.1, 1.3, n // 3), np.full(n // 3, 1.01), np.ones(n - 2 * (n // 3))])
     f_minus = np.where(r == 1.0, f_plus, r * f_plus)
+    # the point's f_minus / f_plus lies an ulp or so from its r, so a fixed
+    # r taken from r instead of the densities moves the ends
     point = BoundaryEstimates(
-        mu_plus=2.5, mu_minus=1.75, f_plus=0.8, f_minus=0.8 * point_r, r=point_r,
+        mu_plus=2.5, mu_minus=1.75, f_plus=0.8, f_minus=np.nextafter(0.8 * point_r, 1.0), r=point_r,
         bandwidths=Bandwidths(1.0, 1.0, 1.0, 1.0), n_effective=SideCounts(0, 0, 0, 0),
     )
     if point_r == 1.0:
@@ -208,24 +210,28 @@ def synthetic_draws(point_r):
 
 class TestBoundsFromDraws:
     @pytest.mark.parametrize("point_r", [0.83, 1.0, 1.1])
-    @pytest.mark.parametrize("r_mode", list(RMode))
+    @pytest.mark.parametrize("mode", R_MODES, ids=R_MODE_IDS)
     @pytest.mark.parametrize("assumption", list(TypeAssumption))
-    def test_replicates_equal_per_replicate_loop(self, assumption, r_mode, point_r):
+    def test_replicates_equal_per_replicate_loop(self, assumption, mode, point_r):
+        # one r mode of the one call, checked against its per-row reference
         draws = synthetic_draws(point_r)
-        got = bounds_from_draws(draws, assumption, r_mode, Y_LOW, Y_HIGH)
-        reference = per_replicate_loop(draws, assumption, r_mode)
-        assert got.replicates.tobytes() == reference.tobytes()
         point = draws.point
+        modes = bounds_from_draws(draws, assumption, Y_LOW, Y_HIGH)
+        assert len(modes) == 2
+        got, reference = modes[mode], per_replicate_loop(draws, assumption)[mode]
+        assert got.replicates.tobytes() == reference.tobytes()
         assert got.point == crude_bounds(point.mu_plus, point.mu_minus, point.r, Y_LOW, Y_HIGH, assumption)
         assert got.se_lower == float(np.std(reference[:, 0], ddof=1))
         assert got.se_upper == float(np.std(reference[:, 1], ddof=1))
+        assert got.point_se == float(np.std(draws.draws[:, 0] - draws.draws[:, 1], ddof=1))
+        assert got.n_failed == 0
 
     @pytest.mark.parametrize("assumption", list(TypeAssumption))
     def test_rows_with_r_one_are_snapped_like_python_floats(self, assumption):
         # the tie rules and the snap as plain Python float code gives them,
         # on rows where rounding makes the raw ends cross
         draws = synthetic_draws(1.0)
-        got = bounds_from_draws(draws, assumption, RMode.RANDOM, Y_LOW, Y_HIGH).replicates
+        got = bounds_from_draws(draws, assumption, Y_LOW, Y_HIGH)[1].replicates
         snapped = 0
         for (mu_p, mu_m, f_p, f_m), ends in zip(draws.draws.tolist(), got.tolist()):
             lower, upper, crossed = python_crude(mu_p, mu_m, f_m / f_p, assumption)
@@ -246,8 +252,8 @@ class TestBoundsFromDraws:
         assert not np.isfinite(got).all()
         assert same_bits(np.column_stack(got), expected)
 
-    @pytest.mark.parametrize("r_mode", list(RMode))
-    def test_endpoint_ses_cannot_overflow(self, r_mode):
+    @pytest.mark.parametrize("mode", R_MODES, ids=R_MODE_IDS)
+    def test_endpoint_ses_cannot_overflow(self, mode):
         # replicate ends near 1e300 square past the float limit inside np.std
         draws = synthetic_draws(0.83)
         scale = 1e300 / Y_HIGH
@@ -255,7 +261,9 @@ class TestBoundsFromDraws:
         huge = replace(draws, point=point, draws=draws.draws * [scale, scale, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = bounds_from_draws(huge, TypeAssumption.TYPE3, r_mode, Y_LOW * scale, Y_HIGH * scale)
+            got = bounds_from_draws(huge, TypeAssumption.TYPE3, Y_LOW * scale, Y_HIGH * scale)[mode]
+            reference = per_replicate_loop(huge, TypeAssumption.TYPE3, Y_LOW * scale, Y_HIGH * scale)[mode]
+        assert got.replicates.tobytes() == reference.tobytes()
         assert np.isfinite(got.replicates).all()
         for se, ends in ((got.se_lower, got.replicates[:, 0]), (got.se_upper, got.replicates[:, 1])):
             assert np.isfinite(se) and se > 0

@@ -17,7 +17,7 @@ from mrdd import (
 )
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
 from mrdd import localfit
-from mrdd._bootstrap import _moment_sums
+from mrdd.boundary import _moment_sums
 from mrdd.localfit import DENSITY_FLOOR, density_window, sample_sd
 from oracles import lstsq_level
 

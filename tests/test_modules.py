@@ -1,10 +1,11 @@
 """Module boundaries: no package module imports another module's private names
-or scipy at import time, only ``inference`` reads the bootstrap draw matrix,
-every public function and error class is reached by the package or named as
-library API, analyze and plotdata never load scipy and a one-worker analyze
-no thread pool, the package loads each module when one of its names is first
-read, the normal tail and quantiles analyze takes from the standard library
-are accurate, and README's library example runs on the public API."""
+or scipy at import time, only ``inference`` reads the bootstrap draw matrix
+and only ``boundary`` its plan, every public function and error class is
+reached by the package or named as library API, analyze and plotdata never
+load scipy and a one-worker analyze no thread pool, the package loads each
+module when one of its names is first read, the normal tail and quantiles
+analyze takes from the standard library are accurate, and README's library
+example runs on the public API."""
 
 import ast
 import inspect
@@ -39,7 +40,7 @@ def private_imports(source: str) -> list[str]:
 def test_detector_flags_private_names():
     assert private_imports("from .localfit import FitSpec, _side_mask\n") == ["localfit._side_mask"]
     assert private_imports("from mrdd.synth import _tail_integral\n") == ["mrdd.synth._tail_integral"]
-    assert private_imports("from ._bootstrap import run_replicates\nimport numpy as np\n") == []
+    assert private_imports("from .boundary import run_replicates\nimport numpy as np\n") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -76,6 +77,36 @@ def test_only_inference_reads_the_draw_matrix():
                    and node.value.attr == "draws" for node in ast.walk(ast.parse(path.read_text())))
 
     assert [path.name for path in MODULES if path.name != "inference.py" and reads(path)] == []
+
+
+def test_only_boundary_reads_the_plan():
+    # the plan's windows, counts and moment rows are read in the module that
+    # builds them; inference and cli hand the plan back to its functions. A
+    # field name another class of the package also has (Dataset.n) cannot
+    # be told apart by name and is left out, and so is a method call
+    # (list.index)
+    import dataclasses
+
+    from mrdd.boundary import Plan, _SidePlan
+
+    assert Plan.__module__ == _SidePlan.__module__ == "mrdd.boundary"
+    others = set()
+    for module in (getattr(mrdd, name) for name in mrdd._MODULES):
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and cls not in (Plan, _SidePlan):
+                others |= set(vars(cls))
+                if dataclasses.is_dataclass(cls):
+                    others |= {f.name for f in dataclasses.fields(cls)}
+    plan_fields = {f.name for cls in (Plan, _SidePlan) for f in dataclasses.fields(cls)} - others
+    assert {"sides", "mean_counts", "density_counts", "rank", "moments"} <= plan_fields
+
+    def reads(path):
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        return sorted({node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr in plan_fields and id(node) not in called})
+
+    assert {path.name: reads(path) for path in MODULES if path.name != "boundary.py" and reads(path)} == {}
 
 
 #: Public functions kept for library callers though no command reaches them:
@@ -269,7 +300,7 @@ def test_normal_functions_bitwise_equal_scipy_stats(name):
 
     replacement, reference = {"cdf": (special.ndtr, stats.norm.cdf), "pdf": (_norm_pdf, stats.norm.pdf)}[name]
     assert_same_bits(replacement(NORMAL_GRID), reference(NORMAL_GRID))
-    # the oracle's quadrature passes floats
+    # the oracle passes floats
     for value in NORMAL_GRID[::997].tolist() + [0.0, -0.0, 38.5, -38.5]:
         assert_same_bits(replacement(value), reference(value))
 

@@ -76,19 +76,18 @@ class TestOracleAppendixD:
             assert row.theta_true == pytest.approx(0.150, abs=0.001)
 
     def test_tail_integral_against_mpmath(self):
-        # independent high-precision quadrature for the manipulators' mean
+        # the closed form against an independent high-precision quadrature
+        # for the manipulators' mean
         import mpmath
 
-        mpmath.mp.dps = 30
-        for shift in (0.5, 1.0):
-            expected = 2.0 * float(
-                mpmath.quad(
-                    lambda x: mpmath.ncdf(x - shift) * mpmath.npdf(x), [-mpmath.inf, 0]
-                )
-            )
-            from mrdd.synth import _tail_integral
+        from mrdd.synth import _tail_integral
 
-            assert _tail_integral(1 if shift == 0.5 else 0) == pytest.approx(expected, abs=1e-8)
+        with mpmath.workdps(30):
+            for shift in (0.5, 1.0):
+                expected = 2.0 * float(
+                    mpmath.quad(lambda x: mpmath.ncdf(x - shift) * mpmath.npdf(x), [-mpmath.inf, 0])
+                )
+                assert _tail_integral(1 if shift == 0.5 else 0) == pytest.approx(expected, rel=1e-15)
 
     def test_grid_invariants(self):
         for p in np.linspace(0.0, 0.3, 5):
