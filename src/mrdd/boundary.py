@@ -42,14 +42,17 @@ tiles of SUM_TILE blocks, so a tile of the moment rows stays in cache while
 every replicate of the chunk reads it; a block's sum is the same whatever
 tile it is in.
 
-A fit fails on a replicate (a NaN cell) where its window drew fewer
-distinct positive-weight values than the fit has coefficients, or where
-``fit_from_moments`` finds its normal equations singular: their Gram,
-scaled to unit diagonal, has a determinant at or below SINGULAR_DET
-(6.2e-13), as where the window drew only rows whose u differ in the last
-bits. The support checks count the nonzero counts, or the nonzero sums of
-the counts over each tie group. Chunks are fixed by replicate index and
-sized from the window under a byte budget; workers share out whole chunks.
+A fit fails on a replicate (a NaN cell) where ``fit_from_moments`` finds
+its normal equations singular: their Gram, scaled to unit diagonal, has a
+determinant at or below SINGULAR_DET (6.2e-13). That one rank test decides
+every failed fit, with no support check before it. A window that drew
+fewer distinct positive-weight values than the fit has coefficients has an
+exactly singular Gram, whose scaled determinant rounding leaves at about
+1.2e-14 at most, 50 times below SINGULAR_DET; a window that drew only rows
+whose u differ in the last bits fails the same way. One call solves both
+sides' density fits and one both sides' mean fits. Chunks are fixed by
+replicate index and sized from the window under a byte budget; workers
+share out whole chunks.
 """
 
 from __future__ import annotations
@@ -329,6 +332,10 @@ def estimate_boundary(data: Dataset, config: FitConfig = FitConfig()) -> Boundar
 
 @dataclass(frozen=True)
 class _SidePlan:
+    """One side's window rows and moment rows. Its counts of the sample's
+    windows label the sample's DataErrors; a replicate's fit fails by the
+    rank test on its sums alone."""
+
     rows: slice  # the side's window rows, as columns of the counts
     # (K, rows), C order: the mean weights w*u^k (k = 0..2d), the CDF weights
     # w*u^k (k = 0..2d + 2) from row cdf_row on, then the outcome's value
@@ -337,8 +344,6 @@ class _SidePlan:
     moments: np.ndarray
     covariates: np.ndarray  # (c (d + 1), rows): w*u^k*v (k = 0..d) of each covariate v
     cdf_row: int
-    mean_groups: tuple[int, int]  # tie groups holding the mean window's positive-weight rows
-    density_groups: tuple[int, int]  # tie groups holding the CDF window's positive-weight rows
     density_scale: float  # 1 / (n h) of the density's CDF fit
     mean_counts: tuple[int, int, int]  # the sample's mean window, as support_error takes it
     density_counts: tuple[int, int, int]  # the sample's CDF window, likewise
@@ -346,12 +351,15 @@ class _SidePlan:
 
 @dataclass(frozen=True)
 class Plan:
+    """What every replicate of one analysis shares: how its draws index the
+    window rows, the tie groups the CDF fits count through, both sides'
+    moment rows and the chunk length."""
+
     n: int
     degree: int  # of the mean fits; the CDF fits are one degree above
     index: np.ndarray  # original index of each window row, the rows taken in x order
     rank: np.ndarray  # each window row's place among the window rows by original index, in x order
-    group_starts: np.ndarray | None  # first row of each tie group; None without ties
-    group_end: np.ndarray | None  # last row of each row's tie group; None without ties
+    group_end: np.ndarray | None  # last row of each row's tie group, for the CDF fits; None without ties
     sides: tuple[_SidePlan, _SidePlan]  # right, left
     chunk: int
 
@@ -420,15 +428,10 @@ def build_plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> Plan:
 
     new_group = np.ones(m, dtype=bool)
     new_group[1:] = window[1:] != window[:-1]
-    if new_group.all():
-        group_starts = group_end = None
-    else:
-        group_starts = np.flatnonzero(new_group)
-        group_end = np.append(group_starts[1:], m)[np.cumsum(new_group) - 1] - 1
-
-    def groups(lo, hi):
-        # the tie groups of rows lo and hi - 1, counted by their first rows
-        return (np.count_nonzero(new_group[: lo + 1]) - 1, np.count_nonzero(new_group[:hi])) if hi > lo else (0, 0)
+    group_end = None
+    if not new_group.all():
+        starts = np.flatnonzero(new_group)
+        group_end = np.append(starts[1:], m)[np.cumsum(new_group) - 1] - 1
 
     ys, *covariates = (np.asarray(v, dtype=float) for v in values)
     # a copy, so that the plan does not keep the whole reach's order alive
@@ -457,12 +460,10 @@ def build_plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> Plan:
         if not shared:
             u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
             weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row : cdf_row + 2 * d + 3, c_cols])
-        plans.append(_SidePlan(
-            rows, moments, cov_moments, cdf_row, groups(lo, hi), groups(c_lo, c_hi),
-            1.0 / (max(n, 1) * dens.bandwidth), mean_counts, cdf_counts,
-        ))
+        scale = 1.0 / (max(n, 1) * dens.bandwidth)
+        plans.append(_SidePlan(rows, moments, cov_moments, cdf_row, scale, mean_counts, cdf_counts))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return Plan(n, d, index, rank, group_starts, group_end, tuple(plans), chunk)
+    return Plan(n, d, index, rank, group_end, tuple(plans), chunk)
 
 
 def _ranks(places: np.ndarray, size: int) -> np.ndarray:
@@ -471,17 +472,6 @@ def _ranks(places: np.ndarray, size: int) -> np.ndarray:
     kept = np.zeros(size, dtype=bool)
     kept[places] = True
     return np.cumsum(kept)[places] - 1
-
-
-def _supported(drawn: np.ndarray, groups: tuple[int, int], degree: int) -> np.ndarray:
-    """Replicates that drew more distinct values of a window than ``degree``:
-    at least as many as a fit of that degree has coefficients. ``drawn``
-    holds each replicate's count of every distinct x value."""
-    g_lo, g_hi = groups
-    window = drawn[:, g_lo:g_hi]
-    # the first few groups of a well-filled window settle almost every replicate
-    ok = np.count_nonzero(window[:, :64], axis=1) > degree
-    return ok if ok.all() else np.count_nonzero(window, axis=1) > degree
 
 
 def _draw_counts(plan: Plan, reps: range, seed: int) -> np.ndarray:
@@ -522,32 +512,33 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
     rows in x order, as ``run_replicates``' columns, NaN where a fit failed."""
     d = plan.degree
     r, c = counts.shape[0], plan.sides[0].covariates.shape[0] // (d + 1)
-    # each resample's count of every distinct x value, for the support checks
-    drawn = counts if plan.group_starts is None else np.add.reduceat(counts, plan.group_starts, axis=1)
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
     running = np.cumsum(counts, axis=1)
     # take, not fancy indexing: C order keeps every sum on numpy's contiguous loop
     cdf = running if plan.group_end is None else np.take(running, plan.group_end, axis=1)
     cdf *= counts
-    out = np.full((r, 4 + 2 * c), np.nan)
-    for i, side in enumerate(plan.sides):
+    # each side's sums, right then left, stacked into one solve per kind of fit
+    cdf_weights, cdf_values, weights, values = [], [], [], []
+    for side in plan.sides:
         rows, k = side.rows, side.cdf_row
-        side_counts = counts[:, rows]
-        sums = _moment_sums(side_counts, side.moments)
-        cdf_sums = _moment_sums(cdf[:, rows], side.moments[k : k + d + 2])
-        ok = _supported(drawn, side.density_groups, d + 1)
-        beta = fit_from_moments(sums[ok, k : k + 2 * d + 3], cdf_sums[ok])
-        out[ok, 2 + i] = floor_density(beta[:, 1] * side.density_scale)[0]
+        sums = _moment_sums(counts[:, rows], side.moments)
+        cdf_weights.append(sums[:, k : k + 2 * d + 3])
+        cdf_values.append(_moment_sums(cdf[:, rows], side.moments[k : k + d + 2]))
+        weights.append(sums[:, None, : 2 * d + 1])
         # the outcome's and every covariate's value sums share the side's mean weights
         value_sums = sums[:, None, -(d + 1) :]
         if c:
-            cov_sums = _moment_sums(side_counts, side.covariates).reshape(r, c, d + 1)
+            cov_sums = _moment_sums(counts[:, rows], side.covariates).reshape(r, c, d + 1)
             value_sums = np.concatenate([value_sums, cov_sums], axis=1)
-        ok = _supported(drawn, side.mean_groups, d)
-        levels = fit_from_moments(sums[ok, None, : 2 * d + 1], value_sums[ok])[..., 0]
-        out[ok, i] = levels[:, 0]
-        out[ok, 4 + i :: 2] = levels[:, 1:]
+        values.append(value_sums)
+    slopes = fit_from_moments(np.stack(cdf_weights), np.stack(cdf_values))[..., 1]
+    scales = np.array([[side.density_scale] for side in plan.sides])
+    levels = fit_from_moments(np.stack(weights), np.stack(values))[..., 0]  # (side, replicate, value)
+    out = np.empty((r, 4 + 2 * c))
+    out[:, :2] = levels[:, :, 0].T
+    out[:, 2:4] = floor_density(slopes * scales)[0].T
+    out[:, 4:] = levels[:, :, 1:].transpose(1, 2, 0).reshape(r, 2 * c)
     return out
 
 
@@ -599,13 +590,14 @@ def sample_means(plan: Plan, values: np.ndarray) -> tuple[float, float]:
     sample, with ``values`` in place of the outcome. No replicate evaluates
     them."""
     d = plan.degree
-    levels = []
+    sums = []
     for side in plan.sides:
         weights = side.moments[: 2 * d + 1]
         rows = np.concatenate([weights, weights[: d + 1] * values[plan.index[side.rows]]])
-        sums = _moment_sums(np.ones((1, rows.shape[1])), rows)
-        levels.append(float(fit_from_moments(sums[:, : 2 * d + 1], sums[:, 2 * d + 1 :])[0, 0]))
-    return levels[0], levels[1]
+        sums.append(_moment_sums(np.ones((1, rows.shape[1])), rows))
+    sums = np.stack(sums)  # (side, 1, moment), right then left
+    right, left = fit_from_moments(sums[..., : 2 * d + 1], sums[..., 2 * d + 1 :])[:, 0, 0]
+    return float(right), float(left)
 
 
 def usable_cpus() -> int:

@@ -393,41 +393,77 @@ def test_few_failures_are_dropped():
     assert bounds.replicates.shape == (b - n_failed, 2)
 
 
-def failed_boundary_fits(plan, counts):
-    """Where a replicate's counts leave one of the four boundary fits fewer
-    distinct x values of its window than coefficients, from ``counts > 0``."""
-    d = plan.degree
-    present = counts > 0
-    if plan.group_starts is not None:
-        present = np.add.reduceat(present.astype(int), plan.group_starts, axis=1) > 0
+def failed_boundary_fits(xs, cutoff, fit, counts):
+    """Where a replicate's counts of the window rows, in x order, leave one of
+    the four boundary fits fewer distinct positive-weight u values than
+    coefficients. The windows come from the per-row fits' own row tests on
+    the sorted sample, not from the plan."""
+    xs = np.sort(xs)
+    fits = []  # (column, the rows the fit weights, their u, the fit's coefficients)
+    for i, side in enumerate((Side.RIGHT, Side.LEFT)):
+        u, _, keep = local_weights(xs, cutoff, fit.mean_spec(side))
+        fits.append((i, keep, u, fit.order + 1))
+        spec = fit.density_spec(side)
+        u = (xs - cutoff) / spec.bandwidth
+        fits.append((2 + i, density_window(xs, cutoff, spec) & (kernel_weight(u, spec.kernel) > 0), u, fit.order + 2))
+    used = np.flatnonzero(np.any([keep for _, keep, _, _ in fits], axis=0))
+    window = slice(used[0], used[-1] + 1)
+    assert counts.shape[1] == window.stop - window.start
     failed = np.zeros((counts.shape[0], 4), dtype=bool)
-    for i, side in enumerate(plan.sides):
-        for column, (lo, hi), coefficients in ((i, side.mean_groups, d + 1), (2 + i, side.density_groups, d + 2)):
-            failed[:, column] = np.count_nonzero(present[:, lo:hi], axis=1) < coefficients
+    for column, keep, u, coefficients in fits:
+        keep, u = keep[window], u[window]
+        # u rises with x, so tied u are neighbours: one count per distinct u
+        starts = np.flatnonzero(np.diff(u[keep], prepend=-np.inf) != 0)
+        drawn = np.add.reduceat(counts[:, keep], starts, axis=1) > 0
+        failed[:, column] = np.count_nonzero(drawn, axis=1) < coefficients
     return failed
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
-def test_failed_fits_are_the_replicates_short_of_support(tied):
-    data = sparse_left_sample(5)
+@pytest.mark.parametrize("split", [False, True], ids=["shared", "split"])
+@pytest.mark.parametrize("kernel", list(KernelKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_failed_fits_are_the_replicates_short_of_support(order, kernel, split, tied):
+    # evaluate runs no support check: the rank test on each fit's normal
+    # equations alone must fail exactly the replicates short of support.
+    # The left side has as many points as its density fit has coefficients
+    data = sparse_left_sample(order + 2)
     xs = data.xs
     if tied:  # every left point twice, so rows and distinct values differ
         xs = np.concatenate([xs, xs[xs < 0.0]])
-    plan = build_plan(xs, 0.0, SPARSE_FIT, (np.resize(data.ys, xs.size),))
-    assert (plan.group_starts is not None) == tied
+    bw = SPARSE_FIT.bandwidths
+    if split:  # the density windows narrower than the mean windows
+        bw = replace(bw, dens_left=1.0, dens_right=0.25)
+    fit = FitConfig(order=order, kernel=kernel, bandwidths=bw)
+    plan = build_plan(xs, 0.0, fit, (np.resize(data.ys, xs.size),))
+    assert (plan.group_end is not None) == tied
     counts = boundary._draw_counts(plan, range(300), SEED)
-    failed = failed_boundary_fits(plan, counts)
-    assert 0 < failed.sum() < 300 and failed[:, 3].sum() > failed[:, 1].sum()
+    failed = failed_boundary_fits(xs, 0.0, fit, counts)
+    assert 0 < failed.any(axis=1).sum() < 300 and failed[:, 3].sum() > failed[:, 1].sum()
     np.testing.assert_array_equal(np.isnan(boundary.evaluate(plan, counts)), failed)
-    # one replicate at a time, the support check's first columns decide alone
+    # one replicate at a time, with no other replicate in its solves
     alone = np.concatenate([boundary.evaluate(plan, row[None]) for row in counts])
     np.testing.assert_array_equal(np.isnan(alone), failed)
 
 
+def test_a_chunk_solves_each_kind_of_fit_once(monkeypatch):
+    # one fit_from_moments call takes both sides' density fits, and one both
+    # sides' mean fits of the outcome and every covariate
+    data = tied_sample()
+    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys, data.covariates["w"]))
+    counts = boundary._draw_counts(plan, range(plan.chunk), SEED)
+    expected = boundary.evaluate(plan, counts)
+    calls = []
+    solve = boundary.fit_from_moments
+    monkeypatch.setattr(boundary, "fit_from_moments", lambda *sums: calls.append(sums) or solve(*sums))
+    assert np.array_equal(boundary.evaluate(plan, counts), expected, equal_nan=True)
+    assert [weights.shape[:2] for weights, _ in calls] == [(2, plan.chunk)] * 2
+
+
 def test_replicate_left_with_the_near_tied_pair_fails_its_mean_fit():
     # the left mean window holds three points and a pair whose u differ in
-    # the last bit; a resample that draws only the pair passes the support
-    # check on two distinct values, and its normal equations are singular
+    # the last bit; a resample that draws only the pair draws two distinct
+    # values, and the rank test finds its normal equations singular
     h = 0.01 * 1.8132702392002724
     pair = np.array([-0.01, -0.01 * (1 - 2.0**-53)])
     rng = np.random.default_rng(1)

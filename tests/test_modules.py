@@ -2,10 +2,10 @@
 or scipy at import time, only ``inference`` reads the bootstrap draw matrix
 and only ``boundary`` its plan, every public function and error class is
 reached by the package or named as library API, analyze and plotdata never
-load scipy and a one-worker analyze no thread pool, the package loads each
-module when one of its names is first read, the normal tail and quantiles
-analyze takes from the standard library are accurate, and README's library
-example runs on the public API."""
+load scipy, analyze no numpy.ma and a one-worker analyze no thread pool, the
+package loads each module when one of its names is first read, the normal
+tail and quantiles analyze takes from the standard library are accurate, and
+README's library example runs on the public API."""
 
 import ast
 import inspect
@@ -223,6 +223,28 @@ def test_analyze_and_plotdata_never_load_scipy(tmp_path):
     assert payload["sharp"][0] <= payload["theta_true"] <= payload["sharp"][1]
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["blocks"][0]["sharp_set"] is not None
+
+
+def test_analyze_never_loads_numpy_ma(tmp_path):
+    # np.unique reads np.ma.is_masked, which imports numpy.ma; nothing
+    # analyze runs needs it
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(2_000)
+    x = np.concatenate([x, x[:20]])  # some ties, which analyze counts
+    d = (x >= 0.0).astype(int)
+    sample = tmp_path / "s.csv"
+    np.savetxt(sample, np.column_stack([x, d, d]), delimiter=",", header="x,y,d", comments="", fmt="%.17g")
+    script = (
+        "import sys\n"
+        "from mrdd.cli import main\n"
+        f"assert main(['analyze', {str(sample)!r}, '--cutoff', '0', '--y-min', '0', '--y-max', '1', '--boot', '50',\n"
+        f"             '--sharp', '--fuzzy', '--col-d', 'd', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    # the 20 repeated values, counted on a sorted copy
+    assert json.loads((tmp_path / "r.json").read_text())["duplicate_x_fraction"] == 1.0 - 2_000 / 2_020
 
 
 def test_package_loads_each_module_on_first_use(tmp_path):
