@@ -2,9 +2,10 @@
 
 Every bound and test reads the data through five numbers at the cutoff:
 mu_plus, mu_minus, f_plus, f_minus and r = f_minus / f_plus.
-``build_plan`` prepares one analysis: on each side of the cutoff the
-outcome's mean, the density and every covariate's mean on the outcome's
-mean window. A resample is a vector of multinomial(n, 1/n) row counts
+``build_plan`` plans one analysis: it checks the columns it fits, fills in
+the bandwidths and keeps that fit for every solve on the plan; on each side
+of the cutoff it prepares the outcome's mean, the density and every
+covariate's mean on the outcome's mean window. A resample is a vector of multinomial(n, 1/n) row counts
 (Efron 1979) and every fit is a weighted moment sum, so ``evaluate``
 solves all the fits for any counts without re-fitting rows. The sample is
 replicate zero: its all-ones counts give the point estimates
@@ -193,26 +194,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.xs.size)
 
-    def value_columns(self, covariates: tuple[str, ...] = ()) -> tuple[np.ndarray, ...]:
-        """The outcome, then each named covariate: the columns the boundary
-        fits sum. A name the data lacks raises UnknownCovariate. Every fit
-        sums w u^k v over counts that total at most n, with w and |u| at
-        most one, so n times a column's largest magnitude bounds its sums.
-        A column where that overflows raises InvalidInputs naming it: a fit
-        on sums that overflowed is NaN, which reads as singular equations."""
-        for name in covariates:
-            if name not in self.covariates:
-                raise UnknownCovariate(f"covariate {name!r} not present; have {sorted(self.covariates)}")
-        columns = [("y", self.ys), *((name, self.covariates[name]) for name in covariates)]
-        for name, values in columns:
-            largest = float(np.abs(values).max()) if values.size else 0.0
-            if np.isinf(largest * values.size):
-                raise InvalidInputs(
-                    f"column {name!r} has values up to {largest} in magnitude: "
-                    f"their sums over {values.size} rows overflow a float"
-                )
-        return tuple(values for _, values in columns)
-
 
 @dataclass(frozen=True)
 class Bandwidths:
@@ -320,14 +301,13 @@ def estimate_boundary(data: Dataset, config: FitConfig = FitConfig()) -> Boundar
     """Estimate (mu_plus, mu_minus, f_plus, f_minus, r) at the cutoff.
 
     Means come from one-sided local polynomial intercepts on (x, y);
-    densities from one-sided local CDF fits. Missing bandwidths default to
-    the rule of thumb per side. A warning flag is recorded when the density
-    ratio exceeds one, against the direction f(c-) <= f(c+) the bounds
-    maintain. A side that cannot be estimated raises a labeled DataError.
+    densities from one-sided local CDF fits, on ``build_plan``'s plan, which
+    fills in missing bandwidths by the rule of thumb per side. A warning
+    flag is recorded when the density ratio exceeds one, against the
+    direction f(c-) <= f(c+) the bounds maintain. A side that cannot be
+    estimated raises a labeled DataError.
     """
-    columns = data.value_columns()
-    fit = config.resolved(data.xs, data.cutoff)
-    return sample_estimates(build_plan(data.xs, data.cutoff, fit, columns), fit)[0]
+    return sample_estimates(build_plan(data, config))[0]
 
 
 @dataclass(frozen=True)
@@ -344,19 +324,18 @@ class _SidePlan:
     moments: np.ndarray
     covariates: np.ndarray  # (c (d + 1), rows): w*u^k*v (k = 0..d) of each covariate v
     cdf_row: int
-    density_scale: float  # 1 / (n h) of the density's CDF fit
     mean_counts: tuple[int, int, int]  # the sample's mean window, as support_error takes it
     density_counts: tuple[int, int, int]  # the sample's CDF window, likewise
 
 
 @dataclass(frozen=True)
 class Plan:
-    """What every replicate of one analysis shares: how its draws index the
-    window rows, the tie groups the CDF fits count through, both sides'
-    moment rows and the chunk length."""
+    """What every replicate of one analysis shares: the fits with their
+    resolved bandwidths, how its draws index the window rows, the tie groups
+    the CDF fits count through, both sides' moment rows and the chunk length."""
 
     n: int
-    degree: int  # of the mean fits; the CDF fits are one degree above
+    fit_config: FitConfig  # resolved; the mean fits' order, the CDF fits one above
     index: np.ndarray  # original index of each window row, the rows taken in x order
     rank: np.ndarray  # each window row's place among the window rows by original index, in x order
     group_end: np.ndarray | None  # last row of each row's tie group, for the CDF fits; None without ties
@@ -392,14 +371,30 @@ def _window(xs_sorted, cutoff, spec: FitSpec, cdf: bool):
     return (c, d), (b - a, distinct(xs_sorted[a:b]), distinct(fitted))
 
 
-def build_plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> Plan:
+def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) -> Plan:
     """Windows, tie groups and moment columns shared by every replicate.
 
-    ``fit`` has resolved bandwidths; ``values`` are the outcome, then each
-    covariate, as columns as long as ``xs`` (``Dataset.value_columns``).
+    The fits sum the outcome, then each named covariate: a name the data
+    lacks raises UnknownCovariate. Every fit sums w u^k v over counts that
+    total at most n, with w and |u| at most one, so n times a column's
+    largest magnitude bounds its sums; a column where that overflows raises
+    InvalidInputs naming it, since a NaN fit would read as singular
+    equations. Then the rule of thumb fills in the bandwidths ``fit``
+    lacks, and the plan keeps that resolved fit for every solve on it.
     """
-    xs = np.asarray(xs, dtype=float)
-    n, d = xs.size, fit.order
+    for name in covariates:
+        if name not in data.covariates:
+            raise UnknownCovariate(f"covariate {name!r} not present; have {sorted(data.covariates)}")
+    columns = [("y", data.ys), *((name, data.covariates[name]) for name in covariates)]
+    for name, values in columns:
+        largest = float(np.abs(values).max()) if values.size else 0.0
+        if np.isinf(largest * values.size):
+            raise InvalidInputs(
+                f"column {name!r} has values up to {largest} in magnitude: "
+                f"their sums over {values.size} rows overflow a float"
+            )
+    fit = fit.resolved(data.xs, data.cutoff)
+    xs, cutoff, n, d = data.xs, data.cutoff, data.n, fit.order
     sides = (Side.RIGHT, Side.LEFT)
     specs = [(fit.mean_spec(side), fit.density_spec(side)) for side in sides]
     # a window keeps a row by u = fl(fl(x - c) / h), so rows a few ulps past
@@ -433,7 +428,7 @@ def build_plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> Plan:
         starts = np.flatnonzero(new_group)
         group_end = np.append(starts[1:], m)[np.cumsum(new_group) - 1] - 1
 
-    ys, *covariates = (np.asarray(v, dtype=float) for v in values)
+    ys, *covariates = (values for _, values in columns)
     # a copy, so that the plan does not keep the whole reach's order alive
     index = order[a:b].copy()
     del order
@@ -460,10 +455,9 @@ def build_plan(xs: np.ndarray, cutoff: float, fit: FitConfig, values) -> Plan:
         if not shared:
             u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
             weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row : cdf_row + 2 * d + 3, c_cols])
-        scale = 1.0 / (max(n, 1) * dens.bandwidth)
-        plans.append(_SidePlan(rows, moments, cov_moments, cdf_row, scale, mean_counts, cdf_counts))
+        plans.append(_SidePlan(rows, moments, cov_moments, cdf_row, mean_counts, cdf_counts))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
-    return Plan(n, d, index, rank, group_end, tuple(plans), chunk)
+    return Plan(n, fit, index, rank, group_end, tuple(plans), chunk)
 
 
 def _ranks(places: np.ndarray, size: int) -> np.ndarray:
@@ -510,7 +504,7 @@ def _moment_sums(counts: np.ndarray, moments: np.ndarray) -> np.ndarray:
 def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
     """The fits on each row of ``counts``, a resample's counts of the window
     rows in x order, as ``run_replicates``' columns, NaN where a fit failed."""
-    d = plan.degree
+    d = plan.fit_config.order
     r, c = counts.shape[0], plan.sides[0].covariates.shape[0] // (d + 1)
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
@@ -533,7 +527,8 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
             value_sums = np.concatenate([value_sums, cov_sums], axis=1)
         values.append(value_sums)
     slopes = fit_from_moments(np.stack(cdf_weights), np.stack(cdf_values))[..., 1]
-    scales = np.array([[side.density_scale] for side in plan.sides])
+    bw = plan.fit_config.bandwidths
+    scales = 1.0 / (max(plan.n, 1) * np.array([[bw.dens_right], [bw.dens_left]]))  # 1 / (n h), right then left
     levels = fit_from_moments(np.stack(weights), np.stack(values))[..., 0]  # (side, replicate, value)
     out = np.empty((r, 4 + 2 * c))
     out[:, :2] = levels[:, :, 0].T
@@ -542,10 +537,11 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_estimates(plan: Plan, fit: FitConfig) -> tuple[BoundaryEstimates, np.ndarray]:
-    """The boundary statistics of the sample ``plan`` was built on with ``fit``,
-    and the row of ``evaluate`` they come from, on all-ones counts. The
-    first fit that cannot be made raises its labeled DataError."""
+def sample_estimates(plan: Plan) -> tuple[BoundaryEstimates, np.ndarray]:
+    """The boundary statistics of the sample ``plan`` was built on, and the
+    row of ``evaluate`` they come from, on all-ones counts. The first fit
+    that cannot be made raises its labeled DataError."""
+    fit = plan.fit_config
     row = evaluate(plan, np.ones((1, plan.index.size)))[0]
     mu_plus, mu_minus, f_plus, f_minus = (float(v) for v in row[:4])
     right, left = plan.sides
@@ -589,7 +585,7 @@ def sample_means(plan: Plan, values: np.ndarray) -> tuple[float, float]:
     the levels that solve each side's mean-fit moment equations on the
     sample, with ``values`` in place of the outcome. No replicate evaluates
     them."""
-    d = plan.degree
+    d = plan.fit_config.order
     sums = []
     for side in plan.sides:
         weights = side.moments[: 2 * d + 1]

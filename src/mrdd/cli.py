@@ -115,26 +115,39 @@ def ingest(
     col_d: str | None = None,
     covariates: tuple[str, ...] = (),
 ) -> Dataset:
-    """Read a comma-separated file with a header row into a Dataset.
-
-    The requested columns are parsed in one ``np.loadtxt`` call. It is given
-    the file's path, which numpy reads in chunks, not the open file, which
-    it would read one line at a time in Python; it skips the physical lines
-    the header took. If that call fails or gives a value that is not
-    finite, the file is read again one record at a time, which either
-    returns the same columns or raises ParseError with the 1-based line
-    number of the bad row. Requested columns must exist in the header. A
-    file that cannot be opened, or a byte its encoding cannot decode,
-    raises DataError naming the file.
-    """
+    """A comma-separated file with a header row as a Dataset, read by ``_read_columns``."""
     # each requested column once, with the words its ParseError uses
-    wanted: dict[str, str] = {}
-    for name in (col_x, col_y):
-        wanted.setdefault(name, "running variable or outcome")
+    wanted = dict.fromkeys((col_x, col_y), "running variable or outcome")
     if col_d:
         wanted.setdefault(col_d, "treatment")
     for name in covariates:
         wanted.setdefault(name, f"covariate {name!r}")
+    columns = _read_columns(path, wanted)
+    return Dataset(
+        xs=columns[col_x],
+        ys=columns[col_y],
+        cutoff=cutoff,
+        y_low=y_low,
+        y_high=y_high,
+        d=columns[col_d] if col_d else None,
+        covariates={name: columns[name] for name in covariates},
+    )
+
+
+def _read_columns(path: str, wanted: dict[str, str]) -> dict[str, np.ndarray]:
+    """The columns of a comma-separated file with a header row that
+    ``wanted`` maps to the words their ParseError uses.
+
+    They are parsed in one ``np.loadtxt`` call. It is given the file's path,
+    which numpy reads in chunks, not the open file, which it would read one
+    line at a time in Python; it skips the physical lines the header took.
+    If that call fails or gives a value that is not finite, the file is
+    read again one record at a time, which either returns the same columns
+    or raises ParseError with the 1-based line number of the bad row. A
+    wanted column must exist in the header, and a file with no data rows
+    raises EmptyInput. A file that cannot be opened, or a byte its encoding
+    cannot decode, raises DataError naming the file.
+    """
     try:
         fh = open(path, newline="")
     except OSError as err:
@@ -153,17 +166,9 @@ def ingest(
         except UnicodeDecodeError as err:
             bad = err.object[err.start : err.end]
             raise DataError(f"{path} is not {fh.encoding} text: cannot decode byte {bad!r}") from None
-    if not columns[col_x].size:
+    if not next(iter(columns.values())).size:
         raise EmptyInput(f"{path} contains no data rows")
-    return Dataset(
-        xs=columns[col_x],
-        ys=columns[col_y],
-        cutoff=cutoff,
-        y_low=y_low,
-        y_high=y_high,
-        d=columns[col_d] if col_d else None,
-        covariates={name: columns[name] for name in covariates},
-    )
+    return columns
 
 
 def _parse_columns(
@@ -244,7 +249,7 @@ def _json_text(payload: dict) -> str:
 def build_report(cfg: RunConfig, data: Dataset) -> dict:
     """Run the full pipeline and assemble the JSON-ready report.
 
-    Bandwidths are resolved once here, and one bootstrap pass serves the
+    One bootstrap pass, whose plan fills in the bandwidths, serves the
     density test, the balance tests and both r modes. Every fit comes from
     that pass's plan: the point estimates are its all-ones replicate, the
     sharp bound trims its right mean window, and the fuzzy bound's d+ and
@@ -256,15 +261,14 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
     # imported here, so that plotdata, simulate and oracle do not load it
     from .inference import boundary_pass, bounds_from_draws, imbens_manski_ci, protocol_from_draws
 
-    fit = cfg.fit.resolved(data.xs, data.cutoff)
-    draws, plan = boundary_pass(data, cfg.boot, fit, cfg.covariates)
+    draws, plan = boundary_pass(data, cfg.boot, cfg.fit, cfg.covariates)
     protocol = protocol_from_draws(draws, cfg.boot.alpha)
     be = draws.point
     y_low, y_high = cfg.y_low, cfg.y_high
     fixed, random_ = bounds_from_draws(draws, cfg.assumption, y_low, y_high)
 
     block: dict = {
-        "order": fit.order,
+        "order": cfg.fit.order,
         "discontinuity_t": protocol.density.statistic,
         "discontinuity_p": protocol.density.p_value,
         "r": be.r,
@@ -332,8 +336,8 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             "y_low": y_low,
             "y_high": y_high,
             "assumption": cfg.assumption.value,
-            "order": fit.order,
-            "kernel": fit.kernel.value,
+            "order": cfg.fit.order,
+            "kernel": cfg.fit.kernel.value,
             "alpha": cfg.boot.alpha,
             "bootstrap": cfg.boot.b,
             "seed": cfg.boot.seed,
@@ -566,8 +570,10 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     c, w = args.cutoff, args.bin_width
     if not (np.isfinite(w) and w > 0):
         raise InvalidConfig(f"--bin-width must be positive and finite, got {w}")
+    if not np.isfinite(c):
+        raise InvalidConfig("cutoff must be finite")
     # the x column alone: plotdata reads no outcome
-    xs = ingest(args.input, cutoff=c, col_x=args.col_x, col_y=args.col_x).xs
+    xs = _read_columns(args.input, {args.col_x: "running variable or outcome"})[args.col_x]
     with np.errstate(over="ignore", invalid="ignore"):
         k_lo = np.floor((xs.min() - c) / w)
         k_hi = np.ceil((xs.max() - c) / w)

@@ -79,23 +79,21 @@ def boundary_pass(
 ) -> tuple[BoundaryDraws, Plan]:
     """Row-resample the data ``cfg.b`` times and re-estimate the boundary.
 
-    One engine plan evaluates the four boundary fits and, for each name in
-    ``covariates`` (checked by ``Dataset.value_columns``), its two mean
-    fits on the outcome's windows: on the sample, for the point estimates
-    and jumps, then on every replicate. The boundary columns are the same
-    bits whichever covariates are named. Bandwidths are selected once on the
-    full sample, and replicate randomness is keyed by (seed, replicate
-    index).
+    One engine plan, from ``build_plan``, evaluates the four boundary fits
+    and, for each name in ``covariates``, its two mean fits on the
+    outcome's windows: on the sample, for the point estimates and jumps,
+    then on every replicate. The boundary columns are the same bits
+    whichever covariates are named. The plan checks the columns and fills
+    in the bandwidths once on the full sample, and replicate randomness is
+    keyed by (seed, replicate index).
 
     The plan is returned beside the draws, for the sample's other fits on
     its windows. It holds a few moment rows per window row, about 4.8 MB on
     66k window rows against 6 KB of draws at B = 200, so it is not part of
     ``BoundaryDraws``: a caller keeps it only while it reads those fits.
     """
-    columns = data.value_columns(covariates)
-    fit = fit.resolved(data.xs, data.cutoff)
-    plan = build_plan(data.xs, data.cutoff, fit, columns)
-    point, row = sample_estimates(plan, fit)
+    plan = build_plan(data, fit, covariates)
+    point, row = sample_estimates(plan)
     # a constant covariate has no jump; its two moment solves may leave one of rounding size
     jumps = tuple(
         (name, 0.0 if np.ptp(data.covariates[name]) == 0 else float(row[4 + 2 * j] - row[5 + 2 * j]))

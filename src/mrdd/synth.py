@@ -128,15 +128,20 @@ def gen_appendix_d(p: float, lam: float, n: int, seed: int) -> TypedSample:
     u = rng.uniform(size=n)
     v = rng.exponential(scale=1.0 / lam, size=n)
     keep = (x_star >= CUTOFF) | (u >= p)
-    x = np.where(keep, x_star, v)
+    # a manipulator lands at or above the cutoff from below it, so x != x_star marks it
+    return _binary_outcome_sample(np.where(keep, x_star, v), x_star, eps, np.where(keep, 0, 2).astype(np.int8))
+
+
+def _binary_outcome_sample(x, x_star, eps, t_type) -> TypedSample:
+    """The observed score ``x`` with the binary outcome model: treatment
+    d = 1{x >= cutoff} and outcome 1{mu_d(X*) >= eps}, the potential outcome
+    of the unit's treatment. A unit whose x differs from X* manipulated."""
     d = (x >= CUTOFF).astype(float)
     y1 = (_mu_d(x_star, 1) >= eps).astype(float)
     y0 = (_mu_d(x_star, 0) >= eps).astype(float)
     y = np.where(d == 1.0, y1, y0)
-    manipulated = ~keep
-    t_type = np.where(manipulated, 2, 0).astype(np.int8)
     data = Dataset(xs=x, ys=y, cutoff=CUTOFF, y_low=0.0, y_high=1.0, d=d)
-    return TypedSample(data=data, x_star=x_star, manipulated=manipulated, t_type=t_type)
+    return TypedSample(data=data, x_star=x_star, manipulated=x != x_star, t_type=t_type)
 
 
 def _tail_integral(d: int) -> float:
@@ -287,13 +292,7 @@ def gen_typed(type_shares: dict[int, float], n: int, seed: int, attempt_prob: fl
     if np.any(m4):
         x[m4] = _rejection_exponential(rng, x_star[m4])
 
-    d = (x >= CUTOFF).astype(float)
-    y1 = (_mu_d(x_star, 1) >= eps).astype(float)
-    y0 = (_mu_d(x_star, 0) >= eps).astype(float)
-    y = np.where(d == 1.0, y1, y0)
-    manipulated = x != x_star
-    data = Dataset(xs=x, ys=y, cutoff=CUTOFF, y_low=0.0, y_high=1.0, d=d)
-    return TypedSample(data=data, x_star=x_star, manipulated=manipulated, t_type=t_type)
+    return _binary_outcome_sample(x, x_star, eps, t_type)
 
 
 def write_typed_csv(ts: TypedSample, path: str) -> None:

@@ -210,7 +210,7 @@ def continuous_sample(seed=6, n=3000):
 def test_sample_is_replicate_zero(sample, order, kernel):
     data = sample()
     fit = config(order, kernel)
-    plan = build_plan(data.xs, 0.0, fit, (data.ys, data.covariates["w"]))
+    plan = build_plan(data, fit, ("w",))
     row = boundary.evaluate(plan, np.ones((1, plan.index.size)))[0]
     be = estimate_boundary(data, fit)
     assert (be.mu_plus, be.mu_minus, be.f_plus, be.f_minus) == tuple(row[:4])
@@ -258,7 +258,7 @@ def test_plan_index_holds_only_the_window_rows(sample):
     # the plan sorts the rows within twice each side's widest bandwidth of
     # the cutoff, 2H below and 4H above; it keeps no view of that array
     data = sample()
-    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
+    plan = build_plan(data, config(1, KernelKind.TRIANGULAR))
     assert plan.index.base is None
     assert plan.index.size < np.count_nonzero((data.xs >= -2 * H) & (data.xs <= 4 * H))
 
@@ -268,7 +268,7 @@ def test_draw_counts_are_the_bincount_of_the_keyed_draws(sample):
     # the reference counts each draw at its row's x position; replicates
     # from 7 on, so the keys do not start at 0
     data = sample()
-    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
+    plan = build_plan(data, config(1, KernelKind.TRIANGULAR))
     n, m, reps = data.n, plan.index.size, range(7, 20)
     by_index = np.argsort(plan.index)  # x position of each window row, the rows taken by original index
     ref = np.empty((len(reps), m))
@@ -283,14 +283,13 @@ def test_draw_counts_are_the_bincount_of_the_keyed_draws(sample):
 def test_chunks_and_workers_do_not_change_draws(monkeypatch, order):
     data = tied_sample()
     fit = config(order, KernelKind.TRIANGULAR)
-    columns = (data.ys, data.covariates["w"])
-    whole = run_replicates(build_plan(data.xs, 0.0, fit, columns), 200, SEED)
+    whole = run_replicates(build_plan(data, fit, ("w",)), 200, SEED)
     monkeypatch.setattr(boundary, "CHUNK_BYTES", 1 << 16)  # a few replicates per chunk
-    plan = build_plan(data.xs, 0.0, fit, columns)
+    plan = build_plan(data, fit, ("w",))
     one = run_replicates(plan, 200, SEED, workers=1)
     three = run_replicates(plan, 200, SEED, workers=3)
     monkeypatch.setattr(boundary, "CHUNK_BYTES", 8)  # one replicate per chunk
-    single = run_replicates(build_plan(data.xs, 0.0, fit, columns), 200, SEED)
+    single = run_replicates(build_plan(data, fit, ("w",)), 200, SEED)
     assert one.shape == (200, 6)
     assert np.array_equal(one, three)
     assert np.array_equal(one, whole)
@@ -317,7 +316,7 @@ def test_worker_pool_is_bounded_by_chunks_and_cores(monkeypatch):
     # run_replicates imports the pool class when it starts one
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Serial)
     data = tied_sample()
-    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys,))
+    plan = build_plan(data, config(1, KernelKind.TRIANGULAR))
     serial = run_replicates(plan, 60, SEED)
     runs = [
         (replace(plan, chunk=30), 100_000, 4),  # two chunks
@@ -435,7 +434,7 @@ def test_failed_fits_are_the_replicates_short_of_support(order, kernel, split, t
     if split:  # the density windows narrower than the mean windows
         bw = replace(bw, dens_left=1.0, dens_right=0.25)
     fit = FitConfig(order=order, kernel=kernel, bandwidths=bw)
-    plan = build_plan(xs, 0.0, fit, (np.resize(data.ys, xs.size),))
+    plan = build_plan(Dataset(xs=xs, ys=np.resize(data.ys, xs.size), cutoff=0.0), fit)
     assert (plan.group_end is not None) == tied
     counts = boundary._draw_counts(plan, range(300), SEED)
     failed = failed_boundary_fits(xs, 0.0, fit, counts)
@@ -450,7 +449,7 @@ def test_a_chunk_solves_each_kind_of_fit_once(monkeypatch):
     # one fit_from_moments call takes both sides' density fits, and one both
     # sides' mean fits of the outcome and every covariate
     data = tied_sample()
-    plan = build_plan(data.xs, 0.0, config(1, KernelKind.TRIANGULAR), (data.ys, data.covariates["w"]))
+    plan = build_plan(data, config(1, KernelKind.TRIANGULAR), ("w",))
     counts = boundary._draw_counts(plan, range(plan.chunk), SEED)
     expected = boundary.evaluate(plan, counts)
     calls = []
@@ -471,7 +470,7 @@ def test_replicate_left_with_the_near_tied_pair_fails_its_mean_fit():
     xs = np.concatenate([-rng.uniform(0.05, 1.0, 400), pair, others, rng.uniform(0.0, 1.0, 400)])
     ys = np.concatenate([np.zeros(400), [1.0, 1.0], [0.0, 1.0, 0.0], rng.uniform(size=400)])
     fit = FitConfig(order=1, bandwidths=Bandwidths(mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0))
-    plan = build_plan(xs, 0.0, fit, (ys,))
+    plan = build_plan(Dataset(xs=xs, ys=ys, cutoff=0.0), fit)
     counts = np.ones((2, plan.index.size))
     counts[1, np.isin(plan.index, np.arange(402, 405))] = 0.0
     values = boundary.evaluate(plan, counts)
@@ -562,7 +561,7 @@ def test_window_draw_has_the_full_multinomial_law():
     data = Dataset(xs=xs, ys=np.zeros(xs.size), cutoff=0.0, y_low=0.0, y_high=1.0)
     fit = config(1, KernelKind.TRIANGULAR)
     window = window_rows(data, fit)
-    plan = build_plan(data.xs, 0.0, fit, (data.ys,))
+    plan = build_plan(data, fit)
     n, m, reps = data.n, window.size, 10_000
     assert plan.rank.size == m and 20 < m < n / 2
     # the engine's counts are in x order; rank's inverse puts them in row order
@@ -586,7 +585,7 @@ def test_sparse_side_fails_as_often_as_under_the_full_resample():
             left_density(replicate_rng(SEED + 1, rep).integers(0, n, n))
         except DataError:
             failed += 1
-    draws = run_replicates(build_plan(data.xs, 0.0, SPARSE_FIT, (data.ys,)), reps, SEED)
+    draws = run_replicates(build_plan(data, SPARSE_FIT), reps, SEED)
     ours, full = np.isnan(draws[:, 3]).mean(), failed / reps
     assert ours > 0.1 and full > 0.1
     se = np.sqrt((ours * (1 - ours) + full * (1 - full)) / reps)

@@ -157,6 +157,9 @@ def degenerate_cases():
          "left mean fit: normal equations rank 1 < 2; not enough distinct running-variable values in window"),
         (np.concatenate([[-0.001], left - 0.05, right]), narrow, 1, InsufficientData, "left",
          "left mean fit: 1 in-window points on side 'left', need at least 2 for order 1"),
+        # all four windows are empty, so the plan holds no window rows
+        (np.concatenate([left - 5.0, right + 5.0]), ones, 1, InsufficientData, "left",
+         "left density fit: 0 distinct in-window points on side 'left', need at least 3 for a degree-2 CDF fit"),
     ]
 
 

@@ -12,6 +12,7 @@ from mrdd import (
     oracle_appendix_d,
     sharp_type2_bounds,
 )
+from mrdd.bounds import crude_interval
 from mrdd.errors import EmptyWindow, InvalidConfig, InvalidOutcomeRange
 from oracles import binary_sharp_gfuncs, brute_force_trimming, weighted_trimmed_means
 
@@ -120,6 +121,15 @@ class TestCrudeBounds:
     def test_invalid_range(self):
         with pytest.raises(InvalidOutcomeRange):
             crude_bounds(0.5, 0.5, 0.9, 1.0, 0.0, TypeAssumption.TYPE2)
+
+    @pytest.mark.parametrize("y_high, r, error, message", [
+        (np.inf, 0.9, InvalidOutcomeRange, "outcome range must be finite"),
+        (1.0, 0.0, ValueError, "density ratio must be positive, got 0.0"),
+    ], ids=["infinite-range", "zero-ratio"])
+    def test_crude_interval_rejects(self, y_high, r, error, message):
+        with pytest.raises(error) as excinfo:
+            crude_interval(0.5, 0.5, r, 0.0, y_high, TypeAssumption.TYPE2)
+        assert str(excinfo.value) == message
 
     def test_missing_range(self):
         # an undeclared range is a labelled error, not a TypeError

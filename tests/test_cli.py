@@ -401,6 +401,26 @@ class TestAnalyze:
             run_cli("analyze", str(missing), "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--order", "3")
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("cutoff = 0\ny_min = 0\ny_max = 1\nsharp\n", "config line 4 is not key = value: 'sharp'"),
+        ("[0, 1]", "JSON config must be an object"),
+    ], ids=["line-without-equals", "json-list"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text, message):
+        cfgfile = tmp_path / ("run.json" if text.startswith("[") else "run.cfg")
+        cfgfile.write_text(text)
+        assert run_cli("analyze", str(tmp_path / "missing.csv"), "--config", str(cfgfile)) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("word", ["off", "no", "FALSE", "0"])
+    def test_config_file_skips_comments_and_blank_lines(self, tmp_path, word):
+        # a bool key read as false gives the config of the key left out
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# a run\n\ncutoff = 0\n   # indented\ny_min = 0\n\ny_max = 1\nsharp = {word}\n")
+        parse = cli.build_parser().parse_args
+        cfg = cli._resolve(parse(["analyze", "missing.csv", "--config", str(cfgfile)]))
+        assert cfg.sharp is False
+        assert cfg == cli._resolve(parse(["analyze", "missing.csv", "--cutoff", "0", "--y-min", "0", "--y-max", "1"]))
+
     @pytest.mark.parametrize("order,kernel", [(2, "epanechnikov"), (0, "uniform")])
     def test_order_and_kernel_reach_every_fit(self, typed_file, tmp_path, order, kernel):
         path, _ = typed_file
@@ -538,12 +558,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("data error") and "'d'" in err
 
-    @pytest.mark.parametrize("column", ["y", "w"])
-    def test_column_whose_sums_overflow_exits_3(self, tmp_path, capfd, column):
+    @pytest.mark.parametrize("column, one_left", [("y", False), ("w", False), ("y", True), ("w", True)],
+                             ids=["y", "w", "y-one-left", "w-one-left"])
+    def test_column_whose_sums_overflow_exits_3(self, tmp_path, capfd, column, one_left):
         # every value is finite, but a fit's sum over 4,000 of them is not;
-        # the mean fit read that as singular normal equations
+        # the mean fit read that as singular normal equations. With one row
+        # left of the cutoff the rule of thumb fails there too, and the
+        # column error comes first
         rng = np.random.default_rng(0)
         xs = rng.standard_normal(4_000)
+        if one_left:
+            xs = np.abs(xs)
+            xs[0] = -1.0
         huge = np.where(rng.uniform(size=xs.size) < 0.5, -8e307, 8e307)
         ys, ws = (huge, xs) if column == "y" else ((xs > 0).astype(float), huge)
         path = tmp_path / "huge.csv"
@@ -896,6 +922,13 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert "type shares" in printed and "manipulation fraction" in printed
 
+    @pytest.mark.parametrize("share", ["0.5", "x=0.5", "0=half"])
+    def test_unparsable_share_exits_2(self, tmp_path, capsys, share):
+        out = tmp_path / "t.csv"
+        assert run_cli("simulate", "typed", "--share", share, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"configuration error: cannot parse --share {share!r}; expected T=WEIGHT\n"
+        assert not out.exists()
+
     def test_unknown_dgp_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("simulate", "nope", "--out", str(tmp_path / "x.csv"))
@@ -1027,6 +1060,14 @@ class TestPlotdata:
         assert run_cli("plotdata", path, "--cutoff", "0", "--bin-width", width,
                        "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("configuration error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_non_finite_cutoff_exits_2_in_one_line(self, typed_file, tmp_path, capfd, cutoff):
+        path, _ = typed_file
+        out = tmp_path / "bins.csv"
+        assert run_cli("plotdata", path, "--cutoff", cutoff, "--out", str(out)) == 2
+        assert capfd.readouterr().err == "configuration error: cutoff must be finite\n"
         assert not out.exists()
 
     def test_bin_count_overflow_exits_2_in_one_line(self, tmp_path, capfd):

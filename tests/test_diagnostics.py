@@ -10,7 +10,7 @@ from mrdd import (
     gen_typed,
 )
 from mrdd.errors import InvalidConfig, InvalidInputs, UnknownCovariate
-from mrdd.inference import _balance_test, _density_test, protocol_from_draws
+from mrdd.inference import _balance_test, _density_test, _jump_test, protocol_from_draws
 
 
 def with_covariates(ts, seed, extra=None):
@@ -100,6 +100,12 @@ class TestBalanceTest:
         res = _balance_test(draws, 0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
+
+    def test_nonzero_jump_with_zero_replicate_sd_gives_p_one(self):
+        # every replicate has the same jump, so the SE is degenerate
+        res = _jump_test(0.5, np.tile([1.0, 0.5], (64, 1)), "balance-test")
+        assert (res.statistic, res.p_value, res.replications) == (0.0, 1.0, 64)
+        assert res.warnings == ("degenerate bootstrap SE; p-value set to 1",)
 
     def test_unknown_covariate(self, appendix_d_small):
         boot = BootstrapConfig(b=64, seed=0)

@@ -109,11 +109,29 @@ def test_only_boundary_reads_the_plan():
     assert {path.name: reads(path) for path in MODULES if path.name != "boundary.py" and reads(path)} == {}
 
 
+def test_only_the_plan_and_plotdata_resolve_bandwidths():
+    # build_plan fills in an analysis's bandwidths and keeps them on the plan;
+    # plotdata has no plan and fills in its density fits' own
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "resolved":
+                callers.add(".".join(scope))
+            visit(child, inner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), ())
+    assert callers == {"build_plan", "cmd_plotdata", "FitConfig.resolved"}
+
+
 #: Public functions kept for library callers though no command reaches them:
 #: the array-level fitting API, and README's entry point to the bootstrap,
 #: which hides the engine's plan
-LIBRARY_API = {"estimate_boundary", "local_poly_fit", "density_curve", "boundary_density",
-               "bootstrap_boundary_replicates"}
+LIBRARY_API = {"estimate_boundary", "local_poly_fit", "boundary_density", "bootstrap_boundary_replicates"}
 
 
 def test_public_surface_is_reached():
