@@ -64,7 +64,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange, TooManyFailedReplicates, UnknownCovariate
+from .errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange, UnknownCovariate
 from .localfit import (
     DENSITY_FLOOR, FitSpec, KernelKind, Side, check_order, density_window, fit_from_moments, floor_density,
     kernel_weight, local_weights, rot_bandwidth, support_error, weighted_powers,
@@ -72,7 +72,6 @@ from .localfit import (
 
 MIN_REPLICATES = 50
 DEFAULT_B = 500
-MAX_FAILURE_FRACTION = 0.10
 #: Largest level: above it the one-sided normal quantile is negative, and an
 #: Imbens-Manski interval would lie inside the identified set.
 MAX_ALPHA = 0.5
@@ -628,16 +627,3 @@ def run_replicates(plan: Plan, b: int, seed: int, workers: int = 1) -> np.ndarra
             return np.concatenate(list(pool.map(one, starts)))
     return np.concatenate([one(start) for start in starts])
 
-
-def drop_failed(values: np.ndarray, what: str) -> tuple[np.ndarray, int]:
-    """The rows of ``values`` without a NaN cell, and how many had one; more
-    than MAX_FAILURE_FRACTION of them raise TooManyFailedReplicates."""
-    failed = np.isnan(values).any(axis=1)
-    n_failed = int(np.count_nonzero(failed))
-    b = values.shape[0]
-    if n_failed > MAX_FAILURE_FRACTION * b:
-        raise TooManyFailedReplicates(
-            f"{n_failed} of {b} {what} bootstrap replicates failed "
-            f"(limit {MAX_FAILURE_FRACTION:.0%})"
-        )
-    return values[~failed], n_failed

@@ -1,10 +1,7 @@
 """Command-line interface: ingest, analyze, simulate, oracle, plotdata.
 
-``analyze`` runs the sequential diagnostic protocol and emits a JSON report
-whose one block, at the requested polynomial order, mirrors the usual
-presentation: discontinuity test, density ratio, bandwidths, point estimate
-with bootstrap SE, identified set, and fixed-r / random-r confidence
-intervals.
+``analyze`` runs the sequential diagnostic protocol and writes the JSON
+report that ``mrdd.report`` declares.
 
 Exit codes: 0 success, 2 configuration error (an unopenable ``--config``
 included), 3 data error (an unopenable input included), 4 internal error:
@@ -25,20 +22,13 @@ import csv
 import enum
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import synth
-from .boundary import Bandwidths, BootstrapConfig, Dataset, FitConfig, sample_means, sharp_window
-from .bounds import (
-    BoundsStatus,
-    TypeAssumption,
-    clamp_interval,
-    fuzzy_bounds,
-    sharp_type2_bounds,
-    snap_tolerance,
-)
+from .boundary import Bandwidths, BootstrapConfig, Dataset, FitConfig
+from .bounds import TypeAssumption
 from .errors import (
     ConfigError,
     DataError,
@@ -55,8 +45,6 @@ from .localfit import (
     Side,
     density_curve,
 )
-
-REPORT_SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,158 +211,17 @@ def _read_rows(fh, wanted: dict[str, str]) -> dict[str, np.ndarray]:
     return columns
 
 
-def _nulls_for_non_finite(value):
-    """``value`` with every nan or inf float, however nested, replaced by None."""
-    if isinstance(value, float):
-        return value if np.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _nulls_for_non_finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_nulls_for_non_finite(item) for item in value]
-    return value
-
-
 def _output(out: str | None):
     """``out`` opened through ``synth.atomic_open``, or stdout when it is not given."""
     return synth.atomic_open(out) if out else contextlib.nullcontext(sys.stdout)
 
 
-def _json_text(payload: dict) -> str:
-    """Strict JSON: a non-finite number becomes null."""
-    import json
-
-    return json.dumps(_nulls_for_non_finite(payload), indent=2, allow_nan=False) + "\n"
-
-
 def build_report(cfg: RunConfig, data: Dataset) -> dict:
-    """Run the full pipeline and assemble the JSON-ready report.
+    """``report.build_report``, loaded on first call so plotdata and simulate do not
+    load it; tests substitute this name, and ``bench/traced.py`` times it."""
+    from .report import build_report
 
-    One bootstrap pass, whose plan fills in the bandwidths, serves the
-    density test, the balance tests and both r modes. Every fit comes from
-    that pass's plan: the point estimates are its all-ones replicate, the
-    sharp bound trims its right mean window, and the fuzzy bound's d+ and
-    d- solve its mean-fit moment equations on the sample. The identified
-    and sharp sets and both confidence intervals are clipped to the logical
-    range of an effect; the fuzzy set bounds a ratio, which that range does
-    not cap, and is reported as ``fuzzy_bounds`` gives it.
-    """
-    # imported here, so that plotdata, simulate and oracle do not load it
-    from .inference import boundary_pass, bounds_from_draws, imbens_manski_ci, protocol_from_draws
-
-    draws, plan = boundary_pass(data, cfg.boot, cfg.fit, cfg.covariates)
-    protocol = protocol_from_draws(draws, cfg.boot.alpha)
-    be = draws.point
-    y_low, y_high = cfg.y_low, cfg.y_high
-    fixed, random_ = bounds_from_draws(draws, cfg.assumption, y_low, y_high)
-
-    block: dict = {
-        "order": cfg.fit.order,
-        "discontinuity_t": protocol.density.statistic,
-        "discontinuity_p": protocol.density.p_value,
-        "r": be.r,
-        "bandwidths": asdict(be.bandwidths),
-        "n_effective": asdict(be.n_effective),
-        "mu_plus": be.mu_plus,
-        "mu_minus": be.mu_minus,
-        "f_plus": be.f_plus,
-        "f_minus": be.f_minus,
-        # the mean jump and its bootstrap SE, on the bounds' replicates
-        "point_estimate": be.mu_plus - be.mu_minus,
-        "point_se": fixed.point_se,
-    }
-
-    warnings = list(be.warnings)
-    point = fixed.point
-    set_lo, set_hi, clamped = clamp_interval(point.lower, point.upper, y_low, y_high)
-    block["identified_set"] = [set_lo, set_hi]
-    block["identified_set_status"] = point.status.value
-    block["identified_set_clamped"] = clamped
-    block["target"] = point.target
-    if point.note:
-        warnings.append(point.note)
-
-    for label, bb in (("fixed_r", fixed), ("random_r", random_)):
-        # replicate ends past the float range, near a huge outcome range, give
-        # a non-finite SE; the SE, the interval and c_bar are written as null
-        ci = None
-        if np.isfinite([bb.se_lower, bb.se_upper]).all():
-            ci = imbens_manski_ci(set_lo, set_hi, bb.se_lower, bb.se_upper, cfg.boot.alpha)
-        elif "bootstrap_se_not_finite" not in warnings:
-            warnings.append("bootstrap_se_not_finite")
-        block[f"ci_{label}"] = None if ci is None else list(clamp_interval(ci.lo, ci.hi, y_low, y_high)[:2])
-        block[f"se_lower_{label}"] = bb.se_lower
-        block[f"se_upper_{label}"] = bb.se_upper
-        block[f"c_bar_{label}"] = None if ci is None else ci.c_bar
-
-    if cfg.sharp:
-        sharp_res = sharp_type2_bounds(*sharp_window(plan, data.ys), be.mu_plus, be.mu_minus, be.r, y_low, y_high)
-        sharp_lo, sharp_hi, _ = clamp_interval(sharp_res.lower, sharp_res.upper, y_low, y_high)
-        block["sharp_set"] = [sharp_lo, sharp_hi]
-        block["sharp_status"] = sharp_res.status.value
-    else:
-        block["sharp_set"] = None
-        block["sharp_status"] = None
-
-    if cfg.fuzzy:
-        d_plus, d_minus = (min(max(d, 0.0), 1.0) for d in sample_means(plan, data.d))
-        fz = fuzzy_bounds(be.mu_plus, be.mu_minus, be.r, d_plus, d_minus, y_low, y_high)
-        block["fuzzy_set"] = None if fz.status is BoundsStatus.DEGENERATE else [fz.lower, fz.upper]
-        block["fuzzy_status"] = fz.status.value
-    else:
-        block["fuzzy_set"] = None
-        block["fuzzy_status"] = None
-
-    _check_sets(block, cfg.assumption, y_low, y_high)
-    # the distinct values counted on a sorted copy: np.unique would load numpy.ma
-    xs = np.sort(data.xs)
-    dup_fraction = 1.0 - (1 + np.count_nonzero(xs[1:] != xs[:-1])) / data.n
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "duplicate_x_fraction": dup_fraction,
-        "config": {
-            "cutoff": cfg.cutoff,
-            "y_low": y_low,
-            "y_high": y_high,
-            "assumption": cfg.assumption.value,
-            "order": cfg.fit.order,
-            "kernel": cfg.fit.kernel.value,
-            "alpha": cfg.boot.alpha,
-            "bootstrap": cfg.boot.b,
-            "seed": cfg.boot.seed,
-        },
-        "verdict": protocol.verdict.value,
-        "protocol": {
-            "density": asdict(protocol.density),
-            "balance": None
-            if protocol.balance is None
-            else [{"covariate": name, **asdict(res)} for name, res in protocol.balance],
-        },
-        "n": data.n,
-        "warnings": warnings,
-        "blocks": [block],
-    }
-    return report
-
-
-def _check_sets(block: dict, assumption: TypeAssumption, y_low: float, y_high: float) -> None:
-    """Raise RuntimeError, an internal error, where ``block`` breaks what its
-    formulas guarantee: every interval has its lower end at most its upper
-    end, each confidence interval contains the identified set, and under
-    type 2 and the mixture the sharp set lies inside it. The slack is the
-    one ``bounds`` snaps crossed ends with; an interval or an end the report
-    writes as null is not compared."""
-    slack = snap_tolerance(y_low, y_high)
-    for name in ("identified_set", "sharp_set", "fuzzy_set", "ci_fixed_r", "ci_random_r"):
-        if block[name] and block[name][0] > block[name][1] + slack:
-            raise RuntimeError(f"{name} {block[name]} has its lower end above its upper end")
-    pairs = [("ci_fixed_r", "identified_set"), ("ci_random_r", "identified_set")]
-    if assumption in (TypeAssumption.TYPE2, TypeAssumption.MIXED):
-        pairs.append(("identified_set", "sharp_set"))
-    for outer, inner in pairs:
-        if block[outer] and block[inner]:
-            ends = ((block[outer][0], block[inner][0]), (block[inner][1], block[outer][1]))
-            if any(np.isfinite([a, b]).all() and a > b + slack for a, b in ends):
-                raise RuntimeError(f"{outer} {block[outer]} does not contain {inner} {block[inner]}")
+    return build_report(cfg, data)
 
 
 # ---------------------------------------------------------------- commands
@@ -519,9 +366,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         col_d=cfg.col_d,
         covariates=cfg.covariates,
     )
+    from .report import json_text
+
     # opened first, so an unwritable --out fails before the pipeline runs
     with _output(args.out) as fh:
-        fh.write(_json_text(build_report(cfg, data)))
+        fh.write(json_text(build_report(cfg, data)))
     return EXIT_OK
 
 
@@ -550,6 +399,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .report import json_text
+
     row = synth.oracle_appendix_d(args.p, args.lam)
     payload = {
         "p": row.p,
@@ -562,7 +413,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "sharp": [row.sharp_lower, row.sharp_upper],
     }
     with _output(args.out) as fh:
-        fh.write(_json_text(payload))
+        fh.write(json_text(payload))
     return EXIT_OK
 
 

@@ -26,12 +26,28 @@ from statistics import NormalDist
 import numpy as np
 
 from .boundary import (
-    BootstrapConfig, BoundaryEstimates, Dataset, FitConfig, Plan, build_plan, check_alpha, drop_failed,
+    BootstrapConfig, BoundaryEstimates, Dataset, FitConfig, Plan, build_plan, check_alpha,
     run_replicates, sample_estimates,
 )
 from .bounds import BoundsResult, TypeAssumption, crude_bounds, crude_interval
-from .errors import InvalidInputs
+from .errors import InvalidInputs, TooManyFailedReplicates
 from .localfit import sample_sd
+
+MAX_FAILURE_FRACTION = 0.10
+
+
+def drop_failed(values: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """The rows of ``values`` without a NaN cell, and how many had one; more
+    than MAX_FAILURE_FRACTION of them raise TooManyFailedReplicates."""
+    failed = np.isnan(values).any(axis=1)
+    n_failed = int(np.count_nonzero(failed))
+    b = values.shape[0]
+    if n_failed > MAX_FAILURE_FRACTION * b:
+        raise TooManyFailedReplicates(
+            f"{n_failed} of {b} {what} bootstrap replicates failed "
+            f"(limit {MAX_FAILURE_FRACTION:.0%})"
+        )
+    return values[~failed], n_failed
 
 
 @dataclass(frozen=True)

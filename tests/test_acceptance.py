@@ -28,10 +28,12 @@ from mrdd import (
     sharp_type2_bounds,
     write_typed_csv,
 )
-from mrdd.cli import RunConfig, build_report
+from mrdd.cli import RunConfig
 from mrdd.cli import main as cli_main
 from mrdd.inference import protocol_from_draws
+from mrdd.report import build_report
 from oracles import binary_sharp_gfuncs, brute_force_trimming, verify_lemma_moments, weighted_trimmed_means
+from reports import block_of
 
 
 def _criterion(capsys, num, ok, detail=""):
@@ -99,7 +101,7 @@ def test_c03_end_to_end_estimation(tmp_path, capsys):
     report = json.loads(out.read_text())
     elapsed = time.monotonic() - start
     row = oracle_appendix_d(0.1, 0.05)
-    lo, hi = report["blocks"][0]["identified_set"]
+    lo, hi = block_of(report)["identified_set"]
     err_lo = abs(lo - row.crude_lower)
     err_hi = abs(hi - row.crude_upper)
     _criterion(
@@ -308,7 +310,7 @@ def test_sharp_set_matches_oracle_where_trimming_binds(p, lam):
     row = oracle_appendix_d(p, lam)
     assert row.sharp_lower > row.crude_lower + 0.03
     cfg = RunConfig(cutoff=0.0, y_low=0.0, y_high=1.0, sharp=True, boot=BootstrapConfig(b=50, seed=0))
-    ends = [build_report(cfg, gen_appendix_d(p, lam, 200_000, seed).data)["blocks"][0]["sharp_set"]
+    ends = [block_of(build_report(cfg, gen_appendix_d(p, lam, 200_000, seed).data))["sharp_set"]
             for seed in SHARP_SEEDS]
     errors = np.mean(ends, axis=0) - [row.sharp_lower, row.sharp_upper]
     assert np.abs(errors).max() <= SHARP_TOLERANCE, errors

@@ -33,9 +33,9 @@ from mrdd import (
     estimate_boundary,
 )
 from mrdd import boundary, localfit
-from mrdd.boundary import build_plan, drop_failed, replicate_rng, run_replicates
+from mrdd.boundary import build_plan, replicate_rng, run_replicates
 from mrdd.errors import DataError, TooManyFailedReplicates
-from mrdd.inference import _balance_test, _density_test, protocol_from_draws
+from mrdd.inference import _balance_test, _density_test, drop_failed, protocol_from_draws
 from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_weights
 from oracles import lstsq_level
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import mrdd
 from mrdd import cli, inference
+from mrdd import report as report_mod
 
 from mrdd import (
     BootstrapConfig,
@@ -45,6 +46,7 @@ from mrdd.inference import boundary_pass
 from mrdd.cli import MAX_PLOT_BINS, ingest, main
 from mrdd.errors import DataError, EmptyInput, MissingColumn, ParseError
 from mrdd.localfit import DENSITY_FLOOR, local_weights
+from reports import assert_block_matches_table, block_of
 
 
 @pytest.fixture()
@@ -223,12 +225,8 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["schema_version"] == 1
         assert report["verdict"] in {"UseBounds", "PointIdentified", "DesignSuspect"}
-        block = report["blocks"][0]
-        for key in (
-            "order", "discontinuity_t", "discontinuity_p", "r", "bandwidths",
-            "point_estimate", "point_se", "identified_set", "ci_fixed_r", "ci_random_r",
-        ):
-            assert key in block, key
+        block = block_of(report)
+        assert_block_matches_table(block)
         lo, hi = block["identified_set"]
         assert block["ci_fixed_r"][0] <= lo and hi <= block["ci_fixed_r"][1]
         assert block["ci_random_r"][0] <= lo and hi <= block["ci_random_r"][1]
@@ -267,7 +265,8 @@ class TestAnalyze:
             "--out", str(out),
         )
         assert code == 0
-        block = json.loads(out.read_text())["blocks"][0]
+        block = block_of(json.loads(out.read_text()))
+        assert_block_matches_table(block)
         assert block["sharp_set"] is not None
         # sharp refines the reported identified set
         assert block["sharp_set"][0] >= block["identified_set"][0] - 1e-9
@@ -287,7 +286,7 @@ class TestAnalyze:
             cutoff=0.0, y_low=0.0, y_high=1.0, fit=fit, boot=BootstrapConfig(b=50, seed=4),
             sharp=True, fuzzy=True, col_d="d",
         )
-        block = cli.build_report(cfg, data)["blocks"][0]
+        block = block_of(report_mod.build_report(cfg, data))
         be = estimate_boundary(data, fit)
         assert be.r < 1.0  # so the sharp bound trims
         resolved = fit.resolved(data.xs, 0.0)
@@ -321,7 +320,7 @@ class TestAnalyze:
             cutoff=0.0, y_low=0.0, y_high=1.0, boot=BootstrapConfig(b=50, seed=0),
             sharp=True, fuzzy=True, col_d="d",
         )
-        block = cli.build_report(cfg, data)["blocks"][0]
+        block = block_of(report_mod.build_report(cfg, data))
         assert block["r"] > 1.5
         assert block["fuzzy_status"] == "Refuted"
         assert block["fuzzy_set"][0] <= block["fuzzy_set"][1]
@@ -341,7 +340,7 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--boot", "50",
                        "--alpha", "0.5", "--out", str(out)) == 0
-        block = json.loads(out.read_text())["blocks"][0]
+        block = block_of(json.loads(out.read_text()))
         lo, hi = block["identified_set"]
         for mode in ("fixed_r", "random_r"):
             assert block[f"c_bar_{mode}"] >= 0.0
@@ -357,7 +356,7 @@ class TestAnalyze:
             assert run_cli("analyze", str(sample), "--cutoff", "0", f"--y-min=-{bound}", f"--y-max={bound}",
                            "--boot", "100", "--out", str(out)) == 0
             report = json.loads(out.read_text())
-            blocks[bound] = report["blocks"][0], report["warnings"]
+            blocks[bound] = block_of(report), report["warnings"]
         capfd.readouterr()
         block, warnings_ = blocks["8e307"]
         assert warnings_.count("bootstrap_se_not_finite") == 1
@@ -429,7 +428,7 @@ class TestAnalyze:
                        "--order", str(order), "--kernel", kernel, "--boot", "64", "--seed", "4",
                        "--out", str(out)) == 0
         report = json.loads(out.read_text())
-        block = report["blocks"][0]
+        block = block_of(report)
         data = ingest(path, cutoff=0.0, y_low=0.0, y_high=1.0)
         fit = FitConfig(order=order, kernel=KernelKind(kernel))
         be = estimate_boundary(data, fit)
@@ -630,13 +629,13 @@ class TestAnalyze:
         # the report checks what its formulas guarantee, and a breach is a bug;
         # the type-2 sharp set need not lie inside another model's set
         path, _ = typed_file
-        real_sharp = cli.sharp_type2_bounds
+        real_sharp = report_mod.sharp_type2_bounds
 
         def wider(*args):
             res = real_sharp(*args)
             return replace(res, lower=res.lower - 0.01, upper=res.upper + 0.01)
 
-        monkeypatch.setattr(cli, "sharp_type2_bounds", wider)
+        monkeypatch.setattr(report_mod, "sharp_type2_bounds", wider)
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--type", assumption,
                        "--sharp", "--boot", "64", "--out", str(tmp_path / "r.json")) == code
         if code == 4:
@@ -646,13 +645,13 @@ class TestAnalyze:
     def test_crossed_fuzzy_set_exits_4(self, typed_file, tmp_path, monkeypatch, capsys):
         # every reported interval is checked for order, the fuzzy set too
         path, _ = typed_file
-        real_fuzzy = cli.fuzzy_bounds
+        real_fuzzy = report_mod.fuzzy_bounds
 
         def swapped(*args):
             res = real_fuzzy(*args)
             return replace(res, lower=res.upper, upper=res.lower)
 
-        monkeypatch.setattr(cli, "fuzzy_bounds", swapped)
+        monkeypatch.setattr(report_mod, "fuzzy_bounds", swapped)
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--fuzzy", "--col-d", "d",
                        "--boot", "64", "--out", str(tmp_path / "r.json")) == 4
         err = capsys.readouterr().err
@@ -702,8 +701,8 @@ class TestAnalyze:
                        "--boot", "64", "--out", str(out)) == 0
         report = json.loads(out.read_text(), parse_constant=reject)
         assert report["protocol"]["density"]["statistic"] is None
-        assert report["blocks"][0]["discontinuity_t"] is None
-        assert isinstance(report["blocks"][0]["discontinuity_p"], float)
+        assert block_of(report)["discontinuity_t"] is None
+        assert isinstance(block_of(report)["discontinuity_p"], float)
 
     def test_duplicate_fraction_reported(self, typed_file, tmp_path):
         path, _ = typed_file
@@ -720,11 +719,11 @@ class TestAnalyze:
         out1 = tmp_path / "one.json"
         code = run_cli("analyze", path, "--config", str(cfgfile), "--out", str(out1))
         assert code == 0
-        assert json.loads(out1.read_text())["blocks"][0]["order"] == 0
+        assert block_of(json.loads(out1.read_text()))["order"] == 0
         out2 = tmp_path / "two.json"
         code = run_cli("analyze", path, "--config", str(cfgfile), "--order", "1", "--out", str(out2))
         assert code == 0
-        assert json.loads(out2.read_text())["blocks"][0]["order"] == 1
+        assert block_of(json.loads(out2.read_text()))["order"] == 1
 
     def test_json_config(self, typed_file, tmp_path):
         path, _ = typed_file
@@ -828,7 +827,7 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["verdict"] == "UseBounds"
         row = oracle_appendix_d(0.3, 0.3)
-        lo, hi = report["blocks"][0]["identified_set"]
+        lo, hi = block_of(report)["identified_set"]
         assert lo == pytest.approx(row.crude_lower, abs=0.03)
         assert hi == pytest.approx(row.crude_upper, abs=0.03)
 
@@ -870,7 +869,7 @@ def scaled_report(k):
     data = gen_appendix_d(0.1, 0.05, 50_000, 1).data
     cfg = cli.RunConfig(cutoff=data.cutoff * 2.0**k, y_low=0.0, y_high=1.0, sharp=True,
                         boot=BootstrapConfig(b=200, seed=0))
-    return json.loads(cli._json_text(cli.build_report(cfg, replace(data, xs=data.xs * 2.0**k, cutoff=cfg.cutoff))))
+    return json.loads(report_mod.json_text(report_mod.build_report(cfg, replace(data, xs=data.xs * 2.0**k, cutoff=cfg.cutoff))))
 
 
 @pytest.mark.parametrize("k", [
@@ -886,7 +885,7 @@ def test_report_does_not_depend_on_the_units_of_x(unscaled_report, k):
     # a power of two scales x exactly: the bandwidths scale by 2^k and the
     # densities by 2^-k, and every other field keeps its bits
     report, base = scaled_report(k), json.loads(json.dumps(unscaled_report))
-    block, base_block = report["blocks"][0], base["blocks"][0]
+    block, base_block = block_of(report), block_of(base)
     scale = 2.0**k
     assert block.pop("bandwidths") == {key: h * scale for key, h in base_block.pop("bandwidths").items()}
     for key in ("f_plus", "f_minus"):
@@ -1314,7 +1313,7 @@ class TestContract:
             assert code in (0, 2, 3)
             if code == 0:
                 report = strict_json(Path(out).read_text())
-                assert report["blocks"][0]["order"] in (0, 1, 2)
+                assert block_of(report)["order"] in (0, 1, 2)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1342,10 +1341,11 @@ class TestContract:
             assert code in (0, 2, 3), err.getvalue()
             if code == 0:
                 report = strict_json(Path(out).read_text())
+                assert_block_matches_table(block_of(report))
                 # a null end is one the report could not write, and is not compared
                 block = {key: [np.nan if end is None else end for end in value] if isinstance(value, list) else value
-                         for key, value in report["blocks"][0].items()}
-                cli._check_sets(block, TypeAssumption(report["config"]["assumption"]), 0.0, 1.0)
+                         for key, value in block_of(report).items()}
+                report_mod._check_sets(block, TypeAssumption(report["config"]["assumption"]), 0.0, 1.0)
             else:
                 label = "configuration error: " if code == 2 else "data error: "
                 assert err.getvalue().startswith(label) and err.getvalue().count("\n") == 1

@@ -23,6 +23,7 @@ import pytest
 import mrdd
 from mrdd import errors, imbens_manski_ci
 from mrdd.inference import _two_sided_p
+from reports import block_of
 
 MODULES = sorted(Path(mrdd.__file__).resolve().parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,12 +51,14 @@ def test_no_private_cross_module_imports(path):
 
 def test_cli_refits_nothing_outside_the_plan():
     # analyze reads the sharp window and the fuzzy bound's d+- from the
-    # bootstrap plan; cli neither imports nor names a full-sample fit
-    tree = ast.parse((Path(mrdd.__file__).resolve().parent / "cli.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-             for alias in node.names}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not names & {"local_poly_fit", "local_weights"}
+    # bootstrap plan; neither the CLI nor the report imports or names a
+    # full-sample fit
+    for name in ("cli.py", "report.py"):
+        tree = ast.parse((Path(mrdd.__file__).resolve().parent / name).read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"local_poly_fit", "local_weights"}, name
 
 
 def test_bounds_imports_no_estimation_module():
@@ -240,7 +243,7 @@ def test_analyze_and_plotdata_never_load_scipy(tmp_path):
     assert (payload["p"], payload["lambda"]) == (0.1, 0.05)
     assert payload["sharp"][0] <= payload["theta_true"] <= payload["sharp"][1]
     report = json.loads((tmp_path / "r.json").read_text())
-    assert report["blocks"][0]["sharp_set"] is not None
+    assert block_of(report)["sharp_set"] is not None
 
 
 def test_analyze_never_loads_numpy_ma(tmp_path):
@@ -268,7 +271,7 @@ def test_analyze_never_loads_numpy_ma(tmp_path):
 def test_package_loads_each_module_on_first_use(tmp_path):
     # import mrdd loads no module of the package, and plotdata none of what
     # only analyze and the report writer run: the protocol, the bounds'
-    # inference, JSON and the internal-error traceback
+    # inference, the report, JSON and the internal-error traceback
     sample = tmp_path / "s.csv"
     sample.write_text("x\n" + "\n".join(map(repr, np.random.default_rng(1).standard_normal(500).tolist())) + "\n")
     plotdata = (
@@ -278,7 +281,7 @@ def test_package_loads_each_module_on_first_use(tmp_path):
         "assert not loaded, loaded\n"
         "from mrdd.cli import main\n"
         f"assert main(['plotdata', {str(sample)!r}, '--cutoff', '0', '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
-        "loaded = [m for m in ('mrdd.inference', 'statistics', 'json', 'traceback') if m in sys.modules]\n"
+        "loaded = [m for m in ('mrdd.inference', 'mrdd.report', 'statistics', 'json', 'traceback') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     # dir lists the public names before any is read, each resolves by
