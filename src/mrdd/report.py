@@ -1,8 +1,9 @@
 """The JSON report of ``mrdd analyze``, declared once: ``BLOCK_FIELDS``
 gives its block's fields in the order the report writes them, each with
 its JSON type, whether it may be null and the set it must contain.
-``build_report`` starts the block from that table and ``_check_sets``
-reads the intervals and their containments from it.
+``build_report`` starts the block from that table, ``_check_finite`` reads
+from it which numbers must be finite and ``_check_sets`` the intervals and
+their containments.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
             block["fuzzy_set"] = [fz.lower, fz.upper]
         block["fuzzy_status"] = fz.status.value
 
+    _check_finite(block)
     _check_sets(block, cfg.assumption, y_low, y_high)
     # the distinct values counted on a sorted copy: np.unique would load numpy.ma
     xs = np.sort(data.xs)
@@ -185,6 +187,17 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         "warnings": warnings,
         "blocks": [block],
     }
+
+
+def _check_finite(block: dict) -> None:
+    """Raise RuntimeError, an internal error, where a number or an interval
+    end of ``block`` is nan, inf or null and ``BLOCK_FIELDS`` does not let
+    that field be null."""
+    for field in BLOCK_FIELDS:
+        value = block[field.name]
+        if field.kind in ("number", "interval") and not field.nullable:
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise RuntimeError(f"{field.name} {value} is not finite")
 
 
 def _check_sets(block: dict, assumption: TypeAssumption, y_low: float, y_high: float) -> None:

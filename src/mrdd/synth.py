@@ -9,7 +9,8 @@ closed form so estimators and bounds can be verified end to end.
 The mixture DGP ("appendix-d" in the CLI) draws a standard normal latent
 score; units below the cutoff attempt manipulation with probability p and
 land at an exponential draw whose density at zero-plus is lam. Outcomes are
-binary with success curves Phi(x - 1) untreated and Phi(x - 0.5) treated.
+binary with success curves Phi(x - 1) untreated and Phi(x - 0.5) treated,
+where the standard normal cdf Phi is taken from ``math.erfc``.
 
 The smooth-density counterexample shifts two latent segments upward by
 different amounts so that the observed density stays smooth at the cutoff
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,16 +49,22 @@ TYPED_CSV_COLUMNS = ("x", "y", "d", "x_star", "manipulated", "t_type")
 _DRAW_BOUND = 64.0
 
 
-def _mu_d(x, d):
-    """Success probability of the binary outcome given the latent score."""
-    # imported here so that analyze and plotdata never load scipy
-    from scipy import special
+def _ndtr(x):
+    """Standard normal cdf, 0.5 * erfc(-x / sqrt 2), elementwise over an
+    array of any shape; a float gives a 0-d array."""
+    x = np.asarray(x, dtype=float)
+    tails = np.fromiter(map(math.erfc, (-x / np.sqrt(2.0)).ravel().tolist()), float, x.size)
+    return 0.5 * tails.reshape(x.shape)
 
-    return special.ndtr(np.asarray(x) - (0.5 if d == 1 else 1.0))
+
+def _mu_d(x, d):
+    """Success probability of the binary outcome given the latent score under
+    treatment ``d``, a 0/1 number or an array of them."""
+    return _ndtr(np.asarray(x) - np.where(np.asarray(d) == 1, 0.5, 1.0))
 
 
 def _norm_pdf(x):
-    """Standard normal density, the closed form ``scipy.stats.norm.pdf`` evaluates."""
+    """Standard normal density in closed form."""
     x = np.asarray(x, dtype=float)
     return np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
@@ -137,9 +145,7 @@ def _binary_outcome_sample(x, x_star, eps, t_type) -> TypedSample:
     d = 1{x >= cutoff} and outcome 1{mu_d(X*) >= eps}, the potential outcome
     of the unit's treatment. A unit whose x differs from X* manipulated."""
     d = (x >= CUTOFF).astype(float)
-    y1 = (_mu_d(x_star, 1) >= eps).astype(float)
-    y0 = (_mu_d(x_star, 0) >= eps).astype(float)
-    y = np.where(d == 1.0, y1, y0)
+    y = (_mu_d(x_star, d) >= eps).astype(float)
     data = Dataset(xs=x, ys=y, cutoff=CUTOFF, y_low=0.0, y_high=1.0, d=d)
     return TypedSample(data=data, x_star=x_star, manipulated=x != x_star, t_type=t_type)
 
@@ -152,9 +158,7 @@ def _tail_integral(d: int) -> float:
     Owen's T(k, 1) = Phi(k) Phi(-k) / 2 gives Phi_2(0, k; 1/sqrt 2) =
     Phi(k) (2 - Phi(k)) / 2, so the integral is Phi(-k)^2.
     """
-    from scipy import special
-
-    return float(special.ndtr(-(0.5 if d == 1 else 1.0) / np.sqrt(2.0))) ** 2
+    return float(_ndtr(-(0.5 if d == 1 else 1.0) / np.sqrt(2.0))) ** 2
 
 
 def oracle_appendix_d(p: float, lam: float) -> OracleRow:

@@ -683,7 +683,9 @@ class TestAnalyze:
         assert err.endswith("\ninternal error: ValueError('p-value out of [0, 1]: 1.5')\n")
         assert not out.exists()
 
-    def test_non_finite_statistic_written_as_null(self, typed_file, tmp_path, monkeypatch):
+    def test_non_finite_statistic_exits_4(self, typed_file, tmp_path, monkeypatch, capsys):
+        # the report's field table lets no test statistic be null, so a NaN
+        # one is a bug and no report is written
         path, _ = typed_file
         # build_report imports the protocol from inference when it runs
         real_protocol = inference.protocol_from_draws
@@ -692,17 +694,12 @@ class TestAnalyze:
             outcome = real_protocol(draws, alpha)
             return replace(outcome, density=replace(outcome.density, statistic=float("nan")))
 
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         monkeypatch.setattr(inference, "protocol_from_draws", nan_density_statistic)
         out = tmp_path / "r.json"
         assert run_cli("analyze", path, "--cutoff", "0", "--y-min", "0", "--y-max", "1",
-                       "--boot", "64", "--out", str(out)) == 0
-        report = json.loads(out.read_text(), parse_constant=reject)
-        assert report["protocol"]["density"]["statistic"] is None
-        assert block_of(report)["discontinuity_t"] is None
-        assert isinstance(block_of(report)["discontinuity_p"], float)
+                       "--boot", "64", "--out", str(out)) == 4
+        assert capsys.readouterr().err.endswith("\ninternal error: RuntimeError('discontinuity_t nan is not finite')\n")
+        assert not out.exists()
 
     def test_duplicate_fraction_reported(self, typed_file, tmp_path):
         path, _ = typed_file

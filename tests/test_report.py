@@ -1,5 +1,6 @@
-"""The report's field table: the block's checks read their intervals and
-containments from it, and README lists its fields."""
+"""The report's field table: the block's checks read from it which numbers
+must be finite and the intervals and their containments, and README lists
+its fields."""
 
 import re
 from pathlib import Path
@@ -7,16 +8,18 @@ from pathlib import Path
 import pytest
 
 from mrdd.bounds import TypeAssumption
-from mrdd.report import BLOCK_FIELDS, _check_sets
+from mrdd.report import BLOCK_FIELDS, _check_finite, _check_sets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 INTERVALS = [field.name for field in BLOCK_FIELDS if field.kind == "interval"]
 CONTAINMENTS = [(field.name, field.contains) for field in BLOCK_FIELDS if field.contains]
+NUMERIC = [field for field in BLOCK_FIELDS if field.kind in ("number", "interval")]
 
 
 def valid_block() -> dict:
-    """A block whose intervals pass every check, each inside the one that must contain it."""
-    block = dict.fromkeys(field.name for field in BLOCK_FIELDS)
+    """A block whose numbers are finite and whose intervals pass every check,
+    each inside the one that must contain it."""
+    block = {field.name: 0.5 if field.kind == "number" else None for field in BLOCK_FIELDS}
     block.update(identified_set=[-0.1, 0.1], sharp_set=[-0.05, 0.05], fuzzy_set=[0.0, 0.2],
                  ci_fixed_r=[-0.3, 0.3], ci_random_r=[-0.4, 0.4])
     return block
@@ -56,6 +59,32 @@ def test_null_interval_or_non_finite_end_is_not_compared():
     block["ci_fixed_r"] = None
     block["identified_set"] = [-0.1, float("nan")]
     _check_sets(block, TypeAssumption.TYPE2, 0.0, 1.0)
+
+
+def non_finite(block: dict, name: str, bad: float) -> None:
+    """Set the number ``name`` of ``block``, or its interval's upper end, to ``bad``."""
+    block[name] = [block[name][0], bad] if isinstance(block[name], list) else bad
+
+
+def test_valid_block_is_finite():
+    _check_finite(valid_block())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", [field.name for field in NUMERIC if not field.nullable])
+def test_non_finite_field_raises(name, bad):
+    block = valid_block()
+    non_finite(block, name, bad)
+    with pytest.raises(RuntimeError, match=rf"^{name} .* is not finite$"):
+        _check_finite(block)
+
+
+@pytest.mark.parametrize("name", [field.name for field in NUMERIC if field.nullable])
+def test_nullable_field_may_be_non_finite(name):
+    # the report writes it as null
+    block = valid_block()
+    non_finite(block, name, float("nan"))
+    _check_finite(block)
 
 
 def test_readme_lists_the_table():
