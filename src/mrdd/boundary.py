@@ -22,12 +22,13 @@ of the rows, not of their x order. One ``bincount`` of the draws gives the
 counts in original-index order, and one permutation by the plan's ``rank``
 puts them in x order.
 
-Each side keeps a C-ordered matrix of moment rows over its window rows:
-the mean weights w*u^k (k <= 2d), the CDF weights (k <= 2d + 2) and the
-outcome's w*u^k*y (k <= d). The covariates' rows form a second matrix, so
-the boundary draws are the same bits whichever covariates are requested.
-On the default density spec, the mean spec's bandwidth and kernel, the CDF
-weights for k <= 2d are the mean weight rows, and only two more are stored.
+Each side keeps one C-ordered matrix of moment rows over its window rows:
+the mean weights w*u^k (k <= 2d), the CDF weights (k <= 2d + 2), then the
+outcome's and each covariate's value rows w*u^k*v (k <= d). Every sum of a
+row is taken on its own, so the boundary draws are the same bits whichever
+covariates are requested. On the default density spec, the mean spec's
+bandwidth and kernel, the CDF weights for k <= 2d are the mean weight rows,
+and only two more are stored.
 The counts times the rows give every mean fit's normal equations; the
 running count through each tie group's last row, times the counts and the
 CDF weights, gives the CDF fit's (Cattaneo, Jansson & Ma 2020). Rows below
@@ -38,10 +39,7 @@ and not the slope. The densities are the slopes over n h, floored by
 The sums never go through BLAS, whose threaded kernels sum in an order set
 by the thread count: ``np.einsum`` sums fixed blocks of window rows and
 ``np.sum`` adds the block sums pairwise, so the bits depend on neither the
-chunk, the worker count nor the BLAS thread count. The einsum runs over
-tiles of SUM_TILE blocks, so a tile of the moment rows stays in cache while
-every replicate of the chunk reads it; a block's sum is the same whatever
-tile it is in.
+chunk, the worker count, the BLAS thread count nor the other moment rows.
 
 A fit fails on a replicate (a NaN cell) where ``fit_from_moments`` finds
 its normal equations singular: their Gram, scaled to unit diagonal, has a
@@ -80,8 +78,6 @@ MAX_ALPHA = 0.5
 CHUNK_BYTES = 1 << 21
 #: Window rows per block of a moment sum; blocks are fixed by row, not by chunk.
 SUM_BLOCK = 256
-#: Blocks per einsum call of a moment sum: 32 blocks of a moment row are 64 KB.
-SUM_TILE = 32
 
 #: The middle term of every draw key (seed, DRAW_KEY, replicate). It is 3,
 #: the bounds bootstrap's key from when each test drew its own stream, so
@@ -317,11 +313,11 @@ class _SidePlan:
 
     rows: slice  # the side's window rows, as columns of the counts
     # (K, rows), C order: the mean weights w*u^k (k = 0..2d), the CDF weights
-    # w*u^k (k = 0..2d + 2) from row cdf_row on, then the outcome's value
-    # rows w*u^k*y (k = 0..d) last. With cdf_row 0 the CDF weights continue
-    # the mean weights, whose rows they equal bit for bit.
+    # w*u^k (k = 0..2d + 2) from row cdf_row on, then from row cdf_row + 2d + 3
+    # the value rows w*u^k*v (k = 0..d) of the outcome and each covariate v.
+    # With cdf_row 0 the CDF weights continue the mean weights, whose rows
+    # they equal bit for bit.
     moments: np.ndarray
-    covariates: np.ndarray  # (c (d + 1), rows): w*u^k*v (k = 0..d) of each covariate v
     cdf_row: int
     mean_counts: tuple[int, int, int]  # the sample's mean window, as support_error takes it
     density_counts: tuple[int, int, int]  # the sample's CDF window, likewise
@@ -427,7 +423,6 @@ def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) 
         starts = np.flatnonzero(new_group)
         group_end = np.append(starts[1:], m)[np.cumsum(new_group) - 1] - 1
 
-    ys, *covariates = (values for _, values in columns)
     # a copy, so that the plan does not keep the whole reach's order alive
     index = order[a:b].copy()
     del order
@@ -440,21 +435,21 @@ def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) 
         # to 2d are the mean weights, and only the two above them are stored
         shared = (dens.bandwidth, dens.kernel, c_lo, c_hi) == (mean.bandwidth, mean.kernel, lo, hi)
         cdf_row = 0 if shared else 2 * d + 1
-        moments = np.zeros((cdf_row + 3 * d + 4, rows.stop - rows.start))
-        cov_moments = np.zeros((len(covariates) * (d + 1), rows.stop - rows.start))
-        # the windows as columns of the side's matrices; an empty one slices nothing
+        first = cdf_row + 2 * d + 3  # the outcome's first value row
+        moments = np.zeros((first + len(columns) * (d + 1), rows.stop - rows.start))
+        # the windows as columns of the side's matrix; an empty one slices nothing
         cols, c_cols = slice(lo - rows.start, hi - rows.start), slice(c_lo - rows.start, c_hi - rows.start)
         u = (window[lo:hi] - cutoff) / mean.bandwidth
         w = kernel_weight(u, mean.kernel)
         top = 2 * d + 2 if shared else 2 * d
         weighted_powers(u, w, top, moments[: top + 1, cols])
-        weighted_powers(u, w * ys[index[lo:hi]], d, moments[-(d + 1) :, cols])
-        for j, v in enumerate(covariates):
-            weighted_powers(u, w * v[index[lo:hi]], d, cov_moments[j * (d + 1) : (j + 1) * (d + 1), cols])
+        for j, (_, v) in enumerate(columns):
+            at = first + j * (d + 1)
+            weighted_powers(u, w * v[index[lo:hi]], d, moments[at : at + d + 1, cols])
         if not shared:
             u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
-            weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row : cdf_row + 2 * d + 3, c_cols])
-        plans.append(_SidePlan(rows, moments, cov_moments, cdf_row, mean_counts, cdf_counts))
+            weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row:first, c_cols])
+        plans.append(_SidePlan(rows, moments, cdf_row, mean_counts, cdf_counts))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
     return Plan(n, fit, index, rank, group_end, tuple(plans), chunk)
 
@@ -484,27 +479,23 @@ def _moment_sums(counts: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """``sum_i counts[r, i] * moments[k, i]`` for every replicate r and row k.
 
     ``np.einsum`` without ``optimize``, never BLAS, sums each block of
-    SUM_BLOCK rows of one replicate, SUM_TILE blocks per call; ``np.sum``
-    adds the block sums pairwise and the last partial block is added after,
-    an order fixed by the window.
+    SUM_BLOCK rows of one replicate and one moment row on its own;
+    ``np.sum`` adds the block sums pairwise and the last partial block is
+    added after, an order fixed by the window.
     """
     r, width = counts.shape
     k, blocks = moments.shape[0], width // SUM_BLOCK
     full = blocks * SUM_BLOCK
-    counts_by_block = counts[:, :full].reshape(r, blocks, SUM_BLOCK)
-    moments_by_block = moments[:, :full].reshape(k, blocks, SUM_BLOCK)
-    block_sums = np.empty((r, k, blocks))
-    for t in range(0, blocks, SUM_TILE):
-        tile = slice(t, t + SUM_TILE)
-        np.einsum("rbi,kbi->rkb", counts_by_block[:, tile], moments_by_block[:, tile], out=block_sums[:, :, tile])
+    block_sums = np.einsum(
+        "rbi,kbi->rkb", counts[:, :full].reshape(r, blocks, SUM_BLOCK), moments[:, :full].reshape(k, blocks, SUM_BLOCK)
+    )
     return block_sums.sum(axis=2) + np.einsum("ri,ki->rk", counts[:, full:], moments[:, full:])
 
 
 def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
     """The fits on each row of ``counts``, a resample's counts of the window
     rows in x order, as ``run_replicates``' columns, NaN where a fit failed."""
-    d = plan.fit_config.order
-    r, c = counts.shape[0], plan.sides[0].covariates.shape[0] // (d + 1)
+    d, r = plan.fit_config.order, counts.shape[0]
     # resample rows in the window at or below each row's value: the CDF up
     # to a constant and the factor n, both folded into the slope's scale
     running = np.cumsum(counts, axis=1)
@@ -520,19 +511,15 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
         cdf_values.append(_moment_sums(cdf[:, rows], side.moments[k : k + d + 2]))
         weights.append(sums[:, None, : 2 * d + 1])
         # the outcome's and every covariate's value sums share the side's mean weights
-        value_sums = sums[:, None, -(d + 1) :]
-        if c:
-            cov_sums = _moment_sums(counts[:, rows], side.covariates).reshape(r, c, d + 1)
-            value_sums = np.concatenate([value_sums, cov_sums], axis=1)
-        values.append(value_sums)
+        values.append(sums[:, k + 2 * d + 3 :].reshape(r, -1, d + 1))
     slopes = fit_from_moments(np.stack(cdf_weights), np.stack(cdf_values))[..., 1]
     bw = plan.fit_config.bandwidths
     scales = 1.0 / (max(plan.n, 1) * np.array([[bw.dens_right], [bw.dens_left]]))  # 1 / (n h), right then left
     levels = fit_from_moments(np.stack(weights), np.stack(values))[..., 0]  # (side, replicate, value)
-    out = np.empty((r, 4 + 2 * c))
+    out = np.empty((r, 2 + 2 * levels.shape[2]))
     out[:, :2] = levels[:, :, 0].T
     out[:, 2:4] = floor_density(slopes * scales)[0].T
-    out[:, 4:] = levels[:, :, 1:].transpose(1, 2, 0).reshape(r, 2 * c)
+    out[:, 4:] = levels[:, :, 1:].transpose(1, 2, 0).reshape(r, -1)
     return out
 
 

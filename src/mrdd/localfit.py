@@ -75,7 +75,8 @@ DENSITY_FLOOR = 1e-6
 #: below 2e13. Exactly singular Grams, summed as the bootstrap sums them,
 #: reach about 1.2e-14; a plotdata fit that keeps seven digits, 4.6e-11.
 SINGULAR_DET = np.e * (MAX_ORDER + 2) * 256 * float(np.finfo(float).eps)
-#: Lower bound for rule-of-thumb bandwidths (guards zero-variance sides).
+#: Lower bound for rule-of-thumb bandwidths, as a share of the side's largest
+#: |x - c| (guards zero-variance sides); absolute where every x is at c.
 MIN_BANDWIDTH = 1e-8
 #: In-window duplicate share beyond which the running variable is treated as discrete.
 DUPLICATE_FRACTION_LIMIT = 0.2
@@ -355,7 +356,7 @@ def _block_sums(rows, h: float, order: int, kernel: KernelKind, first: int, stop
     xb, eb = (a[first * _BLOCK : stop * _BLOCK].reshape(nb, _BLOCK) for a in (x, ends))
     sums = np.zeros((n_pow + n_val, nb))
     # chunks of 8k rows: each temporary is 64 KB, small enough for the
-    # allocator to reuse, which keeps an analysis's peak RSS where it was
+    # allocator to reuse, which keeps plotdata's peak RSS where it was
     step = max(1, _BATCH_BYTES // (256 * _BLOCK))
     # a block wider than 2h enters no window, and its powers may overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -554,9 +555,11 @@ def sample_sd(values) -> float:
 def rot_bandwidth(xs, side: Side, cutoff: float) -> float:
     """Rule-of-thumb bandwidth 1.06 * sd * n^(-1/5) on one side of the cutoff.
 
-    Floored at MIN_BANDWIDTH so degenerate sides still return a positive
-    width. Scale-equivariant: scaling xs and the cutoff by k scales the
-    result by k (while the floor does not bind).
+    Floored at MIN_BANDWIDTH times the side's largest |x - c|, so degenerate
+    sides still return a positive width, and at MIN_BANDWIDTH itself where
+    every x on the side is at the cutoff: there every window holds the same
+    rows at any width. Scale-equivariant: scaling xs and the cutoff by k
+    scales the result by k, exactly for a power of two, floor included.
     """
     xs = np.asarray(xs, dtype=float)
     sub = xs[_side_mask(xs, cutoff, side)]
@@ -566,4 +569,7 @@ def rot_bandwidth(xs, side: Side, cutoff: float) -> float:
             side=side.value,
         )
     bw = 1.06 * sample_sd(sub) * sub.size ** (-0.2)
-    return max(bw, MIN_BANDWIDTH)
+    # the side's largest |x - c| is twice this; halving is exact above the
+    # subnormals, and the halves' difference cannot overflow
+    half_reach = float(np.abs(sub / 2 - cutoff / 2).max())
+    return max(bw, 2 * MIN_BANDWIDTH * half_reach or MIN_BANDWIDTH)

@@ -227,23 +227,23 @@ def test_sample_is_replicate_zero(sample, order, kernel):
     assert be.n_effective == SideCounts(*means, *dens)
 
 
-TILE = boundary.SUM_TILE
-
-
 @pytest.mark.parametrize(
     "blocks, tail",
-    [(0, 0), (0, 1), (0, 255), (9, 7), (40, 0), (240, 186), (TILE - 1, 5), (TILE, 9), (TILE + 1, 200)],
+    [(0, 0), (0, 1), (0, 255), (9, 7), (40, 0), (240, 186), (31, 5), (32, 9), (33, 200)],
 )
 def test_moment_sums_are_per_replicate_and_accurate(blocks, tail):
-    # (240, 186) is the right side's window on the benchmark's n=200k sample;
-    # the last three cases end a tile of blocks one block early, on its
-    # edge and one block late. The rows start at an odd offset, as one
-    # side's rows do
+    # (240, 186) is the right side's window on the benchmark's n=200k sample.
+    # The rows start at an odd offset, as one side's rows do. Each sum has
+    # the bits of its replicate alone and of its moment row alone, so the
+    # other replicates of a chunk and the other rows of a side's matrix
+    # (the covariates' among them) cannot change how it rounds
     rng = np.random.default_rng(blocks + tail)
     width = blocks * boundary.SUM_BLOCK + tail
     counts = rng.integers(0, 4, size=(5, width + 3)).astype(float)[:, 3:]
     moments = rng.uniform(size=(4, width)) * rng.uniform(size=width) ** np.arange(4)[:, None]
     sums = boundary._moment_sums(counts, moments)
+    for k in range(moments.shape[0]):
+        assert np.array_equal(sums[:, k : k + 1], boundary._moment_sums(counts, moments[k : k + 1]))
     for j, row in enumerate(counts):
         assert np.array_equal(sums[j], boundary._moment_sums(row[None].copy(), moments)[0])
         for k, weights in enumerate(moments):
@@ -342,20 +342,39 @@ def test_usable_cpus_follow_affinity_then_the_host(monkeypatch):
     assert boundary.usable_cpus() == 1
 
 
+#: Split density bandwidths, so each side stores its CDF weights apart (cdf_row > 0)
+SPLIT_FIT = Bandwidths(mean_left=0.4, mean_right=0.5, dens_left=0.3, dens_right=0.35)
+
+
+@pytest.mark.parametrize("layout", ["shared", "split"])
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_boundary_draws_do_not_depend_on_covariates(order):
-    # the outcome's moment block is multiplied on its own, so the covariates'
-    # columns cannot change how its sums round
+def test_boundary_draws_do_not_depend_on_covariates(order, layout):
+    # the covariates' value rows sit in the side's moment matrix after the
+    # outcome's, and ``_moment_sums`` sums each row on its own, so they
+    # cannot change how the outcome's or the CDF's sums round. "shared" is
+    # the default spec on under SUM_BLOCK window rows a side, the partial
+    # block alone; "split" sums full blocks of x on a 0.01 grid, with ties,
+    # and keeps the CDF weight rows apart
     rng = np.random.default_rng(0)
-    xs = rng.normal(0.0, 0.6, 1000)
+    if layout == "shared":
+        xs, fit = rng.normal(0.0, 0.6, 1000), FitConfig(order=order)
+    else:
+        xs, fit = np.round(rng.normal(0.0, 0.6, 6000), 2), FitConfig(order=order, bandwidths=SPLIT_FIT)
     ys = (rng.uniform(size=xs.size) < 0.4 + 0.2 * (xs >= 0)).astype(float)
     covs = {f"w{j}": 0.5 * xs + rng.normal(size=xs.size) for j in range(1, 5)}
     data = Dataset(xs=xs, ys=ys, cutoff=0.0, y_low=0.0, y_high=1.0, covariates=covs)
-    boot, fit = BootstrapConfig(b=B, seed=SEED), FitConfig(order=order)
+    plan = build_plan(data, fit)
+    widths = [side.moments.shape[1] for side in plan.sides]
+    if layout == "split":
+        assert min(widths) > boundary.SUM_BLOCK and plan.group_end is not None
+        assert all(side.cdf_row > 0 for side in plan.sides)
+    else:
+        assert max(widths) < boundary.SUM_BLOCK
+    boot = BootstrapConfig(b=B, seed=SEED)
     alone = bootstrap_boundary_replicates(data, boot, fit).draws
     draws = bootstrap_boundary_replicates(data, boot, fit, tuple(covs)).draws
     assert draws.shape == (B, 12)
-    assert np.array_equal(draws[:, :4], alone)
+    assert np.array_equal(draws[:, :4], alone, equal_nan=True)
 
 
 def sparse_left_sample(n_left, seed=2):
@@ -457,6 +476,24 @@ def test_a_chunk_solves_each_kind_of_fit_once(monkeypatch):
     monkeypatch.setattr(boundary, "fit_from_moments", lambda *sums: calls.append(sums) or solve(*sums))
     assert np.array_equal(boundary.evaluate(plan, counts), expected, equal_nan=True)
     assert [weights.shape[:2] for weights, _ in calls] == [(2, plan.chunk)] * 2
+
+
+def test_a_chunk_sums_each_side_twice(monkeypatch):
+    # per side, one sum of the counts over the whole moment matrix (the
+    # weights and the outcome's and every covariate's value rows) and one
+    # of the running counts over the CDF weights
+    data = tied_sample()
+    plan = build_plan(data, config(1, KernelKind.TRIANGULAR), ("w",))
+    counts = boundary._draw_counts(plan, range(plan.chunk), SEED)
+    expected = boundary.evaluate(plan, counts)
+    calls = []
+    moment_sums = boundary._moment_sums
+    monkeypatch.setattr(boundary, "_moment_sums", lambda *args: calls.append(args) or moment_sums(*args))
+    assert np.array_equal(boundary.evaluate(plan, counts), expected, equal_nan=True)
+    assert len(calls) == 4
+    for side, (whole, cdf) in zip(plan.sides, (calls[:2], calls[2:])):
+        assert whole[1] is side.moments and np.array_equal(whole[0], counts[:, side.rows])
+        assert cdf[1].base is side.moments
 
 
 def test_replicate_left_with_the_near_tied_pair_fails_its_mean_fit():

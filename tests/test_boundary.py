@@ -56,6 +56,15 @@ class TestDataset:
         with pytest.raises(InvalidInputs, match="'w'"):
             Dataset(xs=[0.0, 1.0], ys=[0.0, 1.0], cutoff=0.0, covariates={"w": [0.0]})
 
+    def test_running_variable_must_be_one_dimensional(self):
+        with pytest.raises(InvalidInputs, match=r"^column 'x' must be 1-d, got shape \(2, 1\)$"):
+            Dataset(xs=[[0.0], [1.0]], ys=[0.0, 1.0], cutoff=0.0)
+
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -np.inf])
+    def test_cutoff_must_be_finite(self, cutoff):
+        with pytest.raises(InvalidConfig, match="^cutoff must be finite$"):
+            Dataset(xs=[0.0, 1.0], ys=[0.0, 1.0], cutoff=cutoff)
+
 
 class TestEstimateBoundary:
     def test_appendix_d_r_statistic(self):
@@ -221,3 +230,10 @@ def test_near_equal_pair_of_ones_fits_one_or_raises():
 def test_bandwidth_must_be_positive_and_finite(name, value):
     with pytest.raises(InvalidConfig, match=f"bandwidth {name} must be positive and finite"):
         Bandwidths(**{name: value})
+
+
+@pytest.mark.parametrize("spec", ["mean_spec", "density_spec"])
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_fit_specs_need_resolved_bandwidths(spec, side):
+    with pytest.raises(InvalidConfig, match="^resolve the bandwidths before building a fit$"):
+        getattr(FitConfig(), spec)(side)

@@ -18,7 +18,7 @@ from mrdd import (
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
 from mrdd import localfit
 from mrdd.boundary import _moment_sums
-from mrdd.localfit import DENSITY_FLOOR, density_window, sample_sd
+from mrdd.localfit import DENSITY_FLOOR, MIN_BANDWIDTH, density_window, sample_sd
 from oracles import lstsq_level
 
 
@@ -533,8 +533,29 @@ class TestRotBandwidth:
         for exponent in range(-100, 101, 10):
             xs = rng.standard_normal(500) * 10.0**exponent + rng.uniform(-2, 2) * 10.0**exponent
             side = xs[xs >= 0]
-            expected = max(1.06 * float(np.std(side, ddof=1)) * side.size ** (-0.2), 1e-8)
+            expected = max(1.06 * float(np.std(side, ddof=1)) * side.size ** (-0.2), 1e-8 * side.max())
             assert rot_bandwidth(xs, Side.RIGHT, 0.0) == expected
+
+    @pytest.mark.parametrize("k", [-60, -30, 0, 30, 60])
+    def test_floor_scales_with_the_side(self, k):
+        # no spread on the left: the floor binds, at MIN_BANDWIDTH times the
+        # side's largest |x - c|, and a power of two scales it exactly
+        scale = 2.0**k
+        xs = np.array([-0.75, -0.75, -0.75, 0.5, 1.0, 2.0]) * scale
+        cutoff = 0.25 * scale
+        assert rot_bandwidth(xs, Side.LEFT, cutoff) == MIN_BANDWIDTH * scale
+        assert rot_bandwidth(xs, Side.RIGHT, cutoff) > MIN_BANDWIDTH * scale
+
+    def test_floor_is_absolute_where_the_side_sits_at_the_cutoff(self):
+        xs = np.array([-1.0, -0.5, 3.0, 3.0, 3.0])
+        assert rot_bandwidth(xs, Side.RIGHT, 3.0) == MIN_BANDWIDTH
+
+    def test_floor_does_not_overflow(self):
+        # x - c overflows a float; its halves do not
+        xs = np.array([-1e308, -1e308, 1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rot_bandwidth(xs, Side.LEFT, 1e308) == 2 * MIN_BANDWIDTH * 1e308
 
     def test_no_overflow_near_the_float_limit(self):
         xs = np.array([-5.0, -4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) * 1e200
