@@ -192,7 +192,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Bandwidths:
-    """Per-side, per-object bandwidths; None means rule-of-thumb default.
+    """Per-side, per-object bandwidths; None means the rule of thumb, which
+    ``FitConfig.resolved`` fills in.
 
     A given bandwidth that is not positive and finite raises InvalidConfig.
     """
@@ -207,28 +208,6 @@ class Bandwidths:
             value = getattr(self, item.name)
             if value is not None and not (value > 0 and np.isfinite(value)):
                 raise InvalidConfig(f"bandwidth {item.name} must be positive and finite, got {value}")
-
-    def resolved(self, xs: np.ndarray, cutoff: float) -> "Bandwidths":
-        """Fill missing entries with rot_bandwidth on the matching side.
-
-        Means and densities share one rule-of-thumb value per side, so each
-        side's is computed at most once.
-        """
-        rot: dict[Side, float] = {}
-
-        def pick(value, side):
-            if value is not None:
-                return value
-            if side not in rot:
-                rot[side] = rot_bandwidth(xs, side, cutoff)
-            return rot[side]
-
-        return Bandwidths(
-            mean_left=pick(self.mean_left, Side.LEFT),
-            mean_right=pick(self.mean_right, Side.RIGHT),
-            dens_left=pick(self.dens_left, Side.LEFT),
-            dens_right=pick(self.dens_right, Side.RIGHT),
-        )
 
 
 @dataclass(frozen=True)
@@ -255,8 +234,19 @@ class FitConfig:
         check_order(self.order)
 
     def resolved(self, xs: np.ndarray, cutoff: float) -> "FitConfig":
-        """The same configuration with every bandwidth filled in."""
-        return replace(self, bandwidths=self.bandwidths.resolved(xs, cutoff))
+        """The same configuration with every missing bandwidth filled in.
+
+        The mean fit and the density fit on a side share one rule-of-thumb
+        value, ``rot_bandwidth`` on that side, so it is computed once per side
+        that lacks a bandwidth and not at all on a side that has both.
+        """
+        bw = self.bandwidths
+        filled = {}
+        for side in (Side.LEFT, Side.RIGHT):
+            missing = [name for name in (f"mean_{side.value}", f"dens_{side.value}") if getattr(bw, name) is None]
+            if missing:
+                filled |= dict.fromkeys(missing, rot_bandwidth(xs, side, cutoff))
+        return replace(self, bandwidths=replace(bw, **filled))
 
     def mean_spec(self, side: Side) -> FitSpec:
         """The one-sided mean fit on ``side``; needs resolved bandwidths."""
@@ -370,16 +360,19 @@ def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) 
     """Windows, tie groups and moment columns shared by every replicate.
 
     The fits sum the outcome, then each named covariate: a name the data
-    lacks raises UnknownCovariate. Every fit sums w u^k v over counts that
-    total at most n, with w and |u| at most one, so n times a column's
-    largest magnitude bounds its sums; a column where that overflows raises
-    InvalidInputs naming it, since a NaN fit would read as singular
-    equations. Then the rule of thumb fills in the bandwidths ``fit``
-    lacks, and the plan keeps that resolved fit for every solve on it.
+    lacks raises UnknownCovariate, and a name given twice InvalidConfig.
+    Every fit sums w u^k v over counts that total at most n, with w and |u|
+    at most one, so n times a column's largest magnitude bounds its sums; a
+    column where that overflows raises InvalidInputs naming it, since a NaN
+    fit would read as singular equations. Then ``FitConfig.resolved`` fills
+    in the bandwidths ``fit`` lacks, and the plan keeps that resolved fit
+    for every solve on it.
     """
-    for name in covariates:
+    for i, name in enumerate(covariates):
         if name not in data.covariates:
             raise UnknownCovariate(f"covariate {name!r} not present; have {sorted(data.covariates)}")
+        if name in covariates[:i]:
+            raise InvalidConfig(f"covariate {name!r} is named more than once")
     columns = [("y", data.ys), *((name, data.covariates[name]) for name in covariates)]
     for name, values in columns:
         largest = float(np.abs(values).max()) if values.size else 0.0

@@ -22,7 +22,7 @@ import csv
 import enum
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .errors import (
 from .localfit import (
     DENSITY_FLOOR,
     MAX_ORDER,
-    FitSpec,
     KernelKind,
     Side,
     density_curve,
@@ -91,6 +90,9 @@ class RunConfig:
             )
         if self.fuzzy and self.col_d is None:
             raise InvalidConfig("--fuzzy needs a treatment column (--col-d)")
+        for i, name in enumerate(self.covariates):
+            if name in self.covariates[:i]:
+                raise InvalidConfig(f"covariate {name!r} is named more than once")
 
 
 def ingest(
@@ -442,18 +444,13 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     centers = 0.5 * (edges[:-1] + edges[1:])
     is_left = edges[1:] <= c
     fit = FitConfig().resolved(xs, c)
-    h_left, h_right = fit.bandwidths.dens_left, fit.bandwidths.dens_right
+    one_sided = {True: fit.density_spec(Side.LEFT), False: fit.density_spec(Side.RIGHT)}
     # a bin's fit is one-sided where its window crosses the cutoff, so the
-    # bins share at most four specs: (side of the cutoff, interior or not)
-    interior = np.where(is_left, centers + h_left <= c, centers - h_right >= c)
-    keys = list(zip(is_left.tolist(), interior.tolist()))
-    specs = {
-        (left, inner): FitSpec(
-            fit.order, h_left if left else h_right, fit.kernel,
-            Side.INTERIOR if inner else Side.LEFT if left else Side.RIGHT,
-        )
-        for left, inner in set(keys)
-    }
+    # bins share four specs: (left of the cutoff, interior or not)
+    interior = np.where(is_left, centers + one_sided[True].bandwidth <= c, centers - one_sided[False].bandwidth >= c)
+    specs = {(left, inner): replace(spec, side=Side.INTERIOR) if inner else spec
+             for left, spec in one_sided.items() for inner in (False, True)}
+    keys = zip(is_left.tolist(), interior.tolist())
     densities, clipped = density_curve(xs, centers, [specs[key] for key in keys])
     # row i's right edge is row i + 1's left edge: each edge is formatted once
     edge_text = list(map(repr, edges.tolist()))

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from mrdd import boundary
 from mrdd import (
     Bandwidths,
     Dataset,
@@ -12,6 +15,7 @@ from mrdd import (
     estimate_boundary,
     gen_appendix_d,
     local_poly_fit,
+    rot_bandwidth,
 )
 from mrdd.errors import (
     DataError,
@@ -237,3 +241,27 @@ def test_bandwidth_must_be_positive_and_finite(name, value):
 def test_fit_specs_need_resolved_bandwidths(spec, side):
     with pytest.raises(InvalidConfig, match="^resolve the bandwidths before building a fit$"):
         getattr(FitConfig(), spec)(side)
+
+
+@pytest.mark.parametrize("given,sides", [
+    ({}, [Side.LEFT, Side.RIGHT]),
+    ({"mean_left": 0.3, "dens_left": 0.4}, [Side.RIGHT]),
+    ({"mean_right": 0.3}, [Side.LEFT, Side.RIGHT]),
+    ({"mean_left": 0.3, "mean_right": 0.2, "dens_left": 0.4, "dens_right": 0.5}, []),
+], ids=["none", "left", "mean_right", "all"])
+def test_rule_of_thumb_runs_once_per_side_that_lacks_a_bandwidth(monkeypatch, given, sides):
+    # the mean and density fits on a side share one rule-of-thumb value
+    xs = gen_appendix_d(0.1, 0.05, 5_000, 0).data.xs
+    calls = []
+
+    def counted(x, side, cutoff):
+        calls.append(side)
+        return rot_bandwidth(x, side, cutoff)
+
+    monkeypatch.setattr(boundary, "rot_bandwidth", counted)
+    bw = FitConfig(bandwidths=Bandwidths(**given)).resolved(xs, 0.0).bandwidths
+    assert calls == sides
+    for item in fields(Bandwidths):
+        side = Side(item.name.split("_")[1])
+        expected = given.get(item.name, rot_bandwidth(xs, side, 0.0))
+        assert getattr(bw, item.name).hex() == expected.hex(), item.name

@@ -494,6 +494,18 @@ class TestAnalyze:
         reason = "Is a directory" if target == "directory" else "No such file or directory"
         assert err == f"data error: cannot open {path}: {reason}\n"
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_repeated_covariate_exits_2_before_reading(self, tmp_path, capsys, source):
+        # the same balance test twice would fit the covariate twice per replicate
+        missing = tmp_path / "missing.csv"
+        if source == "flags":
+            given = ("--covariate", "x_star", "--covariate", "w", "--covariate", "x_star")
+        else:
+            (tmp_path / "run.cfg").write_text("covariates = x_star,w,x_star\n")
+            given = ("--config", str(tmp_path / "run.cfg"))
+        assert run_cli("analyze", str(missing), "--cutoff", "0", "--y-min", "0", "--y-max", "1", *given) == 2
+        assert capsys.readouterr().err == "configuration error: covariate 'x_star' is named more than once\n"
+
     def test_unopenable_config_exits_2(self, typed_file, tmp_path, capsys):
         path, _ = typed_file
         assert run_cli("analyze", path, "--config", str(tmp_path), "--cutoff", "0",
@@ -1062,7 +1074,7 @@ class TestPlotdata:
                 made.append(self)
                 super().__post_init__()
 
-        monkeypatch.setattr(cli, "FitSpec", CountedFitSpec)
+        monkeypatch.setattr(mrdd.boundary, "FitSpec", CountedFitSpec)
         path, _ = typed_file
         assert run_cli("plotdata", path, "--cutoff", "0", "--bin-width", "0.05",
                        "--out", str(tmp_path / "bins.csv")) == 0

@@ -112,6 +112,12 @@ class TestBalanceTest:
         with pytest.raises(UnknownCovariate):
             bootstrap_boundary_replicates(appendix_d_small.data, boot, covariates=("missing",))
 
+    def test_repeated_covariate(self, appendix_d_small):
+        data = with_covariates(appendix_d_small, seed=1)
+        boot = BootstrapConfig(b=64, seed=0)
+        with pytest.raises(InvalidConfig, match="^covariate 'noise' is named more than once$"):
+            bootstrap_boundary_replicates(data, boot, covariates=("noise", "noise"))
+
 
 class TestSequentialProtocol:
     def test_manipulated_sample_uses_bounds(self):

@@ -1,6 +1,7 @@
 """Module boundaries: no package module imports another module's private names,
 only ``inference`` reads the bootstrap draw matrix and only ``boundary`` its
-plan, every public function and error class is reached by the package or
+plan, only ``build_plan`` and plotdata resolve bandwidths and only
+``FitConfig`` builds a fit spec, every public function and error class is reached by the package or
 named as library API, every command runs with scipy's import blocked,
 analyze loads no numpy.ma and a one-worker analyze no thread pool, the
 package loads each module when one of its names is first read, the normal
@@ -112,23 +113,36 @@ def test_only_boundary_reads_the_plan():
     assert {path.name: reads(path) for path in MODULES if path.name != "boundary.py" and reads(path)} == {}
 
 
-def test_only_the_plan_and_plotdata_resolve_bandwidths():
-    # build_plan fills in an analysis's bandwidths and keeps them on the plan;
-    # plotdata has no plan and fills in its density fits' own
-    callers = set()
+def call_scopes(name: str) -> set[str]:
+    """The dotted class and function scope of every package call to a
+    function or method named ``name``."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = (*scope, child.name)
-            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "resolved":
-                callers.add(".".join(scope))
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                scopes.add(".".join(scope))
             visit(child, inner)
 
     for path in MODULES:
         visit(ast.parse(path.read_text()), ())
-    assert callers == {"build_plan", "cmd_plotdata", "FitConfig.resolved"}
+    return scopes
+
+
+def test_only_the_plan_and_plotdata_resolve_bandwidths():
+    # build_plan fills in an analysis's bandwidths and keeps them on the plan;
+    # plotdata has no plan and fills in its density fits' own
+    assert call_scopes("resolved") == {"build_plan", "cmd_plotdata"}
+
+
+def test_only_fit_config_builds_fit_specs():
+    # FitConfig turns its order, kernel and resolved bandwidths into the specs
+    # analyze and plotdata fit with; no other package code builds one
+    assert call_scopes("FitSpec") == {"FitConfig._spec"}
 
 
 #: Public functions kept for library callers though no command reaches them:
