@@ -64,8 +64,8 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange, UnknownCovariate
 from .localfit import (
-    DENSITY_FLOOR, FitSpec, KernelKind, Side, check_order, density_window, fit_from_moments, floor_density,
-    kernel_weight, local_weights, rot_bandwidth, support_error, weighted_powers,
+    DENSITY_FLOOR, FitSpec, KernelKind, Side, cdf_windows, check_order, fit_from_moments, floor_density,
+    kernel_weight, local_weights, mean_counts, rot_bandwidth, sorted_rows, support_error, weighted_powers,
 )
 
 MIN_REPLICATES = 50
@@ -328,36 +328,23 @@ class Plan:
     chunk: int
 
 
-def _window(xs_sorted, cutoff, spec: FitSpec, cdf: bool):
+def _window(xs_sorted, cutoff, spec: FitSpec):
     """The sorted-row range of the rows with positive weight in the mean fit
-    on ``spec``, or with ``cdf`` in the CDF fit behind its density, and the
-    fit's ``support_error`` counts on the sample. Membership uses the
-    per-row fits' own tests, so they agree on every edge point."""
+    on ``spec``, and its ``support_error`` counts on the sample. Membership
+    uses the per-row fit's own test, so they agree on every edge point."""
     h = spec.bandwidth
     lo = int(np.searchsorted(xs_sorted, cutoff - 2.0 * h, side="left"))
     hi = int(np.searchsorted(xs_sorted, cutoff + 2.0 * h, side="right"))
-    seg = xs_sorted[lo:hi]
-    if cdf:
-        inside = density_window(seg, cutoff, spec)
-        rows = inside & (kernel_weight((seg - cutoff) / h, spec.kernel) > 0)
-    else:
-        inside = rows = local_weights(seg, cutoff, spec)[2]
-
-    def span(mask):
-        at = np.flatnonzero(mask)
-        return (lo + int(at[0]), lo + int(at[-1]) + 1) if at.size else (lo, lo)
-
-    def distinct(values):
-        return int(np.count_nonzero(values[1:] != values[:-1])) + 1 if values.size else 0
-
-    (a, b), (c, d) = span(inside), span(rows)
-    # the mean fit's design is in u, where x values closer than h's rounding are one
-    fitted = xs_sorted[c:d] if cdf else (xs_sorted[c:d] - cutoff) / h
-    return (c, d), (b - a, distinct(xs_sorted[a:b]), distinct(fitted))
+    at = np.flatnonzero(local_weights(xs_sorted[lo:hi], cutoff, spec)[2])
+    a, b = (lo + int(at[0]), lo + int(at[-1]) + 1) if at.size else (lo, lo)
+    # the fit's design is in u, where x values closer than h's rounding are one
+    return (a, b), mean_counts((xs_sorted[a:b] - cutoff) / h)
 
 
 def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) -> Plan:
-    """Windows, tie groups and moment columns shared by every replicate.
+    """Windows, tie groups and moment columns shared by every replicate. The
+    CDF fits' windows, their counts and the tie groups are found as
+    ``density_curve`` finds them, by ``cdf_windows`` and ``sorted_rows``.
 
     The fits sum the outcome, then each named covariate: a name the data
     lacks raises UnknownCovariate, and a name given twice InvalidConfig.
@@ -395,10 +382,13 @@ def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) 
     rank = np.argsort(xs[order], kind="stable")
     order = order[rank]
     xs_sorted = xs[order]
-    windows = [
-        (_window(xs_sorted, cutoff, mean, cdf=False), _window(xs_sorted, cutoff, dens, cdf=True))
-        for mean, dens in specs
-    ]
+    reach = sorted_rows(xs_sorted)
+    windows = []
+    for mean, dens in specs:
+        *_, lo, hi, counts = cdf_windows(reach, np.array([cutoff]), dens.bandwidth, dens.kernel,
+                                         dens.side is Side.LEFT, dens.side is Side.RIGHT)
+        cdf = (int(lo[0]), int(hi[0])), tuple(counts[:, 0].tolist())
+        windows.append((_window(xs_sorted, cutoff, mean), cdf))
     spans = [(lo, hi) for pair in windows for (lo, hi), _ in pair if hi > lo]
     if spans:
         a, b = min(lo for lo, _ in spans), max(hi for _, hi in spans)
@@ -409,18 +399,16 @@ def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) 
     split = int(np.searchsorted(window, cutoff, side="left"))
     rank = _ranks(rank[a:b], rank.size)  # among the window rows alone
 
-    new_group = np.ones(m, dtype=bool)
-    new_group[1:] = window[1:] != window[:-1]
-    group_end = None
-    if not new_group.all():
-        starts = np.flatnonzero(new_group)
-        group_end = np.append(starts[1:], m)[np.cumsum(new_group) - 1] - 1
+    # the last window row of each row's tie group; no window splits a group
+    group_end = reach[1][a:b] - (a + 1)
+    if np.array_equal(group_end, np.arange(m)):
+        group_end = None
 
     # a copy, so that the plan does not keep the whole reach's order alive
     index = order[a:b].copy()
     del order
     plans = []
-    for side, (mean, dens), ((mean_span, mean_counts), (cdf_span, cdf_counts)) in zip(sides, specs, windows):
+    for side, (mean, dens), ((mean_span, mean_sizes), (cdf_span, cdf_sizes)) in zip(sides, specs, windows):
         rows = slice(split, m) if side is Side.RIGHT else slice(0, split)
         (lo, hi), (c_lo, c_hi) = ((lo - a, hi - a) for lo, hi in (mean_span, cdf_span))
         # on the default density spec, the mean spec's bandwidth and kernel,
@@ -442,7 +430,7 @@ def build_plan(data: Dataset, fit: FitConfig, covariates: tuple[str, ...] = ()) 
         if not shared:
             u = (window[c_lo:c_hi] - cutoff) / dens.bandwidth
             weighted_powers(u, kernel_weight(u, dens.kernel), 2 * d + 2, moments[cdf_row:first, c_cols])
-        plans.append(_SidePlan(rows, moments, cdf_row, mean_counts, cdf_counts))
+        plans.append(_SidePlan(rows, moments, cdf_row, mean_sizes, cdf_sizes))
     chunk = max(1, CHUNK_BYTES // (8 * max(m, 1)))
     return Plan(n, fit, index, rank, group_end, tuple(plans), chunk)
 

@@ -427,19 +427,26 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         raise InvalidConfig("cutoff must be finite")
     # the x column alone: plotdata reads no outcome
     xs = _read_columns(args.input, {args.col_x: "running variable or outcome"})[args.col_x]
+    x_min, x_max = xs.min(), xs.max()
     with np.errstate(over="ignore", invalid="ignore"):
-        k_lo = np.floor((xs.min() - c) / w)
-        k_hi = np.ceil((xs.max() - c) / w)
-        n_bins = k_hi - k_lo
-    # also false when the bin count overflows to inf or to inf - inf = nan
-    if not n_bins <= MAX_PLOT_BINS:
+        k_lo, k_hi = np.floor((x_min - c) / w), np.ceil((x_max - c) / w)
+        # also false when the bin count overflows to inf or to inf - inf = nan
+        fits = k_hi - k_lo <= MAX_PLOT_BINS
+    if fits:
+        k_lo, k_hi = int(k_lo), max(int(k_hi), int(k_lo) + 1)
+        # rounding can leave an end row outside the edges: step each end out until it is covered
+        while c + w * k_lo > x_min and k_hi - k_lo <= MAX_PLOT_BINS:
+            k_lo -= 1
+        while c + w * k_hi < x_max and k_hi - k_lo <= MAX_PLOT_BINS:
+            k_hi += 1
+        fits = k_hi - k_lo <= MAX_PLOT_BINS
+    if fits:
+        edges = c + w * np.arange(k_lo, k_hi + 1)
+        fits = bool(np.all(edges[1:] > edges[:-1]))
+    if not fits:
         raise InvalidConfig(
-            f"--bin-width {w} gives more than {MAX_PLOT_BINS} bins over the x range"
+            f"--bin-width {w} gives more than {MAX_PLOT_BINS} bins, or bins of no width, over the x range"
         )
-    k_lo, k_hi = int(k_lo), int(k_hi)
-    if k_hi == k_lo:
-        k_hi += 1
-    edges = c + w * np.arange(k_lo, k_hi + 1)
     counts, _ = np.histogram(xs, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     is_left = edges[1:] <= c

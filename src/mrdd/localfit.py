@@ -33,12 +33,14 @@ directly, weighted by that side's kernel polynomial; one batched
 O(_BLOCK + m / _BLOCK) for m window rows, and sums use elementwise numpy
 and ``bincount`` only, never BLAS.
 
-``local_weights``, ``density_window``, ``weighted_powers``,
-``fit_from_moments`` and ``support_error`` are the array-level pieces behind
-them, which the bootstrap engine shares: which rows a fit uses, with what
-weight, the coefficients from weighted moment sums, and the error of a
-window too poor for its fit. Everything is a pure function of its
-arguments and safe to call from multiple threads.
+``local_weights``, ``sorted_rows``, ``cdf_windows``, ``mean_counts``,
+``weighted_powers``, ``fit_from_moments`` and ``support_error`` are the
+array-level pieces behind them, which the bootstrap engine shares: which
+rows a fit uses and with what weight, the sample's tie groups, the CDF
+fit's window and the counts of a window's support, the coefficients from
+weighted moment sums, and the error of a window too poor for its fit.
+Everything is a pure function of its arguments and safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -207,8 +209,7 @@ def local_poly_fit(x, y, eval_point: float, spec: FitSpec) -> LocalFitResult:
     # numpy's pairwise sums along each row, never BLAS
     sums = moments.sum(axis=1)
     beta = fit_from_moments(sums[: 2 * d + 1], sums[2 * d + 1 :])
-    positive = np.unique(u).size
-    err = support_error(spec, (u.size, positive, positive), cdf=False, solved=not np.isnan(beta[0]))
+    err = support_error(spec, mean_counts(np.sort(u)), cdf=False, solved=not np.isnan(beta[0]))
     if err is not None:
         raise err
     # beta is in u-powers; convert back to (x - eval_point) powers one
@@ -297,16 +298,7 @@ def floor_density(density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(clipped, DENSITY_FLOOR, density), clipped
 
 
-def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarray:
-    """Rows entering the CDF fit: [p - h, p) left, [p, p + h] right, both interior."""
-    h = spec.bandwidth
-    lo = eval_point if spec.side is Side.RIGHT else eval_point - h
-    if spec.side is Side.LEFT:
-        return (xs >= lo) & (xs < eval_point)
-    return (xs >= lo) & (xs <= eval_point + h)
-
-
-def _sorted_rows(x_sorted: np.ndarray):
+def sorted_rows(x_sorted: np.ndarray):
     """``x_sorted``, each row's tie-group end (``np.searchsorted(x_sorted,
     x_sorted, side="right")``, found in O(n)), and the tie groups that start
     before each row (n + 1 counts)."""
@@ -409,38 +401,54 @@ def _segment_sums(rows, blocks, lo, hi, p, c, e, h: float) -> np.ndarray:
     return out
 
 
-def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float, kernel: KernelKind):
-    """The CDF-fit density at each of ``points`` on the sorted rows [start, stop).
-
-    ``blocks`` are the rows' ``_block_sums`` for this bandwidth, order and
-    kernel, over the blocks the windows reach. Returns ``(density, clipped,
-    counts)``: the density is NaN where ``support_error`` gives the fit an
-    error, and ``counts`` holds each window's rows, distinct values and
-    distinct positive-weight values.
-    """
+def cdf_windows(rows, points, h: float, kernel: KernelKind, left, right):
+    """The CDF fit's window at each of ``points`` on ``sorted_rows``, with
+    bandwidth ``h``: [p - h, p) where ``left``, [p, p + h] where ``right``,
+    [p - h, p + h] elsewhere. Returns ``(start, stop, lo, hi, counts)``: the
+    window's rows [start, stop), those [lo, hi) that ``kernel`` gives weight,
+    and as the columns of a (3, points) array the counts ``support_error``
+    reads: rows, distinct values and distinct positive-weight values."""
     x, ends, starts = rows
-    degree = order + 1
+    start = np.searchsorted(x, np.where(right, points, points - h), side="left")
+    top = np.where(left, points, points + h)
+    stop = np.where(left, np.searchsorted(x, top, side="left"), np.searchsorted(x, top, side="right"))
+    # the positive-weight rows are contiguous: drop each tie group at either
+    # end of the window that kernel_weight gives no weight
+    lo, hi = start.copy(), stop.copy()
+    for low in (True, False):
+        live = np.arange(points.size)
+        while live.size:
+            live = live[lo[live] < hi[live]]
+            live = live[kernel_weight((x[lo[live] if low else hi[live] - 1] - points[live]) / h, kernel) == 0]
+            if low:
+                lo[live] = ends[lo[live]]
+            else:
+                hi[live] = np.searchsorted(x, x[hi[live] - 1], side="left")
 
     def n_distinct(a, b):
         return np.where(b > a, starts[b] - starts[np.minimum(a + 1, b)] + 1, 0)
 
-    m, distinct = stop - start, n_distinct(start, stop)
+    return start, stop, lo, hi, np.stack([stop - start, n_distinct(start, stop), n_distinct(lo, hi)])
+
+
+def mean_counts(u_sorted: np.ndarray) -> tuple[int, int, int]:
+    """The counts ``support_error`` reads of a mean fit whose rows have the
+    sorted scaled distances ``u_sorted``: rows, then distinct u twice."""
+    distinct = int(np.count_nonzero(u_sorted[1:] != u_sorted[:-1])) + 1 if u_sorted.size else 0
+    return u_sorted.size, distinct, distinct
+
+
+def _fit_windows(rows, blocks, n: int, points, window, order: int, h: float, kernel: KernelKind):
+    """The CDF-fit density at each of ``points`` on its ``cdf_windows``
+    ``window``, NaN where ``support_error`` gives the fit an error, and the
+    flags of ``floor_density``. ``blocks`` are the rows' ``_block_sums`` for
+    this bandwidth, order and kernel, over the blocks the windows reach.
+    """
+    x, ends, _ = rows
+    degree = order + 1
+    start, _, s0, s1, (m, distinct, positive) = window
     # the tests of support_error, on every window at once
-    fit = (m - distinct <= DUPLICATE_FRACTION_LIMIT * m) & (distinct >= degree + 1)
-    # the positive-weight rows: drop each tie group at either end of the
-    # window that kernel_weight gives no weight
-    s0, s1 = start.copy(), stop.copy()
-    for low in (True, False):
-        live = np.flatnonzero(fit)
-        while live.size:
-            live = live[s0[live] < s1[live]]
-            live = live[kernel_weight((x[s0[live] if low else s1[live] - 1] - points[live]) / h, kernel) == 0]
-            if low:
-                s0[live] = ends[s0[live]]
-            else:
-                s1[live] = np.searchsorted(x, x[s1[live] - 1], side="left")
-    positive = n_distinct(s0, s1)
-    i = np.flatnonzero(fit & (positive >= degree + 1))
+    i = np.flatnonzero((m - distinct <= DUPLICATE_FRACTION_LIMIT * m) & (distinct > degree) & (positive > degree))
     centre = 0.5 * ((x[s0[i]] - points[i]) / h + (x[s1[i] - 1] - points[i]) / h)
     # segment 2k holds point k's rows below it, segment 2k + 1 the rest
     mid = np.clip(np.searchsorted(x, points[i], side="left"), s0[i], s1[i])
@@ -461,7 +469,7 @@ def _fit_windows(rows, blocks, n: int, points, start, stop, order: int, h: float
         slope = slope * -centre + k * beta[:, k]
     density = np.full(points.size, np.nan)
     density[i] = slope / n / h
-    return (*floor_density(density), (m, distinct, positive))
+    return floor_density(density)
 
 
 def boundary_density(xs, eval_point: float, spec: FitSpec) -> tuple[float, bool]:
@@ -506,34 +514,30 @@ def _density_fits(xs, eval_points, specs):
         raise InvalidConfig("eval_points must be 1-d with one FitSpec per point")
     x = np.sort(np.asarray(xs, dtype=float))
     # one walk over specs maps each point to its spec object; callers share a
-    # few, so side, bandwidth and group are read from the distinct ones
+    # few, so side and group are read from the distinct ones
     ids = np.fromiter(map(id, specs), np.uintp, points.size)
     _, first, spec_of = np.unique(ids, return_index=True, return_inverse=True)
     distinct = [specs[i] for i in first]
-    # the edges and the tests of density_window, per point
     left, right = (np.array([s.side is sd for s in distinct], dtype=bool)[spec_of] for sd in (Side.LEFT, Side.RIGHT))
-    bandwidth = np.array([s.bandwidth for s in distinct], dtype=float)[spec_of]
-    start = np.searchsorted(x, np.where(right, points, points - bandwidth), side="left")
-    hi = np.where(left, points, points + bandwidth)
-    stop = np.where(left, np.searchsorted(x, hi, side="left"), np.searchsorted(x, hi, side="right"))
     groups: dict[tuple, int] = {}
     group = np.array([groups.setdefault((s.bandwidth, s.order, s.kernel), len(groups)) for s in distinct], dtype=int)
     group = group[spec_of]
-    rows = _sorted_rows(x)
+    rows = sorted_rows(x)
     densities, clipped = np.full(points.size, np.nan), np.zeros(points.size, dtype=bool)
     counts = np.zeros((3, points.size), dtype=np.intp)
     for (h, order, kernel), g in groups.items():
         i = np.flatnonzero(group == g)
+        window = cdf_windows(rows, points[i], h, kernel, left[i], right[i])
+        start, stop, *_, counts[:, i] = window
         # only the blocks the group's windows reach
-        blocks = _block_sums(rows, h, order, kernel, start[i].min() // _BLOCK, stop[i].max() // _BLOCK)
+        blocks = _block_sums(rows, h, order, kernel, start.min() // _BLOCK, stop.max() // _BLOCK)
         # batches of points by their 8-byte temporaries: block columns and edge rows.
         # A batch gets twice the block sums' budget, which halves the batches
         # and their fixed numpy calls: about 4 ms of plotdata's 10k bins on 200k rows
-        cost = ((stop[i] - start[i]) // _BLOCK + 2) * 3 * blocks[2].shape[0] + 36 * _BLOCK
-        for j in np.split(i, np.flatnonzero(np.diff(np.cumsum(cost) // (2 * _BATCH_BYTES // 8))) + 1):
-            fit = _fit_windows(rows, blocks, x.size, points[j], start[j], stop[j], order, h, kernel)
-            densities[j], clipped[j] = fit[:2]
-            counts[:, j] = fit[2]
+        cost = ((stop - start) // _BLOCK + 2) * 3 * blocks[2].shape[0] + 36 * _BLOCK
+        for j in np.split(np.arange(i.size), np.flatnonzero(np.diff(np.cumsum(cost) // (2 * _BATCH_BYTES // 8))) + 1):
+            batch = [a[..., j] for a in window]
+            densities[i[j]], clipped[i[j]] = _fit_windows(rows, blocks, x.size, points[i[j]], batch, order, h, kernel)
     return densities, clipped, counts
 
 

@@ -7,7 +7,9 @@ mass by greedy enumeration; ``weighted_trimmed_means`` and
 same extreme trimmed means; ``verify_lemma_moments`` checks the boundary
 mixture identities of a ``TypedSample`` on latent-conditional windows;
 ``lstsq_level`` is a local polynomial fit by least squares on the weighted
-design, against the moment equations the package solves.
+design, against the moment equations the package solves; ``density_window``
+marks the rows of a CDF fit's window by their values, against the sorted-row
+ranges ``localfit.cdf_windows`` finds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from mrdd.bounds import _lower_partial_sums, _sorted_window
 from mrdd.errors import InsufficientData, InvalidConfig, SingularDesign
-from mrdd.localfit import FitSpec, local_weights
+from mrdd.localfit import FitSpec, Side, local_weights
 from mrdd.synth import TypedSample
 
 
@@ -41,6 +43,15 @@ def lstsq_level(x, y, eval_point: float, spec: FitSpec) -> float:
         raise SingularDesign(f"design rank {rank} < {need}", side=spec.side.value)
     # the intercept in u powers is the level in x powers too
     return float(beta[0])
+
+
+def density_window(xs: np.ndarray, eval_point: float, spec: FitSpec) -> np.ndarray:
+    """Rows entering the CDF fit: [p - h, p) left, [p, p + h] right, both interior."""
+    h = spec.bandwidth
+    lo = eval_point if spec.side is Side.RIGHT else eval_point - h
+    if spec.side is Side.LEFT:
+        return (xs >= lo) & (xs < eval_point)
+    return (xs >= lo) & (xs <= eval_point + h)
 
 
 def binary_sharp_gfuncs(mu_plus: float, tau: float) -> tuple[float, float]:

@@ -36,8 +36,8 @@ from mrdd import boundary, localfit
 from mrdd.boundary import build_plan, replicate_rng, run_replicates
 from mrdd.errors import DataError, TooManyFailedReplicates
 from mrdd.inference import _balance_test, _density_test, drop_failed, protocol_from_draws
-from mrdd.localfit import Side, boundary_density, density_window, kernel_weight, local_weights
-from oracles import lstsq_level
+from mrdd.localfit import Side, boundary_density, kernel_weight, local_weights
+from oracles import density_window, lstsq_level
 
 B = 64
 SEED = 17

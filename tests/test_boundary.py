@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mrdd import boundary
+from mrdd import boundary, localfit
 from mrdd import (
     Bandwidths,
     Dataset,
@@ -14,6 +14,7 @@ from mrdd import (
     Side,
     estimate_boundary,
     gen_appendix_d,
+    kernel_weight,
     local_poly_fit,
     rot_bandwidth,
 )
@@ -26,6 +27,7 @@ from mrdd.errors import (
     InvalidOutcomeRange,
     SingularDesign,
 )
+from oracles import density_window
 
 
 def population_r(p, lam):
@@ -265,3 +267,41 @@ def test_rule_of_thumb_runs_once_per_side_that_lacks_a_bandwidth(monkeypatch, gi
         side = Side(item.name.split("_")[1])
         expected = given.get(item.name, rot_bandwidth(xs, side, 0.0))
         assert getattr(bw, item.name).hex() == expected.hex(), item.name
+
+
+def cdf_window_samples():
+    """Samples for CDF windows at 0 with h = 0.5: ties, rows on the window
+    edges, where the triangular and Epanechnikov kernels give no weight, a
+    discrete patch past the duplicate share, and a left window of three
+    values, too few distinct values for a degree-3 fit."""
+    rng = np.random.default_rng(5)
+    smooth = rng.normal(0.0, 0.6, 600)
+    edges = np.repeat([-1.0, -0.5, 0.0, 0.5, 1.0], 4)
+    return {
+        "tied": np.concatenate([np.round(smooth * 16) / 16, edges]),
+        "edges": np.concatenate([smooth, edges]),
+        "discrete": np.concatenate([np.repeat([-0.25, 0.25], 40), smooth[:20], edges]),
+        "sparse": np.concatenate([[-0.5, -0.3, -0.2], rng.uniform(0.0, 0.5, 30), [0.5, 0.5]]),
+    }
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("sample", ["tied", "edges", "discrete", "sparse"])
+def test_plan_cdf_windows_are_the_density_fits(sample, order, kernel):
+    # build_plan and density_curve take the CDF window from one function: on
+    # each side the plan's counts are _density_fits' at the cutoff, and the
+    # rows it gives CDF weight are the window's positive-weight rows. The left
+    # side's mean window is narrower, so its CDF weights are stored apart
+    xs = cdf_window_samples()[sample]
+    fit = FitConfig(order, kernel, Bandwidths(mean_left=0.25, mean_right=0.5, dens_left=0.5, dens_right=0.5))
+    plan = boundary.build_plan(Dataset(xs=xs, ys=np.zeros_like(xs), cutoff=0.0), fit)
+    assert [part.cdf_row > 0 for part in plan.sides] == [False, True]
+    for side, part in zip((Side.RIGHT, Side.LEFT), plan.sides):
+        spec = fit.density_spec(side)
+        assert part.density_counts == tuple(localfit._density_fits(xs, [0.0], [spec])[2][:, 0].tolist())
+        window = density_window(xs, 0.0, spec)
+        positive = window & (kernel_weight(xs / spec.bandwidth, kernel) > 0)
+        assert part.density_counts == (window.sum(), np.unique(xs[window]).size, np.unique(xs[positive]).size)
+        weighted = np.flatnonzero(part.moments[part.cdf_row] > 0)
+        np.testing.assert_array_equal(xs[plan.index[part.rows][weighted]], np.sort(xs[positive]))

@@ -1118,6 +1118,34 @@ class TestPlotdata:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("xs, cutoff, end", [
+        ([-2.9850000000000003, -1.0, -0.5, 0.5, 1.0, 1.5], "0", 0),
+        ([-3.0, -2.5, -1.0, 0.5, 1.0, 41.32000000000001], "-2.3", -1),
+    ], ids=["least-x", "greatest-x"])
+    def test_bins_cover_the_end_rows(self, tmp_path, xs, cutoff, end):
+        # at the default width, c + w floor((min - c) / w) rounds above the
+        # least x, or c + w ceil((max - c) / w) below the greatest
+        path, out = tmp_path / "x.csv", tmp_path / "bins.csv"
+        path.write_text("x\n" + "".join(f"{x!r}\n" for x in xs))
+        assert run_cli("plotdata", str(path), "--cutoff", cutoff, "--out", str(out)) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert sum(int(row[2]) for row in rows) == len(xs)
+        assert float(rows[0][0]) <= xs[0] and xs[-1] <= float(rows[-1][1])
+        left, right, count, *_ = rows[end]
+        assert float(left) <= xs[end] <= float(right) and count == "1"
+
+    def test_bins_of_no_width_exit_2(self, tmp_path, capfd):
+        # 5e-5 over 1e-10 wide bins is 500,000 bins, under the cap, but floats
+        # near 1e6 are 1.16e-10 apart, so some edges repeat
+        path, out = tmp_path / "x.csv", tmp_path / "bins.csv"
+        path.write_text("x\n" + "".join(f"{x!r}\n" for x in np.linspace(1e6, 1e6 + 5e-5, 11).tolist()))
+        assert run_cli("plotdata", str(path), "--cutoff", "1000000.00002", "--bin-width", "1e-10",
+                       "--out", str(out)) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("configuration error") and "bins of no width" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_x_column_alone_is_enough(self, typed_file, tmp_path):
         path, ts = typed_file
         x_only = tmp_path / "x.csv"

@@ -18,8 +18,8 @@ from mrdd import (
 from mrdd.errors import DataError, DegenerateSupport, InsufficientData, InvalidConfig, SingularDesign
 from mrdd import localfit
 from mrdd.boundary import _moment_sums
-from mrdd.localfit import DENSITY_FLOOR, MIN_BANDWIDTH, density_window, sample_sd
-from oracles import lstsq_level
+from mrdd.localfit import DENSITY_FLOOR, MIN_BANDWIDTH, sample_sd
+from oracles import density_window, lstsq_level
 
 
 class TestKernelWeight:
@@ -332,7 +332,7 @@ class TestDensityCurveProperties:
 @pytest.mark.parametrize("sample", ["tied", "continuous"])
 def test_block_sums_over_a_range_are_the_columns_of_the_whole_call(monkeypatch, sample, order, kernel):
     xs = curve_sample() if sample == "tied" else np.random.default_rng(6).normal(0.0, 1.0, 3000)
-    rows = localfit._sorted_rows(np.sort(xs))
+    rows = localfit.sorted_rows(np.sort(xs))
     nb = xs.size // localfit._BLOCK
     whole = localfit._block_sums(rows, 0.25, order, kernel, 0, nb)
     # chunks of 5 blocks, so the ranges' chunks start at other blocks than the whole call's
@@ -346,6 +346,26 @@ def test_block_sums_over_a_range_are_the_columns_of_the_whole_call(monkeypatch, 
         assert np.array_equal(sums, whole[2][:, first:stop], equal_nan=True)
 
 
+@pytest.mark.parametrize("kernel", list(KernelKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+def test_cdf_windows_are_the_rows_of_their_value_tests(side, kernel):
+    # the sorted-row ranges are density_window's rows and, within them, the
+    # rows kernel_weight gives weight; the counts are their rows and distinct
+    # values. Points on the 1/64 grid put window edges on tied sample values.
+    x = np.sort(curve_sample())
+    h = 0.25
+    points = np.concatenate([np.arange(-192, 193, 3) / 64, np.random.default_rng(8).uniform(-3.0, 5.0, 60)])
+    start, stop, lo, hi, counts = localfit.cdf_windows(
+        localfit.sorted_rows(x), points, h, kernel, side is Side.LEFT, side is Side.RIGHT
+    )
+    for k, point in enumerate(points.tolist()):
+        window = density_window(x, point, FitSpec(1, h, kernel, side))
+        positive = window & (kernel_weight((x - point) / h, kernel) > 0)
+        for mask, (a, b) in ((window, (start[k], stop[k])), (positive, (lo[k], hi[k]))):
+            assert np.array_equal(np.flatnonzero(mask), np.arange(a, b)), point
+        assert counts[:, k].tolist() == [window.sum(), np.unique(x[window]).size, np.unique(x[positive]).size]
+
+
 @pytest.mark.parametrize("xs", [
     curve_sample(),
     np.round(np.random.default_rng(7).normal(0.0, 1.0, 500), 1),
@@ -356,7 +376,7 @@ def test_block_sums_over_a_range_are_the_columns_of_the_whole_call(monkeypatch, 
 ], ids=["curve", "grid", "one-group", "infinite", "one-row", "empty"])
 def test_tie_group_ends_are_the_right_insertion_points(xs):
     x = np.sort(xs)
-    sorted_x, ends, starts = localfit._sorted_rows(x)
+    sorted_x, ends, starts = localfit.sorted_rows(x)
     assert sorted_x is x
     assert ends.dtype == np.intp and np.array_equal(ends, np.searchsorted(x, x, side="right"))
     new_group = np.concatenate([[True], x[1:] != x[:-1]])[: x.size]

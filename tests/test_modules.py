@@ -1,7 +1,8 @@
 """Module boundaries: no package module imports another module's private names,
 only ``inference`` reads the bootstrap draw matrix and only ``boundary`` its
 plan, only ``build_plan`` and plotdata resolve bandwidths and only
-``FitConfig`` builds a fit spec, every public function and error class is reached by the package or
+``FitConfig`` builds a fit spec, ``build_plan`` and the density fits share
+one CDF window function, every public function and error class is reached by the package or
 named as library API, every command runs with scipy's import blocked,
 analyze loads no numpy.ma and a one-worker analyze no thread pool, the
 package loads each module when one of its names is first read, the normal
@@ -137,6 +138,15 @@ def test_only_the_plan_and_plotdata_resolve_bandwidths():
     # build_plan fills in an analysis's bandwidths and keeps them on the plan;
     # plotdata has no plan and fills in its density fits' own
     assert call_scopes("resolved") == {"build_plan", "cmd_plotdata"}
+
+
+def test_localfit_alone_finds_the_cdf_window():
+    # the plan takes its CDF windows, their counts and the tie groups from the
+    # functions density_curve's fits use; no module keeps a window of its own
+    assert call_scopes("cdf_windows") == call_scopes("sorted_rows") == {"_density_fits", "build_plan"}
+    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "density_window" not in defined
 
 
 def test_only_fit_config_builds_fit_specs():
