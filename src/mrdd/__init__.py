@@ -16,12 +16,10 @@ __version__ = "0.1.0"
 
 #: Each public name and the module that defines it.
 _EXPORTS = {
-    "Bandwidths": "boundary",
     "BootstrapConfig": "boundary",
     "BoundaryEstimates": "boundary",
     "Dataset": "boundary",
     "FitConfig": "boundary",
-    "SideCounts": "boundary",
     "estimate_boundary": "boundary",
     "BoundsResult": "bounds",
     "BoundsStatus": "bounds",

@@ -57,7 +57,7 @@ share out whole chunks.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -190,47 +190,32 @@ class Dataset:
         return int(self.xs.size)
 
 
-@dataclass(frozen=True)
-class Bandwidths:
-    """Per-side, per-object bandwidths; None means the rule of thumb, which
-    ``FitConfig.resolved`` fills in.
+#: The four one-sided fits at the cutoff, by their bandwidth fields in ``FitConfig``.
+FITS = ("mean_left", "mean_right", "dens_left", "dens_right")
 
-    A given bandwidth that is not positive and finite raises InvalidConfig.
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Order, kernel and bandwidths of the four one-sided boundary fits.
+
+    The means and the densities use the same polynomial order; each
+    density's CDF fit is one degree above it. Each fit in ``FITS`` has its
+    own bandwidth, None for the rule of thumb that ``resolved`` fills in; a
+    given one that is not positive and finite raises InvalidConfig.
     """
 
+    order: int = 1
+    kernel: KernelKind = KernelKind.TRIANGULAR
     mean_left: float | None = None
     mean_right: float | None = None
     dens_left: float | None = None
     dens_right: float | None = None
 
     def __post_init__(self):
-        for item in fields(self):
-            value = getattr(self, item.name)
+        for name in FITS:
+            value = getattr(self, name)
             if value is not None and not (value > 0 and np.isfinite(value)):
-                raise InvalidConfig(f"bandwidth {item.name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class SideCounts:
-    mean_left: int
-    mean_right: int
-    dens_left: int
-    dens_right: int
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Order, kernel and bandwidths shared by the four one-sided boundary fits.
-
-    The means and the densities use the same polynomial order; each
-    density's CDF fit is one degree above it.
-    """
-
-    order: int = 1
-    kernel: KernelKind = KernelKind.TRIANGULAR
-    bandwidths: Bandwidths = Bandwidths()
-
-    def __post_init__(self):
+                raise InvalidConfig(f"bandwidth {name} must be positive and finite, got {value}")
         check_order(self.order)
 
     def resolved(self, xs: np.ndarray, cutoff: float) -> "FitConfig":
@@ -240,23 +225,20 @@ class FitConfig:
         value, ``rot_bandwidth`` on that side, so it is computed once per side
         that lacks a bandwidth and not at all on a side that has both.
         """
-        bw = self.bandwidths
         filled = {}
         for side in (Side.LEFT, Side.RIGHT):
-            missing = [name for name in (f"mean_{side.value}", f"dens_{side.value}") if getattr(bw, name) is None]
+            missing = [name for name in (f"mean_{side.value}", f"dens_{side.value}") if getattr(self, name) is None]
             if missing:
                 filled |= dict.fromkeys(missing, rot_bandwidth(xs, side, cutoff))
-        return replace(self, bandwidths=replace(bw, **filled))
+        return replace(self, **filled)
 
     def mean_spec(self, side: Side) -> FitSpec:
         """The one-sided mean fit on ``side``; needs resolved bandwidths."""
-        bw = self.bandwidths
-        return self._spec(bw.mean_left if side is Side.LEFT else bw.mean_right, side)
+        return self._spec(self.mean_left if side is Side.LEFT else self.mean_right, side)
 
     def density_spec(self, side: Side) -> FitSpec:
         """The one-sided density fit on ``side``; needs resolved bandwidths."""
-        bw = self.bandwidths
-        return self._spec(bw.dens_left if side is Side.LEFT else bw.dens_right, side)
+        return self._spec(self.dens_left if side is Side.LEFT else self.dens_right, side)
 
     def _spec(self, bandwidth: float | None, side: Side) -> FitSpec:
         if bandwidth is None:
@@ -269,7 +251,9 @@ class BoundaryEstimates:
     """The five boundary statistics plus bookkeeping.
 
     ``r`` always equals ``f_minus / f_plus``; it is reported raw even above
-    one (the bound operations decide what to do with that).
+    one (the bound operations decide what to do with that). ``bandwidths``
+    and ``n_effective`` map each fit in ``FITS``, in that order, to its
+    bandwidth and to the sample's rows in its window.
     """
 
     mu_plus: float
@@ -277,8 +261,8 @@ class BoundaryEstimates:
     f_plus: float
     f_minus: float
     r: float
-    bandwidths: Bandwidths
-    n_effective: SideCounts
+    bandwidths: dict[str, float]
+    n_effective: dict[str, int]
     warnings: tuple[str, ...] = ()
 
 
@@ -494,8 +478,8 @@ def evaluate(plan: Plan, counts: np.ndarray) -> np.ndarray:
         # the outcome's and every covariate's value sums share the side's mean weights
         values.append(sums[:, k + 2 * d + 3 :].reshape(r, -1, d + 1))
     slopes = fit_from_moments(np.stack(cdf_weights), np.stack(cdf_values))[..., 1]
-    bw = plan.fit_config.bandwidths
-    scales = 1.0 / (max(plan.n, 1) * np.array([[bw.dens_right], [bw.dens_left]]))  # 1 / (n h), right then left
+    fit = plan.fit_config
+    scales = 1.0 / (max(plan.n, 1) * np.array([[fit.dens_right], [fit.dens_left]]))  # 1 / (n h), right then left
     levels = fit_from_moments(np.stack(weights), np.stack(values))[..., 0]  # (side, replicate, value)
     out = np.empty((r, 2 + 2 * levels.shape[2]))
     out[:, :2] = levels[:, :, 0].T
@@ -529,8 +513,10 @@ def sample_estimates(plan: Plan) -> tuple[BoundaryEstimates, np.ndarray]:
     r = f_minus / f_plus
     if r > 1.0:
         notes.append("density_ratio_above_one")
-    counts = SideCounts(left.mean_counts[0], right.mean_counts[0], left.density_counts[0], right.density_counts[0])
-    return BoundaryEstimates(mu_plus, mu_minus, f_plus, f_minus, r, fit.bandwidths, counts, tuple(notes)), row
+    bandwidths = {name: getattr(fit, name) for name in FITS}
+    windows = (left.mean_counts, right.mean_counts, left.density_counts, right.density_counts)
+    counts = {name: window[0] for name, window in zip(FITS, windows)}
+    return BoundaryEstimates(mu_plus, mu_minus, f_plus, f_minus, r, bandwidths, counts, tuple(notes)), row
 
 
 def sharp_window(plan: Plan, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

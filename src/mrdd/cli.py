@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import synth
-from .boundary import Bandwidths, BootstrapConfig, Dataset, FitConfig
+from .boundary import FITS, BootstrapConfig, Dataset, FitConfig
 from .bounds import TypeAssumption
 from .errors import (
     ConfigError,
@@ -52,6 +52,9 @@ EXIT_INTERNAL = 4
 
 #: Most histogram bins ``plotdata`` will lay over the x range.
 MAX_PLOT_BINS = 1_000_000
+
+#: A UTF-8 byte-order mark, which spreadsheet programs put before a CSV file's header.
+BOM = "\ufeff"
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,12 @@ def ingest(
 ) -> Dataset:
     """A comma-separated file with a header row as a Dataset, read by ``_read_columns``."""
     # each requested column once, with the words its ParseError uses
-    wanted = dict.fromkeys((col_x, col_y), "running variable or outcome")
+    wanted = {col_x: "running variable"}
+    wanted.setdefault(col_y, "outcome")
     if col_d:
         wanted.setdefault(col_d, "treatment")
     for name in covariates:
-        wanted.setdefault(name, f"covariate {name!r}")
+        wanted.setdefault(name, "covariate")
     columns = _read_columns(path, wanted)
     return Dataset(
         xs=columns[col_x],
@@ -134,9 +138,10 @@ def _read_columns(path: str, wanted: dict[str, str]) -> dict[str, np.ndarray]:
     If that call fails or gives a value that is not finite, the file is
     read again one record at a time, which either returns the same columns
     or raises ParseError with the 1-based line number of the bad row. A
-    wanted column must exist in the header, and a file with no data rows
-    raises EmptyInput. A file that cannot be opened, or a byte its encoding
-    cannot decode, raises DataError naming the file.
+    byte-order mark, which spreadsheet programs write, is skipped. A wanted
+    column must exist in the header, and a file with no data rows raises
+    EmptyInput. A file that cannot be opened, or a byte its encoding cannot
+    decode, raises DataError naming the file.
     """
     try:
         fh = open(path, newline="")
@@ -144,6 +149,9 @@ def _read_columns(path: str, wanted: dict[str, str]) -> dict[str, np.ndarray]:
         raise DataError(f"cannot open {path}: {err.strerror}") from None
     with fh:
         try:
+            if fh.read(1) != BOM:
+                fh.seek(0)
+            start = fh.tell()
             reader = csv.reader(fh)
             header = next(reader, [])
             for col in wanted:
@@ -151,7 +159,7 @@ def _read_columns(path: str, wanted: dict[str, str]) -> dict[str, np.ndarray]:
                     raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
             columns = _parse_columns(path, fh.encoding, reader.line_num, header, list(wanted))
             if columns is None:
-                fh.seek(0)
+                fh.seek(start)
                 columns = _read_rows(fh, wanted)
         except UnicodeDecodeError as err:
             bad = err.object[err.start : err.end]
@@ -200,7 +208,7 @@ def _read_rows(fh, wanted: dict[str, str]) -> dict[str, np.ndarray]:
             try:
                 values[name].append(float(record[name]))
             except (TypeError, ValueError):
-                raise ParseError(f"non-numeric {what} at line {line}", line=line)
+                raise ParseError(f"non-numeric {what} in column {name!r} at line {line}", line=line)
         lines.append(line)
     columns = {name: np.array(vals) for name, vals in values.items()}
     for name, column in columns.items():
@@ -236,7 +244,7 @@ def _read_config_file(path: str) -> dict:
         raise InvalidConfig(f"cannot open config file {path}: {err.strerror}") from None
     with fh:
         try:
-            text = fh.read()
+            text = fh.read().removeprefix(BOM)
         except UnicodeDecodeError:
             raise InvalidConfig(f"config file {path} is not {fh.encoding} text") from None
     if path.endswith(".json"):
@@ -344,10 +352,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         """Field name -> value for each key a flag or the config file sets."""
         return {name: values[key] for name, key in fields.items() if key in values}
 
-    # the bw_* keys name Bandwidths' fields
-    bandwidths = Bandwidths(**{key[3:]: value for key, value in values.items() if key.startswith("bw_")})
     return RunConfig(
-        fit=FitConfig(bandwidths=bandwidths, **given(order="order", kernel="kernel")),
+        fit=FitConfig(**given(order="order", kernel="kernel", **{name: f"bw_{name}" for name in FITS})),
         boot=BootstrapConfig(**given(b="boot", seed="seed", alpha="alpha", workers="workers")),
         **given(
             cutoff="cutoff", y_low="y_min", y_high="y_max", assumption="type", sharp="sharp", fuzzy="fuzzy",
@@ -382,9 +388,12 @@ def _typed_sample(args: argparse.Namespace) -> synth.TypedSample:
     for chunk in args.share:
         try:
             label, _, weight = chunk.partition("=")
-            shares[int(label)] = float(weight)
+            t, share = int(label), float(weight)
         except ValueError:
             raise InvalidConfig(f"cannot parse --share {chunk!r}; expected T=WEIGHT")
+        if t in shares:
+            raise InvalidConfig(f"type {t} is named more than once in --share")
+        shares[t] = share
     return synth.gen_typed(shares, args.n, args.seed, args.attempt_prob)
 
 
@@ -426,7 +435,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     if not np.isfinite(c):
         raise InvalidConfig("cutoff must be finite")
     # the x column alone: plotdata reads no outcome
-    xs = _read_columns(args.input, {args.col_x: "running variable or outcome"})[args.col_x]
+    xs = _read_columns(args.input, {args.col_x: "running variable"})[args.col_x]
     x_min, x_max = xs.min(), xs.max()
     with np.errstate(over="ignore", invalid="ignore"):
         k_lo, k_hi = np.floor((x_min - c) / w), np.ceil((x_max - c) / w)
@@ -434,13 +443,19 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         fits = k_hi - k_lo <= MAX_PLOT_BINS
     if fits:
         k_lo, k_hi = int(k_lo), max(int(k_hi), int(k_lo) + 1)
-        # rounding can leave an end row outside the edges: step each end out until it is covered
+        # rounding can put an end edge a bin off the fewest bins that cover
+        # the rows: step each end out until it covers its row
         while c + w * k_lo > x_min and k_hi - k_lo <= MAX_PLOT_BINS:
             k_lo -= 1
         while c + w * k_hi < x_max and k_hi - k_lo <= MAX_PLOT_BINS:
             k_hi += 1
         fits = k_hi - k_lo <= MAX_PLOT_BINS
     if fits:
+        # and then in while the next edge still covers it, leaving one bin at least
+        while k_hi - k_lo > 1 and c + w * (k_lo + 1) <= x_min:
+            k_lo += 1
+        while k_hi - k_lo > 1 and c + w * (k_hi - 1) >= x_max:
+            k_hi -= 1
         edges = c + w * np.arange(k_lo, k_hi + 1)
         fits = bool(np.all(edges[1:] > edges[:-1]))
     if not fits:

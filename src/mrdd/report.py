@@ -114,8 +114,8 @@ def build_report(cfg: RunConfig, data: Dataset) -> dict:
         discontinuity_t=protocol.density.statistic,
         discontinuity_p=protocol.density.p_value,
         r=be.r,
-        bandwidths=asdict(be.bandwidths),
-        n_effective=asdict(be.n_effective),
+        bandwidths=be.bandwidths,
+        n_effective=be.n_effective,
         mu_plus=be.mu_plus,
         mu_minus=be.mu_minus,
         f_plus=be.f_plus,

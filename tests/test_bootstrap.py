@@ -21,12 +21,10 @@ import numpy as np
 import pytest
 
 from mrdd import (
-    Bandwidths,
     BootstrapConfig,
     Dataset,
     FitConfig,
     KernelKind,
-    SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
     bounds_from_draws,
@@ -131,8 +129,7 @@ def config(order, kernel, wide=Side.RIGHT):
     # the ``wide`` side's mean bandwidth is 2H, the other three H, so the plan
     # reaches 4H on that side and 2H on the other, where tied edge points lie
     mean_left, mean_right = (H, 2 * H) if wide is Side.RIGHT else (2 * H, H)
-    bw = Bandwidths(mean_left=mean_left, mean_right=mean_right, dens_left=H, dens_right=H)
-    return FitConfig(order=order, kernel=kernel, bandwidths=bw)
+    return FitConfig(order=order, kernel=kernel, mean_left=mean_left, mean_right=mean_right, dens_left=H, dens_right=H)
 
 
 @pytest.mark.parametrize("wide", [Side.RIGHT, Side.LEFT], ids=["wide-right", "wide-left"])
@@ -185,14 +182,13 @@ def test_engine_keeps_window_rows_below_the_float_edge(order):
     # window; a plan that reached only x >= fl(c - h) would drop them from
     # the window and its fits, so the per-row fits hold the plan's reach
     data = rounding_edge_sample()
-    fit = FitConfig(order=order, kernel=KernelKind.UNIFORM, bandwidths=Bandwidths(
-        mean_left=EDGE_H, mean_right=EDGE_H, dens_left=EDGE_H, dens_right=EDGE_H))
+    fit = FitConfig(order=order, kernel=KernelKind.UNIFORM, **dict.fromkeys(boundary.FITS, EDGE_H))
     kept = local_weights(data.xs, EDGE_CUTOFF, fit.mean_spec(Side.LEFT))[2]
     assert np.count_nonzero(kept & (data.xs < EDGE_CUTOFF - EDGE_H)) == 4
 
     draws = bootstrap_boundary_replicates(data, BootstrapConfig(b=B, seed=SEED), fit, ("w",))
     stats = per_row_fits(data, fit, ("w",))
-    assert draws.point.n_effective.mean_left == np.count_nonzero(kept)
+    assert draws.point.n_effective["mean_left"] == np.count_nonzero(kept)
     assert draws.point.mu_minus == pytest.approx(stats[1](np.arange(data.n)), rel=1e-12)
     assert_same(draws.draws, reference(data, fit, stats))
 
@@ -224,7 +220,7 @@ def test_sample_is_replicate_zero(sample, order, kernel):
     xs = data.xs
     means = [local_weights(xs, 0.0, fit.mean_spec(side))[2].sum() for side in (Side.LEFT, Side.RIGHT)]
     dens = [density_window(xs, 0.0, fit.density_spec(side)).sum() for side in (Side.LEFT, Side.RIGHT)]
-    assert be.n_effective == SideCounts(*means, *dens)
+    assert list(be.n_effective.items()) == list(zip(boundary.FITS, [*means, *dens]))
 
 
 @pytest.mark.parametrize(
@@ -343,7 +339,7 @@ def test_usable_cpus_follow_affinity_then_the_host(monkeypatch):
 
 
 #: Split density bandwidths, so each side stores its CDF weights apart (cdf_row > 0)
-SPLIT_FIT = Bandwidths(mean_left=0.4, mean_right=0.5, dens_left=0.3, dens_right=0.35)
+SPLIT_FIT = {"mean_left": 0.4, "mean_right": 0.5, "dens_left": 0.3, "dens_right": 0.35}
 
 
 @pytest.mark.parametrize("layout", ["shared", "split"])
@@ -359,7 +355,7 @@ def test_boundary_draws_do_not_depend_on_covariates(order, layout):
     if layout == "shared":
         xs, fit = rng.normal(0.0, 0.6, 1000), FitConfig(order=order)
     else:
-        xs, fit = np.round(rng.normal(0.0, 0.6, 6000), 2), FitConfig(order=order, bandwidths=SPLIT_FIT)
+        xs, fit = np.round(rng.normal(0.0, 0.6, 6000), 2), FitConfig(order=order, **SPLIT_FIT)
     ys = (rng.uniform(size=xs.size) < 0.4 + 0.2 * (xs >= 0)).astype(float)
     covs = {f"w{j}": 0.5 * xs + rng.normal(size=xs.size) for j in range(1, 5)}
     data = Dataset(xs=xs, ys=ys, cutoff=0.0, y_low=0.0, y_high=1.0, covariates=covs)
@@ -391,7 +387,7 @@ def sparse_left_sample(n_left, seed=2):
 
 # the whole left side in every left window, so a replicate fails exactly
 # when it draws fewer than three distinct left points (order-1 density fit)
-SPARSE_FIT = FitConfig(bandwidths=Bandwidths(mean_left=2.0, mean_right=0.5, dens_left=2.0, dens_right=0.5))
+SPARSE_FIT = FitConfig(mean_left=2.0, mean_right=0.5, dens_left=2.0, dens_right=0.5)
 
 
 def sparse_reference(data, b):
@@ -449,10 +445,9 @@ def test_failed_fits_are_the_replicates_short_of_support(order, kernel, split, t
     xs = data.xs
     if tied:  # every left point twice, so rows and distinct values differ
         xs = np.concatenate([xs, xs[xs < 0.0]])
-    bw = SPARSE_FIT.bandwidths
+    fit = replace(SPARSE_FIT, order=order, kernel=kernel)
     if split:  # the density windows narrower than the mean windows
-        bw = replace(bw, dens_left=1.0, dens_right=0.25)
-    fit = FitConfig(order=order, kernel=kernel, bandwidths=bw)
+        fit = replace(fit, dens_left=1.0, dens_right=0.25)
     plan = build_plan(Dataset(xs=xs, ys=np.resize(data.ys, xs.size), cutoff=0.0), fit)
     assert (plan.group_end is not None) == tied
     counts = boundary._draw_counts(plan, range(300), SEED)
@@ -506,7 +501,7 @@ def test_replicate_left_with_the_near_tied_pair_fails_its_mean_fit():
     others = np.array([-0.015, -0.008, -0.004])
     xs = np.concatenate([-rng.uniform(0.05, 1.0, 400), pair, others, rng.uniform(0.0, 1.0, 400)])
     ys = np.concatenate([np.zeros(400), [1.0, 1.0], [0.0, 1.0, 0.0], rng.uniform(size=400)])
-    fit = FitConfig(order=1, bandwidths=Bandwidths(mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0))
+    fit = FitConfig(order=1, mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0)
     plan = build_plan(Dataset(xs=xs, ys=ys, cutoff=0.0), fit)
     counts = np.ones((2, plan.index.size))
     counts[1, np.isin(plan.index, np.arange(402, 405))] = 0.0
@@ -542,7 +537,7 @@ def narrow_mean_window_sample(seed=0):
     return Dataset(xs=xs, ys=ys, cutoff=0.0, y_low=0.0, y_high=1.0, covariates={"w": ws})
 
 
-NARROW_MEAN_FIT = FitConfig(bandwidths=Bandwidths(mean_left=0.02, mean_right=0.5, dens_left=1.0, dens_right=0.5))
+NARROW_MEAN_FIT = FitConfig(mean_left=0.02, mean_right=0.5, dens_left=1.0, dens_right=0.5)
 
 
 def test_each_consumer_drops_only_its_own_failed_fits():

@@ -1,12 +1,9 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from scipy import stats
 
 from mrdd import boundary, localfit
 from mrdd import (
-    Bandwidths,
     Dataset,
     FitConfig,
     FitSpec,
@@ -104,18 +101,7 @@ class TestEstimateBoundary:
         scaled = Dataset(
             xs=k * data.xs, ys=data.ys, cutoff=k * data.cutoff, y_low=data.y_low, y_high=data.y_high
         )
-        bw = be.bandwidths
-        be_scaled = estimate_boundary(
-            scaled,
-            FitConfig(
-                bandwidths=Bandwidths(
-                    mean_left=k * bw.mean_left,
-                    mean_right=k * bw.mean_right,
-                    dens_left=k * bw.dens_left,
-                    dens_right=k * bw.dens_right,
-                )
-            ),
-        )
+        be_scaled = estimate_boundary(scaled, FitConfig(**{name: k * h for name, h in be.bandwidths.items()}))
         assert be_scaled.r == pytest.approx(be.r, rel=1e-9)
         assert be_scaled.mu_plus == pytest.approx(be.mu_plus, rel=1e-9)
 
@@ -155,9 +141,9 @@ def degenerate_cases():
     """Samples that one boundary fit cannot support, with its error: class, side and message."""
     rng = np.random.default_rng(1)
     left, right = -rng.uniform(0, 1, 100), rng.uniform(0, 1, 100)
-    ones = Bandwidths(1.0, 1.0, 1.0, 1.0)
+    ones = dict.fromkeys(boundary.FITS, 1.0)
     h = 1.8132702392002724  # the two right values' distances over h round to one u
-    narrow = Bandwidths(mean_left=0.02, mean_right=0.5, dens_left=1.0, dens_right=0.5)
+    narrow = {"mean_left": 0.02, "mean_right": 0.5, "dens_left": 1.0, "dens_right": 0.5}
     return [
         (np.abs(rng.standard_normal(1000)) + 0.1, ones, 1, InsufficientData, "left",
          "left density fit: 0 distinct in-window points on side 'left', need at least 3 for a degree-2 CDF fit"),
@@ -165,7 +151,7 @@ def degenerate_cases():
          "right density fit: 79 of 100 in-window values are exact duplicates; the running variable looks discrete"),
         (np.concatenate([[0.1, 0.2], left]), ones, 1, InsufficientData, "right",
          "right density fit: 2 distinct in-window points on side 'right', need at least 3 for a degree-2 CDF fit"),
-        (np.concatenate([[np.nextafter(1.0, 0.0), 1.0], left]), Bandwidths(h, h, h, h), 0, SingularDesign, "right",
+        (np.concatenate([[np.nextafter(1.0, 0.0), 1.0], left]), dict.fromkeys(boundary.FITS, h), 0, SingularDesign, "right",
          "right density fit: normal equations of the degree-1 CDF fit are singular on 2 distinct "
          "positive-weight values in window"),
         (np.concatenate([np.full(3, -0.001), left - 0.05, right]), narrow, 1, SingularDesign, "left",
@@ -182,7 +168,7 @@ def degenerate_cases():
 def test_degenerate_sample_raises_labeled_error(xs, bandwidths, order, error, side, message):
     data = Dataset(xs=xs, ys=np.zeros_like(xs), cutoff=0.0)
     with pytest.raises(error) as excinfo:
-        estimate_boundary(data, FitConfig(order=order, kernel=KernelKind.TRIANGULAR, bandwidths=bandwidths))
+        estimate_boundary(data, FitConfig(order=order, kernel=KernelKind.TRIANGULAR, **bandwidths))
     assert excinfo.value.side == side
     assert str(excinfo.value) == message
 
@@ -199,7 +185,7 @@ def near_equal_pair_fits(pair_ys):
     xs = np.concatenate([left, pair, right])
     assert np.count_nonzero((xs > -h) & (xs < 0.0)) == 2
     ys = np.concatenate([np.zeros(400), pair_ys, (right > 0.5).astype(float)])
-    config = FitConfig(order=1, bandwidths=Bandwidths(mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0))
+    config = FitConfig(order=1, mean_left=h, mean_right=0.5, dens_left=1.0, dens_right=1.0)
     return (
         lambda: estimate_boundary(Dataset(xs=xs, ys=ys, cutoff=0.0), config).mu_minus,
         lambda: float(local_poly_fit(xs, ys, 0.0, FitSpec(1, h, KernelKind.TRIANGULAR, Side.LEFT)).coefficients[0]),
@@ -232,10 +218,18 @@ def test_near_equal_pair_of_ones_fits_one_or_raises():
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
-@pytest.mark.parametrize("name", ["mean_left", "mean_right", "dens_left", "dens_right"])
+@pytest.mark.parametrize("name", boundary.FITS)
 def test_bandwidth_must_be_positive_and_finite(name, value):
-    with pytest.raises(InvalidConfig, match=f"bandwidth {name} must be positive and finite"):
-        Bandwidths(**{name: value})
+    with pytest.raises(InvalidConfig, match=f"^bandwidth {name} must be positive and finite, got {value}$"):
+        FitConfig(**{name: value})
+
+
+def test_estimates_key_the_fits_in_order(appendix_d_small):
+    # the report writes both maps as they are, so their order is its bytes'
+    be = estimate_boundary(appendix_d_small.data, FitConfig(dens_right=0.3))
+    assert tuple(be.bandwidths) == tuple(be.n_effective) == boundary.FITS
+    assert be.bandwidths["dens_right"] == 0.3
+    assert all(type(count) is int and count > 0 for count in be.n_effective.values())
 
 
 @pytest.mark.parametrize("spec", ["mean_spec", "density_spec"])
@@ -261,12 +255,12 @@ def test_rule_of_thumb_runs_once_per_side_that_lacks_a_bandwidth(monkeypatch, gi
         return rot_bandwidth(x, side, cutoff)
 
     monkeypatch.setattr(boundary, "rot_bandwidth", counted)
-    bw = FitConfig(bandwidths=Bandwidths(**given)).resolved(xs, 0.0).bandwidths
+    fit = FitConfig(**given).resolved(xs, 0.0)
     assert calls == sides
-    for item in fields(Bandwidths):
-        side = Side(item.name.split("_")[1])
-        expected = given.get(item.name, rot_bandwidth(xs, side, 0.0))
-        assert getattr(bw, item.name).hex() == expected.hex(), item.name
+    for name in boundary.FITS:
+        side = Side(name.split("_")[1])
+        expected = given.get(name, rot_bandwidth(xs, side, 0.0))
+        assert getattr(fit, name).hex() == expected.hex(), name
 
 
 def cdf_window_samples():
@@ -294,7 +288,7 @@ def test_plan_cdf_windows_are_the_density_fits(sample, order, kernel):
     # rows it gives CDF weight are the window's positive-weight rows. The left
     # side's mean window is narrower, so its CDF weights are stored apart
     xs = cdf_window_samples()[sample]
-    fit = FitConfig(order, kernel, Bandwidths(mean_left=0.25, mean_right=0.5, dens_left=0.5, dens_right=0.5))
+    fit = FitConfig(order, kernel, mean_left=0.25, mean_right=0.5, dens_left=0.5, dens_right=0.5)
     plan = boundary.build_plan(Dataset(xs=xs, ys=np.zeros_like(xs), cutoff=0.0), fit)
     assert [part.cdf_row > 0 for part in plan.sides] == [False, True]
     for side, part in zip((Side.RIGHT, Side.LEFT), plan.sides):

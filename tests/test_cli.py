@@ -70,6 +70,14 @@ def undecodable(data: bytes) -> bool:
     return False
 
 
+#: The UTF-8 byte-order mark that spreadsheet programs put before a CSV file's header
+BOM = b"\xef\xbb\xbf"
+needs_utf8 = pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="a byte-order mark is read as one only in UTF-8 text",
+)
+
+
 # awkward CSV fields: what float() and np.loadtxt read alike, and what only one reads
 AWKWARD_TOKENS = [
     "0", "1", "-0.0", "0.5", "-2.25", "1e5", "5e-324", "1e308", "+1", ".5", "5.", "1e",
@@ -126,6 +134,48 @@ class TestIngest:
         with pytest.raises(ParseError) as excinfo:
             ingest(str(path), cutoff=0.0)
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("text, kwargs, message", [
+        ("x,y\n0.5,1.0\n-0.5,0.0\noops,2.0\n", {}, "non-numeric running variable in column 'x' at line 4"),
+        ("x,y\n0.5,1.0\n-0.5,oops\n", {}, "non-numeric outcome in column 'y' at line 3"),
+        ("y,x\n1.0,0.5\n0.0,oops\n", {"col_y": "x"}, "non-numeric running variable in column 'x' at line 3"),
+        ("x,y,d,w\n0.5,1,1,0\n-0.5,0,no,0\n", {"col_d": "d", "covariates": ("w",)},
+         "non-numeric treatment in column 'd' at line 3"),
+        ("x,y,w\n0.5,1,0\n-0.5,0,?\n", {"covariates": ("w",)}, "non-numeric covariate in column 'w' at line 3"),
+    ], ids=["x", "y", "y-is-x", "d", "covariate"])
+    def test_parse_error_names_its_column(self, tmp_path, text, kwargs, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            ingest(str(path), cutoff=0.0, **kwargs)
+        assert str(excinfo.value) == message
+
+    @needs_utf8
+    @pytest.mark.parametrize("reader", ["columns", "rows"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, reader):
+        # a quoted first name, a data row np.loadtxt reads and a covariate:
+        # either reader gives the file's columns as if it had no mark
+        text = b'"x",y,w\r\n0.5,1,2\r\n-0.25,0,3\r\n'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(BOM + text)
+        patch = mock.patch.object(cli, "_parse_columns", return_value=None) if reader == "rows" else contextlib.nullcontext()
+        with patch:
+            got, expected = (ingest(str(path), 0.0, covariates=("w",)) for path in (marked, plain))
+        for name in ("xs", "ys"):
+            assert same_bits(getattr(got, name), getattr(expected, name)), name
+        assert same_bits(got.covariates["w"], expected.covariates["w"])
+
+    @needs_utf8
+    @pytest.mark.parametrize("bad, line", [("oops", 4), ("nan", 4)])
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, capsys, bad, line):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(BOM + f"x,y\n0.5,1\n\n{bad},0\n".encode())
+        with pytest.raises(ParseError) as excinfo:
+            ingest(str(path), cutoff=0.0)
+        assert excinfo.value.line == line and str(excinfo.value).endswith(f"column 'x' at line {line}")
+        assert run_cli("plotdata", str(path), "--cutoff", "0", "--out", str(tmp_path / "bins.csv")) == 3
+        assert capsys.readouterr().err == f"data error: {excinfo.value}\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_carries_line(self, tmp_path, bad):
@@ -434,8 +484,8 @@ class TestAnalyze:
         be = estimate_boundary(data, fit)
         assert be.mu_plus != estimate_boundary(data).mu_plus  # not the default fit
         assert (report["config"]["order"], report["config"]["kernel"], block["order"]) == (order, kernel, order)
-        assert block["bandwidths"] == asdict(be.bandwidths)
-        assert block["n_effective"] == asdict(be.n_effective)
+        assert block["bandwidths"] == be.bandwidths
+        assert block["n_effective"] == be.n_effective
         assert [block[k] for k in ("mu_plus", "mu_minus", "f_plus", "f_minus")] == [
             be.mu_plus, be.mu_minus, be.f_plus, be.f_minus,
         ]
@@ -505,6 +555,32 @@ class TestAnalyze:
             given = ("--config", str(tmp_path / "run.cfg"))
         assert run_cli("analyze", str(missing), "--cutoff", "0", "--y-min", "0", "--y-max", "1", *given) == 2
         assert capsys.readouterr().err == "configuration error: covariate 'x_star' is named more than once\n"
+
+    @needs_utf8
+    def test_byte_order_mark_gives_the_same_report(self, typed_file, tmp_path):
+        path, _ = typed_file
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(BOM + Path(path).read_bytes())
+        outs = []
+        for name, source in (("plain.json", path), ("marked.json", str(marked))):
+            outs.append(tmp_path / name)
+            assert run_cli("analyze", source, "--cutoff", "0", "--y-min", "0", "--y-max", "1", "--boot", "64",
+                           "--covariate", "x_star", "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @needs_utf8
+    @pytest.mark.parametrize("name, text", [
+        ("run.cfg", "cutoff = 0\ny_min = 0\ny_max = 1\nboot = 64\nbw_mean_left = 0.3\n"),
+        ("run.json", '{"cutoff": 0, "y_min": 0, "y_max": 1, "boot": 64, "bw_mean_left": 0.3}'),
+    ], ids=["key-value", "json"])
+    def test_config_file_byte_order_mark_is_skipped(self, typed_file, tmp_path, name, text):
+        path, _ = typed_file
+        outs = []
+        for mark in (b"", BOM):
+            cfgfile, outs = tmp_path / name, [*outs, tmp_path / f"r{len(outs)}.json"]
+            cfgfile.write_bytes(mark + text.encode())
+            assert run_cli("analyze", path, "--config", str(cfgfile), "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unopenable_config_exits_2(self, typed_file, tmp_path, capsys):
         path, _ = typed_file
@@ -965,6 +1041,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"configuration error: cannot parse --share {share!r}; expected T=WEIGHT\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("shares", [("0=0.5", "0=0.5"), ("2=0.3", "0=0.4", "00=0.3")])
+    def test_repeated_share_label_exits_2(self, tmp_path, capsys, shares):
+        # a later share would replace the earlier one, and the shares would not sum to 1
+        out = tmp_path / "t.csv"
+        flags = [arg for share in shares for arg in ("--share", share)]
+        assert run_cli("simulate", "typed", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "configuration error: type 0 is named more than once in --share\n"
+        assert not out.exists()
+
     def test_unknown_dgp_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("simulate", "nope", "--out", str(tmp_path / "x.csv"))
@@ -1133,6 +1218,34 @@ class TestPlotdata:
         assert float(rows[0][0]) <= xs[0] and xs[-1] <= float(rows[-1][1])
         left, right, count, *_ = rows[end]
         assert float(left) <= xs[end] <= float(right) and count == "1"
+
+    @pytest.mark.parametrize("xs, cutoff, bins", [
+        ([-0.035, -0.02, -0.01, 0.01, 0.02, 0.035], "0", 14),
+        ([-3.0, -2.5, -1.0, 0.5, 1.0, 41.32000000000001], "-2.3", 8865),
+    ], ids=["both-ends", "least-x"])
+    def test_fewest_bins_cover_the_rows(self, tmp_path, xs, cutoff, bins):
+        # fl(-0.035 / 0.005) = -7.000000000000001, which floor took to -8 and
+        # an empty first bin; the end bins hold the least and greatest x
+        path, out = tmp_path / "x.csv", tmp_path / "bins.csv"
+        path.write_text("x\n" + "".join(f"{x!r}\n" for x in xs))
+        assert run_cli("plotdata", str(path), "--cutoff", cutoff, "--out", str(out)) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == bins
+        assert float(rows[0][0]) <= xs[0] and xs[-1] <= float(rows[-1][1])
+        assert int(rows[0][2]) > 0 and int(rows[-1][2]) > 0
+
+    def test_end_bins_hold_rows_on_rounded_decimals(self, tmp_path):
+        # x rounded to 3 decimals, as vote margins are, over cutoffs and widths
+        # that put rows on the edges
+        rng = np.random.default_rng(11)
+        path, out = tmp_path / "x.csv", tmp_path / "bins.csv"
+        for trial in range(40):
+            xs = np.round(rng.uniform(-0.5, 0.5, 30), 3)
+            cutoff, width = rng.choice(["0", "0.1", "-0.3"]), rng.choice(["0.005", "0.01", "0.015"])
+            path.write_text("x\n" + "".join(f"{x!r}\n" for x in xs.tolist()))
+            assert run_cli("plotdata", str(path), "--cutoff", cutoff, "--bin-width", width, "--out", str(out)) == 0
+            counts = [int(row.split(",")[2]) for row in out.read_text().splitlines()[1:]]
+            assert counts[0] > 0 and counts[-1] > 0 and sum(counts) == xs.size, (trial, cutoff, width)
 
     def test_bins_of_no_width_exit_2(self, tmp_path, capfd):
         # 5e-5 over 1e-10 wide bins is 500,000 bins, under the cap, but floats

@@ -6,12 +6,10 @@ import pytest
 from scipy import stats
 
 from mrdd import (
-    Bandwidths,
     BootstrapConfig,
     BoundaryDraws,
     BoundaryEstimates,
     IntervalCI,
-    SideCounts,
     TypeAssumption,
     bootstrap_boundary_replicates,
     bounds_from_draws,
@@ -21,6 +19,7 @@ from mrdd import (
     imbens_manski_ci,
     oracle_appendix_d,
 )
+from mrdd import boundary
 from mrdd.errors import InvalidConfig, InvalidInputs, InvalidOutcomeRange
 
 
@@ -201,7 +200,7 @@ def synthetic_draws(point_r):
     # r taken from r instead of the densities moves the ends
     point = BoundaryEstimates(
         mu_plus=2.5, mu_minus=1.75, f_plus=0.8, f_minus=np.nextafter(0.8 * point_r, 1.0), r=point_r,
-        bandwidths=Bandwidths(1.0, 1.0, 1.0, 1.0), n_effective=SideCounts(0, 0, 0, 0),
+        bandwidths=dict.fromkeys(boundary.FITS, 1.0), n_effective=dict.fromkeys(boundary.FITS, 0),
     )
     if point_r == 1.0:
         point = replace(point, f_minus=point.f_plus)

@@ -1,7 +1,7 @@
 """Module boundaries: no package module imports another module's private names,
 only ``inference`` reads the bootstrap draw matrix and only ``boundary`` its
-plan, only ``build_plan`` and plotdata resolve bandwidths and only
-``FitConfig`` builds a fit spec, ``build_plan`` and the density fits share
+plan, only ``build_plan`` and plotdata resolve bandwidths, only
+``FitConfig`` holds them and only it builds a fit spec, ``build_plan`` and the density fits share
 one CDF window function, every public function and error class is reached by the package or
 named as library API, every command runs with scipy's import blocked,
 analyze loads no numpy.ma and a one-worker analyze no thread pool, the
@@ -153,6 +153,14 @@ def test_only_fit_config_builds_fit_specs():
     # FitConfig turns its order, kernel and resolved bandwidths into the specs
     # analyze and plotdata fit with; no other package code builds one
     assert call_scopes("FitSpec") == {"FitConfig._spec"}
+
+
+def test_fit_config_alone_holds_the_bandwidths():
+    # the four bandwidths are FitConfig's own fields, and the estimates key
+    # their bandwidths and window rows by boundary.FITS: no record holds them
+    classes = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert not {"Bandwidths", "SideCounts"} & (classes | set(mrdd.__all__))
 
 
 #: Public functions kept for library callers though no command reaches them:
